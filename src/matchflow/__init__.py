@@ -45,8 +45,6 @@ from .momentum import (
     find_swings,
     momentum_from_victors,
     momentum_series,
-    point_result,
-    window_score,
 )
 from .sweep import ResponseModel, SweepResult, SweepSpec, fit_response_model, sweep_1d, sweep_2d
 from .trend import (
@@ -110,7 +108,6 @@ __all__ = [
     "morlet",
     "nll_and_grad",
     "parse_match_csv",
-    "point_result",
     "randomness_test",
     "roc_auc",
     "scale_for_period",
@@ -124,6 +121,5 @@ __all__ = [
     "train",
     "train_test_split",
     "weights",
-    "window_score",
     "write_clean_csv",
 ]

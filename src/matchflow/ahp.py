@@ -234,13 +234,20 @@ def score_rounds(indicators, w, normalize: bool = True) -> RoundScores:
     """Score rounds by the weighted sum of indicator columns and rank them.
 
     Args:
-        indicators: (rounds x indicators) matrix.
+        indicators: (rounds x indicators) matrix of finite values.
         w: indicator weights summing to 1.
         normalize: min-max scale each column to [0,1] first (defaults on).
+
+    Raises:
+        DataError: a non-finite indicator (naming its column), a shape
+            mismatch, or weights that do not sum to 1.
     """
     x = np.asarray(indicators, dtype=float)
     if x.ndim != 2:
         raise DataError("indicator matrix must be 2-dimensional")
+    bad_columns = np.flatnonzero(~np.all(np.isfinite(x), axis=0))
+    if bad_columns.size:
+        raise DataError(f"indicator column {int(bad_columns[0])} holds a non-finite value")
     w = np.asarray(w, dtype=float)
     if w.size != x.shape[1]:
         raise DataError("one weight per indicator column is required")
@@ -251,7 +258,6 @@ def score_rounds(indicators, w, normalize: bool = True) -> RoundScores:
     scores = x @ w
     total = scores.sum()
     standardized = scores / total if total != 0 else np.zeros_like(scores)
-    distinct = np.unique(scores)[::-1]  # descending
-    rank_of = {value: i + 1 for i, value in enumerate(distinct.tolist())}
-    ranking = np.array([rank_of[value] for value in scores.tolist()], dtype=int)
+    distinct, position = np.unique(scores, return_inverse=True)  # ascending
+    ranking = distinct.size - position  # dense, 1 = highest score
     return RoundScores(scores, standardized, ranking)

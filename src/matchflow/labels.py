@@ -53,31 +53,6 @@ class ServeWinStats:
     def p_lose_given_serve(self) -> float:
         return 1.0 - self.p_win_given_serve
 
-    def p_win_given_serve_player(self, player: int) -> float:
-        num, den = self.serve_wins[player], self.serves[player]
-        if self.laplace:
-            return (num + 1) / (den + 2)
-        if den == 0:
-            raise DataError(f"insufficient data: player {player} never served a {self.unit}")
-        return num / den
-
-    def posterior_via_prior(self) -> float:
-        """Pooled serve-win posterior composed from prior and likelihood.
-
-        Multiplies the serve-rate-given-win likelihood by the win prior and
-        divides by the serve rate, over player/unit pairs.  Algebraically the
-        same ratio as p_win_given_serve; kept as a separate computation path
-        so the two can be cross-checked.
-        """
-        pairs = 2 * self.n_units
-        n_serve_and_win = self.serve_wins[1] + self.serve_wins[2]
-        n_win = self.wins[1] + self.wins[2]
-        n_serve = self.serves[1] + self.serves[2]
-        p_serve_given_win = n_serve_and_win / n_win
-        p_win = n_win / pairs
-        p_serve = n_serve / pairs
-        return p_serve_given_win * p_win / p_serve
-
     def to_dict(self) -> dict:
         return {
             "version": 1,

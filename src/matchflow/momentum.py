@@ -91,39 +91,35 @@ def _victors(timeline_or_victors) -> np.ndarray:
     return np.asarray(timeline_or_victors, dtype=int)
 
 
-def point_result(timeline, n: int, player: int) -> float:
-    """+0.5 if the player won point n (1-based), else -0.5."""
-    v = _victors(timeline)
-    if not 1 <= n <= v.size:
-        raise IndexError(f"point index {n} outside 1..{v.size}")
-    return WIN_RESULT if v[n - 1] == player else LOSS_RESULT
-
-
 def _run_lengths(v: np.ndarray) -> np.ndarray:
-    n = v.size
-    new_run = np.empty(n, dtype=bool)
-    new_run[0] = True
-    np.not_equal(v[1:], v[:-1], out=new_run[1:])
-    run_start = np.flatnonzero(new_run)
-    run_id = np.cumsum(new_run) - 1
-    return np.arange(n) - run_start[run_id] + 1
+    """Length of the run of equal values ending at each position (last axis)."""
+    idx = np.arange(v.shape[-1])
+    new_run = np.ones(v.shape, dtype=bool)
+    np.not_equal(v[..., 1:], v[..., :-1], out=new_run[..., 1:])
+    run_start = np.maximum.accumulate(np.where(new_run, idx, 0), axis=-1)
+    return idx - run_start + 1
 
 
 def _window_sums(values: np.ndarray, half_width: int, causal: bool):
+    """Truncated window sums and point counts along the last axis."""
     # cumulative-sum differencing; values are all +-0.5 so the sums are exact
-    n = values.size
+    n = values.shape[-1]
     idx = np.arange(n)
     lo = np.maximum(0, idx - half_width)
     hi = idx if causal else np.minimum(n - 1, idx + half_width)
-    csum = np.concatenate([[0.0], np.cumsum(values)])
-    sums = csum[hi + 1] - csum[lo]
+    csum = np.zeros(values.shape[:-1] + (n + 1,))
+    np.cumsum(values, axis=-1, out=csum[..., 1:])
+    sums = csum[..., hi + 1] - csum[..., lo]
     counts = (hi - lo + 1).astype(float)
     return sums, counts
 
 
 def momentum_from_victors(victors, params: MomentumParams | None = None) -> dict:
-    """Fast path: momentum arrays straight from a point-victor sequence.
+    """Momentum arrays straight from a point-victor sequence.
 
+    Works along the last axis: a (n,) sequence gives (n,) arrays, and a
+    (rows, n) matrix of sequences (a block of permutations) gives (rows, n)
+    arrays whose every row equals the single-sequence result bit for bit.
     Returns a dict with p1/p2 momentum, the four window components, and the
     capped run-length diagnostics.  Only the victor sequence matters, which
     makes this the workhorse for permutation tests.
@@ -165,38 +161,6 @@ def momentum_from_victors(victors, params: MomentumParams | None = None) -> dict
         "streak_len": capped,
         "streak_holder": v.copy(),
     }
-
-
-def window_score(timeline, n: int, player: int, half_width: int, params=None) -> float:
-    """Single window value at point n (1-based) for one player.
-
-    half_width 1 selects the 3-point window with the e^(2k) bonus, 3 the
-    7-point window with the e^(k) bonus.
-    """
-    if half_width not in (SHORT_HALF_WIDTH, LONG_HALF_WIDTH):
-        raise ValueError("half_width must be 1 (short) or 3 (long)")
-    params = params or MomentumParams()
-    params.validate()
-    v = _victors(timeline)
-    if not 1 <= n <= v.size:
-        raise IndexError(f"point index {n} outside 1..{v.size}")
-    i = n - 1
-    lo = max(0, i - half_width)
-    hi = i if params.causal else min(v.size - 1, i + half_width)
-    total = 0.0
-    for j in range(lo, hi + 1):
-        total += WIN_RESULT if v[j] == player else LOSS_RESULT
-    run = 1
-    while i - run >= 0 and v[i - run] == v[i]:
-        run += 1
-    bonus = 0.0
-    if run >= params.streak_min:
-        k = min(run, params.streak_cap)
-        gain = params.short_streak_gain if half_width == SHORT_HALF_WIDTH else params.long_streak_gain
-        scale = math.exp(2 * k) if half_width == SHORT_HALF_WIDTH else math.exp(k)
-        sign = 1.0 if v[i] == player else -1.0
-        bonus = sign * (gain * scale)
-    return (total + bonus) / (hi - lo + 1) + 0.5
 
 
 def momentum_series(timeline, params: MomentumParams | None = None) -> MomentumSeries:

@@ -4,8 +4,17 @@ the claim that scoring runs are pure chance.
 The permutation test shuffles the point-victor sequence (preserving each
 player's win count, optionally within serve strata), recomputes a summary
 statistic per shuffle, and reports the add-one p-value
-(1 + #{null >= observed}) / (1 + permutations).  Permutation streams are
-derived from (seed, permutation index) so results never depend on scheduling.
+(1 + #{null >= observed}) / (1 + permutations) (Phipson & Smyth 2010,
+"Permutation p-values should never be zero").
+
+Permutation i is drawn from its own generator default_rng([seed, i]), so the
+shuffles never depend on scheduling.  The shuffles are written as rows of a
+(PERMUTATION_BLOCK, n) matrix, and each block is scored at once by row-wise
+statistics built on the momentum code's last-axis kernels.  The observed
+statistic is row 0 of a one-row call to the same function, so it is computed
+by exactly the arithmetic that computes every null value.  The null and the
+p-value are exact: equal bit for bit to shuffling and scoring one
+permutation at a time.
 """
 
 from __future__ import annotations
@@ -15,12 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .momentum import MomentumParams, momentum_from_victors
+from .momentum import MomentumParams, _run_lengths, momentum_from_victors
 
 POLY22_TERMS = ("p00", "p10", "p01", "p20", "p11", "p02")
 
 MIN_PERMUTATIONS = 99
 MIN_TIMELINE_POINTS = 20
+PERMUTATION_BLOCK = 128  # shuffles scored per matrix; bounds memory for any count
 
 
 def cosine_similarity(a, b) -> float:
@@ -119,26 +129,29 @@ def _victors_of(timeline):
     return np.asarray(timeline, dtype=int)
 
 
-def stat_momentum_variance(victors, params) -> float:
-    return float(np.var(momentum_from_victors(victors, params)["p1"]))
+def stat_momentum_variance(victors, params) -> np.ndarray:
+    """Variance of player 1's momentum, one value per row (last axis)."""
+    return np.var(momentum_from_victors(victors, params)["p1"], axis=-1)
 
 
-def stat_max_streak(victors, params) -> float:
-    v = np.asarray(victors)
-    best = run = 1
-    for i in range(1, v.size):
-        run = run + 1 if v[i] == v[i - 1] else 1
-        best = max(best, run)
-    return float(best)
+def stat_max_streak(victors, params) -> np.ndarray:
+    """Longest run of points won by one player, one value per row."""
+    return _run_lengths(np.asarray(victors)).max(axis=-1).astype(float)
 
 
-def stat_lag1_autocorr(victors, params) -> float:
+def stat_lag1_autocorr(victors, params) -> np.ndarray:
+    """Lag-1 autocorrelation of player 1's momentum, one value per row.
+
+    A row whose first or last n - 1 values are all equal scores 0.
+    """
     x = momentum_from_victors(victors, params)["p1"]
-    a, b = x[:-1], x[1:]
-    sa, sb = a.std(), b.std()
-    if sa == 0.0 or sb == 0.0:
-        return 0.0
-    return float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
+    a, b = x[..., :-1], x[..., 1:]
+    sa, sb = a.std(axis=-1), b.std(axis=-1)
+    cov = np.mean(
+        (a - a.mean(axis=-1, keepdims=True)) * (b - b.mean(axis=-1, keepdims=True)), axis=-1
+    )
+    defined = (sa != 0.0) & (sb != 0.0)
+    return np.divide(cov, sa * sb, out=np.zeros_like(cov), where=defined)
 
 
 STATISTICS = {
@@ -146,6 +159,31 @@ STATISTICS = {
     "max_streak": stat_max_streak,
     "lag1_autocorr": stat_lag1_autocorr,
 }
+
+
+def _permutation_null(victors, servers, fn, params, n_permutations, seed) -> np.ndarray:
+    """Statistic fn of each shuffle; permutation i uses generator (seed, i).
+
+    servers None shuffles the whole sequence; otherwise victors are shuffled
+    within each server's points only.
+    """
+    strata = None
+    if servers is not None:
+        strata = [idx for idx in (np.flatnonzero(servers == s) for s in (1, 2)) if idx.size]
+    null = np.empty(n_permutations)
+    for first in range(0, n_permutations, PERMUTATION_BLOCK):
+        count = min(PERMUTATION_BLOCK, n_permutations - first)
+        rows = np.empty((count, victors.size), dtype=victors.dtype)
+        for r in range(count):
+            rng = np.random.default_rng([seed, first + r])
+            if strata is None:
+                rows[r] = rng.permutation(victors)
+            else:
+                rows[r] = victors
+                for idx in strata:
+                    rows[r, idx] = victors[idx][rng.permutation(idx.size)]
+        null[first : first + count] = fn(rows, params)
+    return null
 
 
 @dataclass
@@ -213,24 +251,11 @@ def randomness_test(
 
     params = params or MomentumParams()
     fn = STATISTICS[statistic]
-    observed = fn(victors, params)
+    observed = fn(victors[None, :], params)[0]
     degenerate = np.unique(victors).size < 2
-
-    strata = None
-    if stratify_by_server:
-        strata = [np.flatnonzero(servers == s) for s in (1, 2)]
-
-    null = np.empty(n_permutations)
-    for i in range(n_permutations):
-        rng = np.random.default_rng([seed, i])
-        if strata is None:
-            shuffled = rng.permutation(victors)
-        else:
-            shuffled = victors.copy()
-            for idx in strata:
-                if idx.size:
-                    shuffled[idx] = shuffled[idx][rng.permutation(idx.size)]
-        null[i] = fn(shuffled, params)
+    null = _permutation_null(
+        victors, servers if stratify_by_server else None, fn, params, n_permutations, seed
+    )
 
     p_value = (1.0 + float(np.sum(null >= observed))) / (1.0 + n_permutations)
     qs = np.quantile(null, [0.05, 0.25, 0.5, 0.75, 0.95])

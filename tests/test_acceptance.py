@@ -36,6 +36,7 @@ from util import (
     ks_distance_uniform,
     make_timeline,
     momentum_oracle,
+    posterior_via_prior,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -87,7 +88,7 @@ def test_criterion_01_serve_win_posterior():
         served += 1
         won += 1 if r.server == r.point_victor else 0
     assert stats.p_win_given_serve == won / served == 0.67
-    assert abs(stats.posterior_via_prior() - stats.p_win_given_serve) <= 1e-12
+    assert abs(posterior_via_prior(stats) - stats.p_win_given_serve) <= 1e-12
     assert elapsed < 1.0
     ok("01 serve-win posterior (synthetic 67/100, official file not provided)")
 

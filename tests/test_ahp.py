@@ -182,3 +182,14 @@ def test_score_rounds_input_validation():
         ahp.score_rounds(np.ones((3, 2)), np.array([0.7, 0.7]))
     with pytest.raises(DataError, match="per indicator"):
         ahp.score_rounds(np.ones((3, 2)), np.array([1.0]))
+
+
+def test_non_finite_indicator_is_rejected_by_column():
+    indicators = np.array([[0.1, 0.2, 0.3], [0.4, np.nan, 0.6], [0.7, 0.8, 0.9]])
+    w = np.array([0.5, 0.3, 0.2])
+    with pytest.raises(DataError, match="indicator column 1 holds a non-finite value"):
+        ahp.score_rounds(indicators, w)
+    indicators[1, 1] = 0.5
+    indicators[2, 2] = np.inf
+    with pytest.raises(DataError, match="indicator column 2"):
+        ahp.score_rounds(indicators, w, normalize=False)

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -205,3 +208,18 @@ def test_report_bundle_and_out_dir_env(tmp_path, monkeypatch):
     assert report["match_id"].endswith("1701")
     for artifact in report["artifacts"].values():
         assert (out / artifact).exists(), artifact
+
+
+def test_report_runs_without_importing_scipy(tmp_path):
+    # the runtime depends on numpy alone; scipy may be installed but never loaded
+    script = (
+        "import sys\n"
+        "from matchflow import cli\n"
+        f"code = cli.main(['report', {str(FIXTURE)!r}, '--out-dir', {str(tmp_path / 'out')!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "[]"]

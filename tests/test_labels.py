@@ -7,7 +7,7 @@ from matchflow import labels
 from matchflow.errors import DataError
 from matchflow.ingest import MatchTimeline
 
-from util import make_record, make_timeline, random_timeline
+from util import make_record, make_timeline, posterior_via_prior, random_timeline
 
 
 def counting_oracle(timelines):
@@ -50,7 +50,7 @@ def test_prior_composition_agrees_with_direct_ratio():
     for trial in range(20):
         corpus = [random_timeline(rng, int(rng.integers(20, 80)))]
         stats = labels.estimate_serve_win_posterior(corpus, unit="point")
-        assert abs(stats.posterior_via_prior() - stats.p_win_given_serve) <= 1e-12
+        assert abs(posterior_via_prior(stats) - stats.p_win_given_serve) <= 1e-12
 
 
 def test_monotonicity_extra_serve_win_never_decreases():

@@ -9,11 +9,9 @@ from matchflow.momentum import (
     find_swings,
     momentum_from_victors,
     momentum_series,
-    point_result,
-    window_score,
 )
 
-from util import make_timeline, momentum_oracle
+from util import make_timeline, momentum_oracle, point_result, window_score
 
 SCRIPTED_20 = [1, 1, 1, 2, 1, 2, 2, 2, 2, 1, 1, 2, 1, 1, 1, 1, 2, 2, 1, 2]
 
@@ -89,13 +87,33 @@ def test_series_matches_oracle_on_random_timelines():
 
 def test_series_agrees_with_window_score_pointwise():
     params = MomentumParams()
-    v = SCRIPTED_20
-    result = momentum_from_victors(v, params)
-    for n in range(1, len(v) + 1):
-        short = window_score(v, n, 1, half_width=1, params=params)
-        long = window_score(v, n, 1, half_width=3, params=params)
-        assert result["short_p1"][n - 1] == short
-        assert result["long_p1"][n - 1] == long
+    rng = np.random.default_rng(19)
+    matrix = np.vstack([SCRIPTED_20, 3 - np.array(SCRIPTED_20), rng.integers(1, 3, size=(6, 20))])
+    single = momentum_from_victors(SCRIPTED_20, params)
+    rows = momentum_from_victors(matrix, params)
+    for r, v in enumerate(matrix):
+        for n in range(1, len(v) + 1):
+            short = window_score(v, n, 1, half_width=1, params=params)
+            long = window_score(v, n, 1, half_width=3, params=params)
+            assert rows["short_p1"][r, n - 1] == short
+            assert rows["long_p1"][r, n - 1] == long
+            if r == 0:
+                assert single["short_p1"][n - 1] == short
+                assert single["long_p1"][n - 1] == long
+
+
+def test_matrix_rows_equal_single_sequence_results():
+    rng = np.random.default_rng(29)
+    matrix = rng.integers(1, 3, size=(40, 33))
+    matrix[0] = 1  # one run spanning the row
+    for causal in (False, True):
+        params = MomentumParams(causal=causal)
+        rows = momentum_from_victors(matrix, params)
+        for r, v in enumerate(matrix):
+            single = momentum_from_victors(v, params)
+            for key, values in single.items():
+                assert rows[key].shape == matrix.shape
+                assert np.array_equal(rows[key][r], values)
 
 
 def test_outputs_stay_in_unit_interval():

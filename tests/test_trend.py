@@ -5,7 +5,7 @@ from matchflow import trend
 from matchflow.errors import DataError
 from matchflow.momentum import MomentumParams
 
-from util import make_timeline
+from util import make_timeline, permutation_oracle
 
 
 def test_cosine_similarity_basics():
@@ -195,3 +195,52 @@ def test_report_serialization():
     assert payload["version"] == 1
     assert 0.0 < payload["p_value"] <= 1.0
     assert set(payload["null"]["quantiles"]) == {"q05", "q25", "q50", "q75", "q95"}
+
+
+def assert_matches_oracle(timeline, statistic, n_permutations, seed, stratify):
+    victors, servers = timeline.victors(), timeline.servers()
+    params = MomentumParams()
+    observed, null, p_value = permutation_oracle(
+        victors, servers if stratify else None, statistic, n_permutations, seed, params
+    )
+    got = trend._permutation_null(
+        victors, servers if stratify else None, trend.STATISTICS[statistic], params,
+        n_permutations, seed,
+    )
+    assert np.array_equal(got, null)
+    report = trend.randomness_test(
+        timeline, params, statistic, n_permutations, seed, stratify_by_server=stratify
+    )
+    assert report.observed == observed
+    assert report.p_value == p_value
+    assert report.null_mean == float(null.mean())
+    assert report.null_sd == float(null.std())
+    return report
+
+
+@pytest.mark.parametrize("stratify", [False, True])
+@pytest.mark.parametrize("statistic", sorted(trend.STATISTICS))
+def test_null_and_pvalue_equal_the_one_at_a_time_oracle(statistic, stratify):
+    rng = np.random.default_rng(13)
+    tl = make_timeline(rng.integers(1, 3, size=57).tolist(), rng.integers(1, 3, size=57).tolist())
+    assert_matches_oracle(tl, statistic, 99, 21, stratify)
+
+
+def test_null_matches_oracle_on_a_one_player_sequence():
+    tl = make_timeline([2] * 25)
+    for statistic in trend.STATISTICS:
+        assert assert_matches_oracle(tl, statistic, 99, 4, False).degenerate
+
+
+def test_null_matches_oracle_when_one_server_has_no_points():
+    rng = np.random.default_rng(14)
+    tl = make_timeline(rng.integers(1, 3, size=30).tolist(), [1] * 30)
+    assert_matches_oracle(tl, "max_streak", 99, 6, True)
+    assert_matches_oracle(tl, "lag1_autocorr", 99, 6, True)
+
+
+def test_null_matches_oracle_across_a_partial_block():
+    rng = np.random.default_rng(15)
+    tl = make_timeline(rng.integers(1, 3, size=40).tolist())
+    n_permutations = 2 * trend.PERMUTATION_BLOCK + 3
+    assert_matches_oracle(tl, "momentum_variance", n_permutations, 8, False)

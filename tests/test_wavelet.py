@@ -92,6 +92,28 @@ def test_direct_summation_oracle_reflect():
     assert np.max(np.abs(got - want)) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "n, boundary, scales",
+    [
+        (8, "reflect", None),  # reflect padding longer than the signal
+        (45, "reflect", None),  # length that is not a power of two
+        (45, "zero", None),
+        (20, "reflect", [2.0, 40.0]),  # one scale whose support exceeds the signal
+        (20, "zero", [2.0, 40.0]),
+    ],
+)
+def test_fft_transform_matches_direct_summation_oracle(n, boundary, scales):
+    signal = np.random.default_rng(n).normal(size=n)
+    if scales is None:
+        config = WaveletConfig(n_scales=6, boundary=boundary)
+    else:
+        config = WaveletConfig(scales=np.array(scales), boundary=boundary)
+    got = cwt(signal, config)
+    want = cwt_oracle(signal, got.scales.tolist(), 6.0, boundary=boundary)
+    assert got.coefficients.shape == (got.scales.size, n)
+    assert np.max(np.abs(got.coefficients - want)) <= 1e-10
+
+
 def test_shift_covariance_in_the_interior():
     rng = np.random.default_rng(4)
     n, shift = 96, 5

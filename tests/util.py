@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from matchflow.ingest import MatchTimeline, PointRecord
-from matchflow.momentum import MomentumParams
+from matchflow.momentum import MomentumParams, momentum_from_victors
 
 
 def make_record(match_id="m1", point_no=1, **overrides) -> PointRecord:
@@ -139,6 +139,124 @@ def momentum_oracle(victors, params: MomentumParams | None = None):
         p1.append(per_player[1])
         p2.append(per_player[2])
     return np.array(p1), np.array(p2)
+
+
+def _victor_list(timeline):
+    if hasattr(timeline, "victors"):
+        return timeline.victors().tolist()
+    return list(timeline)
+
+
+def point_result(timeline, n: int, player: int) -> float:
+    """+0.5 if the player won point n (1-based), else -0.5."""
+    v = _victor_list(timeline)
+    if not 1 <= n <= len(v):
+        raise IndexError(f"point index {n} outside 1..{len(v)}")
+    return 0.5 if v[n - 1] == player else -0.5
+
+
+def window_score(timeline, n: int, player: int, half_width: int, params=None) -> float:
+    """Single window value at point n (1-based) for one player.
+
+    half_width 1 selects the 3-point window with the e^(2k) bonus, 3 the
+    7-point window with the e^(k) bonus.
+    """
+    if half_width not in (1, 3):
+        raise ValueError("half_width must be 1 (short) or 3 (long)")
+    params = params or MomentumParams()
+    v = _victor_list(timeline)
+    if not 1 <= n <= len(v):
+        raise IndexError(f"point index {n} outside 1..{len(v)}")
+    i = n - 1
+    lo = max(0, i - half_width)
+    hi = i if params.causal else min(len(v) - 1, i + half_width)
+    total = 0.0
+    for j in range(lo, hi + 1):
+        total += 0.5 if v[j] == player else -0.5
+    run = 1
+    while i - run >= 0 and v[i - run] == v[i]:
+        run += 1
+    bonus = 0.0
+    if run >= params.streak_min:
+        k = min(run, params.streak_cap)
+        gain = params.short_streak_gain if half_width == 1 else params.long_streak_gain
+        scale = math.exp(2 * k) if half_width == 1 else math.exp(k)
+        sign = 1.0 if v[i] == player else -1.0
+        bonus = sign * (gain * scale)
+    return (total + bonus) / (hi - lo + 1) + 0.5
+
+
+def posterior_via_prior(stats) -> float:
+    """Pooled serve-win posterior composed from prior and likelihood.
+
+    Multiplies the serve-rate-given-win likelihood by the win prior and
+    divides by the serve rate, over player/unit pairs: algebraically the same
+    ratio as ServeWinStats.p_win_given_serve, by a separate path.
+    """
+    pairs = 2 * stats.n_units
+    n_serve_and_win = stats.serve_wins[1] + stats.serve_wins[2]
+    n_win = stats.wins[1] + stats.wins[2]
+    n_serve = stats.serves[1] + stats.serves[2]
+    p_serve_given_win = n_serve_and_win / n_win
+    p_win = n_win / pairs
+    p_serve = n_serve / pairs
+    return p_serve_given_win * p_win / p_serve
+
+
+def stat_momentum_variance(victors, params) -> float:
+    return float(np.var(momentum_from_victors(victors, params)["p1"]))
+
+
+def stat_max_streak(victors, params) -> float:
+    v = np.asarray(victors)
+    best = run = 1
+    for i in range(1, v.size):
+        run = run + 1 if v[i] == v[i - 1] else 1
+        best = max(best, run)
+    return float(best)
+
+
+def stat_lag1_autocorr(victors, params) -> float:
+    x = momentum_from_victors(victors, params)["p1"]
+    a, b = x[:-1], x[1:]
+    sa, sb = a.std(), b.std()
+    if sa == 0.0 or sb == 0.0:
+        return 0.0
+    return float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
+
+
+STATISTIC_ORACLES = {
+    "momentum_variance": stat_momentum_variance,
+    "max_streak": stat_max_streak,
+    "lag1_autocorr": stat_lag1_autocorr,
+}
+
+
+def permutation_oracle(victors, servers, statistic, n_permutations, seed, params=None):
+    """One shuffle and one scalar statistic at a time: (observed, null, p-value).
+
+    servers None shuffles freely; otherwise within each server's points.
+    """
+    params = params or MomentumParams()
+    victors = np.asarray(victors)
+    fn = STATISTIC_ORACLES[statistic]
+    observed = fn(victors, params)
+    strata = None
+    if servers is not None:
+        strata = [np.flatnonzero(np.asarray(servers) == s) for s in (1, 2)]
+    null = np.empty(n_permutations)
+    for i in range(n_permutations):
+        rng = np.random.default_rng([seed, i])
+        if strata is None:
+            shuffled = rng.permutation(victors)
+        else:
+            shuffled = victors.copy()
+            for idx in strata:
+                if idx.size:
+                    shuffled[idx] = shuffled[idx][rng.permutation(idx.size)]
+        null[i] = fn(shuffled, params)
+    p_value = (1.0 + float(np.sum(null >= observed))) / (1.0 + n_permutations)
+    return observed, null, p_value
 
 
 def confusion_oracle(truth, pred, n_classes):
