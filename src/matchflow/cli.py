@@ -5,17 +5,32 @@ wavelet}, report.  Every command is a pure function of its input files, the
 merged configuration and the seed; outputs are byte-identical across runs.
 Option precedence is command line > config file > built-in defaults.
 
+Every command but clean runs stages from the STAGES table on one Context
+(config, seed, selected match, training matches), which derives the match's
+features and momentum series once: train-eval runs train, momentum runs
+momentum, analyze X runs X, and report runs all seven, then writes
+report.json from their summaries.  A stage writes into a scratch directory
+inside the output directory and its files land only if it succeeds.
+report.json records each stage's status, "ok" or "failed" with the reason; a
+failed stage's summaries are null and the other stages still run.  Reading
+the config or the inputs, or selecting the match, stops a command at once.
+
 Exit codes: 0 success, 1 analysis error, 2 I/O or schema error, 3 config
-error.
+error.  A command with a failed stage exits with the code of its first
+failure, report after writing report.json.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import itertools
 import json
 import os
 import sys
+import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,26 +41,18 @@ from .errors import ConfigError, DataError, MatchFlowError, SchemaError
 
 OUT_DIR_ENV = "MATCHFLOW_OUT_DIR"
 
-DEFAULT_AHP_INDICATORS = [
-    "score_diff",
-    "psychological_factor",
-    "unforced_error_ratio_p2",
-    "distance_run_diff",
-    "set_diff",
-]
+# Errors that fail one stage and let the others run; main maps each to an exit code.
+STAGE_ERRORS = (MatchFlowError, ValueError, ArithmeticError, KeyError, IndexError)
+
+DEFAULT_AHP_INDICATORS = ["score_diff", "psychological_factor", "unforced_error_ratio_p2",
+                          "distance_run_diff", "set_diff"]
 
 # Built-in pairwise judgments over the default indicators: the score margin
 # dominates, pressure handling comes next, then the opponent's error rate.
 DEFAULT_AHP_ENTRIES = [
-    (0, 1, 2.0),
-    (0, 2, 3.0),
-    (0, 3, 5.0),
-    (0, 4, 3.0),
-    (1, 2, 2.0),
-    (1, 3, 3.0),
-    (1, 4, 2.0),
-    (2, 3, 2.0),
-    (2, 4, 1.0),
+    (0, 1, 2.0), (0, 2, 3.0), (0, 3, 5.0), (0, 4, 3.0),
+    (1, 2, 2.0), (1, 3, 3.0), (1, 4, 2.0),
+    (2, 3, 2.0), (2, 4, 1.0),
     (3, 4, 0.5),
 ]
 
@@ -75,11 +82,18 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, columns):
+    """Write columns as CSV rows: floats as repr, ints as int, strings as given."""
+    cells = []
+    for column in map(np.asarray, columns):
+        if column.dtype.kind == "f":
+            cells.append([repr(float(v)) for v in column])
+        else:
+            cells.append(column.tolist())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(zip(*cells))
 
 
 def load_config(path) -> dict:
@@ -103,48 +117,319 @@ def load_config(path) -> dict:
     return merged
 
 
-def _out_dir(args) -> Path:
-    out = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _load_matches(paths, config):
-    all_timelines = []
-    report = ingest.CleaningReport()
-    for path in paths:
-        timelines, part = ingest.load_and_clean(path, columns=config["columns"] or None)
-        all_timelines.extend(timelines)
-        ingest._merge_report(report, part)
-    if not all_timelines:
-        raise DataError("no matches found in the input files")
-    return all_timelines, report
-
-
-def _select_match(timelines, wanted):
-    if wanted is None:
-        return timelines[0]
+def _select_match(timelines, wanted, fallback=False):
+    """The first match whose id is or ends with `wanted`; None takes the first match."""
     for tl in timelines:
-        if tl.match_id == wanted or tl.match_id.endswith(wanted):
+        if wanted is None or tl.match_id == wanted or tl.match_id.endswith(wanted):
             return tl
+    if fallback:
+        return timelines[0]
     raise ConfigError(f"no match with id (or id suffix) {wanted!r} in the inputs")
 
 
-def _momentum_params(config) -> momentum.MomentumParams:
+def _section(cls, config, name):
+    """The config section `name` as a `cls` instance; unknown keys are a ConfigError."""
     try:
-        return momentum.MomentumParams(**config["momentum"])
+        return cls(**config[name])
     except TypeError as exc:
-        raise ConfigError(f"bad momentum parameter: {exc}") from None
+        raise ConfigError(f"bad {name} parameter: {exc}") from None
 
 
-def _train_config(config, seed) -> classifier.TrainConfig:
-    try:
-        cfg = classifier.TrainConfig(**config["train"])
-    except TypeError as exc:
-        raise ConfigError(f"bad train parameter: {exc}") from None
-    cfg.seed = seed
-    return cfg
+@dataclass
+class Context:
+    """What every stage reads: the run's settings and the selected match."""
+
+    config: dict
+    seed: int
+    match: ingest.MatchTimeline
+    train_timelines: list  # every input match but the selected one
+    plot: bool
+
+    @functools.cached_property
+    def params(self) -> momentum.MomentumParams:
+        return _section(momentum.MomentumParams, self.config, "momentum")
+
+    @functools.cached_property
+    def features(self) -> ingest.FeatureTable:
+        return ingest.derive_features(self.match)
+
+    @functools.cached_property
+    def series(self) -> momentum.MomentumSeries:
+        return momentum.momentum_series(self.match, self.params)
+
+
+def _stage_file(scratch, files, name, key=None) -> Path:
+    """Path of a stage's file in its scratch directory; records it under its report key."""
+    files[key or Path(name).stem] = name
+    return Path(scratch, name)
+
+
+# ---------------------------------------------------------------- stages
+
+def _train(ctx, out):
+    """Fit the classifier on the other matches; score a split and the match."""
+    if not ctx.train_timelines:
+        raise ConfigError("holdout match leaves no data to train on")
+    stats = labels.estimate_serve_win_posterior(ctx.train_timelines, unit=ctx.config["unit"])
+    label_set = labels.LabelSet.from_stats(stats)
+    x = np.vstack([ingest.derive_features(tl).values for tl in ctx.train_timelines])
+    levels = [lab.level for tl in ctx.train_timelines for lab in labels.label_points(tl, stats)]
+    y = np.asarray(levels, dtype=int)
+    cfg = _section(classifier.TrainConfig, ctx.config, "train")
+    cfg.seed = ctx.seed
+    train_idx, test_idx = classifier.train_test_split(y, fraction=cfg.split, seed=cfg.seed)
+    table = ingest.FeatureTable("corpus", list(ingest.FEATURE_NAMES), x[train_idx])
+    model = classifier.train(table, y[train_idx], cfg, class_values=label_set.values)
+    classifier.save_model(model, out("model.json"))
+    _write_json(out("serve_stats.json"), stats.to_dict())
+
+    test_x, test_y = x[test_idx], y[test_idx]
+    counts = metrics.confusion(test_y, model.predict(test_x), n_classes=label_set.n_classes)
+    summary = metrics.summary_metrics(counts)
+    _write_json(out("metrics.json"), metrics.metrics_table(summary, label_set.values))
+    proba = np.atleast_2d(model.predict_proba(test_x))
+    auc = {}
+    for level in range(label_set.n_classes):
+        curve = metrics.roc_auc(test_y, proba[:, level], level)
+        _write_csv(out(f"roc_level{level}.csv"), ["threshold", "fpr", "tpr"],
+                   [curve.thresholds, curve.fpr, curve.tpr])
+        auc[f"roc_level{level}"] = curve.auc
+
+    proba = np.atleast_2d(model.predict_proba(ctx.features.values))
+    pred = np.argmax(proba, axis=1)
+    _write_csv(
+        out("holdout_probabilities.csv"),
+        ["point_no", *(f"proba_{v:g}" for v in label_set.values), "predicted_value",
+         "predicted_outcome"],
+        [[r.point_no for r in ctx.match.records], *proba.T,
+         [f"{label_set.values[level]:g}" for level in pred],
+         [f"Player {label_set.winner(level)} wins" for level in pred]],
+    )
+
+    micro = summary["micro"]
+    print(f"trained on {len(ctx.train_timelines)} match(es), held out {ctx.match.match_id}")
+    print(f"micro accuracy {micro['accuracy']:.3f}, micro F1 {micro['f_measure']:.3f}")
+    for name, value in auc.items():
+        print(f"{name}: AUC {value:.3f}")
+    return {
+        "serve_stats": stats.to_dict(),
+        "metrics_summary": {"micro": micro, "macro": summary["macro"], "auc": auc},
+    }
+
+
+def _unit_end_points(match, unit):
+    return [
+        {"point_no": r.point_no, "set_no": r.set_no, "game_no": r.game_no,
+         "victor": r.point_victor}
+        for r in (match.records[i] for i in labels.unit_ends(match, unit))
+    ]
+
+
+def _momentum(ctx, out):
+    s, match = ctx.series, ctx.match
+    _write_csv(
+        out("momentum.csv", key="momentum_csv"),
+        ["point_no", "p1_momentum", "p2_momentum", "p1_short_window", "p1_long_window",
+         "p2_short_window", "p2_long_window", "streak_len", "streak_holder"],
+        [s.point_no, s.p1, s.p2, s.short_p1, s.long_p1, s.short_p2, s.long_p2, s.streak_len,
+         s.streak_holder],
+    )
+    swings = momentum.find_swings(s, player=1)
+    _write_json(out("momentum_swings.json"), {
+        "version": 1,
+        "match_id": match.match_id,
+        "swings": swings,
+        "game_end_points": _unit_end_points(match, "game"),
+        "set_end_points": _unit_end_points(match, "set"),
+    })
+    if ctx.plot:
+        plots.line_plot_svg(
+            s.point_no,
+            {"player 1": s.p1, "player 2": s.p2},
+            out("momentum.svg", key="momentum_plot"),
+            title=f"momentum: {match.match_id}",
+            y_range=(0.0, 1.0),
+        )
+    print(f"momentum series for {match.match_id}: {len(s)} points")
+    print(f"p1 mean momentum {float(s.p1.mean()):.3f}")
+    return {"momentum_summary": {
+        "points": len(s),
+        "p1_mean": float(s.p1.mean()),
+        "p1_max": float(s.p1.max()),
+        "p1_min": float(s.p1.min()),
+        "swings": swings,
+    }}
+
+
+def _load_judgment_matrix(config):
+    section = config["ahp"]
+    if section.get("matrix") is not None:
+        return ahp_mod.JudgmentMatrix(np.asarray(section["matrix"], dtype=float))
+    if section.get("matrix_csv"):
+        with open(section["matrix_csv"]) as fh:
+            rows = [[float(cell) for cell in row] for row in csv.reader(fh) if row]
+        return ahp_mod.JudgmentMatrix(np.asarray(rows))
+    # other indicator lists fall back to equal importance
+    entries = DEFAULT_AHP_ENTRIES if section["indicators"] == DEFAULT_AHP_INDICATORS else ()
+    return ahp_mod.build_judgment_matrix(len(section["indicators"]), entries)
+
+
+def _ahp(ctx, out):
+    section = ctx.config["ahp"]
+    matrix = _load_judgment_matrix(ctx.config)
+    indicator_names = section["indicators"]
+    if matrix.n != len(indicator_names):
+        raise ConfigError(f"judgment matrix order {matrix.n} does not match "
+                          f"{len(indicator_names)} indicators")
+    unknown = [n for n in indicator_names if n not in ctx.features.feature_names]
+    if unknown:
+        raise ConfigError(f"unknown indicator column(s): {unknown}")
+    columns = np.column_stack([ctx.features.column(name) for name in indicator_names])
+
+    scoring_weights = ahp_mod.weights(matrix, method=section["method"])
+    result = ahp_mod.consistency(matrix).to_dict()
+    rounds = ahp_mod.score_rounds(columns, scoring_weights).to_rows()
+    payload = {
+        "version": 1,
+        "indicators": list(indicator_names),
+        "weighting_method": section["method"],
+        "scoring_weights": scoring_weights.tolist(),
+        "result": result,
+    }
+    _write_json(out("ahp.json"), payload)
+    header = ["round", "score", "standardization", "ranking"]
+    _write_csv(out("ahp_ranking.csv"), header, [[r[name] for r in rounds] for name in header])
+    print(f"CR {result['consistency_ratio']:.4f} (consistent: {result['consistent']})")
+    return {"ahp_summary": payload}
+
+
+def _trend(ctx, out):
+    section = ctx.config["trend"]
+    series = ctx.series
+    won = np.array([(r.p1_points_won, r.p2_points_won) for r in ctx.match.records], dtype=float)
+    win_rate = won[:, 0] / np.maximum(won[:, 0] + won[:, 1], 1.0)  # player 1's share so far
+    axes = dict(zip(ctx.features.feature_names, ctx.features.values.T), momentum=series.p1)
+    for name in (section["x"], section["y"]):
+        if name not in axes:
+            raise ConfigError(f"unknown trend axis {name!r}")
+    x, y = axes[section["x"]], axes[section["y"]]
+    fit = trend.fit_poly22(x, y, win_rate)
+    grid_n = int(section.get("grid", 20))
+    gx = np.repeat(np.linspace(float(x.min()), float(x.max()), grid_n), grid_n)
+    gy = np.tile(np.linspace(float(y.min()), float(y.max()), grid_n), grid_n)
+    _write_csv(out("trend_surface.csv"), [section["x"], section["y"], "fitted_win_rate"],
+               [gx, gy, fit.predict(gx, gy)])
+
+    payload = {
+        "version": 1,
+        "pairing": {
+            "similarity_pair": ["p1_momentum", "cumulative_win_rate"],
+            "surface_x": section["x"],
+            "surface_y": section["y"],
+            "surface_z": "cumulative_win_rate",
+        },
+        "cosine_similarity": trend.cosine_similarity(series.p1, win_rate),
+        "euclidean_distance": trend.euclidean_distance(series.p1, win_rate),
+        "surface": fit.to_dict(),
+    }
+    _write_json(out("trend.json"), payload)
+    print(f"cosine similarity {payload['cosine_similarity']:.4f}, "
+          f"R^2 {payload['surface']['r_squared']:.4f}")
+    return {"trend_summary": payload}
+
+
+def _random(ctx, out):
+    section = ctx.config["random"]
+    payload = trend.randomness_test(
+        ctx.match,
+        params=ctx.params,
+        statistic=section["statistic"],
+        n_permutations=int(section["permutations"]),
+        seed=ctx.seed,
+        stratify_by_server=bool(section["stratify_by_server"]),
+    ).to_dict()
+    _write_json(out("randomness.json"), payload)
+    print(f"{payload['statistic']}: observed {payload['observed']:.4f}, "
+          f"p = {payload['p_value']:.4f}")
+    return {"randomness_summary": payload}
+
+
+def _sweep(ctx, out):
+    section, table = ctx.config["sweep"], ctx.features
+    ranges, steps = [], []
+    for i, name in enumerate(section["indicators"]):
+        if name not in table.feature_names:
+            raise ConfigError(f"unknown sweep indicator {name!r}")
+        column = table.column(name)
+        lo, hi = section["ranges"][i] if section["ranges"] else (column.min(), column.max())
+        hi = hi if lo < hi else lo + 1.0
+        ranges.append((float(lo), float(hi)))
+        steps.append(float(section["steps"][i] if section["steps"] else (hi - lo) / 24.0))
+    spec = sweep_mod.SweepSpec(
+        indicators=tuple(section["indicators"]),
+        ranges=tuple(ranges),
+        steps=tuple(steps),
+        baseline={name: float(np.median(table.column(name))) for name in table.feature_names},
+        tolerance=float(section["tolerance"]),
+    )
+    model = sweep_mod.fit_response_model(table, ctx.series.p1, degree=int(section["degree"]))
+    run = sweep_mod.sweep_1d if len(spec.indicators) == 1 else sweep_mod.sweep_2d
+    result = run(model, spec)
+    # one row per grid point (first indicator outermost) and context
+    rows = [
+        (*(grid[i] for grid, i in zip(result.grids, index)), context,
+         getattr(result, context)[index])
+        for index in itertools.product(*(range(len(grid)) for grid in result.grids))
+        for context in ("serve_first", "serve_second", "mean")
+    ]
+    _write_csv(out("sweep.csv", key="sweep_csv"), [*spec.indicators, "context", "momentum"],
+               list(zip(*rows)))
+    payload = result.to_dict()
+    _write_json(out("sweep.json"), payload)
+    print(f"crossovers: {payload['crossovers']}")
+    return {"sweep_summary": payload}
+
+
+def _wavelet(ctx, out):
+    section = ctx.config["wavelet"]
+    settings = {
+        "center_frequency": float(section["center_frequency"]),
+        "n_scales": int(section["n_scales"]),
+        "min_period": float(section["min_period"]),
+        "max_period": section["max_period"],
+        "boundary": section["boundary"],
+    }
+    scalogram = wavelet.cwt(ctx.series.p1, wavelet.WaveletConfig(**settings))
+    export = wavelet.scalogram_export(scalogram)
+    rows = export.rows
+    _write_csv(out("scalogram.csv", key="scalogram_csv"), ["scale", "time", "amplitude"],
+               [rows[:, 0], rows[:, 1].astype(int), rows[:, 2]])
+    payload = {**export.to_dict(), "config": settings}
+    _write_json(out("scalogram.json"), payload)
+    if ctx.plot:
+        plots.heatmap_svg(
+            scalogram.amplitude,
+            out("scalogram.svg", key="scalogram_plot"),
+            title=f"momentum scalogram: {ctx.match.match_id}",
+            x_labels=scalogram.times,
+            y_labels=scalogram.scales,
+        )
+    peak = payload["global_peak"]
+    print(f"peak amplitude {peak['amplitude']:.4f} at scale {peak['scale']:.2f}, "
+          f"point {peak['time']}")
+    return {"wavelet_summary": payload}
+
+
+# name -> (stage, the report.json keys its summary fills), in report order
+STAGES = {
+    "train": (_train, ("serve_stats", "metrics_summary")),
+    "momentum": (_momentum, ("momentum_summary",)),
+    "ahp": (_ahp, ("ahp_summary",)),
+    "trend": (_trend, ("trend_summary",)),
+    "random": (_random, ("randomness_summary",)),
+    "sweep": (_sweep, ("sweep_summary",)),
+    "wavelet": (_wavelet, ("wavelet_summary",)),
+}
 
 
 # ---------------------------------------------------------------- commands
@@ -159,531 +444,58 @@ def cmd_clean(args):
     return 0
 
 
-def _fit_corpus_model(train_timelines, config, seed):
-    """Label and featurize a corpus, then train on a stratified split.
-
-    Returns (model, stats, split evaluation dict).
-    """
-    stats = labels.estimate_serve_win_posterior(train_timelines, unit=config["unit"])
-    rows, levels = [], []
-    label_set = labels.LabelSet.from_stats(stats)
-    for tl in train_timelines:
-        table = ingest.derive_features(tl)
-        rows.append(table.values)
-        levels.extend(lab.level for lab in labels.label_points(tl, stats))
-    x = np.vstack(rows)
-    y = np.asarray(levels, dtype=int)
-
-    cfg = _train_config(config, seed)
-    train_idx, test_idx = classifier.train_test_split(y, fraction=cfg.split, seed=cfg.seed)
-    table = ingest.FeatureTable("corpus", list(ingest.FEATURE_NAMES), x[train_idx])
-    model = classifier.train(
-        table, y[train_idx], cfg, class_values=label_set.values
-    )
-
-    test_x, test_y = x[test_idx], y[test_idx]
-    pred = model.predict(test_x)
-    counts = metrics.confusion(test_y, pred, n_classes=label_set.n_classes)
-    summary = metrics.summary_metrics(counts)
-    proba = np.atleast_2d(model.predict_proba(test_x))
-    return model, stats, {"truth": test_y, "proba": proba, "summary": summary,
-                          "label_set": label_set}
-
-
-def _write_roc_curves(out_dir, evaluation):
-    label_set = evaluation["label_set"]
-    paths = {}
-    for level in range(label_set.n_classes):
-        curve = metrics.roc_auc(evaluation["truth"], evaluation["proba"][:, level], level)
-        path = out_dir / f"roc_level{level}.csv"
-        rows = [
-            [repr(float(t)), repr(float(f)), repr(float(s))]
-            for t, f, s in zip(curve.thresholds, curve.fpr, curve.tpr)
-        ]
-        _write_csv(path, ["threshold", "fpr", "tpr"], rows)
-        paths[f"roc_level{level}"] = {"path": path.name, "auc": curve.auc}
-    return paths
-
-
-def _write_holdout_probabilities(out_dir, model, holdout, stats):
-    label_set = labels.LabelSet.from_stats(stats)
-    table = ingest.derive_features(holdout)
-    proba = np.atleast_2d(model.predict_proba(table.values))
-    pred = np.argmax(proba, axis=1)
-    path = out_dir / "holdout_probabilities.csv"
-    header = ["point_no"] + [f"proba_{v:g}" for v in label_set.values] + [
-        "predicted_value",
-        "predicted_outcome",
-    ]
-    rows = []
-    for i, record in enumerate(holdout.records):
-        level = int(pred[i])
-        rows.append(
-            [record.point_no]
-            + [repr(float(p)) for p in proba[i]]
-            + [f"{label_set.values[level]:g}", f"Player {label_set.winner(level)} wins"]
-        )
-    _write_csv(path, header, rows)
-    return path
-
-
-def cmd_train_eval(args):
+def cmd_stages(args):
+    """Run the command's stage, or every stage for report, into the output directory."""
     config = load_config(args.config)
+    timelines, cleaning = [], ingest.CleaningReport()
+    for path in args.inputs:
+        part, part_report = ingest.load_and_clean(path, columns=config["columns"] or None)
+        timelines.extend(part)
+        cleaning.merge(part_report)
+    if not timelines:
+        raise DataError("no matches found in the input files")
+    bundle = args.stage is None
+    # train-eval and report default to the configured holdout; only report
+    # falls back to the first match when the inputs lack it
+    wanted = args.match or (config["holdout"] if bundle or args.stage == "train" else None)
+    match = _select_match(timelines, wanted, fallback=bundle and not args.match)
     seed = args.seed if args.seed is not None else config["seed"]
-    holdout_key = args.holdout or config["holdout"]
-    out_dir = _out_dir(args)
-
-    timelines, _ = _load_matches(args.inputs, config)
-    holdout = _select_match(timelines, holdout_key)
-    train_timelines = [tl for tl in timelines if tl.match_id != holdout.match_id]
-    if not train_timelines:
-        raise ConfigError("holdout match leaves no data to train on")
-
-    model, stats, evaluation = _fit_corpus_model(train_timelines, config, seed)
-    classifier.save_model(model, out_dir / "model.json")
-    _write_json(out_dir / "serve_stats.json", stats.to_dict())
-    table = metrics.metrics_table(evaluation["summary"], evaluation["label_set"].values)
-    _write_json(out_dir / "metrics.json", table)
-    roc_info = _write_roc_curves(out_dir, evaluation)
-    _write_holdout_probabilities(out_dir, model, holdout, stats)
-
-    micro = evaluation["summary"]["micro"]
-    print(f"trained on {len(train_timelines)} match(es), held out {holdout.match_id}")
-    print(f"micro accuracy {micro['accuracy']:.3f}, micro F1 {micro['f_measure']:.3f}")
-    for name, info in sorted(roc_info.items()):
-        print(f"{name}: AUC {info['auc']:.3f}")
-    return 0
-
-
-def _momentum_csv(out_dir, series):
-    path = out_dir / "momentum.csv"
-    header = [
-        "point_no",
-        "p1_momentum",
-        "p2_momentum",
-        "p1_short_window",
-        "p1_long_window",
-        "p2_short_window",
-        "p2_long_window",
-        "streak_len",
-        "streak_holder",
-    ]
-    rows = [
-        [
-            int(series.point_no[i]),
-            repr(float(series.p1[i])),
-            repr(float(series.p2[i])),
-            repr(float(series.short_p1[i])),
-            repr(float(series.long_p1[i])),
-            repr(float(series.short_p2[i])),
-            repr(float(series.long_p2[i])),
-            int(series.streak_len[i]),
-            int(series.streak_holder[i]),
-        ]
-        for i in range(len(series))
-    ]
-    _write_csv(path, header, rows)
-    return path
-
-
-def _unit_boundaries(timeline, by_game: bool):
-    key = (lambda r: (r.set_no, r.game_no)) if by_game else (lambda r: r.set_no)
-    out = []
-    records = timeline.records
-    for i, record in enumerate(records):
-        last = i + 1 == len(records) or key(records[i + 1]) != key(record)
-        if last:
-            out.append(
-                {
-                    "point_no": record.point_no,
-                    "set_no": record.set_no,
-                    "game_no": record.game_no,
-                    "victor": record.point_victor,
-                }
-            )
-    return out
-
-
-def _swings_payload(timeline, series):
-    return {
-        "version": 1,
-        "match_id": timeline.match_id,
-        "swings": momentum.find_swings(series, player=1),
-        "game_end_points": _unit_boundaries(timeline, by_game=True),
-        "set_end_points": _unit_boundaries(timeline, by_game=False),
-    }
-
-
-def cmd_momentum(args):
-    config = load_config(args.config)
-    timelines, _ = _load_matches(args.inputs, config)
-    match = _select_match(timelines, args.match)
-    params = _momentum_params(config)
-    series = momentum.momentum_series(match, params)
-    out_dir = _out_dir(args)
-    _momentum_csv(out_dir, series)
-    _write_json(out_dir / "momentum_swings.json", _swings_payload(match, series))
-    if args.plot:
-        plots.line_plot_svg(
-            series.point_no,
-            {"player 1": series.p1, "player 2": series.p2},
-            out_dir / "momentum.svg",
-            title=f"momentum: {match.match_id}",
-            y_range=(0.0, 1.0),
-        )
-    print(f"momentum series for {match.match_id}: {len(series)} points")
-    print(f"p1 mean momentum {float(series.p1.mean()):.3f}")
-    return 0
-
-
-def _load_judgment_matrix(config):
-    section = config["ahp"]
-    if section.get("matrix") is not None:
-        return ahp_mod.JudgmentMatrix(np.asarray(section["matrix"], dtype=float))
-    if section.get("matrix_csv"):
-        with open(section["matrix_csv"]) as fh:
-            rows = [[float(cell) for cell in row] for row in csv.reader(fh) if row]
-        return ahp_mod.JudgmentMatrix(np.asarray(rows))
-    n = len(section["indicators"])
-    if section["indicators"] == DEFAULT_AHP_INDICATORS:
-        return ahp_mod.build_judgment_matrix(n, DEFAULT_AHP_ENTRIES)
-    return ahp_mod.build_judgment_matrix(n, ())  # equal importance fallback
-
-
-def _analyze_ahp(match, config, out_dir):
-    section = config["ahp"]
-    matrix = _load_judgment_matrix(config)
-    indicator_names = section["indicators"]
-    if matrix.n != len(indicator_names):
-        raise ConfigError(
-            f"judgment matrix order {matrix.n} does not match "
-            f"{len(indicator_names)} indicators"
-        )
-    table = ingest.derive_features(match)
-    try:
-        columns = np.column_stack([table.column(name) for name in indicator_names])
-    except ValueError:
-        unknown = [n for n in indicator_names if n not in table.feature_names]
-        raise ConfigError(f"unknown indicator column(s): {unknown}") from None
-
-    scoring_weights = ahp_mod.weights(matrix, method=section["method"])
-    result = ahp_mod.consistency(matrix)
-    rounds = ahp_mod.score_rounds(columns, scoring_weights)
-
-    payload = {
-        "version": 1,
-        "indicators": list(indicator_names),
-        "weighting_method": section["method"],
-        "scoring_weights": scoring_weights.tolist(),
-        "result": result.to_dict(),
-    }
-    _write_json(out_dir / "ahp.json", payload)
-    rows = [
-        [r["round"], repr(r["score"]), repr(r["standardization"]), r["ranking"]]
-        for r in rounds.to_rows()
-    ]
-    _write_csv(out_dir / "ahp_ranking.csv", ["round", "score", "standardization", "ranking"], rows)
-    return payload
-
-
-def _win_rate_series(timeline):
-    p1 = np.array([r.p1_points_won for r in timeline.records], dtype=float)
-    p2 = np.array([r.p2_points_won for r in timeline.records], dtype=float)
-    total = p1 + p2
-    total[total == 0] = 1.0
-    return p1 / total
-
-
-def _analyze_trend(match, config, out_dir, params):
-    section = config["trend"]
-    series = momentum.momentum_series(match, params)
-    table = ingest.derive_features(match)
-    win_rate = _win_rate_series(match)
-
-    def axis(name):
-        if name == "momentum":
-            return series.p1
-        if name in table.feature_names:
-            return table.column(name)
-        raise ConfigError(f"unknown trend axis {name!r}")
-
-    x, y = axis(section["x"]), axis(section["y"])
-    similarity = trend.cosine_similarity(series.p1, win_rate)
-    distance = trend.euclidean_distance(series.p1, win_rate)
-    fit = trend.fit_poly22(x, y, win_rate)
-
-    grid_n = int(section.get("grid", 20))
-    gx = np.linspace(float(x.min()), float(x.max()), grid_n)
-    gy = np.linspace(float(y.min()), float(y.max()), grid_n)
-    rows = []
-    for vx in gx:
-        for vy in gy:
-            rows.append([repr(float(vx)), repr(float(vy)), repr(float(fit.predict(vx, vy)))])
-    _write_csv(out_dir / "trend_surface.csv", [section["x"], section["y"], "fitted_win_rate"], rows)
-
-    payload = {
-        "version": 1,
-        "pairing": {
-            "similarity_pair": ["p1_momentum", "cumulative_win_rate"],
-            "surface_x": section["x"],
-            "surface_y": section["y"],
-            "surface_z": "cumulative_win_rate",
-        },
-        "cosine_similarity": similarity,
-        "euclidean_distance": distance,
-        "surface": fit.to_dict(),
-    }
-    _write_json(out_dir / "trend.json", payload)
-    return payload
-
-
-def _analyze_random(match, config, out_dir, params, seed):
-    section = config["random"]
-    report = trend.randomness_test(
-        match,
-        params=params,
-        statistic=section["statistic"],
-        n_permutations=int(section["permutations"]),
-        seed=seed,
-        stratify_by_server=bool(section["stratify_by_server"]),
-    )
-    payload = report.to_dict()
-    _write_json(out_dir / "randomness.json", payload)
-    return payload
-
-
-def _sweep_spec_from_config(config, table):
-    section = config["sweep"]
-    names = list(section["indicators"])
-    ranges = section["ranges"]
-    steps = section["steps"]
-    resolved_ranges, resolved_steps = [], []
-    for i, name in enumerate(names):
-        if name not in table.feature_names:
-            raise ConfigError(f"unknown sweep indicator {name!r}")
-        column = table.column(name)
-        lo, hi = (ranges[i] if ranges else (float(column.min()), float(column.max())))
-        if lo >= hi:
-            lo, hi = lo, lo + 1.0
-        step = (steps[i] if steps else (hi - lo) / 24.0)
-        resolved_ranges.append((float(lo), float(hi)))
-        resolved_steps.append(float(step))
-    baseline = {
-        name: float(np.median(table.column(name))) for name in table.feature_names
-    }
-    return sweep_mod.SweepSpec(
-        indicators=tuple(names),
-        ranges=tuple(resolved_ranges),
-        steps=tuple(resolved_steps),
-        baseline=baseline,
-        tolerance=float(section["tolerance"]),
-    )
-
-
-def _analyze_sweep(match, config, out_dir, params):
-    section = config["sweep"]
-    table = ingest.derive_features(match)
-    series = momentum.momentum_series(match, params)
-    model = sweep_mod.fit_response_model(table, series.p1, degree=int(section["degree"]))
-    spec = _sweep_spec_from_config(config, table)
-    if len(spec.indicators) == 1:
-        result = sweep_mod.sweep_1d(model, spec)
-        grid = result.grids[0]
-        rows = []
-        for i, value in enumerate(grid):
-            rows.append([repr(float(value)), "serve_first", repr(float(result.serve_first[i]))])
-            rows.append([repr(float(value)), "serve_second", repr(float(result.serve_second[i]))])
-            rows.append([repr(float(value)), "mean", repr(float(result.mean[i]))])
-        _write_csv(out_dir / "sweep.csv", [spec.indicators[0], "context", "momentum"], rows)
-    else:
-        result = sweep_mod.sweep_2d(model, spec)
-        gx, gy = result.grids
-        rows = []
-        for i, vx in enumerate(gx):
-            for j, vy in enumerate(gy):
-                for context, surface in (
-                    ("serve_first", result.serve_first),
-                    ("serve_second", result.serve_second),
-                    ("mean", result.mean),
-                ):
-                    rows.append(
-                        [repr(float(vx)), repr(float(vy)), context, repr(float(surface[i, j]))]
-                    )
-        _write_csv(
-            out_dir / "sweep.csv",
-            [spec.indicators[0], spec.indicators[1], "context", "momentum"],
-            rows,
-        )
-    payload = result.to_dict()
-    _write_json(out_dir / "sweep.json", payload)
-    return payload
-
-
-def _analyze_wavelet(match, config, out_dir, params, plot=False):
-    section = config["wavelet"]
-    series = momentum.momentum_series(match, params)
-    wavelet_config = wavelet.WaveletConfig(
-        center_frequency=float(section["center_frequency"]),
-        n_scales=int(section["n_scales"]),
-        min_period=float(section["min_period"]),
-        max_period=section["max_period"],
-        boundary=section["boundary"],
-    )
-    scalogram = wavelet.cwt(series.p1, wavelet_config)
-    export = wavelet.scalogram_export(scalogram)
-    rows = [
-        [repr(float(s)), int(t), repr(float(a))]
-        for s, t, a in export.rows
-    ]
-    _write_csv(out_dir / "scalogram.csv", ["scale", "time", "amplitude"], rows)
-    payload = export.to_dict()
-    payload["config"] = {
-        "center_frequency": wavelet_config.center_frequency,
-        "n_scales": wavelet_config.n_scales,
-        "min_period": wavelet_config.min_period,
-        "max_period": wavelet_config.max_period,
-        "boundary": wavelet_config.boundary,
-    }
-    _write_json(out_dir / "scalogram.json", payload)
-    if plot:
-        plots.heatmap_svg(
-            scalogram.amplitude,
-            out_dir / "scalogram.svg",
-            title=f"momentum scalogram: {match.match_id}",
-            x_labels=scalogram.times,
-            y_labels=scalogram.scales,
-        )
-    return payload
-
-
-ANALYSES = ("ahp", "trend", "random", "sweep", "wavelet")
-
-
-def cmd_analyze(args):
-    config = load_config(args.config)
-    seed = args.seed if args.seed is not None else config["seed"]
-    timelines, _ = _load_matches(args.inputs, config)
-    match = _select_match(timelines, args.match)
-    params = _momentum_params(config)
-    out_dir = _out_dir(args)
-
-    if args.which == "ahp":
-        payload = _analyze_ahp(match, config, out_dir)
-        result = payload["result"]
-        print(f"CR {result['consistency_ratio']:.4f} (consistent: {result['consistent']})")
-    elif args.which == "trend":
-        payload = _analyze_trend(match, config, out_dir, params)
-        print(
-            f"cosine similarity {payload['cosine_similarity']:.4f}, "
-            f"R^2 {payload['surface']['r_squared']:.4f}"
-        )
-    elif args.which == "random":
-        payload = _analyze_random(match, config, out_dir, params, seed)
-        print(f"{payload['statistic']}: observed {payload['observed']:.4f}, "
-              f"p = {payload['p_value']:.4f}")
-    elif args.which == "sweep":
-        payload = _analyze_sweep(match, config, out_dir, params)
-        print(f"crossovers: {payload['crossovers']}")
-    else:
-        payload = _analyze_wavelet(match, config, out_dir, params, plot=args.plot)
-        peak = payload["global_peak"]
-        print(f"peak amplitude {peak['amplitude']:.4f} at scale {peak['scale']:.2f}, "
-              f"point {peak['time']}")
-    return 0
-
-
-def cmd_report(args):
-    config = load_config(args.config)
-    seed = args.seed if args.seed is not None else config["seed"]
-    out_dir = _out_dir(args)
-    params = _momentum_params(config)
-
-    timelines, cleaning = _load_matches(args.inputs, config)
-    if args.match:
-        match = _select_match(timelines, args.match)
-    else:
-        try:
-            match = _select_match(timelines, config["holdout"])
-        except ConfigError:
-            match = timelines[0]
     others = [tl for tl in timelines if tl.match_id != match.match_id]
-    train_timelines = others if others else [match]
+    ctx = Context(config, seed, match, others, args.plot)
+    out_dir = Path(args.out_dir or os.environ.get(OUT_DIR_ENV) or ".")
+    out_dir.mkdir(parents=True, exist_ok=True)
 
-    _write_json(out_dir / "cleaning_report.json", cleaning.to_dict())
-    model, stats, evaluation = _fit_corpus_model(train_timelines, config, seed)
-    classifier.save_model(model, out_dir / "model.json")
-    _write_json(out_dir / "serve_stats.json", stats.to_dict())
-    table = metrics.metrics_table(evaluation["summary"], evaluation["label_set"].values)
-    _write_json(out_dir / "metrics.json", table)
-    roc_info = _write_roc_curves(out_dir, evaluation)
-    _write_holdout_probabilities(out_dir, model, match, stats)
+    statuses, summaries, artifacts, failure = {}, {}, {}, None
+    for name in list(STAGES) if bundle else [args.stage]:
+        stage, keys = STAGES[name]
+        files = {}  # report.json artifact key -> file name
+        with tempfile.TemporaryDirectory(prefix=".stage-", dir=out_dir) as scratch:
+            try:
+                summaries.update(stage(ctx, functools.partial(_stage_file, scratch, files)))
+            except STAGE_ERRORS as exc:
+                statuses[name] = {"status": "failed", "reason": str(exc)}
+                summaries.update(dict.fromkeys(keys))
+                failure = failure or exc
+                continue
+            for file_name in files.values():
+                os.replace(Path(scratch, file_name), out_dir / file_name)
+        statuses[name] = {"status": "ok"}
+        artifacts.update(files)
 
-    series = momentum.momentum_series(match, params)
-    _momentum_csv(out_dir, series)
-    _write_json(out_dir / "momentum_swings.json", _swings_payload(match, series))
-    plots.line_plot_svg(
-        series.point_no,
-        {"player 1": series.p1, "player 2": series.p2},
-        out_dir / "momentum.svg",
-        title=f"momentum: {match.match_id}",
-        y_range=(0.0, 1.0),
-    )
-
-    ahp_payload = _analyze_ahp(match, config, out_dir)
-    trend_payload = _analyze_trend(match, config, out_dir, params)
-    random_payload = _analyze_random(match, config, out_dir, params, seed)
-    sweep_payload = _analyze_sweep(match, config, out_dir, params)
-    wavelet_payload = _analyze_wavelet(match, config, out_dir, params, plot=True)
-
-    artifacts = {
-        "cleaning_report": "cleaning_report.json",
-        "model": "model.json",
-        "serve_stats": "serve_stats.json",
-        "metrics": "metrics.json",
-        "holdout_probabilities": "holdout_probabilities.csv",
-        "momentum_csv": "momentum.csv",
-        "momentum_swings": "momentum_swings.json",
-        "momentum_plot": "momentum.svg",
-        "ahp": "ahp.json",
-        "ahp_ranking": "ahp_ranking.csv",
-        "trend": "trend.json",
-        "trend_surface": "trend_surface.csv",
-        "randomness": "randomness.json",
-        "sweep": "sweep.json",
-        "sweep_csv": "sweep.csv",
-        "scalogram": "scalogram.json",
-        "scalogram_csv": "scalogram.csv",
-        "scalogram_plot": "scalogram.svg",
-    }
-    for level in range(evaluation["label_set"].n_classes):
-        artifacts[f"roc_level{level}"] = f"roc_level{level}.csv"
-
-    report = {
-        "version": 1,
-        "match_id": match.match_id,
-        "seed": seed,
-        "artifacts": artifacts,
-        "serve_stats": stats.to_dict(),
-        "metrics_summary": {
-            "micro": evaluation["summary"]["micro"],
-            "macro": evaluation["summary"]["macro"],
-            "auc": {name: info["auc"] for name, info in sorted(roc_info.items())},
-        },
-        "momentum_summary": {
-            "points": len(series),
-            "p1_mean": float(series.p1.mean()),
-            "p1_max": float(series.p1.max()),
-            "p1_min": float(series.p1.min()),
-            "swings": momentum.find_swings(series, player=1),
-        },
-        "ahp_summary": ahp_payload,
-        "trend_summary": trend_payload,
-        "randomness_summary": random_payload,
-        "sweep_summary": sweep_payload,
-        "wavelet_summary": wavelet_payload,
-    }
-    _write_json(out_dir / "report.json", report)
-    print(f"report for {match.match_id} written to {out_dir}")
+    if bundle:
+        _write_json(out_dir / "cleaning_report.json", cleaning.to_dict())
+        artifacts["cleaning_report"] = "cleaning_report.json"
+        _write_json(out_dir / "report.json", {
+            "version": 1,
+            "match_id": match.match_id,
+            "seed": seed,
+            "artifacts": artifacts,
+            "stages": statuses,
+            **summaries,
+        })
+        print(f"report for {match.match_id} written to {out_dir}")
+    if failure is not None:
+        raise failure
     return 0
 
 
@@ -695,9 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, inputs=True):
-        if inputs:
-            p.add_argument("inputs", nargs="+", help="point-by-point CSV file(s)")
+    def common(p):
+        p.add_argument("inputs", nargs="+", help="point-by-point CSV file(s)")
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="seed for stochastic components")
         p.add_argument("--out-dir", default=None,
@@ -713,28 +524,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train-eval", help="train the classifier and evaluate it")
     common(p_train)
-    p_train.add_argument("--holdout", default=None,
+    p_train.add_argument("--holdout", dest="match", default=None,
                          help="match id (or suffix) to hold out; default 1701")
-    p_train.set_defaults(func=cmd_train_eval)
+    p_train.set_defaults(func=cmd_stages, stage="train", plot=False)
 
     p_mom = sub.add_parser("momentum", help="momentum series and swing annotations")
     common(p_mom)
     p_mom.add_argument("--match", default=None, help="match id or suffix (default: first)")
     p_mom.add_argument("--plot", action="store_true", help="also render an SVG line plot")
-    p_mom.set_defaults(func=cmd_momentum)
+    p_mom.set_defaults(func=cmd_stages, stage="momentum")
 
     p_an = sub.add_parser("analyze", help="run one analysis")
-    p_an.add_argument("which", choices=ANALYSES)
+    p_an.add_argument("stage", choices=list(STAGES)[2:])  # the stages after train, momentum
     common(p_an)
     p_an.add_argument("--match", default=None, help="match id or suffix (default: first)")
     p_an.add_argument("--plot", action="store_true", help="render SVG where applicable")
-    p_an.set_defaults(func=cmd_analyze)
+    p_an.set_defaults(func=cmd_stages)
 
     p_rep = sub.add_parser("report", help="bundle every analysis for one match")
     common(p_rep)
     p_rep.add_argument("--match", default=None,
                        help="match id or suffix (default: the configured holdout)")
-    p_rep.set_defaults(func=cmd_report)
+    p_rep.set_defaults(func=cmd_stages, stage=None, plot=True)
     return parser
 
 
@@ -748,7 +559,7 @@ def main(argv=None) -> int:
     except (SchemaError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (MatchFlowError, ValueError, ArithmeticError, KeyError, IndexError) as exc:
+    except STAGE_ERRORS as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,9 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from .classifier import sigmoid
 from .errors import DataError, SchemaError
+from .momentum import _run_lengths
 
 # Columns that must be present (after remapping) for a file to parse at all.
 REQUIRED_COLUMNS = (
@@ -160,6 +162,16 @@ class FeatureTable:
         return self.values[:, self.feature_names.index(name)]
 
 
+# Per-column repair counters of a CleaningReport.
+COUNTERS = (
+    "ad_replacements",
+    "mean_imputations",
+    "mode_imputations",
+    "monotone_repairs",
+    "categorical_mapped",
+)
+
+
 @dataclass
 class CleaningReport:
     """Counts of every repair applied during cleaning, per column."""
@@ -181,22 +193,22 @@ class CleaningReport:
     def to_dict(self) -> dict:
         return {
             "version": 1,
-            "ad_replacements": dict(sorted(self.ad_replacements.items())),
-            "mean_imputations": dict(sorted(self.mean_imputations.items())),
-            "mode_imputations": dict(sorted(self.mode_imputations.items())),
-            "monotone_repairs": dict(sorted(self.monotone_repairs.items())),
-            "categorical_mapped": dict(sorted(self.categorical_mapped.items())),
+            **{name: dict(sorted(getattr(self, name).items())) for name in COUNTERS},
             "defaulted_columns": sorted(self.defaulted_columns),
             "rejected_rows": [{"row": r, "reason": why} for r, why in self.rejected_rows],
             "totals": {
-                "ad_replacements": self.total(self.ad_replacements),
-                "mean_imputations": self.total(self.mean_imputations),
-                "mode_imputations": self.total(self.mode_imputations),
-                "monotone_repairs": self.total(self.monotone_repairs),
-                "categorical_mapped": self.total(self.categorical_mapped),
+                **{name: self.total(getattr(self, name)) for name in COUNTERS},
                 "rejected_rows": len(self.rejected_rows),
             },
         }
+
+    def merge(self, other: "CleaningReport"):
+        """Add another report's counts, defaulted columns and rejected rows to this one."""
+        for name in COUNTERS:
+            for column, count in getattr(other, name).items():
+                self.bump(getattr(self, name), column, count)
+        self.defaulted_columns.extend(other.defaulted_columns)
+        self.rejected_rows.extend(other.rejected_rows)
 
 
 def _read_text(source) -> str:
@@ -486,7 +498,7 @@ def clean_timelines(timelines):
     out = []
     for tl in timelines:
         group, match_report = clean_with_report(tl.records)
-        _merge_report(report, match_report)
+        report.merge(match_report)
         out.append(MatchTimeline(tl.match_id, group, tl.players))
     return out, report
 
@@ -511,27 +523,6 @@ def load_and_clean(source, columns=None):
     return timelines, report
 
 
-def _merge_report(into: CleaningReport, part: CleaningReport):
-    for name in (
-        "ad_replacements",
-        "mean_imputations",
-        "mode_imputations",
-        "monotone_repairs",
-        "categorical_mapped",
-    ):
-        counter = getattr(into, name)
-        for col, cnt in getattr(part, name).items():
-            counter[col] = counter.get(col, 0) + cnt
-    into.defaulted_columns.extend(part.defaulted_columns)
-    into.rejected_rows.extend(part.rejected_rows)
-
-
-def _squash(z: np.ndarray) -> np.ndarray:
-    # numerically safe logistic squash with unit slope
-    z = np.clip(z, -60.0, 60.0)
-    return 1.0 / (1.0 + np.exp(-z))
-
-
 def streak_lengths(victors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Consecutive points won by each player ending at every point.
 
@@ -540,10 +531,7 @@ def streak_lengths(victors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     streak_p2[n] == 0.
     """
     v = np.asarray(victors, dtype=int)
-    n = v.size
-    run = np.zeros(n, dtype=int)
-    for i in range(n):
-        run[i] = run[i - 1] + 1 if i > 0 and v[i] == v[i - 1] else 1
+    run = _run_lengths(v)
     p1 = np.where(v == 1, run, 0)
     p2 = np.where(v == 2, run, 0)
     return p1, p2
@@ -575,7 +563,7 @@ def derive_features(timeline: MatchTimeline) -> FeatureTable:
     dist = np.cumsum([r.p1_distance_run - r.p2_distance_run for r in recs])
     bp_won = np.cumsum([r.p1_break_pt_won for r in recs])
     dfaults = np.cumsum([r.p1_double_fault for r in recs])
-    psych = _squash(bp_won - dfaults - streak_p2)
+    psych = sigmoid(bp_won - dfaults - streak_p2)
 
     columns = [
         p1_pts - p2_pts,

@@ -69,22 +69,27 @@ class ServeWinStats:
         }
 
 
-def _iter_units(timeline, unit):
+def unit_ends(timeline, unit) -> list[int]:
+    """Index of the last record of each point, game or set, in order.
+
+    A game is a run of records sharing (set_no, game_no), a set a run sharing
+    set_no; the unit's victor is whoever won the point at its last record.
+    """
+    records = timeline.records
     if unit == "point":
-        for r in timeline.records:
-            yield r.server, r.point_victor
-        return
+        return list(range(len(records)))
     key = (lambda r: (r.set_no, r.game_no)) if unit == "game" else (lambda r: r.set_no)
-    group_key, first, last = None, None, None
-    for r in timeline.records:
-        k = key(r)
-        if k != group_key:
-            if first is not None:
-                yield first.server, last.point_victor
-            group_key, first = k, r
-        last = r
-    if first is not None:
-        yield first.server, last.point_victor
+    return [
+        i for i, r in enumerate(records)
+        if i + 1 == len(records) or key(records[i + 1]) != key(r)
+    ]
+
+
+def _iter_units(timeline, unit):
+    records, start = timeline.records, 0
+    for end in unit_ends(timeline, unit):
+        yield records[start].server, records[end].point_victor
+        start = end + 1
 
 
 def estimate_serve_win_posterior(timelines, unit="point", laplace=False) -> ServeWinStats:

@@ -22,7 +22,7 @@ import pytest
 
 import matchflow as mf
 from matchflow.classifier import TrainConfig, nll_and_grad
-from matchflow.ingest import FEATURE_NAMES, FeatureTable, streak_lengths
+from matchflow.ingest import FEATURE_NAMES, FeatureTable
 from matchflow.momentum import MomentumParams, momentum_from_victors
 from matchflow.schemas import load_schema
 from matchflow.sweep import SweepSpec, sweep_1d
@@ -37,6 +37,7 @@ from util import (
     make_timeline,
     momentum_oracle,
     posterior_via_prior,
+    streak_lengths_oracle,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -229,7 +230,7 @@ def test_criterion_04_momentum_engine():
         idx = np.arange(n)
         sum3 = csum[np.minimum(n - 1, idx + 1) + 1] - csum[np.maximum(0, idx - 1)]
         sum7 = csum[np.minimum(n - 1, idx + 3) + 1] - csum[np.maximum(0, idx - 3)]
-        s1, s2 = streak_lengths(v)
+        s1, s2 = streak_lengths_oracle(v)
         run = np.maximum(s1, s2)
         neutral = (sum3 == 0.0) & (sum7 == 0.0) & (run < params.streak_min)
         balanced_points += int(neutral.sum())
@@ -374,6 +375,8 @@ def test_criterion_10_cli_report(tmp_path):
             capture_output=True,
             text=True,
             cwd=ROOT,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))),
         )
         elapsed = time.perf_counter() - start
         assert proc.returncode == 0, proc.stderr

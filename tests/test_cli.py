@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matchflow import cli
+from matchflow import cli, plots, trend
+from matchflow.errors import DataError
 from matchflow.momentum import momentum_from_victors
 
 from util import make_timeline, timeline_to_csv
@@ -223,3 +224,126 @@ def test_report_runs_without_importing_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-2:] == ["0", "[]"]
+
+
+# ---------------------------------------------------------------- stage runner
+
+# Files each single-stage command writes; together they are the report bundle
+# less report.json and cleaning_report.json.
+ROC_FILES = [f"roc_level{k}.csv" for k in range(4)]
+SINGLE_STAGE_RUNS = [
+    (["train-eval", FIXTURE], ["model.json", "serve_stats.json", "metrics.json",
+                               "holdout_probabilities.csv", *ROC_FILES]),
+    (["momentum", FIXTURE, "--match", "1701", "--plot"],
+     ["momentum.csv", "momentum_swings.json", "momentum.svg"]),
+    (["analyze", "ahp", FIXTURE, "--match", "1701"], ["ahp.json", "ahp_ranking.csv"]),
+    (["analyze", "trend", FIXTURE, "--match", "1701"], ["trend.json", "trend_surface.csv"]),
+    (["analyze", "random", FIXTURE, "--match", "1701"], ["randomness.json"]),
+    (["analyze", "sweep", FIXTURE, "--match", "1701"], ["sweep.json", "sweep.csv"]),
+    (["analyze", "wavelet", FIXTURE, "--match", "1701", "--plot"],
+     ["scalogram.json", "scalogram.csv", "scalogram.svg"]),
+]
+STAGE_NAMES = ["train", "momentum", "ahp", "trend", "random", "sweep", "wavelet"]
+
+
+@pytest.fixture(scope="module")
+def fixture_bundle(tmp_path_factory):
+    out = tmp_path_factory.mktemp("bundle")
+    assert run(["report", FIXTURE, "--seed", 11, "--out-dir", out]) == 0
+    return out
+
+
+def test_single_stage_runs_cover_the_bundle(fixture_bundle):
+    written = sorted(name for _, names in SINGLE_STAGE_RUNS for name in names)
+    bundle = sorted(p.name for p in fixture_bundle.iterdir())
+    assert written == sorted(set(bundle) - {"report.json", "cleaning_report.json"})
+
+
+@pytest.mark.parametrize("command,names", SINGLE_STAGE_RUNS, ids=STAGE_NAMES)
+def test_single_stage_command_matches_the_report_bundle(tmp_path, fixture_bundle, command, names):
+    out = tmp_path / "out"
+    assert run([*command, "--seed", 11, "--out-dir", out]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+    for name in names:
+        assert (out / name).read_bytes() == (fixture_bundle / name).read_bytes(), name
+
+
+def test_two_indicator_sweep_rows_run_x_outer_y_inner(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sweep": {"indicators": ["psychological_factor", "score_diff"],
+                                         "ranges": [[0.0, 1.0], [-2.0, 2.0]],
+                                         "steps": [0.5, 2.0]}}))
+    out = tmp_path / "out"
+    assert run(["analyze", "sweep", FIXTURE, "--out-dir", out, "--config", cfg]) == 0
+    with open(out / "sweep.csv") as fh:
+        reader = csv.reader(fh)
+        header, rows = next(reader), list(reader)
+    assert header == ["psychological_factor", "score_diff", "context", "momentum"]
+    assert len(rows) == 3 * 3 * 3
+    contexts = ["serve_first", "serve_second", "mean"]
+    assert [r[:3] for r in rows[:7]] == [
+        ["0.0", "-2.0", contexts[0]], ["0.0", "-2.0", contexts[1]], ["0.0", "-2.0", contexts[2]],
+        ["0.0", "0.0", contexts[0]], ["0.0", "0.0", contexts[1]], ["0.0", "0.0", contexts[2]],
+        ["0.0", "2.0", contexts[0]],
+    ]
+    assert rows[9][:3] == ["0.5", "-2.0", "serve_first"]
+    first, second, mean = (float(r[3]) for r in rows[:3])
+    assert mean == pytest.approx((first + second) / 2.0)
+
+
+def single_match_csv(tmp_path, points=None):
+    """The fixture's match 1701 alone, optionally cut to its first points."""
+    lines = FIXTURE.read_text().splitlines()
+    body = [line for line in lines[1:] if line.split(",")[0].endswith("1701")]
+    path = tmp_path / "one.csv"
+    path.write_text("\n".join([lines[0], *body[:points]]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("points,failed", [(None, {"train"}), (12, {"train", "random"})])
+def test_one_match_report_records_failed_stages(tmp_path, points, failed):
+    jsonschema = pytest.importorskip("jsonschema")
+    from matchflow.schemas import load_schema
+
+    out = tmp_path / "out"
+    assert run(["report", single_match_csv(tmp_path, points), "--out-dir", out]) == 3
+    report = read_json(out / "report.json")
+    jsonschema.validate(report, load_schema("report"))
+    stages = report["stages"]
+    assert {name for name, s in stages.items() if s["status"] == "failed"} == failed
+    assert sorted(stages) == sorted(STAGE_NAMES)
+    assert all(s == {"status": "ok"} for n, s in stages.items() if n not in failed)
+    assert stages["train"]["reason"] == "holdout match leaves no data to train on"
+    assert report["serve_stats"] is None and report["metrics_summary"] is None
+    names = {p.name for p in out.iterdir()}
+    assert not names & {"model.json", "serve_stats.json", "metrics.json", *ROC_FILES}
+    assert {"momentum.csv", "momentum.svg", "ahp.json", "trend.json", "sweep.json",
+            "scalogram.json", "cleaning_report.json"} <= names
+    assert ("randomness.json" in names) == ("random" not in failed)
+    assert sorted(names) == sorted({*report["artifacts"].values(), "report.json"})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.csv", "out"]
+
+
+@pytest.mark.parametrize("module,attr,stage,files", [
+    (trend, "randomness_test", "random", {"randomness.json"}),
+    # the wavelet stage has written scalogram.csv and scalogram.json when its plot fails
+    (plots, "heatmap_svg", "wavelet", {"scalogram.csv", "scalogram.json", "scalogram.svg"}),
+], ids=["random", "wavelet-plot"])
+def test_failed_stage_lands_none_of_its_files_and_the_rest_of_the_bundle(
+        tmp_path, monkeypatch, module, attr, stage, files):
+    def broken(*args, **kwargs):
+        raise DataError("stage broke")
+
+    monkeypatch.setattr(module, attr, broken)
+    out = tmp_path / "out"
+    assert run(["report", FIXTURE, "--seed", 11, "--out-dir", out]) == 1
+    report = read_json(out / "report.json")
+    assert report["stages"][stage] == {"status": "failed", "reason": "stage broke"}
+    assert all(s == {"status": "ok"} for n, s in report["stages"].items() if n != stage)
+    summary_key = {"random": "randomness_summary", "wavelet": "wavelet_summary"}[stage]
+    assert report[summary_key] is None and report["momentum_summary"] is not None
+    names = {p.name for p in out.iterdir()}
+    assert names == {*report["artifacts"].values(), "report.json"}
+    assert len(names) == 23 - len(files) and not names & files
+    assert all(p.is_file() for p in out.iterdir())
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]

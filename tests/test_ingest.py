@@ -6,7 +6,13 @@ import pytest
 from matchflow import ingest
 from matchflow.errors import DataError, SchemaError
 
-from util import make_record, make_timeline, random_timeline, timeline_to_csv
+from util import (
+    make_record,
+    make_timeline,
+    random_timeline,
+    streak_lengths_oracle,
+    timeline_to_csv,
+)
 
 HEADER = (
     "match_id,set_no,game_no,point_no,server,point_victor,p1_score,p2_score,"
@@ -200,6 +206,33 @@ def test_streak_exclusivity_property():
         s1 = table.column("streak_len_p1")
         s2 = table.column("streak_len_p2")
         assert np.all((s1 > 0) == (s2 == 0))
+
+
+def test_streak_lengths_match_the_running_count_oracle():
+    rng = np.random.default_rng(17)
+    sequences = [[1], [2], [1, 1], [1, 2], [2, 2]]
+    sequences += [rng.integers(1, 3, size=int(rng.integers(1, 60))) for _ in range(200)]
+    for v in sequences:
+        got = ingest.streak_lengths(v)
+        want = streak_lengths_oracle(v)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), v
+
+
+def test_cleaning_reports_merge_counts_and_lists():
+    first, second = ingest.CleaningReport(), ingest.CleaningReport()
+    first.bump(first.ad_replacements, "p1_score", 2)
+    first.rejected_rows.append((3, "missing match_id"))
+    second.bump(second.ad_replacements, "p1_score")
+    second.bump(second.mode_imputations, "server")
+    second.defaulted_columns.append("rally_count")
+    second.rejected_rows.append((9, "unparseable point_no"))
+    first.merge(second)
+    totals = first.to_dict()["totals"]
+    assert first.ad_replacements == {"p1_score": 3}
+    assert first.mode_imputations == {"server": 1}
+    assert first.defaulted_columns == ["rally_count"]
+    assert first.rejected_rows == [(3, "missing match_id"), (9, "unparseable point_no")]
+    assert totals["ad_replacements"] == 3 and totals["rejected_rows"] == 2
 
 
 def test_unforced_error_ratio():

@@ -92,6 +92,17 @@ def test_game_and_set_units_use_first_server_and_last_victor():
     assert set_stats.p_win_given_serve == 1.0  # player 1 served first and won
 
 
+def test_unit_ends_mark_the_last_point_of_each_game_and_set():
+    # games restart at 1 in each new set: (set, game) keys 1-1 1-1 1-2 2-1 2-1 2-2
+    keys = [(1, 1), (1, 1), (1, 2), (2, 1), (2, 1), (2, 2)]
+    records = [make_record(point_no=i + 1, set_no=s, game_no=g) for i, (s, g) in enumerate(keys)]
+    tl = MatchTimeline("u", records)
+    assert labels.unit_ends(tl, "point") == [0, 1, 2, 3, 4, 5]
+    assert labels.unit_ends(tl, "game") == [1, 2, 4, 5]
+    assert labels.unit_ends(tl, "set") == [2, 5]
+    assert labels.unit_ends(MatchTimeline("empty", []), "game") == []
+
+
 def test_no_identified_server_is_insufficient_data():
     records = [make_record(point_no=i + 1, server=0) for i in range(5)]
     tl = MatchTimeline("bad", records)

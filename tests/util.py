@@ -141,6 +141,18 @@ def momentum_oracle(victors, params: MomentumParams | None = None):
     return np.array(p1), np.array(p2)
 
 
+def streak_lengths_oracle(victors):
+    """Consecutive wins ending at each point, per player, by a running count."""
+    v = np.asarray(victors, dtype=int)
+    n = v.size
+    run = np.zeros(n, dtype=int)
+    for i in range(n):
+        run[i] = run[i - 1] + 1 if i > 0 and v[i] == v[i - 1] else 1
+    p1 = np.where(v == 1, run, 0)
+    p2 = np.where(v == 2, run, 0)
+    return p1, p2
+
+
 def _victor_list(timeline):
     if hasattr(timeline, "victors"):
         return timeline.victors().tolist()
