@@ -2,9 +2,17 @@
 
 K-1 coefficient rows score the non-reference classes against the last class,
 whose score is pinned at zero; class probabilities are the softmax of those
-scores.  Training maximizes the log-likelihood by batch gradient descent with
-a backtracking line search, from an all-zeros start, so a run is fully
-deterministic and max_iters=0 yields exactly uniform predictions.
+scores.  Training minimizes the mean negative log-likelihood (plus an optional
+L2 penalty on the non-intercept coefficients) by damped Newton steps, the
+textbook IRLS method for multinomial logistic regression, from an all-zeros
+start, so a run is fully deterministic and max_iters=0 yields exactly uniform
+predictions.
+
+When the training rows are separable (some coefficients score every row's
+own class strictly first), the likelihood has no finite maximizer: scaling
+those coefficients up drives the loss towards zero.  Newton steps then shrink
+the loss by about a factor e each, so the run still ends at the gradient
+tolerance, and the model reports the separation instead of convergence.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ def softmax(scores):
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 1.0
+    learning_rate: float = 1.0  # first step tried along each Newton direction (1 = full step)
     max_iters: int = 500
     tol: float = 1e-6
     l2_penalty: float = 0.0
@@ -79,6 +87,7 @@ class SoftmaxModel:
     final_loss: float = float("nan")
     converged: bool = False
     seed: int = 0
+    stop_reason: str | None = None  # converged, separable, max_iters or no_descent once trained
 
     @property
     def n_classes(self) -> int:
@@ -103,8 +112,7 @@ class SoftmaxModel:
     def predict_proba(self, rows):
         """Class probability vector(s); components sum to one."""
         design, single = self._design(rows)
-        scores = np.hstack([design @ self.coef.T, np.zeros((design.shape[0], 1))])
-        proba = softmax(scores)
+        proba = softmax(_scores(self.coef, design))
         return proba[0] if single else proba
 
     def predict(self, rows):
@@ -125,6 +133,7 @@ class SoftmaxModel:
                 "final_loss": self.final_loss,
                 "converged": self.converged,
                 "seed": self.seed,
+                "stop_reason": self.stop_reason,
             },
         }
 
@@ -140,7 +149,13 @@ class SoftmaxModel:
             final_loss=payload["training"]["final_loss"],
             converged=payload["training"]["converged"],
             seed=payload["training"]["seed"],
+            stop_reason=payload["training"].get("stop_reason"),  # absent before it was recorded
         )
+
+
+def _scores(coef, design):
+    """Class scores (n, K): one column per coefficient row, then the reference class's zero."""
+    return np.hstack([design @ coef.T, np.zeros((design.shape[0], 1))])
 
 
 def _as_matrix(features):
@@ -176,14 +191,15 @@ def nll_and_grad(coef, design, y, n_classes, l2_penalty=0.0):
     first, y holds class levels in [0, K).  The L2 penalty skips intercepts.
     """
     n = design.shape[0]
-    scores = np.hstack([design @ coef.T, np.zeros((n, 1))])
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1)) + scores.max(axis=1)
-    loss = float(np.mean(log_z - scores[np.arange(n), y]))
-    proba = softmax(scores)
-    delta = proba[:, : n_classes - 1].copy()
+    rows = np.arange(n)
+    scores = _scores(coef, design)
+    top = scores.max(axis=1, keepdims=True)
+    e = np.exp(scores - top)
+    total = e.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(total[:, 0]) + top[:, 0] - scores[rows, y]))
+    delta = e[:, : n_classes - 1] / total  # probabilities of the non-reference classes
     one_hot = y < n_classes - 1
-    delta[np.arange(n)[one_hot], y[one_hot]] -= 1.0
+    delta[rows[one_hot], y[one_hot]] -= 1.0
     grad = delta.T @ design / n
     if l2_penalty:
         penalty = coef.copy()
@@ -193,8 +209,50 @@ def nll_and_grad(coef, design, y, n_classes, l2_penalty=0.0):
     return loss, grad
 
 
+def _hessian(coef, design, l2_penalty):
+    """Hessian of nll_and_grad's loss w.r.t. coef.ravel(): a (K-1)(p+1) square matrix.
+
+    Built one (a, b) class block at a time, X^T diag(p_a (delta_ab - p_b)) X / n,
+    so no (n, K-1, K-1) array is formed.  The L2 term skips intercepts.
+    """
+    n, m = design.shape
+    k1 = coef.shape[0]
+    proba = softmax(_scores(coef, design))
+    hess = np.empty((k1 * m, k1 * m))
+    for a in range(k1):
+        for b in range(a, k1):
+            w = proba[:, a] * (float(a == b) - proba[:, b])
+            block = design.T @ (w[:, None] * design) / n
+            hess[a * m:(a + 1) * m, b * m:(b + 1) * m] = block
+            hess[b * m:(b + 1) * m, a * m:(a + 1) * m] = block.T
+    penalty = np.full(m, float(l2_penalty))
+    penalty[0] = 0.0
+    hess[np.diag_indices_from(hess)] += np.tile(penalty, k1)
+    return hess
+
+
+def _separates(coef, design, y) -> bool:
+    """Whether coef scores every row's own class strictly above every other class."""
+    rows = np.arange(design.shape[0])
+    scores = _scores(coef, design)
+    own = scores[rows, y].copy()
+    scores[rows, y] = -np.inf
+    return bool(np.all(own > scores.max(axis=1)))
+
+
 def train(features, labels, cfg: TrainConfig | None = None, class_values=None) -> SoftmaxModel:
-    """Fit the softmax classifier by gradient descent with backtracking.
+    """Fit the softmax classifier by damped Newton steps from all-zero coefficients.
+
+    Each iteration solves H d = g (Hessian and gradient of the mean NLL plus
+    the L2 term) and tries coef - step * d with step = cfg.learning_rate
+    first (1.0 is the full Newton step), halving it up to MAX_BACKTRACKS
+    times until the loss does not increase.  Training stops when the gradient
+    norm is at most cfg.tol ("converged"), after cfg.max_iters steps
+    ("max_iters"), or when no step descends ("no_descent").  Without an L2
+    penalty, final coefficients that rank every training row's own class
+    strictly first mean the data are separable and no finite maximum
+    likelihood estimate exists: stop_reason is then "separable" and
+    converged is False.
 
     Features are standardized with the statistics of the data passed in (the
     caller's training split).  Every class must appear at least once.
@@ -227,24 +285,34 @@ def train(features, labels, cfg: TrainConfig | None = None, class_values=None) -
     if not np.isfinite(loss):
         raise ArithmeticError("divergence: training loss is not finite")
     iters = 0
-    converged = float(np.linalg.norm(grad)) <= cfg.tol
-    while not converged and iters < cfg.max_iters:
+    while True:
+        if float(np.linalg.norm(grad)) <= cfg.tol:
+            stop_reason = "converged"
+            break
+        if iters >= cfg.max_iters:
+            stop_reason = "max_iters"
+            break
+        # a constant feature is an all-zero column after standardization and
+        # makes the Hessian singular, hence least squares
+        g = grad.ravel()
+        d = np.linalg.lstsq(_hessian(coef, design, cfg.l2_penalty), g, rcond=None)[0]
+        direction = d.reshape(grad.shape) if float(d @ g) > 0.0 else grad
         step = cfg.learning_rate
-        accepted = False
         for _ in range(MAX_BACKTRACKS):
-            candidate = coef - step * grad
+            candidate = coef - step * direction
             new_loss, new_grad = nll_and_grad(candidate, design, y, k, cfg.l2_penalty)
             if np.isfinite(new_loss) and new_loss <= loss:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             if not np.isfinite(new_loss):
                 raise ArithmeticError("divergence: training loss is not finite")
-            break  # no descent possible at float precision
+            stop_reason = "no_descent"  # no descent possible at float precision
+            break
         coef, loss, grad = candidate, new_loss, new_grad
         iters += 1
-        converged = float(np.linalg.norm(grad)) <= cfg.tol
+    if not cfg.l2_penalty and _separates(coef, design, y):
+        stop_reason = "separable"
 
     return SoftmaxModel(
         class_values=class_values,
@@ -254,8 +322,9 @@ def train(features, labels, cfg: TrainConfig | None = None, class_values=None) -
         std=std,
         n_iters=iters,
         final_loss=loss,
-        converged=converged,
+        converged=stop_reason == "converged",
         seed=cfg.seed,
+        stop_reason=stop_reason,
     )
 
 

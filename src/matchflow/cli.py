@@ -10,7 +10,9 @@ Every command but clean runs stages from the STAGES table on one Context
 features and momentum series once: train-eval runs train, momentum runs
 momentum, analyze X runs X, and report runs all seven, then writes
 report.json from their summaries.  A stage writes into a scratch directory
-inside the output directory and its files land only if it succeeds.
+inside the output directory and its files land only if it succeeds; the
+files it may write (named in STAGES) are removed before it runs, so none
+from an earlier run outlive it.
 report.json records each stage's status, "ok" or "failed" with the reason; a
 failed stage's summaries are null and the other stages still run.  Reading
 the config or the inputs, or selecting the match, stops a command at once.
@@ -24,13 +26,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import itertools
 import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +98,27 @@ def _write_csv(path, header, columns):
         writer.writerows(zip(*cells))
 
 
+def _typed(key, value, default):
+    """value if it has the type of default, else a ConfigError naming key.
+
+    bool is not a number, an int needs an int; a default of None or a list
+    takes any value.
+    """
+    if isinstance(default, bool):
+        wanted, ok = "a boolean", isinstance(value, bool)
+    elif isinstance(default, int):
+        wanted, ok = "an integer", isinstance(value, int) and not isinstance(value, bool)
+    elif isinstance(default, float):
+        wanted, ok = "a number", isinstance(value, (int, float)) and not isinstance(value, bool)
+    elif isinstance(default, str):
+        wanted, ok = "a string", isinstance(value, str)
+    else:
+        return value
+    if not ok:
+        raise ConfigError(f"{key} must be {wanted}, got {json.dumps(value)}")
+    return value
+
+
 def load_config(path) -> dict:
     merged = json.loads(json.dumps(DEFAULTS))  # deep copy
     if path:
@@ -110,10 +133,13 @@ def load_config(path) -> dict:
         if unknown:
             raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
         for key, value in user.items():
-            if isinstance(merged.get(key), dict) and isinstance(value, dict):
-                merged[key].update(value)
+            if isinstance(merged[key], dict):
+                if not isinstance(value, dict):
+                    raise ConfigError(f"config section {key!r} must be a JSON object")
+                merged[key].update({name: _typed(f"{key}.{name}", v, merged[key].get(name))
+                                    for name, v in value.items()})
             else:
-                merged[key] = value
+                merged[key] = _typed(key, value, merged[key])
     return merged
 
 
@@ -128,14 +154,17 @@ def _select_match(timelines, wanted, fallback=False):
 
 
 def _section(cls, config, name):
-    """The config section `name` as a `cls` instance; unknown keys are a ConfigError."""
-    try:
-        return cls(**config[name])
-    except TypeError as exc:
-        raise ConfigError(f"bad {name} parameter: {exc}") from None
+    """The config section `name` as a `cls` instance; unknown or wrong-typed keys: ConfigError."""
+    section = config[name]
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = sorted(set(section) - set(defaults))
+    if unknown:
+        raise ConfigError(f"unknown {name} parameter(s): {unknown}")
+    return cls(**{key: _typed(f"{name}.{key}", value, defaults[key])
+                  for key, value in section.items()})
 
 
-@dataclass
+@dataclasses.dataclass
 class Context:
     """What every stage reads: the run's settings and the selected match."""
 
@@ -208,6 +237,8 @@ def _train(ctx, out):
 
     micro = summary["micro"]
     print(f"trained on {len(ctx.train_timelines)} match(es), held out {ctx.match.match_id}")
+    print(f"{model.n_iters} training iteration(s), stop reason {model.stop_reason}, "
+          f"final loss {model.final_loss:.3g}")
     print(f"micro accuracy {micro['accuracy']:.3f}, micro F1 {micro['f_measure']:.3f}")
     for name, value in auc.items():
         print(f"{name}: AUC {value:.3f}")
@@ -314,7 +345,7 @@ def _trend(ctx, out):
             raise ConfigError(f"unknown trend axis {name!r}")
     x, y = axes[section["x"]], axes[section["y"]]
     fit = trend.fit_poly22(x, y, win_rate)
-    grid_n = int(section.get("grid", 20))
+    grid_n = section["grid"]
     gx = np.repeat(np.linspace(float(x.min()), float(x.max()), grid_n), grid_n)
     gy = np.tile(np.linspace(float(y.min()), float(y.max()), grid_n), grid_n)
     _write_csv(out("trend_surface.csv"), [section["x"], section["y"], "fitted_win_rate"],
@@ -344,9 +375,9 @@ def _random(ctx, out):
         ctx.match,
         params=ctx.params,
         statistic=section["statistic"],
-        n_permutations=int(section["permutations"]),
+        n_permutations=section["permutations"],
         seed=ctx.seed,
-        stratify_by_server=bool(section["stratify_by_server"]),
+        stratify_by_server=section["stratify_by_server"],
     ).to_dict()
     _write_json(out("randomness.json"), payload)
     print(f"{payload['statistic']}: observed {payload['observed']:.4f}, "
@@ -372,7 +403,7 @@ def _sweep(ctx, out):
         baseline={name: float(np.median(table.column(name))) for name in table.feature_names},
         tolerance=float(section["tolerance"]),
     )
-    model = sweep_mod.fit_response_model(table, ctx.series.p1, degree=int(section["degree"]))
+    model = sweep_mod.fit_response_model(table, ctx.series.p1, degree=section["degree"])
     run = sweep_mod.sweep_1d if len(spec.indicators) == 1 else sweep_mod.sweep_2d
     result = run(model, spec)
     # one row per grid point (first indicator outermost) and context
@@ -394,7 +425,7 @@ def _wavelet(ctx, out):
     section = ctx.config["wavelet"]
     settings = {
         "center_frequency": float(section["center_frequency"]),
-        "n_scales": int(section["n_scales"]),
+        "n_scales": section["n_scales"],
         "min_period": float(section["min_period"]),
         "max_period": section["max_period"],
         "boundary": section["boundary"],
@@ -420,15 +451,20 @@ def _wavelet(ctx, out):
     return {"wavelet_summary": payload}
 
 
-# name -> (stage, the report.json keys its summary fills), in report order
+# name -> (stage, the report.json keys its summary fills, the files it may write),
+# in report order
 STAGES = {
-    "train": (_train, ("serve_stats", "metrics_summary")),
-    "momentum": (_momentum, ("momentum_summary",)),
-    "ahp": (_ahp, ("ahp_summary",)),
-    "trend": (_trend, ("trend_summary",)),
-    "random": (_random, ("randomness_summary",)),
-    "sweep": (_sweep, ("sweep_summary",)),
-    "wavelet": (_wavelet, ("wavelet_summary",)),
+    "train": (_train, ("serve_stats", "metrics_summary"),
+              ("model.json", "serve_stats.json", "metrics.json", "holdout_probabilities.csv",
+               *(f"roc_level{level}.csv" for level in range(4)))),  # one per label level
+    "momentum": (_momentum, ("momentum_summary",),
+                 ("momentum.csv", "momentum_swings.json", "momentum.svg")),
+    "ahp": (_ahp, ("ahp_summary",), ("ahp.json", "ahp_ranking.csv")),
+    "trend": (_trend, ("trend_summary",), ("trend.json", "trend_surface.csv")),
+    "random": (_random, ("randomness_summary",), ("randomness.json",)),
+    "sweep": (_sweep, ("sweep_summary",), ("sweep.json", "sweep.csv")),
+    "wavelet": (_wavelet, ("wavelet_summary",),
+                ("scalogram.json", "scalogram.csv", "scalogram.svg")),
 }
 
 
@@ -467,7 +503,9 @@ def cmd_stages(args):
 
     statuses, summaries, artifacts, failure = {}, {}, {}, None
     for name in list(STAGES) if bundle else [args.stage]:
-        stage, keys = STAGES[name]
+        stage, keys, owned = STAGES[name]
+        for file_name in owned:  # no file of an earlier run may outlive this run of the stage
+            (out_dir / file_name).unlink(missing_ok=True)
         files = {}  # report.json artifact key -> file name
         with tempfile.TemporaryDirectory(prefix=".stage-", dir=out_dir) as scratch:
             try:

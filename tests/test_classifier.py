@@ -9,6 +9,8 @@ from matchflow.errors import DataError
 from matchflow.ingest import FeatureTable
 from matchflow.labels import ClassLabel
 
+from util import gradient_descent_oracle, standardized_design
+
 
 def test_sigmoid_basics():
     assert sigmoid(0.0) == 0.5
@@ -228,3 +230,86 @@ def test_train_config_validation():
         TrainConfig(split=1.5).validate()
     with pytest.raises(DataError):
         TrainConfig(tol=0.0).validate()
+
+
+@pytest.mark.parametrize("l2_penalty", [0.0, 0.3])
+def test_hessian_matches_central_differences_of_the_gradient(l2_penalty):
+    rng = np.random.default_rng(77)
+    for _ in range(10):
+        design = np.hstack([np.ones((30, 1)), rng.normal(size=(30, 3))])
+        y = rng.integers(0, 4, size=30)
+        coef = rng.normal(scale=0.7, size=(3, 4))
+        hess = classifier._hessian(coef, design, l2_penalty)
+        fd = np.zeros_like(hess)
+        h = 1e-5
+        for j in range(coef.size):
+            up, down = coef.copy().ravel(), coef.copy().ravel()
+            up[j] += h
+            down[j] -= h
+            g_up = nll_and_grad(up.reshape(coef.shape), design, y, 4, l2_penalty)[1]
+            g_down = nll_and_grad(down.reshape(coef.shape), design, y, 4, l2_penalty)[1]
+            fd[:, j] = (g_up - g_down).ravel() / (2 * h)
+        assert np.linalg.norm(hess - fd) / np.linalg.norm(hess) <= 1e-5
+
+
+def test_newton_converges_below_the_gradient_descent_loss():
+    # random labels: the classes overlap, so a finite optimum exists
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(80, 3))
+        y = rng.integers(0, 4, size=80)
+        y[:4] = [0, 1, 2, 3]
+        cfg = TrainConfig()
+        model = train(FeatureTable("t", list("abc"), x), y, cfg)
+        _, oracle_loss, oracle_iters = gradient_descent_oracle(x, y, 4)
+        _, grad = nll_and_grad(model.coef, standardized_design(x), y, 4)
+        assert np.linalg.norm(grad) <= cfg.tol
+        assert model.stop_reason == "converged" and model.converged
+        assert model.final_loss <= oracle_loss + 1e-12
+        assert model.n_iters < oracle_iters
+
+
+def test_separable_toy_reports_separation_and_stops():
+    table, y = separable_fixture()
+    model = train(table, y, TrainConfig())
+    assert model.stop_reason == "separable"
+    assert model.converged is False
+    assert math.isfinite(model.final_loss)
+    assert model.n_iters <= 40
+    assert model.to_dict()["training"]["stop_reason"] == "separable"
+
+
+def test_l2_penalty_gives_the_separable_toy_a_finite_optimum():
+    table, y = separable_fixture()
+    model = train(table, y, TrainConfig(l2_penalty=0.1))
+    assert model.stop_reason == "converged" and model.converged
+
+
+def test_constant_feature_trains_and_keeps_zero_coefficients():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(60, 3))
+    x[:, 1] = 2.5
+    y = rng.integers(0, 4, size=60)
+    y[:4] = [0, 1, 2, 3]
+    model = train(FeatureTable("t", list("abc"), x), y, TrainConfig())
+    assert model.stop_reason == "converged"
+    # least squares gives the minimum-norm step: zero on the all-zero column, up to rounding
+    assert np.all(np.abs(model.coef[:, 2]) <= 1e-12)
+
+
+def test_max_iters_no_descent_and_legacy_model_json_stop_reasons():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(40, 3))
+    y = rng.integers(0, 4, size=40)
+    y[:4] = [0, 1, 2, 3]
+    table = FeatureTable("t", list("abc"), x)
+    # 60 halvings of 1e30 leave every tried step far too long to lower the loss
+    model = train(table, y, TrainConfig(learning_rate=1e30))
+    assert (model.n_iters, model.stop_reason, model.converged) == (0, "no_descent", False)
+    model = train(table, y, TrainConfig(max_iters=1))
+    assert (model.n_iters, model.stop_reason, model.converged) == (1, "max_iters", False)
+    payload = model.to_dict()
+    del payload["training"]["stop_reason"]  # model.json written before stop reasons
+    loaded = SoftmaxModel.from_dict(payload)
+    assert loaded.stop_reason is None
+    assert np.array_equal(loaded.predict_proba(x), model.predict_proba(x))

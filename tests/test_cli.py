@@ -78,10 +78,31 @@ def test_bad_config_exits_3(tmp_path):
     assert code == 3
 
 
-def test_train_eval_produces_artifacts(tmp_path):
+@pytest.mark.parametrize("command,config,key", [
+    ("train-eval", {"train": {"max_iters": None}}, "train.max_iters"),
+    ("train-eval", {"train": {"max_iters": "5"}}, "train.max_iters"),
+    ("train-eval", {"train": {"max_iters": 2.5}}, "train.max_iters"),
+    ("train-eval", {"train": {"tol": True}}, "train.tol"),
+    ("analyze random", {"random": {"permutations": None}}, "random.permutations"),
+    ("analyze trend", {"trend": 5}, "'trend'"),
+    ("train-eval", {"holdout": 1701}, "holdout"),
+])
+def test_wrong_typed_config_value_exits_3_naming_the_key(tmp_path, capsys, command, config, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code = run([*command.split(), FIXTURE, "--out-dir", tmp_path / "out", "--config", path])
+    assert code == 3
+    assert key in capsys.readouterr().err
+
+
+def test_train_eval_produces_artifacts(tmp_path, capsys):
     out = tmp_path / "run"
     code = run(["train-eval", FIXTURE, "--out-dir", out, "--seed", 3])
     assert code == 0
+    training = read_json(out / "model.json")["training"]
+    assert (f"{training['iterations']} training iteration(s), stop reason "
+            f"{training['stop_reason']}, final loss {training['final_loss']:.3g}"
+            in capsys.readouterr().out)
     for name in ("model.json", "metrics.json", "serve_stats.json", "holdout_probabilities.csv"):
         assert (out / name).exists(), name
     for level in range(4):
@@ -257,6 +278,7 @@ def test_single_stage_runs_cover_the_bundle(fixture_bundle):
     written = sorted(name for _, names in SINGLE_STAGE_RUNS for name in names)
     bundle = sorted(p.name for p in fixture_bundle.iterdir())
     assert written == sorted(set(bundle) - {"report.json", "cleaning_report.json"})
+    assert written == sorted(name for _, _, files in cli.STAGES.values() for name in files)
 
 
 @pytest.mark.parametrize("command,names", SINGLE_STAGE_RUNS, ids=STAGE_NAMES)
@@ -322,6 +344,18 @@ def test_one_match_report_records_failed_stages(tmp_path, points, failed):
     assert ("randomness.json" in names) == ("random" not in failed)
     assert sorted(names) == sorted({*report["artifacts"].values(), "report.json"})
     assert sorted(p.name for p in tmp_path.iterdir()) == ["one.csv", "out"]
+
+
+def test_failed_stage_removes_an_earlier_runs_files(tmp_path):
+    out = tmp_path / "out"
+    assert run(["report", FIXTURE, "--seed", 11, "--out-dir", out]) == 0
+    assert (out / "model.json").exists()
+    assert run(["report", single_match_csv(tmp_path), "--out-dir", out]) == 3
+    report = read_json(out / "report.json")
+    assert report["stages"]["train"]["status"] == "failed"
+    names = {p.name for p in out.iterdir()}
+    assert sorted(names) == sorted({*report["artifacts"].values(), "report.json"})
+    assert not names & {"model.json", "serve_stats.json", "metrics.json", *ROC_FILES}
 
 
 @pytest.mark.parametrize("module,attr,stage,files", [

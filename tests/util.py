@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from matchflow.classifier import MAX_BACKTRACKS, nll_and_grad
 from matchflow.ingest import MatchTimeline, PointRecord
 from matchflow.momentum import MomentumParams, momentum_from_victors
 
@@ -344,3 +345,37 @@ def ks_distance_uniform(pvalues):
     grid_hi = np.arange(1, n + 1) / n
     grid_lo = np.arange(0, n) / n
     return float(max(np.max(grid_hi - x), np.max(x - grid_lo)))
+
+
+def standardized_design(x):
+    """Intercept column plus the columns of x standardized as `classifier.train` does."""
+    x = np.asarray(x, dtype=float)
+    std = x.std(axis=0)
+    std[std == 0.0] = 1.0
+    return np.hstack([np.ones((x.shape[0], 1)), (x - x.mean(axis=0)) / std])
+
+
+def gradient_descent_oracle(x, y, n_classes, max_iters=500, tol=1e-6):
+    """Batch gradient descent with step halving on the standardized problem.
+
+    The solver `classifier.train` used before its Newton steps: from all-zero
+    coefficients, try coef - step * grad with step = 1, halving it until the
+    loss does not increase.  Returns (coef, loss, iterations).
+    """
+    design = standardized_design(x)
+    coef = np.zeros((n_classes - 1, design.shape[1]))
+    loss, grad = nll_and_grad(coef, design, y, n_classes)
+    iters = 0
+    while np.linalg.norm(grad) > tol and iters < max_iters:
+        step = 1.0
+        for _ in range(MAX_BACKTRACKS):
+            candidate = coef - step * grad
+            new_loss, new_grad = nll_and_grad(candidate, design, y, n_classes)
+            if np.isfinite(new_loss) and new_loss <= loss:
+                break
+            step *= 0.5
+        else:
+            break
+        coef, loss, grad = candidate, new_loss, new_grad
+        iters += 1
+    return coef, loss, iters
