@@ -29,9 +29,7 @@ from .errors import ConfigError, DataError, MatchFlowError, SchemaError
 from .ingest import (
     FeatureTable,
     MatchTimeline,
-    PointRecord,
-    clean,
-    clean_with_report,
+    clean_timelines,
     derive_features,
     load_and_clean,
     parse_match_csv,
@@ -73,7 +71,6 @@ __all__ = [
     "MomentumParams",
     "MomentumSeries",
     "PermutationReport",
-    "PointRecord",
     "ResponseModel",
     "RocCurve",
     "Scalogram",
@@ -86,8 +83,7 @@ __all__ = [
     "TrainConfig",
     "WaveletConfig",
     "build_judgment_matrix",
-    "clean",
-    "clean_with_report",
+    "clean_timelines",
     "composite_consistency_ratio",
     "confusion",
     "consistency",

@@ -30,6 +30,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -98,18 +99,54 @@ def _write_csv(path, header, columns):
         writer.writerows(zip(*cells))
 
 
-def _typed(key, value, default):
-    """value if it has the type of default, else a ConfigError naming key.
+def _is_number(value) -> bool:
+    """A finite int or float; bool is not a number."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
-    bool is not a number, an int needs an int; a default of None or a list
-    takes any value.
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_pair(value) -> bool:
+    return _list_of(_is_number)(value) and len(value) == 2
+
+
+def _list_of(item):
+    return lambda value: isinstance(value, list) and all(map(item, value))
+
+
+def _nullable(check):
+    return lambda value: value is None or check(value)
+
+
+# Keys whose default is None or a list: key -> (the shape wanted, its check).
+SHAPES = {
+    "sweep.ranges": ("null or a list of [lo, hi] number pairs", _nullable(_list_of(_is_pair))),
+    "sweep.steps": ("null or a list of numbers", _nullable(_list_of(_is_number))),
+    "sweep.indicators": ("a list of strings", _list_of(_is_str)),
+    "ahp.indicators": ("a list of strings", _list_of(_is_str)),
+    "ahp.matrix": ("null or a list of number lists", _nullable(_list_of(_list_of(_is_number)))),
+    "ahp.matrix_csv": ("null or a string", _nullable(_is_str)),
+    "wavelet.max_period": ("null or a number", _nullable(_is_number)),
+}
+
+
+def _typed(key, value, default):
+    """value if it has the type of default (or the shape SHAPES gives key), else a ConfigError.
+
+    bool is not a number, an int needs an int, and a number must be finite;
+    any other key whose default is None or a list takes any value.
     """
-    if isinstance(default, bool):
+    if key in SHAPES:
+        wanted, ok = SHAPES[key][0], SHAPES[key][1](value)
+    elif isinstance(default, bool):
         wanted, ok = "a boolean", isinstance(value, bool)
     elif isinstance(default, int):
         wanted, ok = "an integer", isinstance(value, int) and not isinstance(value, bool)
     elif isinstance(default, float):
-        wanted, ok = "a number", isinstance(value, (int, float)) and not isinstance(value, bool)
+        wanted, ok = "a finite number", _is_number(value)
     elif isinstance(default, str):
         wanted, ok = "a string", isinstance(value, str)
     else:
@@ -230,7 +267,7 @@ def _train(ctx, out):
         out("holdout_probabilities.csv"),
         ["point_no", *(f"proba_{v:g}" for v in label_set.values), "predicted_value",
          "predicted_outcome"],
-        [[r.point_no for r in ctx.match.records], *proba.T,
+        [ctx.match.columns["point_no"], *proba.T,
          [f"{label_set.values[level]:g}" for level in pred],
          [f"Player {label_set.winner(level)} wins" for level in pred]],
     )
@@ -249,11 +286,11 @@ def _train(ctx, out):
 
 
 def _unit_end_points(match, unit):
-    return [
-        {"point_no": r.point_no, "set_no": r.set_no, "game_no": r.game_no,
-         "victor": r.point_victor}
-        for r in (match.records[i] for i in labels.unit_ends(match, unit))
-    ]
+    ends = labels.unit_ends(match, unit)
+    columns = (match.columns[name][ends].tolist()
+               for name in ("point_no", "set_no", "game_no", "point_victor"))
+    return [{"point_no": p, "set_no": s, "game_no": g, "victor": v}
+            for p, s, g, v in zip(*columns)]
 
 
 def _momentum(ctx, out):
@@ -337,7 +374,8 @@ def _ahp(ctx, out):
 def _trend(ctx, out):
     section = ctx.config["trend"]
     series = ctx.series
-    won = np.array([(r.p1_points_won, r.p2_points_won) for r in ctx.match.records], dtype=float)
+    won = np.column_stack([ctx.match.columns["p1_points_won"],
+                           ctx.match.columns["p2_points_won"]]).astype(float)
     win_rate = won[:, 0] / np.maximum(won[:, 0] + won[:, 1], 1.0)  # player 1's share so far
     axes = dict(zip(ctx.features.feature_names, ctx.features.values.T), momentum=series.p1)
     for name in (section["x"], section["y"]):

@@ -4,16 +4,22 @@ The expected file is comma separated with a header row.  Column names follow
 the common point-by-point export convention (``match_id``, ``set_no``,
 ``server``, ``point_victor``, ``p1_score`` ...); alternate headers can be
 remapped with a ``columns`` table.  Extra columns are ignored.
+
+Data stay in numpy columns from parse to artifact: ``parse_match_csv`` reads
+the file once and converts each distinct cell of a column once through the
+scalar rules ``_to_float``, ``_to_int`` and ``_shot_code``, giving one
+``MatchTimeline`` of equal-length arrays per match; ``clean_timelines``
+repairs the columns with array operations and ``write_clean_csv`` writes them.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import os
-from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,6 +72,9 @@ ADVANTAGE_SCORE = 50.0
 
 SHOT_CODES = {"F": 1, "B": 2}
 
+# Integers beyond int64 cannot be held by an integer column; they count as missing.
+INT_LIMIT = 2.0**63
+
 FEATURE_NAMES = [
     "score_diff",
     "game_diff",
@@ -80,71 +89,40 @@ FEATURE_NAMES = [
 ]
 
 
-@dataclass
-class PointRecord:
-    """One point of one match.
+@dataclass(eq=False)
+class MatchTimeline:
+    """One match as numpy columns: one equal-length array per point field.
 
-    Straight out of ``parse_match_csv`` the numeric fields may hold NaN and
-    the score fields may hold raw tokens such as ``"AD"``; ``clean`` wipes
-    both out.  After cleaning, ``server`` and ``point_victor`` are in {1, 2},
-    scores are numeric and the cumulative counters are non-decreasing.
+    ``columns`` maps each field name to its array, stably sorted by
+    ``point_no``: the integer fields ``set_no``, ``game_no``, ``point_no``,
+    ``server``, ``point_victor``, ``serve_no``, the ``*_games``, ``*_sets``
+    and ``*_points_won`` counters, ``shot_type_code`` and the flag columns
+    are int64, and the continuous columns are float64.  Straight out of
+    ``parse_match_csv`` the score columns hold the stripped raw tokens (such
+    as ``"AD"``) and the numeric columns may hold NaN or out-of-range codes;
+    ``clean_timelines`` turns the scores into float64 and repairs the rest,
+    so that ``server`` and ``point_victor`` are in {1, 2} and the cumulative
+    counters are non-decreasing.
     """
 
     match_id: str
-    set_no: int
-    game_no: int
-    point_no: int
-    server: int
-    point_victor: int
-    p1_score: float | str
-    p2_score: float | str
-    p1_games: int
-    p2_games: int
-    p1_sets: int
-    p2_sets: int
-    p1_points_won: int
-    p2_points_won: int
-    serve_no: int
-    shot_type_code: int = 0
-    p1_distance_run: float = 0.0
-    p2_distance_run: float = 0.0
-    rally_count: float = 0.0
-    speed_mph: float = 0.0
-    p1_ace: int = 0
-    p2_ace: int = 0
-    p1_double_fault: int = 0
-    p2_double_fault: int = 0
-    p1_unf_err: int = 0
-    p2_unf_err: int = 0
-    p1_net_pt: int = 0
-    p2_net_pt: int = 0
-    p1_break_pt: int = 0
-    p2_break_pt: int = 0
-    p1_break_pt_won: int = 0
-    p2_break_pt_won: int = 0
-    p1_break_pt_missed: int = 0
-    p2_break_pt_missed: int = 0
-
-
-@dataclass
-class MatchTimeline:
-    """Ordered point sequence for a single match."""
-
-    match_id: str
-    records: list[PointRecord]
+    columns: dict
     players: tuple[str, str] = ("player1", "player2")
 
     def __post_init__(self):
-        self.records = sorted(self.records, key=lambda r: r.point_no)
+        point_no = self.columns["point_no"]
+        if np.any(point_no[1:] < point_no[:-1]):
+            order = np.argsort(point_no, kind="stable")
+            self.columns = {name: values[order] for name, values in self.columns.items()}
 
     def __len__(self):
-        return len(self.records)
+        return len(self.columns["point_no"])
 
     def victors(self) -> np.ndarray:
-        return np.array([r.point_victor for r in self.records], dtype=int)
+        return np.array(self.columns["point_victor"], dtype=int)
 
     def servers(self) -> np.ndarray:
-        return np.array([r.server for r in self.records], dtype=int)
+        return np.array(self.columns["server"], dtype=int)
 
 
 @dataclass
@@ -222,111 +200,24 @@ def _read_text(source) -> str:
 
 
 def _to_float(text) -> float:
+    """The cell as a finite float; blank, unparseable and non-finite cells are NaN."""
     if text is None:
         return math.nan
     text = str(text).strip()
     if not text:
         return math.nan
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         return math.nan
+    return value if math.isfinite(value) else math.nan
 
 
 def _to_int(text, default=0) -> int:
     value = _to_float(text)
-    if math.isnan(value):
+    if math.isnan(value) or abs(value) >= INT_LIMIT:
         return default
     return int(round(value))
-
-
-def parse_match_csv(source, columns=None):
-    """Parse a point-by-point CSV into per-match timelines.
-
-    Args:
-        source: bytes, a path, or a readable file object.
-        columns: optional mapping of file column name -> canonical name.
-
-    Returns:
-        (timelines, rejected): timelines is a list of MatchTimeline, one per
-        distinct match_id, each internally ordered by point_no.  rejected
-        lists (row_number, reason) pairs for rows whose identity fields could
-        not be recovered; they are reported, never silently dropped.
-
-    Raises:
-        SchemaError: empty input, or a required column absent from the header.
-    """
-    text = _read_text(source)
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
-        raise SchemaError("empty input: no header row found")
-
-    remap = dict(columns or {})
-    header = [remap.get(name, name) for name in reader.fieldnames]
-    missing = [c for c in REQUIRED_COLUMNS if c not in header]
-    if missing:
-        raise SchemaError("missing required column(s): " + ", ".join(missing))
-
-    def get(row, name):
-        return row.get(name)
-
-    rows = []
-    rejected = []
-    players_by_match = {}
-    for row_no, raw in enumerate(reader, start=2):  # header is line 1
-        row = {header[i]: v for i, v in enumerate(list(raw.values())[: len(header)])}
-        match_id = (get(row, "match_id") or "").strip()
-        point_no = _to_int(get(row, "point_no"), default=-1)
-        if not match_id:
-            rejected.append((row_no, "missing match_id"))
-            continue
-        if point_no <= 0:
-            rejected.append((row_no, "unparseable point_no"))
-            continue
-
-        record = PointRecord(
-            match_id=match_id,
-            set_no=_to_int(get(row, "set_no"), default=0),
-            game_no=_to_int(get(row, "game_no"), default=0),
-            point_no=point_no,
-            server=_to_int(get(row, "server"), default=0),
-            point_victor=_to_int(get(row, "point_victor"), default=0),
-            p1_score=(get(row, "p1_score") or "").strip(),
-            p2_score=(get(row, "p2_score") or "").strip(),
-            p1_games=_to_int(get(row, "p1_games"), default=-1),
-            p2_games=_to_int(get(row, "p2_games"), default=-1),
-            p1_sets=_to_int(get(row, "p1_sets"), default=-1),
-            p2_sets=_to_int(get(row, "p2_sets"), default=-1),
-            p1_points_won=_to_int(get(row, "p1_points_won"), default=-1),
-            p2_points_won=_to_int(get(row, "p2_points_won"), default=-1),
-            serve_no=_to_int(get(row, "serve_no"), default=0),
-        )
-        for col in CONTINUOUS_COLUMNS:
-            if col in header:
-                setattr(record, col, _to_float(get(row, col)))
-        for col in FLAG_COLUMNS:
-            if col in header:
-                setattr(record, col, _to_int(get(row, col), default=-1))
-        if SHOT_COLUMN in header:
-            record.shot_type_code = _shot_code(get(row, SHOT_COLUMN))
-        if "player1" in header and match_id not in players_by_match:
-            players_by_match[match_id] = (
-                (get(row, "player1") or "player1").strip() or "player1",
-                (get(row, "player2") or "player2").strip() or "player2",
-            )
-        rows.append(record)
-
-    if not rows and not rejected:
-        raise SchemaError("empty input: no data rows")
-
-    by_match = {}
-    for record in rows:
-        by_match.setdefault(record.match_id, []).append(record)
-    timelines = [
-        MatchTimeline(mid, recs, players_by_match.get(mid, ("player1", "player2")))
-        for mid, recs in sorted(by_match.items())
-    ]
-    return timelines, rejected
 
 
 def _shot_code(token) -> int:
@@ -342,165 +233,283 @@ def _shot_code(token) -> int:
     return -1  # unknown token, coded later as 0 and counted
 
 
-def _match_mean(values, column, match_id):
-    finite = [v for v in values if not math.isnan(v)]
-    if not finite:
-        raise DataError(
-            f"imputation impossible: column {column!r} has no usable values in match {match_id!r}"
-        )
-    return sum(finite) / len(finite)
+def _strip(token) -> str:
+    return (token or "").strip()
 
 
-def _match_mode(values, column, match_id, valid):
-    counts = Counter(v for v in values if v in valid)
-    if not counts:
-        raise DataError(
-            f"imputation impossible: column {column!r} has no usable values in match {match_id!r}"
-        )
-    # break ties on the smaller value so repair is deterministic
-    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
+def _int_cells(default):
+    return functools.partial(_to_int, default=default)
 
 
-def _clean_score(raw, column, report):
-    """AD tokens and negative advantage markers become the fixed sentinel."""
-    if isinstance(raw, str):
-        token = raw.strip().upper()
-        if token == "AD":
-            report.bump(report.ad_replacements, column)
-            return ADVANTAGE_SCORE
-        value = _to_float(raw)
-    else:
-        value = float(raw) if raw is not None else math.nan
-    if not math.isnan(value) and value < 0:
-        report.bump(report.ad_replacements, column)
-        return ADVANTAGE_SCORE
-    return value
+# Point field -> (file column, cell converter, dtype, value when the header
+# lacks the column).  Required columns are never absent.
+FIELDS = {
+    "set_no": ("set_no", _int_cells(0), np.int64, None),
+    "game_no": ("game_no", _int_cells(0), np.int64, None),
+    "point_no": ("point_no", _int_cells(-1), np.int64, None),
+    "server": ("server", _int_cells(0), np.int64, None),
+    "point_victor": ("point_victor", _int_cells(0), np.int64, None),
+    "p1_score": ("p1_score", _strip, object, None),
+    "p2_score": ("p2_score", _strip, object, None),
+    **{name: (name, _int_cells(-1), np.int64, None)
+       for name in ("p1_games", "p2_games", "p1_sets", "p2_sets", "p1_points_won",
+                    "p2_points_won")},
+    "serve_no": ("serve_no", _int_cells(0), np.int64, None),
+    "shot_type_code": (SHOT_COLUMN, _shot_code, np.int64, 0),
+    **{name: (name, _to_float, np.float64, 0.0) for name in CONTINUOUS_COLUMNS},
+    **{name: (name, _int_cells(-1), np.int64, 0) for name in FLAG_COLUMNS},
+}
 
 
-def _clean_match(records, report):
-    match_id = records[0].match_id
-    out = [replace(r) for r in records]
-    n = len(out)
+class _Cells(dict):
+    """Cell -> converted value, filled on a cell's first lookup."""
 
-    # scores: AD/negative -> sentinel, then mean-impute leftovers
-    for column in ("p1_score", "p2_score"):
-        values = [_clean_score(getattr(r, column), column, report) for r in out]
-        if all(math.isnan(v) for v in values):
-            raise DataError(
-                f"imputation impossible: column {column!r} has no usable values in match {match_id!r}"
-            )
-        mean = _match_mean(values, column, match_id)
-        for i, r in enumerate(out):
-            if math.isnan(values[i]):
-                values[i] = mean
-                report.bump(report.mean_imputations, column)
-            setattr(r, column, values[i])
+    def __init__(self, convert):
+        self.convert = convert
 
-    # categorical columns: invalid entries repaired by per-match mode
-    for column, valid in (("server", {1, 2}), ("point_victor", {1, 2}), ("serve_no", {1, 2})):
-        values = [getattr(r, column) for r in out]
-        invalid = [i for i, v in enumerate(values) if v not in valid]
-        if invalid:
-            mode = _match_mode(values, column, match_id, valid)
-            for i in invalid:
-                setattr(out[i], column, mode)
-                report.bump(report.mode_imputations, column)
+    def __missing__(self, cell):
+        value = self[cell] = self.convert(cell)
+        return value
 
-    for column in FLAG_COLUMNS:
-        values = [getattr(r, column) for r in out]
-        invalid = [i for i, v in enumerate(values) if v not in (0, 1)]
-        if invalid:
-            counts = Counter(v for v in values if v in (0, 1))
-            mode = 0 if not counts else sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
-            for i in invalid:
-                setattr(out[i], column, mode)
-                report.bump(report.mode_imputations, column)
 
-    # unknown shot tokens were coded -1 at parse time
-    for r in out:
-        if r.shot_type_code not in (0, 1, 2):
-            r.shot_type_code = 0
-            report.bump(report.categorical_mapped, SHOT_COLUMN)
+def _convert(cells, convert, dtype) -> np.ndarray:
+    """Column of converted cells; each distinct cell goes through `convert` once."""
+    return np.fromiter(map(_Cells(convert).__getitem__, cells), dtype=dtype, count=len(cells))
 
-    # cumulative counters: fill gaps forward, repair monotonicity violations
-    for column, floor in (
-        ("set_no", 1),
-        ("game_no", 1),
-        ("p1_sets", 0),
-        ("p2_sets", 0),
-        ("p1_points_won", 0),
-        ("p2_points_won", 0),
-    ):
-        monotone = column != "game_no"  # game_no restarts are allowed per set
-        prev = None
-        for i, r in enumerate(out):
-            value = getattr(r, column)
-            bad = value < floor or (monotone and prev is not None and value < prev)
-            if bad:
-                if column in ("p1_points_won", "p2_points_won"):
-                    player = 1 if column.startswith("p1") else 2
-                    value = (prev or 0) + (1 if r.point_victor == player else 0)
-                else:
-                    value = prev if prev is not None else floor
-                setattr(r, column, value)
-                report.bump(report.monotone_repairs, column)
-            prev = value
 
-    for column in ("p1_games", "p2_games"):
+def _parse(text, columns):
+    """(timelines, rejected, header) of CSV text; see parse_match_csv."""
+    reader = csv.reader(io.StringIO(text))
+    first = next(reader, None)
+    if first is None:
+        raise SchemaError("empty input: no header row found")
+    remap = dict(columns or {})
+    header = [remap.get(name, name) for name in first]
+    missing = [c for c in REQUIRED_COLUMNS if c not in header]
+    if missing:
+        raise SchemaError("missing required column(s): " + ", ".join(missing))
+
+    width = len(header)
+    cells = []  # row-major: column j is cells[j::width]; each row list is freed once read
+    for row in reader:
+        if len(row) != width:
+            if not row:
+                continue  # blank lines are skipped and not numbered
+            # short rows read their missing cells as None; cells past the header are dropped
+            row = (row + [None] * width)[:width]
+        cells += row
+    if not cells:
+        raise SchemaError("empty input: no data rows")
+    position = {name: i for i, name in enumerate(header)}  # a repeated name takes its last column
+    n = len(cells) // width
+    fields = {name: _convert(cells[position[source]::width], convert, dtype)
+              if source in position else np.full(n, absent, dtype=dtype)
+              for name, (source, convert, dtype, absent) in FIELDS.items()}
+    match_ids = _convert(cells[position["match_id"]::width], _strip, object)
+    keep = (match_ids != "") & (fields["point_no"] > 0)
+    rejected = [
+        (i + 2, "missing match_id" if match_ids[i] == "" else "unparseable point_no")
+        for i in np.flatnonzero(~keep).tolist()  # the header is line 1
+    ]
+    kept = np.flatnonzero(keep)
+    names = sorted(set(match_ids[kept].tolist()))
+    code = {name: m for m, name in enumerate(names)}
+    codes = np.fromiter(map(code.__getitem__, match_ids[kept]), dtype=np.int64, count=kept.size)
+    # a stable sort: points of one match with the same point_no keep their file order
+    order = kept[np.lexsort((fields["point_no"][kept], codes))]
+    ends = np.cumsum(np.bincount(codes, minlength=len(names))).tolist()
+    spans = list(zip([0] + ends[:-1], ends))
+    first_rows = kept[np.unique(codes, return_index=True)[1]].tolist()
+    columns = {name: fields.pop(name)[order] for name in FIELDS}  # frees each unsorted column
+
+    named = [p for p in PLAYER_COLUMNS if p in position] if "player1" in position else []
+    timelines = []
+    for name, (a, b), i in zip(names, spans, first_rows):
+        # players come from the first kept row; a blank or absent name keeps its default
+        players = tuple((_strip(cells[i * width + position[p]]) if p in named else "") or p
+                        for p in PLAYER_COLUMNS)
+        timelines.append(MatchTimeline(name, {k: v[a:b] for k, v in columns.items()}, players))
+    return timelines, rejected, header
+
+
+def parse_match_csv(source, columns=None):
+    """Parse a point-by-point CSV into per-match timelines.
+
+    Args:
+        source: bytes, a path, or a readable file object.
+        columns: optional mapping of file column name -> canonical name.
+
+    Returns:
+        (timelines, rejected): timelines is a list of MatchTimeline, one per
+        distinct match_id in sorted order, each stably ordered by point_no.
+        rejected lists (row_number, reason) pairs, in file order, for rows
+        whose identity fields could not be recovered; they are reported,
+        never silently dropped.  Rows are numbered from 2, counting non-blank
+        rows only.
+
+    Raises:
+        SchemaError: empty input, or a required column absent from the header.
+    """
+    timelines, rejected, _ = _parse(_read_text(source), columns)
+    return timelines, rejected
+
+
+class _Matches:
+    """Where each match's points lie in columns joined over every match."""
+
+    def __init__(self, sizes):
+        self.sizes = np.array(sizes, dtype=np.int64)
+        self.ends = np.cumsum(self.sizes)
+        self.starts = self.ends - self.sizes
+        self.ids = np.repeat(np.arange(self.sizes.size), self.sizes)  # the match of each point
+        self.first = np.zeros(self.ids.size, dtype=bool)  # a match's first point
+        self.first[self.starts[self.sizes > 0]] = True
+
+    def count(self, mask) -> np.ndarray:
+        """Points of each match where mask holds."""
+        return np.bincount(self.ids, weights=mask, minlength=self.sizes.size)
+
+    def spans(self, mask):
+        """(start, end) of each match with a point where mask holds."""
+        hit = np.unique(self.ids[mask])
+        return zip(self.starts[hit].tolist(), self.ends[hit].tolist())
+
+    def falls(self, values) -> np.ndarray:
+        """Points whose value is below the one before it in the same match."""
+        return np.concatenate(([False], values[1:] < values[:-1])) & ~self.first
+
+
+def _score_cell(token):
+    """(value, is_advantage) of one raw score cell."""
+    if isinstance(token, str) and token.strip().upper() == "AD":
+        return ADVANTAGE_SCORE, True
+    value = _to_float(token)
+    return (ADVANTAGE_SCORE, True) if value < 0 else (value, False)
+
+
+def _scores(cells):
+    """Float scores and the advantage mask: AD tokens and negative scores become the sentinel."""
+    scores = _Cells(_score_cell)
+    return (_convert(cells, lambda cell: scores[cell][0], np.float64),
+            _convert(cells, lambda cell: scores[cell][1], bool))
+
+
+def _mean_fill(values, column, matches, report):
+    """Missing points take their match's mean, summed left to right like Python's sum."""
+    missing = np.isnan(values)
+    if missing.any():
+        values = values.copy()
+        for a, b in matches.spans(missing):
+            part, gap = values[a:b], missing[a:b]
+            finite = part[~gap].tolist()
+            part[gap] = sum(finite) / len(finite)
+        report.bump(report.mean_imputations, column, int(missing.sum()))
+    return values
+
+
+def _mode_fill(values, low, column, matches, report):
+    """Points outside {low, low + 1} take their match's more frequent valid value (ties: low)."""
+    invalid = (values != low) & (values != low + 1)
+    if invalid.any():
+        high = matches.count(values == low + 1) > matches.count(values == low)
+        values = np.where(invalid, np.where(high, low + 1, low)[matches.ids], values)
+        report.bump(report.mode_imputations, column, int(invalid.sum()))
+    return values
+
+
+def _points_won(values, won, matches):
+    """Cumulative points: a negative or falling point becomes the previous one plus this point."""
+    out = values.copy()
+    for a, b in matches.spans((values < 0) | matches.falls(values)):
         prev = 0
-        for r in out:
-            value = getattr(r, column)
-            if value < 0:  # games reset each set, so only fill gaps forward
-                setattr(r, column, prev)
-                report.bump(report.monotone_repairs, column)
-            prev = getattr(r, column)
-
-    # remaining continuous columns: per-match mean imputation
-    for column in CONTINUOUS_COLUMNS:
-        values = [getattr(r, column) for r in out]
-        missing = [i for i, v in enumerate(values) if math.isnan(v)]
-        if missing:
-            mean = _match_mean(values, column, match_id)
-            for i in missing:
-                setattr(out[i], column, mean)
-                report.bump(report.mean_imputations, column)
-
+        for i, (value, point) in enumerate(zip(values[a:b].tolist(), won[a:b].tolist()), a):
+            if value < 0 or value < prev:
+                value = out[i] = prev + point
+            prev = value
     return out
 
 
-def clean_with_report(records):
-    """Clean parsed records and return (cleaned_records, CleaningReport).
+def _repair(timelines, report):
+    """(columns, matches): the repaired columns of every match, joined; counts each repair."""
+    matches = _Matches([len(tl) for tl in timelines])
+    cols = {name: np.concatenate([tl.columns[name] for tl in timelines])
+            for name in timelines[0].columns}
+    scores = {column: _scores(cols[column]) for column in ("p1_score", "p2_score")}
+    # columns that cannot be repaired in a match without a usable point, in repair order
+    usable = {column: ~np.isnan(values) for column, (values, _) in scores.items()}
+    usable.update({column: (cols[column] == 1) | (cols[column] == 2)
+                   for column in ("server", "point_victor", "serve_no")})
+    usable.update({column: ~np.isnan(cols[column]) for column in CONTINUOUS_COLUMNS})
+    counts = np.column_stack([matches.count(mask) for mask in usable.values()])
+    failing = np.argwhere((counts == 0) & (matches.sizes > 0)[:, None])  # match-major order
+    if failing.size:
+        m, k = failing[0].tolist()
+        raise DataError(f"imputation impossible: column {list(usable)[k]!r} has no usable "
+                        f"values in match {timelines[m].match_id!r}")
 
-    Repairs applied per match: advantage tokens/negative scores replaced by
-    the numeric sentinel, missing numerics filled with the per-match mean,
-    invalid categoricals filled with the per-match mode, cumulative counters
-    repaired to stay non-decreasing.  Cleaning is idempotent.
-    """
-    report = CleaningReport()
-    by_match = {}
-    for r in records:
-        by_match.setdefault(r.match_id, []).append(r)
-    cleaned = []
-    for match_id in sorted(by_match):
-        group = sorted(by_match[match_id], key=lambda r: r.point_no)
-        cleaned.extend(_clean_match(group, report))
-    return cleaned, report
+    for column, (values, advantage) in scores.items():
+        if advantage.any():
+            report.bump(report.ad_replacements, column, int(advantage.sum()))
+        cols[column] = _mean_fill(values, column, matches, report)
 
+    for column in ("server", "point_victor", "serve_no"):
+        cols[column] = _mode_fill(cols[column], 1, column, matches, report)
+    for column in FLAG_COLUMNS:
+        cols[column] = _mode_fill(cols[column], 0, column, matches, report)
 
-def clean(records):
-    """Clean parsed records; see clean_with_report for the repair rules."""
-    return clean_with_report(records)[0]
+    unknown = (cols["shot_type_code"] < 0) | (cols["shot_type_code"] > 2)  # coded -1 at parse
+    if unknown.any():
+        cols["shot_type_code"] = np.where(unknown, 0, cols["shot_type_code"])
+        report.bump(report.categorical_mapped, SHOT_COLUMN, int(unknown.sum()))
+
+    repaired = {}
+    for column, floor in (("set_no", 1), ("p1_sets", 0), ("p2_sets", 0)):
+        values = np.maximum(cols[column], floor)  # set counters never fall: a running maximum
+        for a, b in matches.spans(matches.falls(values)):
+            values[a:b] = np.maximum.accumulate(values[a:b])
+        repaired[column] = values
+    for column, player in (("p1_points_won", 1), ("p2_points_won", 2)):
+        won = (cols["point_victor"] == player).astype(np.int64)
+        repaired[column] = _points_won(cols[column], won, matches)
+    for column, values in repaired.items():
+        changed = int(np.count_nonzero(values != cols[column]))
+        if changed:
+            report.bump(report.monotone_repairs, column, changed)
+        cols[column] = values
+    # game counters restart each set, so a bad point takes the last good value before it in
+    # its match, or the floor
+    for column, floor in (("game_no", 1), ("p1_games", 0), ("p2_games", 0)):
+        bad = cols[column] < floor
+        if bad.any():
+            last = np.maximum.accumulate(np.where(bad, -1, np.arange(bad.size)))
+            cols[column] = np.where(last < matches.starts[matches.ids], floor, cols[column][last])
+            report.bump(report.monotone_repairs, column, int(bad.sum()))
+
+    for column in CONTINUOUS_COLUMNS:
+        cols[column] = _mean_fill(cols[column], column, matches, report)
+    return cols, matches
 
 
 def clean_timelines(timelines):
-    """Clean every timeline, preserving match grouping."""
+    """Clean every timeline, preserving match grouping; returns (timelines, CleaningReport).
+
+    Repairs applied per match, in this order: advantage tokens and negative
+    scores become the numeric sentinel, missing scores take the per-match
+    mean; invalid categoricals (server, point_victor, serve_no, the flags)
+    take the per-match mode; unknown shot codes become 0; the set and
+    points-won counters are repaired to stay non-decreasing, and missing or
+    negative game counters are filled forward; missing continuous values take
+    the per-match mean.  Blank, unparseable and non-finite cells (``inf``,
+    ``-inf``, ``1e309``, ``nan``) all count as missing.  The first match, in
+    order, with a column it cannot repair raises DataError.  Cleaning is
+    idempotent.
+    """
     report = CleaningReport()
-    out = []
-    for tl in timelines:
-        group, match_report = clean_with_report(tl.records)
-        report.merge(match_report)
-        out.append(MatchTimeline(tl.match_id, group, tl.players))
-    return out, report
+    if not timelines:
+        return [], report
+    cols, matches = _repair(timelines, report)
+    return [MatchTimeline(tl.match_id, {name: v[a:b] for name, v in cols.items()}, tl.players)
+            for tl, a, b in zip(timelines, matches.starts.tolist(), matches.ends.tolist())], report
 
 
 def load_and_clean(source, columns=None):
@@ -509,14 +518,9 @@ def load_and_clean(source, columns=None):
     Returns (timelines, report); the report also carries rejected rows and
     any optional columns that were absent from the header and default-filled.
     """
-    text = _read_text(source)
-    timelines, rejected = parse_match_csv(text.encode("utf-8"), columns=columns)
+    timelines, rejected, header = _parse(_read_text(source), columns)
     timelines, report = clean_timelines(timelines)
     report.rejected_rows.extend(rejected)
-
-    header_row = next(csv.reader(io.StringIO(text)), [])
-    remap = dict(columns or {})
-    header = {remap.get(name, name) for name in header_row}
     for col in CONTINUOUS_COLUMNS + FLAG_COLUMNS + (SHOT_COLUMN,):
         if col not in header:
             report.defaulted_columns.append(col)
@@ -548,46 +552,36 @@ def derive_features(timeline: MatchTimeline) -> FeatureTable:
     (break points won - double faults - opponent's current streak), a bounded
     composite of pressure-relevant events for player 1.
     """
-    recs = timeline.records
-    n = len(recs)
+    c = timeline.columns
+    n = len(timeline)
     if n == 0:
         raise DataError("cannot derive features from an empty timeline")
-    v = timeline.victors()
-    streak_p1, streak_p2 = streak_lengths(v)
+    streak_p1, streak_p2 = streak_lengths(timeline.victors())
     idx = np.arange(1, n + 1, dtype=float)
-
-    p1_pts = np.array([r.p1_points_won for r in recs], dtype=float)
-    p2_pts = np.array([r.p2_points_won for r in recs], dtype=float)
-    err1 = np.cumsum([r.p1_unf_err for r in recs]) / idx
-    err2 = np.cumsum([r.p2_unf_err for r in recs]) / idx
-    dist = np.cumsum([r.p1_distance_run - r.p2_distance_run for r in recs])
-    bp_won = np.cumsum([r.p1_break_pt_won for r in recs])
-    dfaults = np.cumsum([r.p1_double_fault for r in recs])
-    psych = sigmoid(bp_won - dfaults - streak_p2)
+    bp_won = np.cumsum(c["p1_break_pt_won"])
+    dfaults = np.cumsum(c["p1_double_fault"])
 
     columns = [
-        p1_pts - p2_pts,
-        np.array([r.p1_games - r.p2_games for r in recs], dtype=float),
-        np.array([r.p1_sets - r.p2_sets for r in recs], dtype=float),
+        c["p1_points_won"].astype(float) - c["p2_points_won"].astype(float),
+        (c["p1_games"] - c["p2_games"]).astype(float),
+        (c["p1_sets"] - c["p2_sets"]).astype(float),
         streak_p1.astype(float),
         streak_p2.astype(float),
-        err1,
-        err2,
-        dist.astype(float),
-        np.array([1.0 if r.server == 1 else 0.0 for r in recs]),
-        psych,
+        np.cumsum(c["p1_unf_err"]) / idx,
+        np.cumsum(c["p2_unf_err"]) / idx,
+        np.cumsum(c["p1_distance_run"] - c["p2_distance_run"]).astype(float),
+        (c["server"] == 1).astype(float),
+        sigmoid(bp_won - dfaults - streak_p2),
     ]
     return FeatureTable(timeline.match_id, list(FEATURE_NAMES), np.column_stack(columns))
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        if value == int(value):
-            return str(int(value))
-        return repr(value)
-    return str(value)
+def _format_float(value: float) -> str:
+    if math.isnan(value):
+        return ""
+    if value == int(value):
+        return str(int(value))
+    return repr(value)
 
 
 CSV_COLUMNS = (
@@ -600,26 +594,28 @@ CSV_COLUMNS = (
 )
 
 
+def _csv_cells(timelines, column) -> list:
+    """One output column over every timeline, as strings."""
+    if column == "match_id":
+        return [tl.match_id for tl in timelines for _ in range(len(tl))]
+    if column in PLAYER_COLUMNS:
+        player = PLAYER_COLUMNS.index(column)
+        return [tl.players[player] for tl in timelines for _ in range(len(tl))]
+    name = "shot_type_code" if column == SHOT_COLUMN else column
+    values = np.concatenate([tl.columns[name] for tl in timelines])
+    cells = _Cells(_format_float if values.dtype.kind == "f" else str)
+    return list(map(cells.__getitem__, values.tolist()))
+
+
 def write_clean_csv(timelines, destination):
-    """Write cleaned timelines back out with normalized values."""
+    """Write cleaned timelines back out with normalized values, column by column."""
+    cells = [_csv_cells(timelines, column) for column in CSV_COLUMNS] if timelines else []
     own = isinstance(destination, (str, os.PathLike))
     fh = open(destination, "w", newline="") if own else destination
     try:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for tl in timelines:
-            for r in tl.records:
-                row = []
-                for col in CSV_COLUMNS:
-                    if col == "player1":
-                        row.append(tl.players[0])
-                    elif col == "player2":
-                        row.append(tl.players[1])
-                    elif col == SHOT_COLUMN:
-                        row.append(str(r.shot_type_code))
-                    else:
-                        row.append(_format_cell(getattr(r, col)))
-                writer.writerow(row)
+        writer.writerows(zip(*cells))
     finally:
         if own:
             fh.close()

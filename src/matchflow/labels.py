@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import DataError
 
 UNITS = ("point", "game", "set")
@@ -70,26 +72,20 @@ class ServeWinStats:
 
 
 def unit_ends(timeline, unit) -> list[int]:
-    """Index of the last record of each point, game or set, in order.
+    """Index of the last point of each point, game or set, in order.
 
-    A game is a run of records sharing (set_no, game_no), a set a run sharing
-    set_no; the unit's victor is whoever won the point at its last record.
+    A game is a run of points sharing (set_no, game_no), a set a run sharing
+    set_no; the unit's victor is whoever won the point at its last index.
     """
-    records = timeline.records
+    n = len(timeline)
     if unit == "point":
-        return list(range(len(records)))
-    key = (lambda r: (r.set_no, r.game_no)) if unit == "game" else (lambda r: r.set_no)
-    return [
-        i for i, r in enumerate(records)
-        if i + 1 == len(records) or key(records[i + 1]) != key(r)
-    ]
-
-
-def _iter_units(timeline, unit):
-    records, start = timeline.records, 0
-    for end in unit_ends(timeline, unit):
-        yield records[start].server, records[end].point_victor
-        start = end + 1
+        return list(range(n))
+    keys = ("set_no", "game_no") if unit == "game" else ("set_no",)
+    change = np.zeros(max(n - 1, 0), dtype=bool)
+    for key in keys:
+        values = timeline.columns[key]
+        change |= values[1:] != values[:-1]
+    return np.flatnonzero(change).tolist() + ([n - 1] if n else [])
 
 
 def estimate_serve_win_posterior(timelines, unit="point", laplace=False) -> ServeWinStats:
@@ -111,14 +107,16 @@ def estimate_serve_win_posterior(timelines, unit="point", laplace=False) -> Serv
     wins = {1: 0, 2: 0}
     n_units = 0
     for tl in timelines:
-        for server, victor in _iter_units(tl, unit):
-            if server not in (1, 2) or victor not in (1, 2):
-                continue
-            n_units += 1
-            serves[server] += 1
-            wins[victor] += 1
-            if server == victor:
-                serve_wins[server] += 1
+        ends = np.array(unit_ends(tl, unit), dtype=int)
+        starts = np.concatenate(([0], ends[:-1] + 1))[: ends.size]
+        server, victor = tl.servers()[starts], tl.victors()[ends]  # a unit's first server
+        known = np.isin(server, (1, 2)) & np.isin(victor, (1, 2))
+        server, victor = server[known], victor[known]
+        n_units += int(known.sum())
+        for player in (1, 2):
+            serves[player] += int(np.count_nonzero(server == player))
+            wins[player] += int(np.count_nonzero(victor == player))
+            serve_wins[player] += int(np.count_nonzero((server == player) & (victor == player)))
     if n_units == 0 or serves[1] + serves[2] == 0:
         raise DataError(f"insufficient data: no {unit} units with an identified server")
     return ServeWinStats(unit, serves, serve_wins, wins, n_units, laplace)
@@ -181,11 +179,6 @@ def label_points(timeline, stats: ServeWinStats) -> list[ClassLabel]:
     1 breaks, 0.0 when player 2 holds).
     """
     label_set = LabelSet.from_stats(stats)
-    out = []
-    for r in timeline.records:
-        if r.point_victor == 1:
-            level = 3 if r.server == 1 else 2
-        else:
-            level = 1 if r.server == 1 else 0
-        out.append(label_set.label(level))
-    return out
+    p1_won, p1_served = timeline.victors() == 1, timeline.servers() == 1
+    levels = np.where(p1_won, np.where(p1_served, 3, 2), np.where(p1_served, 1, 0))
+    return [label_set.label(level) for level in levels.tolist()]

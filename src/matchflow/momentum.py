@@ -166,9 +166,9 @@ def momentum_from_victors(victors, params: MomentumParams | None = None) -> dict
 def momentum_series(timeline, params: MomentumParams | None = None) -> MomentumSeries:
     """Momentum trajectories for both players over a cleaned timeline."""
     arrays = momentum_from_victors(timeline, params)
-    if hasattr(timeline, "records"):
+    if hasattr(timeline, "columns"):
         match_id = timeline.match_id
-        point_no = np.array([r.point_no for r in timeline.records], dtype=int)
+        point_no = np.array(timeline.columns["point_no"], dtype=int)
     else:
         match_id = ""
         point_no = np.arange(1, len(arrays["p1"]) + 1, dtype=int)

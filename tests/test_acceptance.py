@@ -85,9 +85,9 @@ def test_criterion_01_serve_win_posterior():
     elapsed = time.perf_counter() - start
 
     served = won = 0
-    for r in tl.records:  # brute-force counting oracle
+    for server, victor in zip(tl.servers(), tl.victors()):  # brute-force counting oracle
         served += 1
-        won += 1 if r.server == r.point_victor else 0
+        won += 1 if server == victor else 0
     assert stats.p_win_given_serve == won / served == 0.67
     assert abs(posterior_via_prior(stats) - stats.p_win_given_serve) <= 1e-12
     assert elapsed < 1.0

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -30,8 +31,9 @@ def read_json(path):
 def thirty_point_csv(tmp_path):
     """30-point match with exactly one AD token."""
     victors = ([1] * 3 + [2] * 2 + [1, 2] * 5 + [2] * 3 + [1] * 12)[:30]
-    tl = make_timeline(victors, match_id="fx-30")
-    tl.records[7].p1_score = "AD"
+    scores = [0.0] * 30
+    scores[7] = "AD"
+    tl = make_timeline(victors, match_id="fx-30", p1_score=scores)
     path = tmp_path / "raw.csv"
     timeline_to_csv(tl, path=path)
     return path
@@ -86,6 +88,15 @@ def test_bad_config_exits_3(tmp_path):
     ("analyze random", {"random": {"permutations": None}}, "random.permutations"),
     ("analyze trend", {"trend": 5}, "'trend'"),
     ("train-eval", {"holdout": 1701}, "holdout"),
+    ("analyze sweep", {"sweep": {"ranges": 5}}, "sweep.ranges"),
+    ("analyze ahp", {"ahp": {"indicators": 7}}, "ahp.indicators"),
+    ("analyze wavelet", {"wavelet": {"max_period": "big"}}, "wavelet.max_period"),
+    ("train-eval", {"train": {"tol": math.nan}}, "train.tol"),
+    ("momentum", {"momentum": {"short_weight": math.nan}}, "momentum.short_weight"),
+    ("analyze sweep", {"sweep": {"steps": [0.5, True]}}, "sweep.steps"),
+    ("analyze sweep", {"sweep": {"indicators": "set_diff"}}, "sweep.indicators"),
+    ("analyze ahp", {"ahp": {"matrix": [[1, "x"]]}}, "ahp.matrix"),
+    ("analyze ahp", {"ahp": {"matrix_csv": 3}}, "ahp.matrix_csv"),
 ])
 def test_wrong_typed_config_value_exits_3_naming_the_key(tmp_path, capsys, command, config, key):
     path = tmp_path / "cfg.json"

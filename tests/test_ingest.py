@@ -7,7 +7,7 @@ from matchflow import ingest
 from matchflow.errors import DataError, SchemaError
 
 from util import (
-    make_record,
+    make_points,
     make_timeline,
     random_timeline,
     streak_lengths_oracle,
@@ -27,12 +27,18 @@ def row(match_id="m1", point_no=1, victor=1, p1_score="15", extra=""):
     )
 
 
+def clean_one(timeline):
+    """(cleaned timeline, CleaningReport) of one match."""
+    (cleaned,), report = ingest.clean_timelines([timeline])
+    return cleaned, report
+
+
 def test_parse_single_match_three_rows():
     text = "\n".join([HEADER, row(point_no=1), row(point_no=2), row(point_no=3)])
     timelines, rejected = ingest.parse_match_csv(text.encode())
     assert rejected == []
     assert len(timelines) == 1
-    assert [r.point_no for r in timelines[0].records] == [1, 2, 3]
+    assert timelines[0].columns["point_no"].tolist() == [1, 2, 3]
 
 
 def test_parse_interleaved_matches_are_grouped_and_ordered():
@@ -43,7 +49,7 @@ def test_parse_interleaved_matches_are_grouped_and_ordered():
     timelines, _ = ingest.parse_match_csv("\n".join(lines).encode())
     assert [t.match_id for t in timelines] == ["match_a", "match_b"]
     for tl in timelines:
-        assert [r.point_no for r in tl.records] == [1, 2, 3]
+        assert tl.columns["point_no"].tolist() == [1, 2, 3]
 
 
 def test_parse_missing_required_column_names_it():
@@ -62,7 +68,7 @@ def test_parse_empty_input():
 def test_parse_column_remapping():
     text = HEADER.replace("point_victor", "PtWinner") + "\n" + row()
     timelines, _ = ingest.parse_match_csv(text.encode(), columns={"PtWinner": "point_victor"})
-    assert timelines[0].records[0].point_victor == 1
+    assert timelines[0].columns["point_victor"][0] == 1
 
 
 def test_parse_rejects_rows_without_identity():
@@ -75,17 +81,15 @@ def test_parse_rejects_rows_without_identity():
 
 
 def test_clean_replaces_ad_with_sentinel():
-    records = [make_record(p1_score="AD", p2_score="40")]
-    cleaned, report = ingest.clean_with_report(records)
-    assert cleaned[0].p1_score == 50.0
-    assert cleaned[0].p2_score == 40.0
+    cleaned, report = clean_one(make_points(p1_score="AD", p2_score="40"))
+    assert cleaned.columns["p1_score"][0] == 50.0
+    assert cleaned.columns["p2_score"][0] == 40.0
     assert report.ad_replacements == {"p1_score": 1}
 
 
 def test_clean_replaces_negative_advantage_marker():
-    records = [make_record(p1_score="-1")]
-    cleaned, _ = ingest.clean_with_report(records)
-    assert cleaned[0].p1_score == 50.0
+    cleaned, _ = clean_one(make_points(p1_score="-1"))
+    assert cleaned.columns["p1_score"][0] == 50.0
 
 
 def test_shot_letters_map_to_codes():
@@ -96,97 +100,81 @@ def test_shot_letters_map_to_codes():
             + row(extra=f",{token}")
         )
         timelines, _ = ingest.parse_match_csv(text.encode())
-        cleaned = ingest.clean(timelines[0].records)
-        assert cleaned[0].shot_type_code == code, token
+        cleaned, _ = clean_one(timelines[0])
+        assert cleaned.columns["shot_type_code"][0] == code, token
 
 
 def test_clean_mean_imputation_within_match():
-    records = [
-        make_record(point_no=1, speed_mph=100.0),
-        make_record(point_no=2, speed_mph=120.0),
-        make_record(point_no=3, speed_mph=math.nan),
-    ]
-    cleaned, report = ingest.clean_with_report(records)
-    assert cleaned[2].speed_mph == 110.0
+    cleaned, report = clean_one(make_points(3, speed_mph=[100.0, 120.0, math.nan]))
+    assert cleaned.columns["speed_mph"][2] == 110.0
     assert report.mean_imputations == {"speed_mph": 1}
 
 
 def test_clean_mean_imputation_does_not_cross_matches():
-    records = [
-        make_record("a", 1, speed_mph=100.0),
-        make_record("a", 2, speed_mph=math.nan),
-        make_record("b", 1, speed_mph=500.0),
-    ]
-    cleaned, _ = ingest.clean_with_report(records)
-    by_match = {(r.match_id, r.point_no): r for r in cleaned}
-    assert by_match[("a", 2)].speed_mph == 100.0
+    timelines = [make_points(2, "a", speed_mph=[100.0, math.nan]),
+                 make_points(1, "b", speed_mph=500.0)]
+    cleaned, _ = ingest.clean_timelines(timelines)
+    by_match = {tl.match_id: tl for tl in cleaned}
+    assert by_match["a"].columns["speed_mph"][1] == 100.0
 
 
 def test_clean_is_idempotent():
     rng = np.random.default_rng(7)
-    records = []
+    victors, speeds = [], []
     for i in range(40):
-        records.append(
-            make_record(
-                point_no=i + 1,
-                p1_score="AD" if i % 11 == 0 else "30",
-                point_victor=int(rng.integers(1, 3)) if i % 7 else 0,
-                speed_mph=math.nan if i % 5 == 0 else float(rng.uniform(80, 130)),
-                p1_points_won=i + 1,
-                p2_points_won=0,
-            )
-        )
-    once = ingest.clean(records)
-    twice, report = ingest.clean_with_report(once)
-    assert once == twice
+        victors.append(int(rng.integers(1, 3)) if i % 7 else 0)
+        speeds.append(math.nan if i % 5 == 0 else float(rng.uniform(80, 130)))
+    tl = make_points(
+        40,
+        p1_score=["AD" if i % 11 == 0 else "30" for i in range(40)],
+        point_victor=victors,
+        speed_mph=speeds,
+        p1_points_won=list(range(1, 41)),
+        p2_points_won=0,
+    )
+    once, _ = clean_one(tl)
+    twice, report = clean_one(once)
+    assert once.columns.keys() == twice.columns.keys()
+    assert all(np.array_equal(once.columns[name], twice.columns[name]) for name in once.columns)
     assert report.to_dict()["totals"]["mean_imputations"] == 0
     assert report.to_dict()["totals"]["ad_replacements"] == 0
 
 
 def test_clean_leaves_no_missing_numerics():
     rng = np.random.default_rng(3)
-    records = []
-    for i in range(30):
-        records.append(
-            make_record(
-                point_no=i + 1,
-                speed_mph=math.nan if rng.random() < 0.4 else 100.0,
-                rally_count=math.nan if rng.random() < 0.4 else 4.0,
-                p1_score="AD" if rng.random() < 0.2 else "40",
-            )
-        )
-    cleaned = ingest.clean(records)
-    for r in cleaned:
-        for col in ("p1_score", "p2_score", "speed_mph", "rally_count"):
-            assert not math.isnan(float(getattr(r, col)))
-        assert r.server in (1, 2) and r.point_victor in (1, 2)
+    speeds, rallies, scores = [], [], []
+    for _ in range(30):
+        speeds.append(math.nan if rng.random() < 0.4 else 100.0)
+        rallies.append(math.nan if rng.random() < 0.4 else 4.0)
+        scores.append("AD" if rng.random() < 0.2 else "40")
+    cleaned, _ = clean_one(make_points(30, speed_mph=speeds, rally_count=rallies,
+                                       p1_score=scores))
+    for col in ("p1_score", "p2_score", "speed_mph", "rally_count"):
+        assert not np.isnan(cleaned.columns[col].astype(float)).any()
+    assert np.isin(cleaned.columns["server"], (1, 2)).all()
+    assert np.isin(cleaned.columns["point_victor"], (1, 2)).all()
 
 
 def test_clean_entirely_missing_column_is_an_error():
-    records = [make_record(point_no=i + 1, p1_score="??") for i in range(3)]
     with pytest.raises(DataError, match="p1_score"):
-        ingest.clean(records)
+        clean_one(make_points(3, p1_score="??"))
 
 
 def test_clean_repairs_invalid_victor_by_mode():
-    records = [
-        make_record(point_no=1, point_victor=2),
-        make_record(point_no=2, point_victor=2),
-        make_record(point_no=3, point_victor=0),
-    ]
-    cleaned, report = ingest.clean_with_report(records)
-    assert cleaned[2].point_victor == 2
+    cleaned, report = clean_one(make_points(3, point_victor=[2, 2, 0]))
+    assert cleaned.columns["point_victor"][2] == 2
     assert report.mode_imputations == {"point_victor": 1}
 
 
 def test_clean_repairs_decreasing_cumulative_counter():
-    records = [
-        make_record(point_no=1, point_victor=1, p1_points_won=1),
-        make_record(point_no=2, point_victor=1, p1_points_won=0),  # violates monotonicity
-        make_record(point_no=3, point_victor=2, p1_points_won=2, p2_points_won=1),
-    ]
-    cleaned, report = ingest.clean_with_report(records)
-    won = [r.p1_points_won for r in cleaned]
+    tl = make_points(
+        3,
+        point_victor=[1, 1, 2],
+        p1_points_won=[1, 0, 2],  # the second point violates monotonicity
+        p2_points_won=[0, 0, 1],
+    )
+    cleaned, report = clean_one(tl)
+    won = cleaned.columns["p1_points_won"].tolist()
     assert won == sorted(won)
     assert report.monotone_repairs["p1_points_won"] == 1
 
@@ -269,7 +257,7 @@ def test_write_clean_csv_roundtrip(tmp_path):
     assert rejected == []
     again, report = ingest.clean_timelines(reparsed)
     assert report.to_dict()["totals"]["ad_replacements"] == 0
-    assert [r.point_victor for r in again[0].records] == [1, 2, 1, 1]
+    assert again[0].columns["point_victor"].tolist() == [1, 2, 1, 1]
     path2 = tmp_path / "clean2.csv"
     ingest.write_clean_csv(again, path2)
     assert path.read_bytes() == path2.read_bytes()

@@ -5,17 +5,15 @@ import pytest
 
 from matchflow import labels
 from matchflow.errors import DataError
-from matchflow.ingest import MatchTimeline
-
-from util import make_record, make_timeline, posterior_via_prior, random_timeline
+from util import make_points, make_timeline, posterior_via_prior, random_timeline
 
 
 def counting_oracle(timelines):
     served = won_while_serving = 0
     for tl in timelines:
-        for r in tl.records:
+        for server, victor in zip(tl.servers(), tl.victors()):
             served += 1
-            if r.server == r.point_victor:
+            if server == victor:
                 won_while_serving += 1
     return won_while_serving / served
 
@@ -66,21 +64,20 @@ def test_game_and_set_units_use_first_server_and_last_victor():
     # game 2 served by 2 and won by 1
     victors = [1, 2, 1, 1, 2, 1, 1, 1]
     servers = [1, 1, 1, 1, 2, 2, 2, 2]
-    records = []
     won = [0, 0]
-    for i, (v, s) in enumerate(zip(victors, servers)):
+    points_won = []
+    for v in victors:
         won[v - 1] += 1
-        records.append(
-            make_record(
-                point_no=i + 1,
-                server=s,
-                point_victor=v,
-                game_no=1 + i // 4,
-                p1_points_won=won[0],
-                p2_points_won=won[1],
-            )
-        )
-    tl = MatchTimeline("g", records)
+        points_won.append(list(won))
+    tl = make_points(
+        8,
+        "g",
+        server=servers,
+        point_victor=victors,
+        game_no=[1 + i // 4 for i in range(8)],
+        p1_points_won=[w[0] for w in points_won],
+        p2_points_won=[w[1] for w in points_won],
+    )
     game_stats = labels.estimate_serve_win_posterior([tl], unit="game")
     assert game_stats.n_units == 2
     assert game_stats.serves == {1: 1, 2: 1}
@@ -95,17 +92,15 @@ def test_game_and_set_units_use_first_server_and_last_victor():
 def test_unit_ends_mark_the_last_point_of_each_game_and_set():
     # games restart at 1 in each new set: (set, game) keys 1-1 1-1 1-2 2-1 2-1 2-2
     keys = [(1, 1), (1, 1), (1, 2), (2, 1), (2, 1), (2, 2)]
-    records = [make_record(point_no=i + 1, set_no=s, game_no=g) for i, (s, g) in enumerate(keys)]
-    tl = MatchTimeline("u", records)
+    tl = make_points(6, "u", set_no=[s for s, _ in keys], game_no=[g for _, g in keys])
     assert labels.unit_ends(tl, "point") == [0, 1, 2, 3, 4, 5]
     assert labels.unit_ends(tl, "game") == [1, 2, 4, 5]
     assert labels.unit_ends(tl, "set") == [2, 5]
-    assert labels.unit_ends(MatchTimeline("empty", []), "game") == []
+    assert labels.unit_ends(make_points(0, "empty"), "game") == []
 
 
 def test_no_identified_server_is_insufficient_data():
-    records = [make_record(point_no=i + 1, server=0) for i in range(5)]
-    tl = MatchTimeline("bad", records)
+    tl = make_points(5, "bad", server=0)
     with pytest.raises(DataError, match="insufficient data"):
         labels.estimate_serve_win_posterior([tl], unit="point")
 

@@ -8,35 +8,56 @@ library paths they check.
 from __future__ import annotations
 
 import cmath
+import csv
+import io
 import math
+from collections import Counter
 
 import numpy as np
 
+from matchflow import ingest
 from matchflow.classifier import MAX_BACKTRACKS, nll_and_grad
-from matchflow.ingest import MatchTimeline, PointRecord
+from matchflow.errors import DataError, SchemaError
+from matchflow.ingest import MatchTimeline, _shot_code, _to_float, _to_int
 from matchflow.momentum import MomentumParams, momentum_from_victors
 
+# Point fields of a MatchTimeline and the value each takes unless a test sets another.
+POINT_DEFAULTS = dict(
+    set_no=1,
+    game_no=1,
+    server=1,
+    point_victor=1,
+    p1_score=0.0,
+    p2_score=0.0,
+    p1_games=0,
+    p2_games=0,
+    p1_sets=0,
+    p2_sets=0,
+    p1_points_won=0,
+    p2_points_won=0,
+    serve_no=1,
+    shot_type_code=0,
+    **dict.fromkeys(ingest.CONTINUOUS_COLUMNS, 0.0),
+    **dict.fromkeys(ingest.FLAG_COLUMNS, 0),
+)
 
-def make_record(match_id="m1", point_no=1, **overrides) -> PointRecord:
-    base = dict(
-        match_id=match_id,
-        set_no=1,
-        game_no=1,
-        point_no=point_no,
-        server=1,
-        point_victor=1,
-        p1_score=0.0,
-        p2_score=0.0,
-        p1_games=0,
-        p2_games=0,
-        p1_sets=0,
-        p2_sets=0,
-        p1_points_won=0,
-        p2_points_won=0,
-        serve_no=1,
-    )
-    base.update(overrides)
-    return PointRecord(**base)
+
+def _column(values, n):
+    """A per-point list, or one value for every point, as an array; text gives an object array."""
+    values = list(values) if isinstance(values, (list, tuple, np.ndarray)) else [values] * n
+    if any(isinstance(v, str) for v in values):
+        return np.array(values, dtype=object)
+    return np.asarray(values)
+
+
+def make_points(n=1, match_id="m1", **columns) -> MatchTimeline:
+    """Timeline of n points numbered 1..n with the POINT_DEFAULTS values.
+
+    Each keyword sets a column: a per-point list, or one value for every
+    point.  Scores may be raw tokens such as "AD", as a parse leaves them.
+    """
+    values = {**POINT_DEFAULTS, "point_no": list(range(1, n + 1)), **columns}
+    return MatchTimeline(match_id, {name: _column(v, n) for name, v in values.items()})
 
 
 def make_timeline(victors, servers=None, match_id="m1", **extra_columns) -> MatchTimeline:
@@ -44,30 +65,21 @@ def make_timeline(victors, servers=None, match_id="m1", **extra_columns) -> Matc
 
     Servers default to alternating blocks of four points.  Cumulative
     counters are kept consistent with the victors.  extra_columns maps a
-    PointRecord field name to a per-point list.
+    point field name to a per-point list.
     """
     victors = list(victors)
     n = len(victors)
     if servers is None:
         servers = [1 + (i // 4) % 2 for i in range(n)]
-    records = []
-    won = [0, 0]
-    for i in range(n):
-        won[victors[i] - 1] += 1
-        overrides = {name: values[i] for name, values in extra_columns.items()}
-        records.append(
-            make_record(
-                match_id=match_id,
-                point_no=i + 1,
-                server=servers[i],
-                point_victor=victors[i],
-                game_no=1 + i // 8,
-                p1_points_won=won[0],
-                p2_points_won=won[1],
-                **overrides,
-            )
-        )
-    return MatchTimeline(match_id, records)
+    v = np.array(victors, dtype=int)
+    columns = dict(
+        server=list(servers),
+        point_victor=victors,
+        game_no=[1 + i // 8 for i in range(n)],
+        p1_points_won=np.cumsum(v == 1),
+        p2_points_won=np.cumsum(v == 2),
+    )
+    return make_points(n, match_id, **{**columns, **extra_columns})
 
 
 def random_timeline(rng, n, match_id="rand") -> MatchTimeline:
@@ -78,26 +90,11 @@ def random_timeline(rng, n, match_id="rand") -> MatchTimeline:
 
 def timeline_to_csv(timeline, extra_header=(), path=None) -> str:
     """Minimal CSV text for a timeline (required columns only)."""
-    cols = [
-        "match_id",
-        "set_no",
-        "game_no",
-        "point_no",
-        "server",
-        "point_victor",
-        "p1_score",
-        "p2_score",
-        "p1_games",
-        "p2_games",
-        "p1_sets",
-        "p2_sets",
-        "p1_points_won",
-        "p2_points_won",
-        "serve_no",
-    ] + list(extra_header)
-    lines = [",".join(cols)]
-    for r in timeline.records:
-        lines.append(",".join(str(getattr(r, c)) for c in cols))
+    cols = [c for c in ingest.REQUIRED_COLUMNS if c != "match_id"] + list(extra_header)
+    cells = [timeline.columns[c].tolist() for c in cols]
+    lines = [",".join(["match_id", *cols])]
+    for row in zip(*cells):
+        lines.append(",".join([timeline.match_id, *map(str, row)]))
     text = "\n".join(lines) + "\n"
     if path is not None:
         path.write_text(text)
@@ -379,3 +376,212 @@ def gradient_descent_oracle(x, y, n_classes, max_iters=500, tol=1e-6):
         coef, loss, grad = candidate, new_loss, new_grad
         iters += 1
     return coef, loss, iters
+
+
+# ----------------------------------------------------------- ingest oracle
+#
+# The row-at-a-time ingest that the columnar one replaced: each row becomes a
+# dict of point fields, cleaning walks the points one attribute at a time,
+# and the writer formats one cell at a time.  The scalar token rules
+# (_to_float, _to_int, _shot_code) are shared with the library.
+
+
+def oracle_parse(text, columns=None):
+    """(matches, rejected, header): matches is a list of (match_id, players, records)."""
+    reader = csv.reader(io.StringIO(text))
+    first = next(reader, None)
+    if first is None:
+        raise SchemaError("empty input: no header row found")
+    remap = dict(columns or {})
+    header = [remap.get(name, name) for name in first]
+    missing = [c for c in ingest.REQUIRED_COLUMNS if c not in header]
+    if missing:
+        raise SchemaError("missing required column(s): " + ", ".join(missing))
+
+    rows, rejected, players_by_match = [], [], {}
+    row_no = 1  # the header is line 1; blank lines are not numbered
+    for raw in reader:
+        if not raw:
+            continue
+        row_no += 1
+        row = {header[i]: v for i, v in enumerate(raw[: len(header)])}
+        match_id = (row.get("match_id") or "").strip()
+        point_no = _to_int(row.get("point_no"), default=-1)
+        if not match_id:
+            rejected.append((row_no, "missing match_id"))
+            continue
+        if point_no <= 0:
+            rejected.append((row_no, "unparseable point_no"))
+            continue
+        record = dict(POINT_DEFAULTS, point_no=point_no)
+        for name in ("set_no", "game_no", "server", "point_victor", "serve_no"):
+            record[name] = _to_int(row.get(name), default=0)
+        for name in ("p1_games", "p2_games", "p1_sets", "p2_sets", "p1_points_won",
+                     "p2_points_won"):
+            record[name] = _to_int(row.get(name), default=-1)
+        for name in ("p1_score", "p2_score"):
+            record[name] = (row.get(name) or "").strip()
+        for name in ingest.CONTINUOUS_COLUMNS:
+            if name in header:
+                record[name] = _to_float(row.get(name))
+        for name in ingest.FLAG_COLUMNS:
+            if name in header:
+                record[name] = _to_int(row.get(name), default=-1)
+        if ingest.SHOT_COLUMN in header:
+            record["shot_type_code"] = _shot_code(row.get(ingest.SHOT_COLUMN))
+        if "player1" in header and match_id not in players_by_match:
+            players_by_match[match_id] = (
+                (row.get("player1") or "player1").strip() or "player1",
+                (row.get("player2") or "player2").strip() or "player2",
+            )
+        rows.append((match_id, record))
+    if not rows and not rejected:
+        raise SchemaError("empty input: no data rows")
+
+    by_match = {}
+    for match_id, record in rows:
+        by_match.setdefault(match_id, []).append(record)
+    matches = [
+        (mid, players_by_match.get(mid, ("player1", "player2")),
+         sorted(records, key=lambda r: r["point_no"]))
+        for mid, records in sorted(by_match.items())
+    ]
+    return matches, rejected, header
+
+
+def _oracle_missing(column, match_id):
+    return DataError(
+        f"imputation impossible: column {column!r} has no usable values in match {match_id!r}"
+    )
+
+
+def _oracle_mean(values, column, match_id):
+    finite = [v for v in values if not math.isnan(v)]
+    if not finite:
+        raise _oracle_missing(column, match_id)
+    return sum(finite) / len(finite)
+
+
+def _oracle_mode(values, valid):
+    counts = Counter(v for v in values if v in valid)
+    if not counts:
+        return None
+    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
+
+
+def oracle_clean_match(match_id, records, report):
+    """The cleaned copies of one match's records; counts every repair in the report."""
+    out = [dict(r) for r in records]
+
+    for column in ("p1_score", "p2_score"):
+        values = []
+        for r in out:  # AD tokens and negative advantage markers become the sentinel
+            value = _to_float(r[column])
+            if r[column].strip().upper() == "AD" or value < 0:
+                report.bump(report.ad_replacements, column)
+                value = ingest.ADVANTAGE_SCORE
+            values.append(value)
+        mean = _oracle_mean(values, column, match_id)
+        for r, value in zip(out, values):
+            if math.isnan(value):
+                value = mean
+                report.bump(report.mean_imputations, column)
+            r[column] = value
+
+    for column in ("server", "point_victor", "serve_no") + ingest.FLAG_COLUMNS:
+        valid = (0, 1) if column in ingest.FLAG_COLUMNS else (1, 2)
+        values = [r[column] for r in out]
+        if any(v not in valid for v in values):
+            mode = _oracle_mode(values, valid)
+            if mode is None:
+                if column in ingest.FLAG_COLUMNS:
+                    mode = 0
+                else:
+                    raise _oracle_missing(column, match_id)
+            for r in out:
+                if r[column] not in valid:
+                    r[column] = mode
+                    report.bump(report.mode_imputations, column)
+
+    for r in out:
+        if r["shot_type_code"] not in (0, 1, 2):
+            r["shot_type_code"] = 0
+            report.bump(report.categorical_mapped, ingest.SHOT_COLUMN)
+
+    for column, floor in (("set_no", 1), ("game_no", 1), ("p1_sets", 0), ("p2_sets", 0),
+                          ("p1_points_won", 0), ("p2_points_won", 0)):
+        monotone = column != "game_no"  # game_no restarts are allowed per set
+        prev = None
+        for r in out:
+            value = r[column]
+            if value < floor or (monotone and prev is not None and value < prev):
+                if column.endswith("points_won"):
+                    player = 1 if column.startswith("p1") else 2
+                    value = (prev or 0) + (1 if r["point_victor"] == player else 0)
+                else:
+                    value = prev if prev is not None else floor
+                r[column] = value
+                report.bump(report.monotone_repairs, column)
+            prev = value
+
+    for column in ("p1_games", "p2_games"):
+        prev = 0
+        for r in out:
+            if r[column] < 0:  # games reset each set, so only fill gaps forward
+                r[column] = prev
+                report.bump(report.monotone_repairs, column)
+            prev = r[column]
+
+    for column in ingest.CONTINUOUS_COLUMNS:
+        values = [r[column] for r in out]
+        if any(math.isnan(v) for v in values):
+            mean = _oracle_mean(values, column, match_id)
+            for r in out:
+                if math.isnan(r[column]):
+                    r[column] = mean
+                    report.bump(report.mean_imputations, column)
+    return out
+
+
+def _oracle_cell(value) -> str:
+    if isinstance(value, float):
+        if math.isnan(value):
+            return ""
+        if value == int(value):
+            return str(int(value))
+        return repr(value)
+    return str(value)
+
+
+def oracle_csv(matches) -> str:
+    """The cleaned-CSV text of (match_id, players, records) matches, one cell at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(ingest.CSV_COLUMNS)
+    for match_id, players, records in matches:
+        for r in records:
+            row = []
+            for col in ingest.CSV_COLUMNS:
+                if col == "match_id":
+                    row.append(match_id)
+                elif col in ingest.PLAYER_COLUMNS:
+                    row.append(players[ingest.PLAYER_COLUMNS.index(col)])
+                elif col == ingest.SHOT_COLUMN:
+                    row.append(str(r["shot_type_code"]))
+                else:
+                    row.append(_oracle_cell(r[col]))
+            writer.writerow(row)
+    return buf.getvalue()
+
+
+def ingest_oracle(text, columns=None):
+    """Row-at-a-time load_and_clean: (matches, CleaningReport) for CSV text."""
+    parsed, rejected, header = oracle_parse(text, columns)
+    report = ingest.CleaningReport()
+    matches = [(mid, players, oracle_clean_match(mid, records, report))
+               for mid, players, records in parsed]
+    report.rejected_rows.extend(rejected)
+    for col in ingest.CONTINUOUS_COLUMNS + ingest.FLAG_COLUMNS + (ingest.SHOT_COLUMN,):
+        if col not in header:
+            report.defaulted_columns.append(col)
+    return matches, report
