@@ -35,7 +35,7 @@ from .ingest import (
     parse_match_csv,
     write_clean_csv,
 )
-from .labels import ClassLabel, LabelSet, ServeWinStats, estimate_serve_win_posterior, label_points
+from .labels import LabelSet, ServeWinStats, estimate_serve_win_posterior, label_points
 from .metrics import ConfusionCounts, RocCurve, confusion, metrics_table, roc_auc, summary_metrics
 from .momentum import (
     MomentumParams,
@@ -59,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AhpResult",
-    "ClassLabel",
     "ConfigError",
     "ConfusionCounts",
     "DataError",

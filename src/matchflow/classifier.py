@@ -165,25 +165,6 @@ def _as_matrix(features):
     return x, [f"x{i}" for i in range(x.shape[1])]
 
 
-def _as_levels(labels, class_values):
-    levels = []
-    values = {}
-    for item in labels:
-        if hasattr(item, "level"):
-            levels.append(int(item.level))
-            values[int(item.level)] = float(item.value)
-        else:
-            levels.append(int(item))
-    y = np.asarray(levels, dtype=int)
-    if class_values is None:
-        if values:
-            k = max(values) + 1
-            class_values = tuple(values.get(i, float(i)) for i in range(k))
-        else:
-            class_values = tuple(float(i) for i in range(int(y.max()) + 1))
-    return y, tuple(class_values)
-
-
 def nll_and_grad(coef, design, y, n_classes, l2_penalty=0.0):
     """Mean negative log-likelihood and its gradient w.r.t. the coefficients.
 
@@ -266,7 +247,10 @@ def train(features, labels, cfg: TrainConfig | None = None, class_values=None) -
     x, feature_names = _as_matrix(features)
     if not np.all(np.isfinite(x)):
         raise ArithmeticError("divergence: features contain non-finite values")
-    y, class_values = _as_levels(labels, class_values)
+    y = np.asarray(labels, dtype=int)
+    if class_values is None:
+        class_values = tuple(float(i) for i in range(int(y.max()) + 1))
+    class_values = tuple(class_values)
     if x.shape[0] != y.size:
         raise ValueError("features and labels disagree on sample count")
     k = len(class_values)
@@ -333,17 +317,16 @@ def train_test_split(labels, fraction=0.8, seed=0):
 
     Every class keeps at least one sample on each side whenever it has two.
     """
-    y, _ = _as_levels(labels, None)
+    y = np.asarray(labels, dtype=int)
     rng = np.random.default_rng(seed)
-    train_idx, test_idx = [], []
+    in_train = np.zeros(y.size, dtype=bool)
     for level in np.unique(y):
         idx = np.flatnonzero(y == level)
         idx = idx[rng.permutation(idx.size)]
         n_train = int(round(fraction * idx.size))
         n_train = min(max(n_train, 1), idx.size - 1) if idx.size > 1 else idx.size
-        train_idx.extend(idx[:n_train].tolist())
-        test_idx.extend(idx[n_train:].tolist())
-    return np.array(sorted(train_idx), dtype=int), np.array(sorted(test_idx), dtype=int)
+        in_train[idx[:n_train]] = True
+    return np.flatnonzero(in_train), np.flatnonzero(~in_train)
 
 
 def save_model(model: SoftmaxModel, path):

@@ -90,7 +90,7 @@ def _write_csv(path, header, columns):
     cells = []
     for column in map(np.asarray, columns):
         if column.dtype.kind == "f":
-            cells.append([repr(float(v)) for v in column])
+            cells.append(map(repr, column.tolist()))
         else:
             cells.append(column.tolist())
     with open(path, "w", newline="") as fh:
@@ -239,8 +239,7 @@ def _train(ctx, out):
     stats = labels.estimate_serve_win_posterior(ctx.train_timelines, unit=ctx.config["unit"])
     label_set = labels.LabelSet.from_stats(stats)
     x = np.vstack([ingest.derive_features(tl).values for tl in ctx.train_timelines])
-    levels = [lab.level for tl in ctx.train_timelines for lab in labels.label_points(tl, stats)]
-    y = np.asarray(levels, dtype=int)
+    y = np.concatenate([labels.label_points(tl, stats) for tl in ctx.train_timelines])
     cfg = _section(classifier.TrainConfig, ctx.config, "train")
     cfg.seed = ctx.seed
     train_idx, test_idx = classifier.train_test_split(y, fraction=cfg.split, seed=cfg.seed)

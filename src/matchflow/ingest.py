@@ -394,15 +394,27 @@ def _scores(cells):
             _convert(cells, lambda cell: scores[cell][1], bool))
 
 
-def _mean_fill(values, column, matches, report):
-    """Missing points take their match's mean, summed left to right like Python's sum."""
+def _means(values, matches) -> np.ndarray:
+    """Each match's mean of its present values, summed left to right like Python's sum.
+
+    Only matches missing a value are summed; the others, and matches with no
+    present value, get NaN.  A sum past the float range gives an infinite mean.
+    """
+    means = np.full(matches.sizes.size, np.nan)
+    missing = np.isnan(values)
+    for m in np.unique(matches.ids[missing]).tolist():
+        part = values[matches.starts[m]:matches.ends[m]]
+        finite = part[~np.isnan(part)].tolist()
+        if finite:
+            means[m] = sum(finite) / len(finite)
+    return means
+
+
+def _mean_fill(values, means, column, matches, report):
+    """Missing points take their match's mean."""
     missing = np.isnan(values)
     if missing.any():
-        values = values.copy()
-        for a, b in matches.spans(missing):
-            part, gap = values[a:b], missing[a:b]
-            finite = part[~gap].tolist()
-            part[gap] = sum(finite) / len(finite)
+        values = np.where(missing, means[matches.ids], values)
         report.bump(report.mean_imputations, column, int(missing.sum()))
     return values
 
@@ -435,22 +447,30 @@ def _repair(timelines, report):
     cols = {name: np.concatenate([tl.columns[name] for tl in timelines])
             for name in timelines[0].columns}
     scores = {column: _scores(cols[column]) for column in ("p1_score", "p2_score")}
+    means = {column: _means(values, matches) for column, (values, _) in scores.items()}
+    means.update({column: _means(cols[column], matches) for column in CONTINUOUS_COLUMNS})
     # columns that cannot be repaired in a match without a usable point, in repair order
     usable = {column: ~np.isnan(values) for column, (values, _) in scores.items()}
     usable.update({column: (cols[column] == 1) | (cols[column] == 2)
                    for column in ("server", "point_victor", "serve_no")})
     usable.update({column: ~np.isnan(cols[column]) for column in CONTINUOUS_COLUMNS})
     counts = np.column_stack([matches.count(mask) for mask in usable.values()])
-    failing = np.argwhere((counts == 0) & (matches.sizes > 0)[:, None])  # match-major order
-    if failing.size:
+    unfilled = np.zeros(matches.sizes.size)
+    overflow = np.column_stack([np.isinf(means.get(column, unfilled)) for column in usable])
+    failing = np.argwhere(((counts == 0) | overflow) & (matches.sizes > 0)[:, None])
+    if failing.size:  # the first in match-major order
         m, k = failing[0].tolist()
-        raise DataError(f"imputation impossible: column {list(usable)[k]!r} has no usable "
-                        f"values in match {timelines[m].match_id!r}")
+        column, match_id = list(usable)[k], timelines[m].match_id
+        if overflow[m, k]:
+            raise DataError(f"imputation impossible: the mean of column {column!r} in match "
+                            f"{match_id!r} is not finite")
+        raise DataError(f"imputation impossible: column {column!r} has no usable "
+                        f"values in match {match_id!r}")
 
     for column, (values, advantage) in scores.items():
         if advantage.any():
             report.bump(report.ad_replacements, column, int(advantage.sum()))
-        cols[column] = _mean_fill(values, column, matches, report)
+        cols[column] = _mean_fill(values, means[column], column, matches, report)
 
     for column in ("server", "point_victor", "serve_no"):
         cols[column] = _mode_fill(cols[column], 1, column, matches, report)
@@ -486,7 +506,7 @@ def _repair(timelines, report):
             report.bump(report.monotone_repairs, column, int(bad.sum()))
 
     for column in CONTINUOUS_COLUMNS:
-        cols[column] = _mean_fill(cols[column], column, matches, report)
+        cols[column] = _mean_fill(cols[column], means[column], column, matches, report)
     return cols, matches
 
 

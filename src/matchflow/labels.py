@@ -11,20 +11,12 @@ is "probability that the unit's first server wins the unit".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DataError
 
 UNITS = ("point", "game", "set")
-
-
-class ClassLabel(NamedTuple):
-    """One of the four outcome levels: (level index, numeric value)."""
-
-    level: int
-    value: float
 
 
 @dataclass
@@ -157,12 +149,6 @@ class LabelSet:
     def n_classes(self) -> int:
         return 4
 
-    def label(self, level: int) -> ClassLabel:
-        return ClassLabel(level, self.values[level])
-
-    def labels(self) -> list[ClassLabel]:
-        return [self.label(i) for i in range(4)]
-
     def winner(self, level: int) -> int:
         """Match-point winner implied by a level (levels 2,3 -> player 1)."""
         return 1 if level >= 2 else 2
@@ -171,14 +157,16 @@ class LabelSet:
         return f"{self.values[level]:g} (Player {self.winner(level)} wins)"
 
 
-def label_points(timeline, stats: ServeWinStats) -> list[ClassLabel]:
-    """Assign each point one of the four outcome levels.
+def label_points(timeline, stats: ServeWinStats) -> np.ndarray:
+    """Each point's outcome level, an int array indexing LabelSet.from_stats(stats).values.
 
-    Player 1 winning its own serve maps to 1.0 and losing it maps to the
-    p_lose level; receiver wins take the fractional levels (p_win when player
-    1 breaks, 0.0 when player 2 holds).
+    Player 1 winning its own serve maps to level 3 (value 1.0) and losing it
+    to level 1 (p_lose); receiver wins take level 2 (p_win, player 1 breaks)
+    and level 0 (0.0, player 2 holds).
+
+    Raises:
+        DataError: stats give no strictly ordered label set.
     """
-    label_set = LabelSet.from_stats(stats)
+    LabelSet.from_stats(stats)
     p1_won, p1_served = timeline.victors() == 1, timeline.servers() == 1
-    levels = np.where(p1_won, np.where(p1_served, 3, 2), np.where(p1_served, 1, 0))
-    return [label_set.label(level) for level in levels.tolist()]
+    return np.where(p1_won, np.where(p1_served, 3, 2), np.where(p1_served, 1, 0))

@@ -29,12 +29,6 @@ METRIC_ROWS = (
 )
 
 
-def _levels(labels) -> np.ndarray:
-    return np.array(
-        [int(item.level) if hasattr(item, "level") else int(item) for item in labels], dtype=int
-    )
-
-
 @dataclass
 class ConfusionCounts:
     """One-vs-rest counts per class; tp+fp+fn+tn equals the sample count."""
@@ -59,8 +53,8 @@ def confusion(truth, pred, n_classes=None) -> ConfusionCounts:
     Raises:
         ValueError: truth and pred lengths differ.
     """
-    t = _levels(truth)
-    p = _levels(pred)
+    t = np.asarray(truth, dtype=int)
+    p = np.asarray(pred, dtype=int)
     if t.size != p.size:
         raise ValueError(f"length mismatch: {t.size} truths vs {p.size} predictions")
     if n_classes is None:
@@ -171,20 +165,19 @@ def roc_auc(truth, scores, positive) -> RocCurve:
     invariant under strictly monotone transforms of the scores.
 
     Args:
-        truth: class levels or ClassLabels.
+        truth: class levels.
         scores: per-sample probability (or any monotone score) of the
             positive class.
-        positive: the positive class level or ClassLabel.
+        positive: the positive class level.
 
     Raises:
         DataError: positive or negative samples are absent.
     """
-    t = _levels(truth)
+    t = np.asarray(truth, dtype=int)
     s = np.asarray(scores, dtype=float)
     if t.size != s.size:
         raise ValueError(f"length mismatch: {t.size} truths vs {s.size} scores")
-    pos_level = int(positive.level) if hasattr(positive, "level") else int(positive)
-    is_pos = t == pos_level
+    is_pos = t == int(positive)
     n_pos = int(is_pos.sum())
     n_neg = t.size - n_pos
     if n_pos == 0 or n_neg == 0:

@@ -82,25 +82,40 @@ def line_plot_svg(x, series: dict, path, title: str = "", width: int = 900, heig
     _write(path, parts)
 
 
-def _heat_color(v: float) -> str:
-    # dark blue -> yellow ramp on a fixed integer lattice for reproducibility
-    v = min(max(v, 0.0), 1.0)
-    r = int(round(253 * v))
-    g = int(round(40 + 191 * v))
-    b = int(round(84 + 60 * (1.0 - v) ** 2 - 84 * v))
-    return f"#{r:02x}{g:02x}{max(b, 0):02x}"
+_HEX = np.array([f"{k:02x}" for k in range(256)])
 
 
 def heatmap_svg(matrix, path, title: str = "", x_labels=None, y_labels=None,
                 width: int = 900, height: int = 420):
-    """Render a matrix as a colored cell grid (rows bottom-up)."""
+    """Render a matrix as a colored cell grid (rows bottom-up).
+
+    Raises:
+        ValueError: the matrix, or its value range, is not finite.
+    """
     m = np.asarray(matrix, dtype=float)
     lo, hi = float(m.min()), float(m.max())
     span = hi - lo if hi > lo else 1.0
     rows, cols = m.shape
     cell_w = (width - 2 * MARGIN) / cols
     cell_h = (height - 2 * MARGIN) / rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = (m - lo) / span  # in [0, 1] when finite
+    if not np.isfinite(v).all():
+        raise ValueError("heatmap matrix is not finite")
 
+    # dark blue -> yellow ramp on a fixed integer lattice for reproducibility; rint rounds
+    # half to even like round()
+    blue = 84 + 60 * (1.0 - v) * (1.0 - v) - 84 * v
+    # (1 - v) ** 2 is libm pow, which can differ from the product in the last bit; that moves
+    # the rounding only within 1e-13 of a half-integer, so those cells take pow
+    tie = np.abs(blue - np.floor(blue) - 0.5) < 1e-9
+    blue[tie] = [84 + 60 * (1.0 - x) ** 2 - 84 * x for x in v[tie].tolist()]
+    rgb = np.stack([np.rint(253 * v), np.rint(40 + 191 * v), np.maximum(np.rint(blue), 0)], -1)
+    fill = _HEX[rgb.astype(int)].view("U6")[..., 0].tolist()  # rows x cols "rrggbb" strings
+
+    xs = [_fmt(MARGIN + j * cell_w) for j in range(cols)]
+    ys = [_fmt(height - MARGIN - (i + 1) * cell_h) for i in range(rows)]
+    size = f'width="{_fmt(cell_w + 0.5)}" height="{_fmt(cell_h + 0.5)}"'
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -108,15 +123,8 @@ def heatmap_svg(matrix, path, title: str = "", x_labels=None, y_labels=None,
         f'<text x="{width // 2}" y="18" text-anchor="middle" font-family="monospace" '
         f'font-size="13">{title}</text>',
     ]
-    for i in range(rows):
-        for j in range(cols):
-            v = (m[i, j] - lo) / span
-            px = MARGIN + j * cell_w
-            py = height - MARGIN - (i + 1) * cell_h
-            parts.append(
-                f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(cell_w + 0.5)}" '
-                f'height="{_fmt(cell_h + 0.5)}" fill="{_heat_color(v)}"/>'
-            )
+    parts += [f'<rect x="{x}" y="{y}" {size} fill="#{c}"/>'
+              for y, row in zip(ys, fill) for x, c in zip(xs, row)]
     if y_labels is not None:
         for i in (0, rows - 1):
             py = height - MARGIN - (i + 0.5) * cell_h

@@ -144,9 +144,9 @@ def test_criterion_02_classifier():
     rows, levels = [], []
     for tl in corpus:
         rows.append(mf.derive_features(tl).values)
-        levels.extend(lab.level for lab in mf.label_points(tl, stats))
+        levels.append(mf.label_points(tl, stats))
     x = np.vstack(rows)
-    y = np.asarray(levels)
+    y = np.concatenate(levels)
     cfg = TrainConfig(max_iters=300, seed=0)
     train_idx, test_idx = mf.train_test_split(y, fraction=cfg.split, seed=cfg.seed)
     model = mf.train(

@@ -7,9 +7,8 @@ from matchflow import classifier
 from matchflow.classifier import SoftmaxModel, TrainConfig, nll_and_grad, sigmoid, softmax, train
 from matchflow.errors import DataError
 from matchflow.ingest import FeatureTable
-from matchflow.labels import ClassLabel
 
-from util import gradient_descent_oracle, standardized_design
+from util import gradient_descent_oracle, split_oracle, standardized_design
 
 
 def test_sigmoid_basics():
@@ -189,8 +188,7 @@ def test_divergent_input_raises():
 
 def test_training_accepts_class_labels():
     table, y = separable_fixture()
-    labs = [ClassLabel(level, float(level)) for level in y]
-    model = train(table, labs, TrainConfig(max_iters=50))
+    model = train(table, y, TrainConfig(max_iters=50), class_values=(0.0, 1.0))
     assert model.class_values == (0.0, 1.0)
 
 
@@ -221,6 +219,18 @@ def test_train_test_split_stratified_and_deterministic():
     labels_arr = np.array(y)
     for side in (a_train, a_test):
         assert set(labels_arr[side].tolist()) == {0, 1, 2}
+
+
+@pytest.mark.parametrize("sizes", [(10, 6, 4), (1, 1, 2), (3, 0, 250), (0,), (1,), (97, 13)])
+def test_train_test_split_matches_the_loop_oracle(sizes):
+    rng = np.random.default_rng(sum(sizes))
+    y = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    for fraction in (0.1, 0.5, 0.8, 1.0):
+        for seed in range(3):
+            got = classifier.train_test_split(y, fraction=fraction, seed=seed)
+            want = split_oracle(y, fraction=fraction, seed=seed)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tolist() == b.tolist()
 
 
 def test_train_config_validation():

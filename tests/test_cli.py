@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -355,6 +356,18 @@ def test_one_match_report_records_failed_stages(tmp_path, points, failed):
     assert ("randomness.json" in names) == ("random" not in failed)
     assert sorted(names) == sorted({*report["artifacts"].values(), "report.json"})
     assert sorted(p.name for p in tmp_path.iterdir()) == ["one.csv", "out"]
+
+
+def test_report_svg_bytes_are_pinned(tmp_path):
+    """The fixture report's plots, pinned so a renderer change that moves a byte shows."""
+    out = tmp_path / "out"
+    assert run(["report", FIXTURE, "--out-dir", out]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("momentum.svg", "scalogram.svg")}
+    assert digests == {
+        "momentum.svg": "ca101a2a8d1ece60121f49b7e308ddada02b32a214a04171d898a3f4e408bd7f",
+        "scalogram.svg": "4447b54523ccdc7bffe2633f58edbfbb8e61205228362b90b314493c5811620a",
+    }
 
 
 def test_failed_stage_removes_an_earlier_runs_files(tmp_path):

@@ -210,6 +210,38 @@ def test_first_failing_match_raises_with_the_same_message():
     assert "'server'" in assert_matches_oracle(to_csv(header, rows))
 
 
+def test_an_overflowing_mean_raises_naming_the_column_and_match(tmp_path, capsys):
+    header, rows = fixture_rows()
+    ids = sorted({row[0] for row in rows})
+    distance, score = header.index("p1_distance_run"), header.index("p2_score")
+    later = [row for row in rows if row[0] == ids[1]]
+    for row in later[:2]:
+        row[distance] = "1e308"  # a finite sum needs no repair
+    assert assert_matches_oracle(to_csv(header, rows))["mean_imputations"] == {}
+    later[2][distance] = ""  # the blank takes the mean, which overflows
+    message = assert_matches_oracle(to_csv(header, rows))
+    assert message == ("imputation impossible: the mean of column 'p1_distance_run' in match "
+                       f"{ids[1]!r} is not finite")
+    path = tmp_path / "overflow.csv"
+    path.write_text(to_csv(header, rows))
+    assert cli.main(["clean", str(path), "--output", str(tmp_path / "c.csv"),
+                     "--report", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == f"analysis error: {message}\n"
+    assert not (tmp_path / "c.csv").exists()
+
+    later[3][score] = later[4][score] = "1e308"
+    later[5][score] = ""  # scores are repaired first
+    message = assert_matches_oracle(to_csv(header, rows))
+    assert message == ("imputation impossible: the mean of column 'p2_score' in match "
+                       f"{ids[1]!r} is not finite")
+    earlier = [row for row in rows if row[0] == ids[0]]
+    earlier[0][distance] = earlier[1][distance] = "1e308"
+    earlier[2][distance] = ""  # but the first match in order fails first
+    message = assert_matches_oracle(to_csv(header, rows))
+    assert message == ("imputation impossible: the mean of column 'p1_distance_run' in match "
+                       f"{ids[0]!r} is not finite")
+
+
 def test_schema_errors_match_the_oracle():
     header, _ = fixture_rows()
     for text in ("", "\n", ",".join(header) + "\n", "foo,bar\n1,2\n"):

@@ -133,13 +133,13 @@ def make_stats(p_win=0.6734):
 def test_label_mapping_covers_all_four_cases():
     stats = make_stats()
     tl = make_timeline([1, 1, 2, 2], [1, 2, 1, 2])
-    out = labels.label_points(tl, stats)
-    values = [lab.value for lab in out]
+    levels = labels.label_points(tl, stats)
+    values = [labels.LabelSet.from_stats(stats).values[level] for level in levels]
     assert values[0] == 1.0  # p1 wins on own serve
     assert values[1] == pytest.approx(0.6734)  # p1 breaks
     assert values[2] == pytest.approx(0.3266)  # p2 breaks
     assert values[3] == 0.0  # p2 holds
-    assert [lab.level for lab in out] == [3, 2, 1, 0]
+    assert levels.tolist() == [3, 2, 1, 0]
 
 
 def test_labels_partition_the_timeline():
@@ -147,8 +147,7 @@ def test_labels_partition_the_timeline():
     stats = make_stats()
     for _ in range(10):
         tl = random_timeline(rng, 40)
-        out = labels.label_points(tl, stats)
-        counts = Counter(lab.level for lab in out)
+        counts = Counter(labels.label_points(tl, stats).tolist())
         assert sum(counts.values()) == len(tl)
         assert set(counts) <= {0, 1, 2, 3}
 

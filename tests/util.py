@@ -301,6 +301,74 @@ def auc_oracle(truth, scores, positive):
     return total / (len(pos) * len(neg))
 
 
+def split_oracle(levels, fraction=0.8, seed=0):
+    """`classifier.train_test_split` as index lists: per class, shuffle, cut, then sort."""
+    y = np.asarray(levels, dtype=int)
+    rng = np.random.default_rng(seed)
+    train_idx, test_idx = [], []
+    for level in np.unique(y):
+        idx = np.flatnonzero(y == level)
+        idx = idx[rng.permutation(idx.size)]
+        n_train = int(round(fraction * idx.size))
+        n_train = min(max(n_train, 1), idx.size - 1) if idx.size > 1 else idx.size
+        train_idx.extend(idx[:n_train].tolist())
+        test_idx.extend(idx[n_train:].tolist())
+    return np.array(sorted(train_idx), dtype=int), np.array(sorted(test_idx), dtype=int)
+
+
+def _oracle_color(v: float) -> str:
+    v = min(max(v, 0.0), 1.0)
+    r = int(round(253 * v))
+    g = int(round(40 + 191 * v))
+    b = int(round(84 + 60 * (1.0 - v) ** 2 - 84 * v))
+    return f"#{r:02x}{g:02x}{max(b, 0):02x}"
+
+
+def heatmap_oracle(matrix, path, title="", x_labels=None, y_labels=None, width=900, height=420):
+    """`plots.heatmap_svg` one cell at a time, with a scalar colour ramp."""
+    fmt = "{:.2f}".format
+    margin = 46
+    m = np.asarray(matrix, dtype=float)
+    lo, hi = float(m.min()), float(m.max())
+    span = hi - lo if hi > lo else 1.0
+    rows, cols = m.shape
+    cell_w = (width - 2 * margin) / cols
+    cell_h = (height - 2 * margin) / rows
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{width // 2}" y="18" text-anchor="middle" font-family="monospace" '
+        f'font-size="13">{title}</text>',
+    ]
+    for i in range(rows):
+        for j in range(cols):
+            v = (m[i, j] - lo) / span
+            px = margin + j * cell_w
+            py = height - margin - (i + 1) * cell_h
+            parts.append(
+                f'<rect x="{fmt(px)}" y="{fmt(py)}" width="{fmt(cell_w + 0.5)}" '
+                f'height="{fmt(cell_h + 0.5)}" fill="{_oracle_color(v)}"/>'
+            )
+    if y_labels is not None:
+        for i in (0, rows - 1):
+            py = height - margin - (i + 0.5) * cell_h
+            parts.append(
+                f'<text x="{margin - 4}" y="{fmt(py)}" text-anchor="end" '
+                f'font-family="monospace" font-size="10">{y_labels[i]:.3g}</text>'
+            )
+    if x_labels is not None:
+        for j in (0, cols - 1):
+            px = margin + (j + 0.5) * cell_w
+            parts.append(
+                f'<text x="{fmt(px)}" y="{height - margin + 14}" text-anchor="middle" '
+                f'font-family="monospace" font-size="10">{x_labels[j]:.3g}</text>'
+            )
+    parts.append("</svg>")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts) + "\n")
+
+
 def cwt_oracle(signal, scales, center_frequency, boundary="zero", support_radius=6.0):
     """Naive double-loop direct summation of the wavelet transform."""
     x = np.asarray(signal, dtype=float)
@@ -459,7 +527,11 @@ def _oracle_mean(values, column, match_id):
     finite = [v for v in values if not math.isnan(v)]
     if not finite:
         raise _oracle_missing(column, match_id)
-    return sum(finite) / len(finite)
+    mean = sum(finite) / len(finite)
+    if not math.isfinite(mean):
+        raise DataError(f"imputation impossible: the mean of column {column!r} in match "
+                        f"{match_id!r} is not finite")
+    return mean
 
 
 def _oracle_mode(values, valid):
@@ -481,7 +553,8 @@ def oracle_clean_match(match_id, records, report):
                 report.bump(report.ad_replacements, column)
                 value = ingest.ADVANTAGE_SCORE
             values.append(value)
-        mean = _oracle_mean(values, column, match_id)
+        if any(math.isnan(v) for v in values):  # a mean is taken only when one is missing
+            mean = _oracle_mean(values, column, match_id)
         for r, value in zip(out, values):
             if math.isnan(value):
                 value = mean
