@@ -17,7 +17,6 @@ tolerance, and the model reports the separation instead of convergence.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +47,6 @@ def softmax(scores):
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 1.0  # first step tried along each Newton direction (1 = full step)
     max_iters: int = 500
     tol: float = 1e-6
     l2_penalty: float = 0.0
@@ -56,8 +54,6 @@ class TrainConfig:
     split: float = 0.8  # train fraction used by callers that hold out a test split
 
     def validate(self):
-        if self.learning_rate <= 0:
-            raise DataError("learning_rate must be positive")
         if self.max_iters < 0:
             raise DataError("max_iters must be >= 0")
         if self.tol <= 0:
@@ -225,15 +221,14 @@ def train(features, labels, cfg: TrainConfig | None = None, class_values=None) -
     """Fit the softmax classifier by damped Newton steps from all-zero coefficients.
 
     Each iteration solves H d = g (Hessian and gradient of the mean NLL plus
-    the L2 term) and tries coef - step * d with step = cfg.learning_rate
-    first (1.0 is the full Newton step), halving it up to MAX_BACKTRACKS
-    times until the loss does not increase.  Training stops when the gradient
-    norm is at most cfg.tol ("converged"), after cfg.max_iters steps
-    ("max_iters"), or when no step descends ("no_descent").  Without an L2
-    penalty, final coefficients that rank every training row's own class
-    strictly first mean the data are separable and no finite maximum
-    likelihood estimate exists: stop_reason is then "separable" and
-    converged is False.
+    the L2 term) and tries coef - step * d with the full Newton step, step =
+    1, first, halving it up to MAX_BACKTRACKS times until the loss does not
+    increase.  Training stops when the gradient norm is at most cfg.tol
+    ("converged"), after cfg.max_iters steps ("max_iters"), or when no step
+    descends ("no_descent").  Without an L2 penalty, final coefficients that
+    rank every training row's own class strictly first mean the data are
+    separable and no finite maximum likelihood estimate exists: stop_reason
+    is then "separable" and converged is False.
 
     Features are standardized with the statistics of the data passed in (the
     caller's training split).  Every class must appear at least once.
@@ -281,7 +276,7 @@ def train(features, labels, cfg: TrainConfig | None = None, class_values=None) -
         g = grad.ravel()
         d = np.linalg.lstsq(_hessian(coef, design, cfg.l2_penalty), g, rcond=None)[0]
         direction = d.reshape(grad.shape) if float(d @ g) > 0.0 else grad
-        step = cfg.learning_rate
+        step = 1.0
         for _ in range(MAX_BACKTRACKS):
             candidate = coef - step * direction
             new_loss, new_grad = nll_and_grad(candidate, design, y, k, cfg.l2_penalty)
@@ -328,13 +323,3 @@ def train_test_split(labels, fraction=0.8, seed=0):
         in_train[idx[:n_train]] = True
     return np.flatnonzero(in_train), np.flatnonzero(~in_train)
 
-
-def save_model(model: SoftmaxModel, path):
-    with open(path, "w") as fh:
-        json.dump(model.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_model(path) -> SoftmaxModel:
-    with open(path) as fh:
-        return SoftmaxModel.from_dict(json.load(fh))

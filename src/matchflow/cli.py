@@ -17,6 +17,10 @@ report.json records each stage's status, "ok" or "failed" with the reason; a
 failed stage's summaries are null and the other stages still run.  Reading
 the config or the inputs, or selecting the match, stops a command at once.
 
+Config: main resolves every key of every section with load_config before the
+command starts, so an unknown key, a wrongly typed value or an out-of-range
+momentum, train or wavelet value exits 3 whatever stages the command runs.
+
 Exit codes: 0 success, 1 analysis error, 2 I/O or schema error, 3 config
 error.  A command with a failed stage exits with the code of its first
 failure, report after writing report.json.
@@ -59,21 +63,27 @@ DEFAULT_AHP_ENTRIES = [
     (3, 4, 0.5),
 ]
 
+
+# Sections that hold a library dataclass's fields, less those named; validated at load.
+DATACLASS_SECTIONS = {
+    "momentum": (momentum.MomentumParams, ()),
+    "train": (classifier.TrainConfig, ("seed",)),  # the run's seed is the top-level seed
+    "wavelet": (wavelet.WaveletConfig, ("scales",)),  # an explicit ladder is library-only
+}
+
 DEFAULTS = {
     "unit": "point",
     "holdout": "1701",
     "seed": 0,
-    "columns": {},
-    "momentum": {},
-    "train": {},
+    "columns": {},  # file column name -> canonical column name
     "ahp": {"indicators": DEFAULT_AHP_INDICATORS, "method": "geometric_mean", "matrix": None,
             "matrix_csv": None},
     "trend": {"x": "momentum", "y": "streak_len_p1", "grid": 20},
     "random": {"statistic": "max_streak", "permutations": 199, "stratify_by_server": False},
     "sweep": {"indicators": ["psychological_factor"], "ranges": None, "steps": None,
               "degree": 2, "tolerance": 1e-3},
-    "wavelet": {"center_frequency": 6.0, "n_scales": 32, "min_period": 2.0, "max_period": None,
-                "boundary": "reflect"},
+    **{name: {f.name: f.default for f in dataclasses.fields(cls) if f.name not in omit}
+       for name, (cls, omit) in DATACLASS_SECTIONS.items()},
 }
 
 
@@ -109,12 +119,9 @@ def _is_str(value) -> bool:
     return isinstance(value, str)
 
 
-def _is_pair(value) -> bool:
-    return _list_of(_is_number)(value) and len(value) == 2
-
-
-def _list_of(item):
-    return lambda value: isinstance(value, list) and all(map(item, value))
+def _list_of(item, length=None):
+    return lambda value: (isinstance(value, list) and all(map(item, value))
+                          and length in (None, len(value)))
 
 
 def _nullable(check):
@@ -123,7 +130,8 @@ def _nullable(check):
 
 # Keys whose default is None or a list: key -> (the shape wanted, its check).
 SHAPES = {
-    "sweep.ranges": ("null or a list of [lo, hi] number pairs", _nullable(_list_of(_is_pair))),
+    "sweep.ranges": ("null or a list of [lo, hi] number pairs",
+                     _nullable(_list_of(_list_of(_is_number, 2)))),
     "sweep.steps": ("null or a list of numbers", _nullable(_list_of(_is_number))),
     "sweep.indicators": ("a list of strings", _list_of(_is_str)),
     "ahp.indicators": ("a list of strings", _list_of(_is_str)),
@@ -132,32 +140,38 @@ SHAPES = {
     "wavelet.max_period": ("null or a number", _nullable(_is_number)),
 }
 
+# The type a scalar default asks for: its type -> (the type wanted, its check).
+TYPES = {
+    bool: ("a boolean", lambda value: isinstance(value, bool)),
+    int: ("an integer", lambda value: isinstance(value, int) and not isinstance(value, bool)),
+    float: ("a finite number", _is_number),
+    str: ("a string", _is_str),
+}
+
+
+def _floats(value):
+    """value with every number in it, at any list depth, as a float."""
+    if isinstance(value, list):
+        return [_floats(item) for item in value]
+    return float(value) if _is_number(value) else value
+
 
 def _typed(key, value, default):
-    """value if it has the type of default (or the shape SHAPES gives key), else a ConfigError.
+    """value if it has default's type (or the shape SHAPES gives key), else a ConfigError.
 
-    bool is not a number, an int needs an int, and a number must be finite;
-    any other key whose default is None or a list takes any value.
+    bool is not a number, an int needs an int, a number must be finite, and an
+    int given for a float (or among a shape's numbers) comes back as a float.
     """
-    if key in SHAPES:
-        wanted, ok = SHAPES[key][0], SHAPES[key][1](value)
-    elif isinstance(default, bool):
-        wanted, ok = "a boolean", isinstance(value, bool)
-    elif isinstance(default, int):
-        wanted, ok = "an integer", isinstance(value, int) and not isinstance(value, bool)
-    elif isinstance(default, float):
-        wanted, ok = "a finite number", _is_number(value)
-    elif isinstance(default, str):
-        wanted, ok = "a string", isinstance(value, str)
-    else:
-        return value
-    if not ok:
+    wanted, check = SHAPES[key] if key in SHAPES else TYPES[type(default)]
+    if not check(value):
         raise ConfigError(f"{key} must be {wanted}, got {json.dumps(value)}")
-    return value
+    return value if type(default) is int else _floats(value)
 
 
 def load_config(path) -> dict:
-    merged = json.loads(json.dumps(DEFAULTS))  # deep copy
+    """Every key of every section: its value in the JSON file at path, else its default."""
+    config = json.loads(json.dumps(DEFAULTS))  # deep copy
+    user = {}
     if path:
         try:
             with open(path) as fh:
@@ -166,39 +180,43 @@ def load_config(path) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(user, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(user) - set(DEFAULTS)
-        if unknown:
-            raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
-        for key, value in user.items():
-            if isinstance(merged[key], dict):
-                if not isinstance(value, dict):
-                    raise ConfigError(f"config section {key!r} must be a JSON object")
-                merged[key].update({name: _typed(f"{key}.{name}", v, merged[key].get(name))
-                                    for name, v in value.items()})
-            else:
-                merged[key] = _typed(key, value, merged[key])
-    return merged
+    for key, value in user.items():
+        if key not in DEFAULTS:
+            raise ConfigError(f"unknown config section {key!r}")
+        if not isinstance(config[key], dict):
+            config[key] = _typed(key, value, config[key])
+            continue
+        if not isinstance(value, dict):
+            raise ConfigError(f"config section {key!r} must be a JSON object")
+        for name, item in value.items():
+            if key != "columns" and name not in config[key]:
+                raise ConfigError(f"unknown config key {key}.{name}")
+            # columns takes any file column name; each maps to a string
+            config[key][name] = _typed(f"{key}.{name}", item, config[key].get(name, ""))
+    for key, (cls, _) in DATACLASS_SECTIONS.items():
+        try:
+            cls(**config[key]).validate()
+        except DataError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+    return config
 
 
 def _select_match(timelines, wanted, fallback=False):
-    """The first match whose id is or ends with `wanted`; None takes the first match."""
-    for tl in timelines:
-        if wanted is None or tl.match_id == wanted or tl.match_id.endswith(wanted):
-            return tl
+    """The match with id `wanted`, else the one whose id ends with it; None takes the first.
+
+    Two or more ids that end with `wanted`, and none equal to it, are a ConfigError.
+    """
+    if wanted is None:
+        return timelines[0]
+    ids = dict.fromkeys(tl.match_id for tl in timelines)  # distinct, in input order
+    fits = [wanted] if wanted in ids else [i for i in ids if i.endswith(wanted)]
+    if len(fits) > 1:
+        raise ConfigError(f"match id suffix {wanted!r} fits more than one match: {fits}")
+    if fits:
+        return next(tl for tl in timelines if tl.match_id == fits[0])
     if fallback:
         return timelines[0]
     raise ConfigError(f"no match with id (or id suffix) {wanted!r} in the inputs")
-
-
-def _section(cls, config, name):
-    """The config section `name` as a `cls` instance; unknown or wrong-typed keys: ConfigError."""
-    section = config[name]
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    unknown = sorted(set(section) - set(defaults))
-    if unknown:
-        raise ConfigError(f"unknown {name} parameter(s): {unknown}")
-    return cls(**{key: _typed(f"{name}.{key}", value, defaults[key])
-                  for key, value in section.items()})
 
 
 @dataclasses.dataclass
@@ -212,16 +230,13 @@ class Context:
     plot: bool
 
     @functools.cached_property
-    def params(self) -> momentum.MomentumParams:
-        return _section(momentum.MomentumParams, self.config, "momentum")
-
-    @functools.cached_property
     def features(self) -> ingest.FeatureTable:
         return ingest.derive_features(self.match)
 
     @functools.cached_property
     def series(self) -> momentum.MomentumSeries:
-        return momentum.momentum_series(self.match, self.params)
+        return momentum.momentum_series(self.match,
+                                        momentum.MomentumParams(**self.config["momentum"]))
 
 
 def _stage_file(scratch, files, name, key=None) -> Path:
@@ -240,12 +255,11 @@ def _train(ctx, out):
     label_set = labels.LabelSet.from_stats(stats)
     x = np.vstack([ingest.derive_features(tl).values for tl in ctx.train_timelines])
     y = np.concatenate([labels.label_points(tl, stats) for tl in ctx.train_timelines])
-    cfg = _section(classifier.TrainConfig, ctx.config, "train")
-    cfg.seed = ctx.seed
+    cfg = classifier.TrainConfig(**ctx.config["train"], seed=ctx.seed)
     train_idx, test_idx = classifier.train_test_split(y, fraction=cfg.split, seed=cfg.seed)
     table = ingest.FeatureTable("corpus", list(ingest.FEATURE_NAMES), x[train_idx])
     model = classifier.train(table, y[train_idx], cfg, class_values=label_set.values)
-    classifier.save_model(model, out("model.json"))
+    _write_json(out("model.json"), model.to_dict())
     _write_json(out("serve_stats.json"), stats.to_dict())
 
     test_x, test_y = x[test_idx], y[test_idx]
@@ -328,22 +342,17 @@ def _momentum(ctx, out):
     }}
 
 
-def _load_judgment_matrix(config):
-    section = config["ahp"]
-    if section.get("matrix") is not None:
-        return ahp_mod.JudgmentMatrix(np.asarray(section["matrix"], dtype=float))
-    if section.get("matrix_csv"):
-        with open(section["matrix_csv"]) as fh:
-            rows = [[float(cell) for cell in row] for row in csv.reader(fh) if row]
-        return ahp_mod.JudgmentMatrix(np.asarray(rows))
-    # other indicator lists fall back to equal importance
-    entries = DEFAULT_AHP_ENTRIES if section["indicators"] == DEFAULT_AHP_INDICATORS else ()
-    return ahp_mod.build_judgment_matrix(len(section["indicators"]), entries)
-
-
 def _ahp(ctx, out):
     section = ctx.config["ahp"]
-    matrix = _load_judgment_matrix(ctx.config)
+    if section["matrix"] is not None:
+        matrix = ahp_mod.JudgmentMatrix(np.asarray(section["matrix"], dtype=float))
+    elif section["matrix_csv"]:
+        with open(section["matrix_csv"]) as fh:
+            rows = [[float(cell) for cell in row] for row in csv.reader(fh) if row]
+        matrix = ahp_mod.JudgmentMatrix(np.asarray(rows))
+    else:  # other indicator lists fall back to equal importance
+        entries = DEFAULT_AHP_ENTRIES if section["indicators"] == DEFAULT_AHP_INDICATORS else ()
+        matrix = ahp_mod.build_judgment_matrix(len(section["indicators"]), entries)
     indicator_names = section["indicators"]
     if matrix.n != len(indicator_names):
         raise ConfigError(f"judgment matrix order {matrix.n} does not match "
@@ -410,7 +419,7 @@ def _random(ctx, out):
     section = ctx.config["random"]
     payload = trend.randomness_test(
         ctx.match,
-        params=ctx.params,
+        params=momentum.MomentumParams(**ctx.config["momentum"]),
         statistic=section["statistic"],
         n_permutations=section["permutations"],
         seed=ctx.seed,
@@ -431,14 +440,12 @@ def _sweep(ctx, out):
         column = table.column(name)
         lo, hi = section["ranges"][i] if section["ranges"] else (column.min(), column.max())
         hi = hi if lo < hi else lo + 1.0
-        ranges.append((float(lo), float(hi)))
-        steps.append(float(section["steps"][i] if section["steps"] else (hi - lo) / 24.0))
+        ranges.append((lo, hi))
+        steps.append(section["steps"][i] if section["steps"] else (hi - lo) / 24.0)
     spec = sweep_mod.SweepSpec(
-        indicators=tuple(section["indicators"]),
-        ranges=tuple(ranges),
-        steps=tuple(steps),
+        indicators=section["indicators"], ranges=ranges, steps=steps,
         baseline={name: float(np.median(table.column(name))) for name in table.feature_names},
-        tolerance=float(section["tolerance"]),
+        tolerance=section["tolerance"],
     )
     model = sweep_mod.fit_response_model(table, ctx.series.p1, degree=section["degree"])
     run = sweep_mod.sweep_1d if len(spec.indicators) == 1 else sweep_mod.sweep_2d
@@ -460,19 +467,12 @@ def _sweep(ctx, out):
 
 def _wavelet(ctx, out):
     section = ctx.config["wavelet"]
-    settings = {
-        "center_frequency": float(section["center_frequency"]),
-        "n_scales": section["n_scales"],
-        "min_period": float(section["min_period"]),
-        "max_period": section["max_period"],
-        "boundary": section["boundary"],
-    }
-    scalogram = wavelet.cwt(ctx.series.p1, wavelet.WaveletConfig(**settings))
+    scalogram = wavelet.cwt(ctx.series.p1, wavelet.WaveletConfig(**section))
     export = wavelet.scalogram_export(scalogram)
     rows = export.rows
     _write_csv(out("scalogram.csv", key="scalogram_csv"), ["scale", "time", "amplitude"],
                [rows[:, 0], rows[:, 1].astype(int), rows[:, 2]])
-    payload = {**export.to_dict(), "config": settings}
+    payload = {**export.to_dict(), "config": section}
     _write_json(out("scalogram.json"), payload)
     if ctx.plot:
         plots.heatmap_svg(
@@ -507,8 +507,7 @@ STAGES = {
 
 # ---------------------------------------------------------------- commands
 
-def cmd_clean(args):
-    config = load_config(args.config)
+def cmd_clean(args, config):
     timelines, report = ingest.load_and_clean(args.input, columns=config["columns"] or None)
     ingest.write_clean_csv(timelines, args.output)
     _write_json(args.report, report.to_dict())
@@ -517,9 +516,8 @@ def cmd_clean(args):
     return 0
 
 
-def cmd_stages(args):
+def cmd_stages(args, config):
     """Run the command's stage, or every stage for report, into the output directory."""
-    config = load_config(args.config)
     timelines, cleaning = [], ingest.CleaningReport()
     for path in args.inputs:
         part, part_report = ingest.load_and_clean(path, columns=config["columns"] or None)
@@ -627,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, load_config(args.config))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

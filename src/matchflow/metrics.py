@@ -51,7 +51,7 @@ def confusion(truth, pred, n_classes=None) -> ConfusionCounts:
     """Exact one-vs-rest confusion counts.
 
     Raises:
-        ValueError: truth and pred lengths differ.
+        ValueError: truth and pred lengths differ, or a level is outside [0, n_classes).
     """
     t = np.asarray(truth, dtype=int)
     p = np.asarray(pred, dtype=int)
@@ -59,15 +59,14 @@ def confusion(truth, pred, n_classes=None) -> ConfusionCounts:
         raise ValueError(f"length mismatch: {t.size} truths vs {p.size} predictions")
     if n_classes is None:
         n_classes = int(max(t.max(initial=-1), p.max(initial=-1))) + 1
-    tp = np.zeros(n_classes, dtype=int)
-    fp = np.zeros(n_classes, dtype=int)
-    fn = np.zeros(n_classes, dtype=int)
-    for truth_level, pred_level in zip(t, p):
-        if truth_level == pred_level:
-            tp[truth_level] += 1
-        else:
-            fn[truth_level] += 1
-            fp[pred_level] += 1
+    if t.size and not (0 <= min(t.min(), p.min()) and max(t.max(), p.max()) < n_classes):
+        raise ValueError(f"class levels must lie in [0, {n_classes})")
+    # cell (truth, pred) of the K x K confusion matrix
+    matrix = np.bincount(t * n_classes + p, minlength=n_classes * n_classes)
+    matrix = matrix.reshape(n_classes, n_classes)
+    tp = matrix.diagonal().copy()
+    fp = matrix.sum(axis=0) - tp
+    fn = matrix.sum(axis=1) - tp
     tn = t.size - tp - fp - fn
     return ConfusionCounts(tp, fp, fn, tn)
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,8 +12,10 @@ import numpy as np
 import pytest
 
 from matchflow import cli, plots, trend
+from matchflow.classifier import TrainConfig
 from matchflow.errors import DataError
-from matchflow.momentum import momentum_from_victors
+from matchflow.momentum import MomentumParams, momentum_from_victors
+from matchflow.wavelet import WaveletConfig
 
 from util import make_timeline, timeline_to_csv
 
@@ -98,6 +101,24 @@ def test_bad_config_exits_3(tmp_path):
     ("analyze sweep", {"sweep": {"indicators": "set_diff"}}, "sweep.indicators"),
     ("analyze ahp", {"ahp": {"matrix": [[1, "x"]]}}, "ahp.matrix"),
     ("analyze ahp", {"ahp": {"matrix_csv": 3}}, "ahp.matrix_csv"),
+    # a misspelled key in each section, on a command that does not read the section
+    ("analyze ahp", {"momentum": {"short_wieght": 0.7}}, "momentum.short_wieght"),
+    ("momentum", {"train": {"bogus": 1}}, "train.bogus"),
+    ("momentum", {"ahp": {"indicator": ["set_diff"]}}, "ahp.indicator"),
+    ("analyze ahp", {"trend": {"gird": 10}}, "trend.gird"),
+    ("analyze ahp", {"random": {"permutatons": 500}}, "random.permutatons"),
+    ("analyze ahp", {"sweep": {"degre": 3}}, "sweep.degre"),
+    ("analyze ahp", {"wavelet": {"n_scale": 8}}, "wavelet.n_scale"),
+    # keys that are not settable: the run seed is the top-level seed, and the
+    # Newton line search always starts at the full step
+    ("train-eval", {"train": {"seed": 9}}, "train.seed"),
+    ("train-eval", {"train": {"learning_rate": 1.0}}, "train.learning_rate"),
+    ("momentum", {"columns": {"match_id": 5}}, "columns.match_id"),
+    ("analyze ahp", {"momentum": {"short_weight": "x"}}, "momentum.short_weight"),
+    # out-of-range dataclass values, on a command that does not read the section
+    ("analyze ahp", {"momentum": {"short_weight": 0.5}}, "momentum: window weights must sum"),
+    ("analyze ahp", {"train": {"split": 1.5}}, "train: split must be in (0, 1)"),
+    ("momentum", {"wavelet": {"center_frequency": 2.0}}, "wavelet: center frequency must be"),
 ])
 def test_wrong_typed_config_value_exits_3_naming_the_key(tmp_path, capsys, command, config, key):
     path = tmp_path / "cfg.json"
@@ -105,6 +126,68 @@ def test_wrong_typed_config_value_exits_3_naming_the_key(tmp_path, capsys, comma
     code = run([*command.split(), FIXTURE, "--out-dir", tmp_path / "out", "--config", path])
     assert code == 3
     assert key in capsys.readouterr().err
+
+
+def test_out_of_range_config_stops_report_before_any_stage(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"momentum": {"short_weight": 0.5}}))
+    out = tmp_path / "out"
+    assert run(["report", FIXTURE, "--out-dir", out, "--config", path]) == 3
+    assert "momentum: window weights must sum to 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_load_config_resolves_every_dataclass_field():
+    config = cli.load_config(None)
+    for section, cls, omitted in [("momentum", MomentumParams, ()),
+                                  ("train", TrainConfig, ("seed",)),
+                                  ("wavelet", WaveletConfig, ("scales",))]:
+        fields = {f.name: f.default for f in dataclasses.fields(cls) if f.name not in omitted}
+        assert config[section] == fields, section
+    # every key whose default is None or a list has its shape in SHAPES
+    shaped = {f"{section}.{key}" for section, keys in config.items() if isinstance(keys, dict)
+              for key, value in keys.items() if value is None or isinstance(value, list)}
+    assert shaped == set(cli.SHAPES)
+
+
+def test_an_int_for_a_float_is_resolved_as_a_float(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"momentum": {"short_weight": 1, "long_weight": 0},
+                                "sweep": {"ranges": [[0, 1]], "steps": [1], "tolerance": 0},
+                                "wavelet": {"min_period": 3, "max_period": 40}}))
+    config = cli.load_config(path)
+    values = [config["momentum"]["short_weight"], config["momentum"]["long_weight"],
+              *config["sweep"]["ranges"][0], *config["sweep"]["steps"],
+              config["sweep"]["tolerance"], config["wavelet"]["min_period"],
+              config["wavelet"]["max_period"]]
+    assert values == [1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 3.0, 40.0]
+    assert all(type(v) is float for v in values)
+    assert type(config["wavelet"]["n_scales"]) is int
+
+
+def two_match_csv(tmp_path, *match_ids):
+    """A CSV holding one short match per id."""
+    texts = [timeline_to_csv(make_timeline([1, 2] * 6, match_id=match_id))
+             for match_id in match_ids]
+    path = tmp_path / "two.csv"
+    path.write_text(texts[0] + "".join(text.split("\n", 1)[1] for text in texts[1:]))
+    return path
+
+
+def test_an_exact_match_id_wins_over_a_suffix(tmp_path):
+    out = tmp_path / "out"
+    # ingest sorts the matches by id, so 11701 comes first
+    assert run(["momentum", two_match_csv(tmp_path, "1701", "11701"), "--match", "1701",
+                "--out-dir", out]) == 0
+    assert read_json(out / "momentum_swings.json")["match_id"] == "1701"
+
+
+def test_a_suffix_that_fits_two_match_ids_exits_3_naming_them(tmp_path, capsys):
+    path = two_match_csv(tmp_path, "a-1701", "b-1701")
+    assert run(["momentum", path, "--match", "1701", "--out-dir", tmp_path / "out"]) == 3
+    err = capsys.readouterr().err
+    assert "'a-1701'" in err and "'b-1701'" in err
+    assert run(["momentum", path, "--match", "b-1701", "--out-dir", tmp_path / "out"]) == 0
 
 
 def test_train_eval_produces_artifacts(tmp_path, capsys):

@@ -34,9 +34,11 @@ def test_counts_partition_the_sample():
 
 def test_confusion_matches_brute_force_oracle():
     rng = np.random.default_rng(2)
-    for _ in range(30):
-        truth = rng.integers(0, 4, size=50).tolist()
-        pred = rng.integers(0, 4, size=50).tolist()
+    samples = [(rng.integers(0, 4, size=50).tolist(), rng.integers(0, 4, size=50).tolist())
+               for _ in range(30)]
+    # an empty sample, and class 2 absent from both truth and predictions
+    samples += [([], []), ([0, 3, 1, 3, 0, 1], [3, 3, 0, 1, 0, 1])]
+    for truth, pred in samples:
         counts = metrics.confusion(truth, pred, n_classes=4)
         oracle = confusion_oracle(truth, pred, 4)
         for c in range(4):
@@ -46,6 +48,12 @@ def test_confusion_matches_brute_force_oracle():
 def test_length_mismatch_raises():
     with pytest.raises(ValueError, match="length"):
         metrics.confusion([0, 1], [0], n_classes=2)
+
+
+@pytest.mark.parametrize("truth,pred", [([0, 1], [0, 2]), ([2, 1], [0, 1]), ([0, -1], [0, 1])])
+def test_a_level_outside_the_classes_raises(truth, pred):
+    with pytest.raises(ValueError, match="levels"):
+        metrics.confusion(truth, pred, n_classes=2)
 
 
 def test_single_class_viewpoint_arithmetic():
