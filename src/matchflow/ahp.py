@@ -206,17 +206,6 @@ class RoundScores:
     standardized: np.ndarray
     ranking: np.ndarray
 
-    def to_rows(self):
-        return [
-            {
-                "round": i + 1,
-                "score": float(self.scores[i]),
-                "standardization": float(self.standardized[i]),
-                "ranking": int(self.ranking[i]),
-            }
-            for i in range(self.scores.size)
-        ]
-
 
 def minmax_normalize(columns: np.ndarray) -> np.ndarray:
     """Column-wise min-max scaling to [0,1]; constant columns map to 0.5."""

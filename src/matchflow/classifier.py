@@ -17,7 +17,7 @@ tolerance, and the model reports the separation instead of convergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -257,9 +257,11 @@ def train(features, labels, cfg: TrainConfig | None = None, class_values=None) -
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     std[std == 0.0] = 1.0
-    design = np.hstack([np.ones((x.shape[0], 1)), (x - mean) / std])
+    model = SoftmaxModel(class_values, np.zeros((k - 1, x.shape[1] + 1)), feature_names, mean,
+                         std, seed=cfg.seed)
+    design, _ = model._design(x)
 
-    coef = np.zeros((k - 1, design.shape[1]))
+    coef = model.coef
     loss, grad = nll_and_grad(coef, design, y, k, cfg.l2_penalty)
     if not np.isfinite(loss):
         raise ArithmeticError("divergence: training loss is not finite")
@@ -293,18 +295,8 @@ def train(features, labels, cfg: TrainConfig | None = None, class_values=None) -
     if not cfg.l2_penalty and _separates(coef, design, y):
         stop_reason = "separable"
 
-    return SoftmaxModel(
-        class_values=class_values,
-        coef=coef,
-        feature_names=feature_names,
-        mean=mean,
-        std=std,
-        n_iters=iters,
-        final_loss=loss,
-        converged=stop_reason == "converged",
-        seed=cfg.seed,
-        stop_reason=stop_reason,
-    )
+    return replace(model, coef=coef, n_iters=iters, final_loss=loss,
+                   converged=stop_reason == "converged", stop_reason=stop_reason)
 
 
 def train_test_split(labels, fraction=0.8, seed=0):

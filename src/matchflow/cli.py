@@ -18,8 +18,11 @@ failed stage's summaries are null and the other stages still run.  Reading
 the config or the inputs, or selecting the match, stops a command at once.
 
 Config: main resolves every key of every section with load_config before the
-command starts, so an unknown key, a wrongly typed value or an out-of-range
-momentum, train or wavelet value exits 3 whatever stages the command runs.
+command starts, so an unknown key, a wrongly typed value, an out-of-range
+value, an unknown feature name or choice (unit, AHP method, statistic, sweep
+degree) or a list that does not line up with its indicators exits 3 whatever
+stages the command runs.  Only what needs the inputs is checked by a stage:
+the order of a matrix_csv judgment matrix, and the match's own data.
 
 Exit codes: 0 success, 1 analysis error, 2 I/O or schema error, 3 config
 error.  A command with a failed stage exits with the code of its first
@@ -32,7 +35,6 @@ import argparse
 import csv
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
@@ -93,20 +95,6 @@ def _write_json(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _write_csv(path, header, columns):
-    """Write columns as CSV rows: floats as repr, ints as int, strings as given."""
-    cells = []
-    for column in map(np.asarray, columns):
-        if column.dtype.kind == "f":
-            cells.append(map(repr, column.tolist()))
-        else:
-            cells.append(column.tolist())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(*cells))
 
 
 def _is_number(value) -> bool:
@@ -198,7 +186,44 @@ def load_config(path) -> dict:
             cls(**config[key]).validate()
         except DataError as exc:
             raise ConfigError(f"{key}: {exc}") from None
+    _check_values(config)
     return config
+
+
+def _check_values(config):
+    """ConfigError for the first value, of those checkable without input data, out of range."""
+    features = ingest.FEATURE_NAMES
+    ahp, trend_cfg, sweep = config["ahp"], config["trend"], config["sweep"]
+    n_ahp, n_sweep = len(ahp["indicators"]), len(sweep["indicators"])
+    choices = {"unit": labels.UNITS, "ahp.method": ahp_mod.WEIGHT_METHODS,
+               "random.statistic": tuple(trend.STATISTICS), "sweep.degree": (1, 2),
+               "trend.x": ("momentum", *features), "trend.y": ("momentum", *features)}
+    checks = [(key, _value(config, key) in allowed, f"one of {list(allowed)}")
+              for key, allowed in choices.items()]
+    checks += [  # (key, whether its value passes, what it must be)
+        ("ahp.indicators", set(ahp["indicators"]) <= set(features),
+         f"feature names from {features}"),
+        ("ahp.matrix", ahp["matrix"] is None or list(map(len, ahp["matrix"])) == [n_ahp] * n_ahp,
+         f"null or a {n_ahp} x {n_ahp} matrix, one row and column per indicator"),
+        ("trend.grid", trend_cfg["grid"] >= 1, "at least 1"),
+        ("random.permutations", config["random"]["permutations"] >= trend.MIN_PERMUTATIONS,
+         f"at least {trend.MIN_PERMUTATIONS}"),
+        ("sweep.indicators", 1 <= n_sweep <= 2 and set(sweep["indicators"]) <= set(features),
+         f"one or two feature names from {features}"),
+        ("sweep.ranges", sweep["ranges"] is None or len(sweep["ranges"]) == n_sweep,
+         f"null or {n_sweep} [lo, hi] pair(s), one per indicator"),
+        ("sweep.steps", sweep["steps"] is None
+         or (len(sweep["steps"]) == n_sweep and all(step > 0 for step in sweep["steps"])),
+         f"null or {n_sweep} positive step(s), one per indicator"),
+    ]
+    for key, passes, wanted in checks:
+        if not passes:
+            raise ConfigError(f"{key} must be {wanted}, got {json.dumps(_value(config, key))}")
+
+
+def _value(config, key):
+    """The value of a dotted config key such as "sweep.degree"."""
+    return functools.reduce(dict.__getitem__, key.split("."), config)
 
 
 def _select_match(timelines, wanted, fallback=False):
@@ -234,9 +259,12 @@ class Context:
         return ingest.derive_features(self.match)
 
     @functools.cached_property
+    def params(self) -> momentum.MomentumParams:
+        return momentum.MomentumParams(**self.config["momentum"])
+
+    @functools.cached_property
     def series(self) -> momentum.MomentumSeries:
-        return momentum.momentum_series(self.match,
-                                        momentum.MomentumParams(**self.config["momentum"]))
+        return momentum.momentum_series(self.match, self.params)
 
 
 def _stage_file(scratch, files, name, key=None) -> Path:
@@ -270,13 +298,13 @@ def _train(ctx, out):
     auc = {}
     for level in range(label_set.n_classes):
         curve = metrics.roc_auc(test_y, proba[:, level], level)
-        _write_csv(out(f"roc_level{level}.csv"), ["threshold", "fpr", "tpr"],
-                   [curve.thresholds, curve.fpr, curve.tpr])
+        ingest.write_csv(out(f"roc_level{level}.csv"), ["threshold", "fpr", "tpr"],
+                         [curve.thresholds, curve.fpr, curve.tpr])
         auc[f"roc_level{level}"] = curve.auc
 
     proba = np.atleast_2d(model.predict_proba(ctx.features.values))
     pred = np.argmax(proba, axis=1)
-    _write_csv(
+    ingest.write_csv(
         out("holdout_probabilities.csv"),
         ["point_no", *(f"proba_{v:g}" for v in label_set.values), "predicted_value",
          "predicted_outcome"],
@@ -308,7 +336,7 @@ def _unit_end_points(match, unit):
 
 def _momentum(ctx, out):
     s, match = ctx.series, ctx.match
-    _write_csv(
+    ingest.write_csv(
         out("momentum.csv", key="momentum_csv"),
         ["point_no", "p1_momentum", "p2_momentum", "p1_short_window", "p1_long_window",
          "p2_short_window", "p2_long_window", "streak_len", "streak_holder"],
@@ -357,14 +385,11 @@ def _ahp(ctx, out):
     if matrix.n != len(indicator_names):
         raise ConfigError(f"judgment matrix order {matrix.n} does not match "
                           f"{len(indicator_names)} indicators")
-    unknown = [n for n in indicator_names if n not in ctx.features.feature_names]
-    if unknown:
-        raise ConfigError(f"unknown indicator column(s): {unknown}")
     columns = np.column_stack([ctx.features.column(name) for name in indicator_names])
 
     scoring_weights = ahp_mod.weights(matrix, method=section["method"])
     result = ahp_mod.consistency(matrix).to_dict()
-    rounds = ahp_mod.score_rounds(columns, scoring_weights).to_rows()
+    rounds = ahp_mod.score_rounds(columns, scoring_weights)
     payload = {
         "version": 1,
         "indicators": list(indicator_names),
@@ -373,8 +398,9 @@ def _ahp(ctx, out):
         "result": result,
     }
     _write_json(out("ahp.json"), payload)
-    header = ["round", "score", "standardization", "ranking"]
-    _write_csv(out("ahp_ranking.csv"), header, [[r[name] for r in rounds] for name in header])
+    ingest.write_csv(out("ahp_ranking.csv"), ["round", "score", "standardization", "ranking"],
+                     [np.arange(1, rounds.scores.size + 1), rounds.scores, rounds.standardized,
+                      rounds.ranking])
     print(f"CR {result['consistency_ratio']:.4f} (consistent: {result['consistent']})")
     return {"ahp_summary": payload}
 
@@ -386,16 +412,13 @@ def _trend(ctx, out):
                            ctx.match.columns["p2_points_won"]]).astype(float)
     win_rate = won[:, 0] / np.maximum(won[:, 0] + won[:, 1], 1.0)  # player 1's share so far
     axes = dict(zip(ctx.features.feature_names, ctx.features.values.T), momentum=series.p1)
-    for name in (section["x"], section["y"]):
-        if name not in axes:
-            raise ConfigError(f"unknown trend axis {name!r}")
     x, y = axes[section["x"]], axes[section["y"]]
     fit = trend.fit_poly22(x, y, win_rate)
     grid_n = section["grid"]
     gx = np.repeat(np.linspace(float(x.min()), float(x.max()), grid_n), grid_n)
     gy = np.tile(np.linspace(float(y.min()), float(y.max()), grid_n), grid_n)
-    _write_csv(out("trend_surface.csv"), [section["x"], section["y"], "fitted_win_rate"],
-               [gx, gy, fit.predict(gx, gy)])
+    ingest.write_csv(out("trend_surface.csv"), [section["x"], section["y"], "fitted_win_rate"],
+                     [gx, gy, fit.predict(gx, gy)])
 
     payload = {
         "version": 1,
@@ -419,7 +442,7 @@ def _random(ctx, out):
     section = ctx.config["random"]
     payload = trend.randomness_test(
         ctx.match,
-        params=momentum.MomentumParams(**ctx.config["momentum"]),
+        params=ctx.params,
         statistic=section["statistic"],
         n_permutations=section["permutations"],
         seed=ctx.seed,
@@ -435,8 +458,6 @@ def _sweep(ctx, out):
     section, table = ctx.config["sweep"], ctx.features
     ranges, steps = [], []
     for i, name in enumerate(section["indicators"]):
-        if name not in table.feature_names:
-            raise ConfigError(f"unknown sweep indicator {name!r}")
         column = table.column(name)
         lo, hi = section["ranges"][i] if section["ranges"] else (column.min(), column.max())
         hi = hi if lo < hi else lo + 1.0
@@ -451,14 +472,12 @@ def _sweep(ctx, out):
     run = sweep_mod.sweep_1d if len(spec.indicators) == 1 else sweep_mod.sweep_2d
     result = run(model, spec)
     # one row per grid point (first indicator outermost) and context
-    rows = [
-        (*(grid[i] for grid, i in zip(result.grids, index)), context,
-         getattr(result, context)[index])
-        for index in itertools.product(*(range(len(grid)) for grid in result.grids))
-        for context in ("serve_first", "serve_second", "mean")
-    ]
-    _write_csv(out("sweep.csv", key="sweep_csv"), [*spec.indicators, "context", "momentum"],
-               list(zip(*rows)))
+    contexts = ("serve_first", "serve_second", "mean")
+    ingest.write_csv(out("sweep.csv", key="sweep_csv"), [*spec.indicators, "context", "momentum"],
+                     [*(np.repeat(grid.ravel(), len(contexts))
+                        for grid in np.meshgrid(*result.grids, indexing="ij")),
+                      np.tile(contexts, result.mean.size),
+                      np.stack([getattr(result, c) for c in contexts], axis=-1).ravel()])
     payload = result.to_dict()
     _write_json(out("sweep.json"), payload)
     print(f"crossovers: {payload['crossovers']}")
@@ -469,9 +488,10 @@ def _wavelet(ctx, out):
     section = ctx.config["wavelet"]
     scalogram = wavelet.cwt(ctx.series.p1, wavelet.WaveletConfig(**section))
     export = wavelet.scalogram_export(scalogram)
-    rows = export.rows
-    _write_csv(out("scalogram.csv", key="scalogram_csv"), ["scale", "time", "amplitude"],
-               [rows[:, 0], rows[:, 1].astype(int), rows[:, 2]])
+    scales, times = scalogram.scales, scalogram.times
+    ingest.write_csv(out("scalogram.csv", key="scalogram_csv"), ["scale", "time", "amplitude"],
+                     [np.repeat(scales, times.size), np.tile(times, scales.size),
+                      scalogram.amplitude.ravel()])
     payload = {**export.to_dict(), "config": section}
     _write_json(out("scalogram.json"), payload)
     if ctx.plot:
@@ -592,7 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_clean.add_argument("--output", default="cleaned.csv", help="cleaned CSV path")
     p_clean.add_argument("--report", default="cleaning_report.json", help="report JSON path")
     p_clean.add_argument("--config", help="JSON config file")
-    p_clean.add_argument("--seed", type=int, default=None)
     p_clean.set_defaults(func=cmd_clean)
 
     p_train = sub.add_parser("train-eval", help="train the classifier and evaluate it")

@@ -10,6 +10,9 @@ the file once and converts each distinct cell of a column once through the
 scalar rules ``_to_float``, ``_to_int`` and ``_shot_code``, giving one
 ``MatchTimeline`` of equal-length arrays per match; ``clean_timelines``
 repairs the columns with array operations and ``write_clean_csv`` writes them.
+``write_csv`` is the one CSV writer: it writes the cleaned file and every
+table the command line produces straight from their columns, formatting each
+distinct cell of a column once.
 """
 
 from __future__ import annotations
@@ -614,28 +617,38 @@ CSV_COLUMNS = (
 )
 
 
-def _csv_cells(timelines, column) -> list:
-    """One output column over every timeline, as strings."""
-    if column == "match_id":
-        return [tl.match_id for tl in timelines for _ in range(len(tl))]
-    if column in PLAYER_COLUMNS:
-        player = PLAYER_COLUMNS.index(column)
-        return [tl.players[player] for tl in timelines for _ in range(len(tl))]
-    name = "shot_type_code" if column == SHOT_COLUMN else column
-    values = np.concatenate([tl.columns[name] for tl in timelines])
-    cells = _Cells(_format_float if values.dtype.kind == "f" else str)
-    return list(map(cells.__getitem__, values.tolist()))
+def write_csv(destination, header, columns, fmt=repr):
+    """Write equal-length columns as CSV rows under header, to a path or an open text file.
 
-
-def write_clean_csv(timelines, destination):
-    """Write cleaned timelines back out with normalized values, column by column."""
-    cells = [_csv_cells(timelines, column) for column in CSV_COLUMNS] if timelines else []
+    Float cells are formatted through fmt and every other cell through str;
+    each distinct cell of a column is formatted once.
+    """
+    cells = []
+    for values in map(np.asarray, columns):
+        floats = values.dtype.kind == "f"
+        cells.append(list(map(_Cells(fmt if floats else str).__getitem__, values.tolist())))
+        if floats and np.signbit(values[values == 0]).any():  # -0.0 and 0.0 share a memo key
+            for i in np.flatnonzero(values == 0).tolist():
+                cells[-1][i] = fmt(values[i].item())
     own = isinstance(destination, (str, os.PathLike))
     fh = open(destination, "w", newline="") if own else destination
     try:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        writer.writerow(header)
         writer.writerows(zip(*cells))
     finally:
         if own:
             fh.close()
+
+
+def write_clean_csv(timelines, destination):
+    """Write cleaned timelines back out with normalized values, column by column."""
+    sizes = [len(tl) for tl in timelines]
+    # match_id, player1 and player2 (CSV_COLUMNS[:3]) hold one value per match
+    per_match = zip(*((tl.match_id, *tl.players) for tl in timelines))
+    columns = [np.repeat(np.array(values, dtype=object), sizes) for values in per_match] + [
+        np.concatenate([tl.columns["shot_type_code" if c == SHOT_COLUMN else c]
+                        for tl in timelines])
+        for c in CSV_COLUMNS[3:]
+    ] if timelines else []
+    write_csv(destination, CSV_COLUMNS, columns, fmt=_format_float)

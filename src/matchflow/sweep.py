@@ -219,11 +219,15 @@ class ResponseModel:
         return (raw - self.mean) / self.scale
 
     def __call__(self, features: Mapping[str, float]) -> float:
-        z = self._vector(features)
-        terms = [np.ones(1), z]
-        if self.degree >= 2:
-            terms.append(z**2)
-        return float(np.concatenate(terms) @ self.coef)
+        return float(_terms(self._vector(features), self.degree) @ self.coef)
+
+
+def _terms(z: np.ndarray, degree: int) -> np.ndarray:
+    """Regression terms [1, z] (degree 1) or [1, z, z**2] (degree 2) along the last axis."""
+    blocks = [np.ones(z.shape[:-1] + (1,)), z]
+    if degree >= 2:
+        blocks.append(z**2)
+    return np.concatenate(blocks, axis=-1)
 
 
 def fit_response_model(features, targets, degree: int = 2) -> ResponseModel:
@@ -244,10 +248,5 @@ def fit_response_model(features, targets, degree: int = 2) -> ResponseModel:
     mean = x.mean(axis=0)
     scale = x.std(axis=0)
     scale[scale == 0.0] = 1.0
-    z = (x - mean) / scale
-    blocks = [np.ones((z.shape[0], 1)), z]
-    if degree >= 2:
-        blocks.append(z**2)
-    design = np.hstack(blocks)
-    coef, *_ = np.linalg.lstsq(design, t, rcond=None)
+    coef, *_ = np.linalg.lstsq(_terms((x - mean) / scale, degree), t, rcond=None)
     return ResponseModel(names, degree, coef, mean, scale)

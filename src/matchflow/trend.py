@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .momentum import MomentumParams, _run_lengths, momentum_from_victors
+from .momentum import MomentumParams, _run_lengths, _victors, momentum_from_victors
 
 POLY22_TERMS = ("p00", "p10", "p01", "p20", "p11", "p02")
 
@@ -123,12 +123,6 @@ def _servers_of(timeline):
     return timeline.servers() if hasattr(timeline, "servers") else None
 
 
-def _victors_of(timeline):
-    if hasattr(timeline, "victors"):
-        return timeline.victors()
-    return np.asarray(timeline, dtype=int)
-
-
 def stat_momentum_variance(victors, params) -> np.ndarray:
     """Variance of player 1's momentum, one value per row (last axis)."""
     return np.var(momentum_from_victors(victors, params)["p1"], axis=-1)
@@ -164,24 +158,21 @@ STATISTICS = {
 def _permutation_null(victors, servers, fn, params, n_permutations, seed) -> np.ndarray:
     """Statistic fn of each shuffle; permutation i uses generator (seed, i).
 
-    servers None shuffles the whole sequence; otherwise victors are shuffled
-    within each server's points only.
+    Victors are shuffled within each stratum: each server's points, or with
+    servers None the whole sequence as one stratum.
     """
-    strata = None
-    if servers is not None:
+    if servers is None:
+        strata = [slice(None)]
+    else:
         strata = [idx for idx in (np.flatnonzero(servers == s) for s in (1, 2)) if idx.size]
     null = np.empty(n_permutations)
     for first in range(0, n_permutations, PERMUTATION_BLOCK):
         count = min(PERMUTATION_BLOCK, n_permutations - first)
-        rows = np.empty((count, victors.size), dtype=victors.dtype)
+        rows = np.tile(victors, (count, 1))
         for r in range(count):
             rng = np.random.default_rng([seed, first + r])
-            if strata is None:
-                rows[r] = rng.permutation(victors)
-            else:
-                rows[r] = victors
-                for idx in strata:
-                    rows[r, idx] = victors[idx][rng.permutation(idx.size)]
+            for stratum in strata:
+                rows[r, stratum] = rng.permutation(victors[stratum])
         null[first : first + count] = fn(rows, params)
     return null
 
@@ -242,7 +233,7 @@ def randomness_test(
         raise DataError(f"unknown statistic {statistic!r}; expected one of {sorted(STATISTICS)}")
     if n_permutations < MIN_PERMUTATIONS:
         raise DataError(f"need at least {MIN_PERMUTATIONS} permutations")
-    victors = _victors_of(timeline)
+    victors = _victors(timeline)
     if victors.size < MIN_TIMELINE_POINTS:
         raise DataError(f"need a timeline of at least {MIN_TIMELINE_POINTS} points")
     servers = _servers_of(timeline)

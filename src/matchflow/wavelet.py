@@ -64,6 +64,8 @@ class WaveletConfig:
                 raise DataError("need at least one scale")
             if self.min_period <= 0:
                 raise DataError("min_period must be positive")
+            if self.max_period is not None and self.max_period <= self.min_period:
+                raise DataError("max_period must exceed min_period")
 
     def scale_ladder(self, signal_length: int) -> np.ndarray:
         if self.scales is not None:
@@ -137,9 +139,9 @@ def cwt(signal, config: WaveletConfig | None = None) -> Scalogram:
 
 @dataclass
 class ScalogramTable:
-    """Long-format amplitude rows plus ridge annotations."""
+    """Ridge annotations of a scalogram, with its number of long-format rows."""
 
-    rows: np.ndarray  # (n_scales * n_times, 3): scale, time, amplitude
+    n_rows: int
     peak_time_per_scale: np.ndarray
     peak_scale_per_time: np.ndarray
     global_peak: dict
@@ -147,7 +149,7 @@ class ScalogramTable:
     def to_dict(self) -> dict:
         return {
             "version": 1,
-            "n_rows": int(self.rows.shape[0]),
+            "n_rows": self.n_rows,
             "peak_time_per_scale": self.peak_time_per_scale.tolist(),
             "peak_scale_per_time": self.peak_scale_per_time.tolist(),
             "global_peak": self.global_peak,
@@ -155,20 +157,12 @@ class ScalogramTable:
 
 
 def scalogram_export(scalogram: Scalogram) -> ScalogramTable:
-    """Flatten a scalogram to (scale, time, amplitude) rows with peak marks.
+    """Peak marks of a scalogram and its number of (scale, time, amplitude) rows.
 
     The per-time peak scale traces the momentum-oscillation ridge; the global
     peak row always matches the amplitude matrix argmax.
     """
     amp = scalogram.amplitude
-    n_scales, n_times = amp.shape
-    rows = np.column_stack(
-        [
-            np.repeat(scalogram.scales, n_times),
-            np.tile(scalogram.times, n_scales),
-            amp.ravel(),
-        ]
-    )
     peak_time_per_scale = scalogram.times[np.argmax(amp, axis=1)]
     peak_scale_per_time = scalogram.scales[np.argmax(amp, axis=0)]
     flat = int(np.argmax(amp))
@@ -178,4 +172,4 @@ def scalogram_export(scalogram: Scalogram) -> ScalogramTable:
         "time": int(scalogram.times[ti]),
         "amplitude": float(amp[si, ti]),
     }
-    return ScalogramTable(rows, peak_time_per_scale, peak_scale_per_time, global_peak)
+    return ScalogramTable(amp.size, peak_time_per_scale, peak_scale_per_time, global_peak)

@@ -119,6 +119,26 @@ def test_bad_config_exits_3(tmp_path):
     ("analyze ahp", {"momentum": {"short_weight": 0.5}}, "momentum: window weights must sum"),
     ("analyze ahp", {"train": {"split": 1.5}}, "train: split must be in (0, 1)"),
     ("momentum", {"wavelet": {"center_frequency": 2.0}}, "wavelet: center frequency must be"),
+    # names, choices and list lengths that need no input data, on a command that does not
+    # read them
+    ("analyze ahp", {"sweep": {"indicators": ["set_diff", "score_diff"], "ranges": [[0, 1]]}},
+     "sweep.ranges"),
+    ("analyze ahp", {"sweep": {"steps": [0.1, 0.1]}}, "sweep.steps"),
+    ("analyze ahp", {"sweep": {"steps": [0.0]}}, "sweep.steps"),
+    ("analyze ahp", {"sweep": {"indicators": ["nope"]}}, "sweep.indicators"),
+    ("analyze ahp", {"sweep": {"indicators": ["set_diff", "score_diff", "game_diff"]}},
+     "sweep.indicators"),
+    ("analyze ahp", {"sweep": {"degree": 3}}, "sweep.degree"),
+    ("analyze ahp", {"ahp": {"indicators": ["set_diff", "nope"]}}, "ahp.indicators"),
+    ("analyze ahp", {"ahp": {"matrix": [[1, 2], [0.5, 1]]}}, "ahp.matrix"),
+    ("analyze ahp", {"ahp": {"method": "nope"}}, "ahp.method"),
+    ("analyze ahp", {"trend": {"x": "nope"}}, "trend.x"),
+    ("analyze ahp", {"trend": {"y": "nope"}}, "trend.y"),
+    ("analyze ahp", {"trend": {"grid": 0}}, "trend.grid"),
+    ("analyze ahp", {"random": {"statistic": "nope"}}, "random.statistic"),
+    ("analyze ahp", {"random": {"permutations": 98}}, "random.permutations"),
+    ("analyze ahp", {"unit": "match"}, "unit"),
+    ("analyze ahp", {"wavelet": {"max_period": 1.0}}, "wavelet: max_period must exceed"),
 ])
 def test_wrong_typed_config_value_exits_3_naming_the_key(tmp_path, capsys, command, config, key):
     path = tmp_path / "cfg.json"
@@ -129,12 +149,27 @@ def test_wrong_typed_config_value_exits_3_naming_the_key(tmp_path, capsys, comma
 
 
 def test_out_of_range_config_stops_report_before_any_stage(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"momentum": {"short_weight": 0.5}}))
-    out = tmp_path / "out"
-    assert run(["report", FIXTURE, "--out-dir", out, "--config", path]) == 3
-    assert "momentum: window weights must sum to 1" in capsys.readouterr().err
-    assert not out.exists()
+    cases = [
+        ({"momentum": {"short_weight": 0.5}}, "momentum: window weights must sum to 1"),
+        # sweep ranges that do not line up with the indicators
+        ({"sweep": {"indicators": ["set_diff", "score_diff"], "ranges": [[0, 1]]}},
+         "sweep.ranges must be null or 2 [lo, hi] pair(s)"),
+    ]
+    for i, (config, message) in enumerate(cases):
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / f"out{i}"
+        assert run(["report", FIXTURE, "--out-dir", out, "--config", path]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_clean_takes_no_seed(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["clean", FIXTURE, "--output", tmp_path / "o.csv", "--report", tmp_path / "r.json",
+             "--seed", 1])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_load_config_resolves_every_dataclass_field():
@@ -442,14 +477,29 @@ def test_one_match_report_records_failed_stages(tmp_path, points, failed):
 
 
 def test_report_svg_bytes_are_pinned(tmp_path):
-    """The fixture report's plots, pinned so a renderer change that moves a byte shows."""
+    """The fixture report's plots and tables and the cleaned fixture, pinned so a renderer
+    or writer change that moves a byte shows."""
     out = tmp_path / "out"
     assert run(["report", FIXTURE, "--out-dir", out]) == 0
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-               for name in ("momentum.svg", "scalogram.svg")}
+    assert run(["clean", FIXTURE, "--output", out / "cleaned.csv",
+                "--report", tmp_path / "cleaning_report.json"]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in out.iterdir() if path.suffix in (".svg", ".csv")}
     assert digests == {
         "momentum.svg": "ca101a2a8d1ece60121f49b7e308ddada02b32a214a04171d898a3f4e408bd7f",
         "scalogram.svg": "4447b54523ccdc7bffe2633f58edbfbb8e61205228362b90b314493c5811620a",
+        "ahp_ranking.csv": "6d8c467b99aafe8bb99e6335857b828b18503505206756efa5e8567182e32649",
+        "holdout_probabilities.csv":
+            "592301be016c782324c834d6f080b125ef1604aa155877674e0657978f818a87",
+        "momentum.csv": "983c708a88f0d7f2454a7273d4a3f7ea6613b212ceabcd1c5a61692df6342b09",
+        "roc_level0.csv": "e96939736f440af7cffbfd1775328690e90faedbfadb5b90c856cc8eab86cae7",
+        "roc_level1.csv": "527173d342fa6d0f75a1236b226ad0782feca4370e0427cf56dabc01edee0774",
+        "roc_level2.csv": "e5d2c11c5faa6b353b3d218f4b33f3508f1653bb6228c17b8558931efa76e4fa",
+        "roc_level3.csv": "5a2d60a3e951495d3c1f37050384b08d031f0f04a4e71308cae7ead9bd852748",
+        "scalogram.csv": "82ac9032d3e92ba635b1bd89d2fa2d30df22a67d34d2616af420446762e5eadf",
+        "sweep.csv": "cf9a0f4b3f763fef60118af3d2453339140cadfbdcac4e7dbfa9232f948cd6fe",
+        "trend_surface.csv": "db7cec1c74889251804e8ddf1283bfe8fe9580b2b1d58e604c72ee23caac9406",
+        "cleaned.csv": "1f051ff2b97f470eca0c1aaebeab4f219668f34272eeef47adab982428e88825",
     }
 
 

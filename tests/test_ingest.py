@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -247,6 +248,18 @@ def test_feature_derivation_is_deterministic(tmp_path):
         cleaned, _ = ingest.clean_timelines(timelines)
         tables.append(ingest.derive_features(cleaned[0]))
     assert np.array_equal(tables[0].values, tables[1].values)
+
+
+def test_write_csv_formats_floats_through_fmt_and_other_cells_through_str():
+    columns = [np.array([0.0, -0.0, 0.1, -0.0, 0.0, np.nan]), np.arange(6),
+               ["a", "b,c", "a", "", "d", "a"]]
+    text = io.StringIO()
+    ingest.write_csv(text, ["f", "i", "s"], columns)
+    # -0.0 equals 0.0, so the per-distinct-cell memo must not hand one the other's text
+    assert text.getvalue() == 'f,i,s\n0.0,0,a\n-0.0,1,"b,c"\n0.1,2,a\n-0.0,3,\n0.0,4,d\nnan,5,a\n'
+    text = io.StringIO()
+    ingest.write_csv(text, ["f", "i", "s"], columns, fmt=lambda v: f"<{v}>")
+    assert text.getvalue().splitlines()[1:3] == ["<0.0>,0,a", '<-0.0>,1,"b,c"']
 
 
 def test_write_clean_csv_roundtrip(tmp_path):
