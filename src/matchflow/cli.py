@@ -20,9 +20,10 @@ the config or the inputs, or selecting the match, stops a command at once.
 Config: main resolves every key of every section with load_config before the
 command starts, so an unknown key, a wrongly typed value, an out-of-range
 value, an unknown feature name or choice (unit, AHP method, statistic, sweep
-degree) or a list that does not line up with its indicators exits 3 whatever
-stages the command runs.  Only what needs the inputs is checked by a stage:
-the order of a matrix_csv judgment matrix, and the match's own data.
+degree), a list that does not line up with its indicators, an empty sweep
+range or a faulty judgment matrix exits 3 whatever stages the command runs;
+ahp.matrix is resolved to the one matrix the AHP stage uses.  Only the
+match's own data is checked by a stage.
 
 Exit codes: 0 success, 1 analysis error, 2 I/O or schema error, 3 config
 error.  A command with a failed stage exits with the code of its first
@@ -187,6 +188,7 @@ def load_config(path) -> dict:
         except DataError as exc:
             raise ConfigError(f"{key}: {exc}") from None
     _check_values(config)
+    config["ahp"]["matrix"] = _judgment_matrix(config["ahp"])
     return config
 
 
@@ -195,23 +197,23 @@ def _check_values(config):
     features = ingest.FEATURE_NAMES
     ahp, trend_cfg, sweep = config["ahp"], config["trend"], config["sweep"]
     n_ahp, n_sweep = len(ahp["indicators"]), len(sweep["indicators"])
+    max_ahp = max(ahp_mod.RANDOM_INDEX)  # the largest judgment matrix order with a random index
     choices = {"unit": labels.UNITS, "ahp.method": ahp_mod.WEIGHT_METHODS,
                "random.statistic": tuple(trend.STATISTICS), "sweep.degree": (1, 2),
                "trend.x": ("momentum", *features), "trend.y": ("momentum", *features)}
     checks = [(key, _value(config, key) in allowed, f"one of {list(allowed)}")
               for key, allowed in choices.items()]
     checks += [  # (key, whether its value passes, what it must be)
-        ("ahp.indicators", set(ahp["indicators"]) <= set(features),
-         f"feature names from {features}"),
-        ("ahp.matrix", ahp["matrix"] is None or list(map(len, ahp["matrix"])) == [n_ahp] * n_ahp,
-         f"null or a {n_ahp} x {n_ahp} matrix, one row and column per indicator"),
+        ("ahp.indicators", 2 <= n_ahp <= max_ahp and set(ahp["indicators"]) <= set(features),
+         f"2 to {max_ahp} feature names from {features}"),
         ("trend.grid", trend_cfg["grid"] >= 1, "at least 1"),
         ("random.permutations", config["random"]["permutations"] >= trend.MIN_PERMUTATIONS,
          f"at least {trend.MIN_PERMUTATIONS}"),
         ("sweep.indicators", 1 <= n_sweep <= 2 and set(sweep["indicators"]) <= set(features),
          f"one or two feature names from {features}"),
-        ("sweep.ranges", sweep["ranges"] is None or len(sweep["ranges"]) == n_sweep,
-         f"null or {n_sweep} [lo, hi] pair(s), one per indicator"),
+        ("sweep.ranges", sweep["ranges"] is None
+         or (len(sweep["ranges"]) == n_sweep and all(lo < hi for lo, hi in sweep["ranges"])),
+         f"null or {n_sweep} [lo, hi] pair(s), one per indicator, each with lo < hi"),
         ("sweep.steps", sweep["steps"] is None
          or (len(sweep["steps"]) == n_sweep and all(step > 0 for step in sweep["steps"])),
          f"null or {n_sweep} positive step(s), one per indicator"),
@@ -219,6 +221,27 @@ def _check_values(config):
     for key, passes, wanted in checks:
         if not passes:
             raise ConfigError(f"{key} must be {wanted}, got {json.dumps(_value(config, key))}")
+
+
+def _judgment_matrix(ahp) -> list:
+    """Rows of the judgment matrix the AHP stage uses; a ConfigError names the key at fault."""
+    if ahp["matrix"] is not None and ahp["matrix_csv"] is not None:
+        raise ConfigError("ahp.matrix and ahp.matrix_csv are both set; give one of them")
+    key, rows, n = "ahp.matrix", ahp["matrix"], len(ahp["indicators"])
+    try:
+        if ahp["matrix_csv"] is not None:
+            key = "ahp.matrix_csv"
+            with open(ahp["matrix_csv"]) as fh:
+                rows = [[float(cell) for cell in row] for row in csv.reader(fh) if row]
+        elif rows is None:  # other indicator lists fall back to equal importance
+            entries = DEFAULT_AHP_ENTRIES if ahp["indicators"] == DEFAULT_AHP_INDICATORS else ()
+            rows = ahp_mod.build_judgment_matrix(n, entries).values.tolist()
+        if list(map(len, rows)) != [n] * n:
+            raise DataError(f"need a {n} x {n} matrix, one row and column per indicator")
+        ahp_mod.JudgmentMatrix(np.asarray(rows))
+    except (OSError, ValueError, csv.Error, DataError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+    return rows
 
 
 def _value(config, key):
@@ -372,19 +395,8 @@ def _momentum(ctx, out):
 
 def _ahp(ctx, out):
     section = ctx.config["ahp"]
-    if section["matrix"] is not None:
-        matrix = ahp_mod.JudgmentMatrix(np.asarray(section["matrix"], dtype=float))
-    elif section["matrix_csv"]:
-        with open(section["matrix_csv"]) as fh:
-            rows = [[float(cell) for cell in row] for row in csv.reader(fh) if row]
-        matrix = ahp_mod.JudgmentMatrix(np.asarray(rows))
-    else:  # other indicator lists fall back to equal importance
-        entries = DEFAULT_AHP_ENTRIES if section["indicators"] == DEFAULT_AHP_INDICATORS else ()
-        matrix = ahp_mod.build_judgment_matrix(len(section["indicators"]), entries)
+    matrix = ahp_mod.JudgmentMatrix(np.asarray(section["matrix"]))  # resolved by load_config
     indicator_names = section["indicators"]
-    if matrix.n != len(indicator_names):
-        raise ConfigError(f"judgment matrix order {matrix.n} does not match "
-                          f"{len(indicator_names)} indicators")
     columns = np.column_stack([ctx.features.column(name) for name in indicator_names])
 
     scoring_weights = ahp_mod.weights(matrix, method=section["method"])
@@ -460,7 +472,7 @@ def _sweep(ctx, out):
     for i, name in enumerate(section["indicators"]):
         column = table.column(name)
         lo, hi = section["ranges"][i] if section["ranges"] else (column.min(), column.max())
-        hi = hi if lo < hi else lo + 1.0
+        hi = hi if lo < hi else lo + 1.0  # a constant column (load_config rejects lo >= hi)
         ranges.append((lo, hi))
         steps.append(section["steps"][i] if section["steps"] else (hi - lo) / 24.0)
     spec = sweep_mod.SweepSpec(

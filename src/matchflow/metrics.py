@@ -78,61 +78,29 @@ def _ratio(num, den):
     return np.divide(num, den, out=np.zeros_like(num), where=den != 0)
 
 
-def _f1(p, r):
-    return 0.0 if p + r == 0 else 2.0 * p * r / (p + r)
+def _rates(tp, fp, fn, tn) -> dict:
+    """Precision, sensitivity, specificity and F1 of per-class (array) or pooled counts."""
+    precision, recall = _ratio(tp, tp + fp), _ratio(tp, tp + fn)
+    return {"precision": precision, "sensitivity": recall, "specificity": _ratio(tn, tn + fp),
+            "f_measure": _f_measure(precision, recall)}
+
+
+def _f_measure(precision, recall):
+    return _ratio(2.0 * precision * recall, precision + recall)
 
 
 def summary_metrics(counts: ConfusionCounts) -> dict:
     """Per-class, macro-averaged and micro-pooled classification metrics."""
-    tp, fp, fn, tn = counts.tp, counts.fp, counts.fn, counts.tn
-    total = counts.total
-    precision = _ratio(tp, tp + fp)
-    recall = _ratio(tp, tp + fn)
-    specificity = _ratio(tn, tn + fp)
-    accuracy = _ratio(tp + tn, np.full(counts.n_classes, total))
-    f1 = np.array([_f1(p, r) for p, r in zip(precision, recall)])
-
-    macro_p = float(precision.mean())
-    macro_r = float(recall.mean())
-    micro_p = _ratio(tp.sum(), tp.sum() + fp.sum()).item()
-    micro_r = _ratio(tp.sum(), tp.sum() + fn.sum()).item()
-    overall_accuracy = _ratio(tp.sum(), total).item()
-
-    return {
-        "per_class": {
-            "true_positive": tp.tolist(),
-            "false_positive": fp.tolist(),
-            "false_negative": fn.tolist(),
-            "true_negative": tn.tolist(),
-            "precision": precision.tolist(),
-            "sensitivity": recall.tolist(),
-            "specificity": specificity.tolist(),
-            "accuracy": accuracy.tolist(),
-            "f_measure": f1.tolist(),
-        },
-        "macro": {
-            "true_positive": float(tp.mean()),
-            "false_positive": float(fp.mean()),
-            "false_negative": float(fn.mean()),
-            "true_negative": float(tn.mean()),
-            "precision": macro_p,
-            "sensitivity": macro_r,
-            "specificity": float(specificity.mean()),
-            "accuracy": float(accuracy.mean()),
-            "f_measure": _f1(macro_p, macro_r),
-        },
-        "micro": {
-            "true_positive": int(tp.sum()),
-            "false_positive": int(fp.sum()),
-            "false_negative": int(fn.sum()),
-            "true_negative": int(tn.sum()),
-            "precision": micro_p,
-            "sensitivity": micro_r,
-            "specificity": _ratio(tn.sum(), tn.sum() + fp.sum()).item(),
-            "accuracy": overall_accuracy,
-            "f_measure": _f1(micro_p, micro_r),
-        },
-    }
+    tp, total = counts.tp, counts.total
+    per_class = dict(zip(METRIC_ROWS[:4], (tp, counts.fp, counts.fn, counts.tn)))
+    pooled = {row: values.sum() for row, values in per_class.items()}
+    per_class.update(_rates(*per_class.values()),
+                     accuracy=_ratio(tp + counts.tn, np.full(counts.n_classes, total)))
+    macro = {row: values.mean() for row, values in per_class.items()}
+    macro["f_measure"] = _f_measure(macro["precision"], macro["sensitivity"])
+    micro = {**pooled, **_rates(*pooled.values()), "accuracy": _ratio(tp.sum(), total)}
+    return {name: {row: column[row].tolist() for row in METRIC_ROWS}
+            for name, column in (("per_class", per_class), ("macro", macro), ("micro", micro))}
 
 
 def metrics_table(summary: dict, class_values) -> dict:

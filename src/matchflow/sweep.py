@@ -3,14 +3,18 @@ contrasting serve-first and serve-second contexts.
 
 A response model is any callable taking a feature mapping and returning a
 momentum score.  Sweeps never recompute momentum from raw points; they probe
-the trained response, overriding the swept indicator(s) and the binary serve
-context on top of a fixed baseline feature vector.  Crossovers are the
-indicator values where the serve-first and serve-second responses change
-order; each reported crossing brackets a sign change of their difference.
+the trained response, overriding the swept indicator(s) on top of a fixed
+baseline feature vector, once with serve_indicator 1.0 (serve first) and once
+with 0.0 (serve second).  Crossovers are the indicator values where the two
+responses change order; each reported crossing brackets a sign change of
+their difference.  ResponseModel has no serve x indicator term, so for it
+that difference is the same at every grid point and a sweep of it reports no
+crossover: the curves either coincide or never meet.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -19,6 +23,7 @@ import numpy as np
 from .errors import DataError
 
 MAX_GRID_CELLS = 1_000_000
+SERVE_INDICATOR = "serve_indicator"  # set to 1.0 (serve first), then to 0.0 (serve second)
 
 
 @dataclass
@@ -29,9 +34,6 @@ class SweepSpec:
     ranges: tuple  # one (lo, hi) pair per indicator
     steps: tuple  # one positive step per indicator
     baseline: Mapping[str, float]
-    context_feature: str = "serve_indicator"
-    serve_first_value: float = 1.0
-    serve_second_value: float = 0.0
     tolerance: float = 1e-3  # momentum units for coincidence/crossover checks
 
     def __post_init__(self):
@@ -43,7 +45,7 @@ class SweepSpec:
         if not (len(self.indicators) == len(self.ranges) == len(self.steps)):
             raise DataError("indicators, ranges and steps must align")
         for name, (lo, hi), step in zip(self.indicators, self.ranges, self.steps):
-            if name not in self.baseline and name != self.context_feature:
+            if name not in self.baseline and name != SERVE_INDICATOR:
                 raise DataError(f"unknown indicator {name!r}: not in the baseline feature set")
             if not lo < hi:
                 raise DataError(f"empty range for {name!r}: need lo < hi")
@@ -51,10 +53,9 @@ class SweepSpec:
                 raise DataError(f"step for {name!r} must be positive")
             if self.grid(self.indicators.index(name)).size < 2:
                 raise DataError(f"grid for {name!r} has fewer than 2 samples")
-        if len(self.indicators) == 2:
-            cells = self.grid(0).size * self.grid(1).size
-            if cells > MAX_GRID_CELLS:
-                raise DataError(f"grid of {cells} cells exceeds the {MAX_GRID_CELLS} limit")
+        cells = int(np.prod([self.grid(i).size for i in range(len(self.indicators))]))
+        if cells > MAX_GRID_CELLS:
+            raise DataError(f"grid of {cells} cells exceeds the {MAX_GRID_CELLS} limit")
 
     def grid(self, which: int) -> np.ndarray:
         lo, hi = self.ranges[which]
@@ -86,14 +87,14 @@ class SweepResult:
         }
 
 
-def _evaluate(model: Callable, spec: SweepSpec, overrides: dict, context_value: float) -> float:
+def _evaluate(model: Callable, spec: SweepSpec, overrides: dict, serve: float) -> float:
     features = dict(spec.baseline)
     features.update(overrides)
-    features[spec.context_feature] = context_value
+    features[SERVE_INDICATOR] = serve
     return float(model(features))
 
 
-def find_crossings_1d(grid, diff, tolerance):
+def find_crossings_1d(grid, diff):
     """Sign-change crossings of a difference curve, linearly interpolated.
 
     Exact zeros count only when the nearest nonzero values on either side
@@ -111,8 +112,46 @@ def find_crossings_1d(grid, diff, tolerance):
         else:  # a run of exact zeros separating opposite signs
             zero_run = grid[a_idx + 1 : b_idx]
             crossings.append(float(zero_run[zero_run.size // 2]))
-    coincident = bool(np.all(np.abs(diff) < tolerance))
-    return crossings, coincident
+    return crossings
+
+
+def _sweep_grid(model: Callable, spec: SweepSpec) -> SweepResult:
+    """Both contexts at every grid cell (first indicator outermost), their mean and crossings."""
+    grids = [spec.grid(i) for i in range(len(spec.indicators))]
+    shape = tuple(grid.size for grid in grids)
+    first, second = (
+        np.array([_evaluate(model, spec, dict(zip(spec.indicators, cell)), serve)
+                  for cell in itertools.product(*grids)]).reshape(shape)
+        for serve in (1.0, 0.0)
+    )
+    mean = (first + second) / 2.0
+    diff = first - second
+    coincident = bool(np.all(np.abs(diff) < spec.tolerance))
+
+    def at(index):
+        return {name: float(grid[i]) for name, grid, i in zip(spec.indicators, grids, index)}
+
+    if coincident:
+        crossovers = []
+    elif len(grids) == 1:
+        crossovers = find_crossings_1d(grids[0], diff)
+    else:  # cells whose sign differs from the next cell along either axis, row-major
+        sign = np.sign(diff)
+        changes = np.zeros(shape, dtype=bool)
+        changes[:-1] |= sign[:-1] != sign[1:]
+        changes[:, :-1] |= sign[:, :-1] != sign[:, 1:]
+        crossovers = [at(index) for index in np.argwhere(changes)]
+    best = np.unravel_index(int(np.argmax(mean)), shape)
+    return SweepResult(
+        indicators=spec.indicators,
+        grids=grids,
+        serve_first=first,
+        serve_second=second,
+        mean=mean,
+        crossovers=crossovers,
+        coincident=coincident,
+        argmax_mean={"value": float(mean[best]), "at": at(best)},
+    )
 
 
 def sweep_1d(model: Callable, spec: SweepSpec) -> SweepResult:
@@ -123,29 +162,7 @@ def sweep_1d(model: Callable, spec: SweepSpec) -> SweepResult:
     """
     if len(spec.indicators) != 1:
         raise DataError("sweep_1d takes a single-indicator spec")
-    name = spec.indicators[0]
-    grid = spec.grid(0)
-    first = np.array(
-        [_evaluate(model, spec, {name: v}, spec.serve_first_value) for v in grid]
-    )
-    second = np.array(
-        [_evaluate(model, spec, {name: v}, spec.serve_second_value) for v in grid]
-    )
-    mean = (first + second) / 2.0
-    crossings, coincident = find_crossings_1d(grid, first - second, spec.tolerance)
-    if coincident:
-        crossings = []
-    best = int(np.argmax(mean))
-    return SweepResult(
-        indicators=spec.indicators,
-        grids=[grid],
-        serve_first=first,
-        serve_second=second,
-        mean=mean,
-        crossovers=crossings,
-        coincident=coincident,
-        argmax_mean={"value": float(mean[best]), "at": {name: float(grid[best])}},
-    )
+    return _sweep_grid(model, spec)
 
 
 def sweep_2d(model: Callable, spec: SweepSpec) -> SweepResult:
@@ -156,45 +173,7 @@ def sweep_2d(model: Callable, spec: SweepSpec) -> SweepResult:
     """
     if len(spec.indicators) != 2:
         raise DataError("sweep_2d takes a two-indicator spec")
-    nx, ny = spec.indicators
-    gx, gy = spec.grid(0), spec.grid(1)
-    shape = (gx.size, gy.size)
-    first = np.empty(shape)
-    second = np.empty(shape)
-    for i, vx in enumerate(gx):
-        for j, vy in enumerate(gy):
-            overrides = {nx: vx, ny: vy}
-            first[i, j] = _evaluate(model, spec, overrides, spec.serve_first_value)
-            second[i, j] = _evaluate(model, spec, overrides, spec.serve_second_value)
-    mean = (first + second) / 2.0
-    diff = first - second
-    coincident = bool(np.all(np.abs(diff) < spec.tolerance))
-
-    locus = []
-    if not coincident:
-        sign = np.sign(diff)
-        for i in range(shape[0]):
-            for j in range(shape[1]):
-                along_x = i + 1 < shape[0] and sign[i, j] != sign[i + 1, j]
-                along_y = j + 1 < shape[1] and sign[i, j] != sign[i, j + 1]
-                if along_x or along_y:
-                    locus.append({nx: float(gx[i]), ny: float(gy[j])})
-
-    flat = int(np.argmax(mean))
-    bi, bj = np.unravel_index(flat, shape)
-    return SweepResult(
-        indicators=spec.indicators,
-        grids=[gx, gy],
-        serve_first=first,
-        serve_second=second,
-        mean=mean,
-        crossovers=locus,
-        coincident=coincident,
-        argmax_mean={
-            "value": float(mean[bi, bj]),
-            "at": {nx: float(gx[bi]), ny: float(gy[bj])},
-        },
-    )
+    return _sweep_grid(model, spec)
 
 
 @dataclass
@@ -202,7 +181,10 @@ class ResponseModel:
     """Polynomial least-squares map from features to a momentum score.
 
     Degree 2 adds per-feature squares (no cross terms), enough to express the
-    single-peak responses seen when probing psychological pressure.
+    single-peak responses seen when probing psychological pressure.  With no
+    cross terms, serve_indicator 1.0 and 0.0 shift the response by the same
+    constant whatever the other features are, so its serve-first minus
+    serve-second difference is constant over any sweep grid.
     """
 
     feature_names: list

@@ -14,12 +14,17 @@ import pytest
 from matchflow import cli, plots, trend
 from matchflow.classifier import TrainConfig
 from matchflow.errors import DataError
+from matchflow.ingest import FEATURE_NAMES
 from matchflow.momentum import MomentumParams, momentum_from_victors
 from matchflow.wavelet import WaveletConfig
 
 from util import make_timeline, timeline_to_csv
 
 FIXTURE = Path(__file__).resolve().parents[1] / "data" / "fixture_matches.csv"
+
+# a_ij = w_i / w_j over five indicators: a perfectly consistent judgment matrix
+WEIGHTS_5 = (0.4, 0.25, 0.2, 0.1, 0.05)
+CONSISTENT_5X5 = [[wi / wj for wj in WEIGHTS_5] for wi in WEIGHTS_5]
 
 
 def run(argv):
@@ -139,6 +144,16 @@ def test_bad_config_exits_3(tmp_path):
     ("analyze ahp", {"random": {"permutations": 98}}, "random.permutations"),
     ("analyze ahp", {"unit": "match"}, "unit"),
     ("analyze ahp", {"wavelet": {"max_period": 1.0}}, "wavelet: max_period must exceed"),
+    # an empty configured sweep range, and judgment matrices that need no input data
+    ("analyze ahp", {"sweep": {"ranges": [[1, 0]]}}, "sweep.ranges"),
+    ("analyze ahp",
+     {"ahp": {"indicators": ["set_diff", "score_diff"], "matrix": [[1, 2], [3, 1]]}},
+     "ahp.matrix: judgment matrix must be reciprocal"),
+    ("analyze ahp", {"ahp": {"indicators": list(FEATURE_NAMES)}}, "ahp.indicators"),
+    ("analyze ahp", {"ahp": {"indicators": []}}, "ahp.indicators"),
+    ("analyze ahp", {"ahp": {"matrix_csv": "no-such-dir/judgments.csv"}}, "ahp.matrix_csv"),
+    ("analyze ahp", {"ahp": {"matrix": CONSISTENT_5X5, "matrix_csv": "no-such-dir/judgments.csv"}},
+     "ahp.matrix and ahp.matrix_csv are both set"),
 ])
 def test_wrong_typed_config_value_exits_3_naming_the_key(tmp_path, capsys, command, config, key):
     path = tmp_path / "cfg.json"
@@ -154,6 +169,9 @@ def test_out_of_range_config_stops_report_before_any_stage(tmp_path, capsys):
         # sweep ranges that do not line up with the indicators
         ({"sweep": {"indicators": ["set_diff", "score_diff"], "ranges": [[0, 1]]}},
          "sweep.ranges must be null or 2 [lo, hi] pair(s)"),
+        # an empty configured range, and a judgment matrix file that is not there
+        ({"sweep": {"ranges": [[1, 0]]}}, "each with lo < hi, got [[1.0, 0.0]]"),
+        ({"ahp": {"matrix_csv": str(tmp_path / "missing.csv")}}, "ahp.matrix_csv: [Errno 2]"),
     ]
     for i, (config, message) in enumerate(cases):
         path = tmp_path / f"cfg{i}.json"
@@ -162,6 +180,35 @@ def test_out_of_range_config_stops_report_before_any_stage(tmp_path, capsys):
         assert run(["report", FIXTURE, "--out-dir", out, "--config", path]) == 3
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_a_judgment_matrix_csv_with_a_non_numeric_cell_exits_3(tmp_path, capsys):
+    matrix = tmp_path / "judgments.csv"
+    matrix.write_text("1,2\nhalf,1\n")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"ahp": {"indicators": ["set_diff", "score_diff"],
+                                        "matrix_csv": str(matrix)}}))
+    out = tmp_path / "out"
+    assert run(["analyze", "ahp", FIXTURE, "--out-dir", out, "--config", path]) == 3
+    assert "ahp.matrix_csv: could not convert string to float: 'half'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_load_config_resolves_the_judgment_matrix_it_uses(tmp_path):
+    """ahp.matrix holds the matrix the AHP stage uses, whatever its source."""
+    matrix = tmp_path / "judgments.csv"
+    matrix.write_text("1,4\n0.25,1\n")
+    sources = [
+        ({}, cli.ahp_mod.build_judgment_matrix(5, cli.DEFAULT_AHP_ENTRIES).values.tolist()),
+        ({"indicators": ["set_diff", "score_diff", "game_diff"]}, np.ones((3, 3)).tolist()),
+        ({"matrix": CONSISTENT_5X5}, CONSISTENT_5X5),
+        ({"indicators": ["set_diff", "score_diff"], "matrix_csv": str(matrix)},
+         [[1.0, 4.0], [0.25, 1.0]]),
+    ]
+    for i, (ahp, rows) in enumerate(sources):
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps({"ahp": ahp}))
+        assert cli.load_config(path)["ahp"]["matrix"] == rows, ahp
 
 
 def test_clean_takes_no_seed(tmp_path):

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from matchflow import metrics
 from matchflow.errors import DataError
 
-from util import auc_oracle, confusion_oracle
+from util import auc_oracle, confusion_oracle, summary_oracle
 
 
 def test_perfect_agreement_has_no_errors():
@@ -64,6 +66,30 @@ def test_single_class_viewpoint_arithmetic():
     assert summary["per_class"]["precision"][0] == pytest.approx(0.8)
     assert summary["per_class"]["sensitivity"][0] == pytest.approx(0.8)
     assert summary["per_class"]["f_measure"][0] == pytest.approx(0.8)
+
+
+def summary_cases():
+    """(truth, pred, K) samples: random for K = 2..5, with an empty class, with classes that
+    are never predicted or never true (zero denominators), empty, and in perfect agreement."""
+    rng = np.random.default_rng(10)
+    for k in range(2, 6):
+        for size in (1, 7, 60):
+            truth, pred = rng.integers(0, k, size), rng.integers(0, k, size)
+            yield truth, pred, k
+            yield rng.integers(0, k - 1, size), rng.integers(0, k - 1, size), k  # class k-1 empty
+            yield truth, np.zeros(size, dtype=int), k  # only class 0 is ever predicted
+            yield np.zeros(size, dtype=int), pred, k  # only class 0 is ever true
+            yield truth, truth, k
+        yield np.array([], dtype=int), np.array([], dtype=int), k
+
+
+def test_summary_metrics_equal_the_oracle_exactly():
+    for truth, pred, k in summary_cases():
+        counts = metrics.confusion(truth, pred, n_classes=k)
+        summary, oracle = metrics.summary_metrics(counts), summary_oracle(counts)
+        assert summary == oracle, (truth, pred, k)
+        # the same Python types too: an int count is not written as a float
+        assert json.dumps(summary, sort_keys=True) == json.dumps(oracle, sort_keys=True)
 
 
 def test_micro_f1_equals_accuracy_identity():

@@ -3,7 +3,9 @@ import pytest
 
 from matchflow.errors import DataError
 from matchflow.ingest import FeatureTable
-from matchflow.sweep import SweepSpec, fit_response_model, sweep_1d, sweep_2d
+from matchflow.sweep import MAX_GRID_CELLS, SweepSpec, fit_response_model, sweep_1d, sweep_2d
+
+from util import sweep_oracle
 
 
 def crossover_model(features):
@@ -211,3 +213,47 @@ def test_response_model_bad_degree():
     table = FeatureTable("t", ["p"], np.zeros((10, 1)))
     with pytest.raises(DataError, match="degree"):
         fit_response_model(table, np.zeros(10), degree=3)
+
+
+def serve_gap(gap):
+    """A model whose serve-first response is 0.3 + gap(features) and serve-second 0.3."""
+    return lambda f: 0.3 + gap(f) if f["serve_indicator"] == 1.0 else 0.3
+
+
+STEPS = (-1.0, -1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0)  # zero runs, one crossing
+
+
+@pytest.mark.parametrize("model,spec", [
+    # interpolated crossings of a sine
+    (serve_gap(lambda f: 0.05 * np.sin(60.0 * f["psych"])), spec_1d(steps=(0.005,))),
+    # runs of exact zeros on an integer grid, one between opposite signs
+    (serve_gap(lambda f: STEPS[int(f["psych"])]), spec_1d(ranges=((0.0, 10.0),), steps=(1.0,))),
+    # a tangent touch at 5
+    (serve_gap(lambda f: (f["psych"] - 5.0) ** 2),
+     spec_1d(ranges=((0.0, 10.0),), steps=(1.0,), tolerance=1e-9)),
+    (lambda f: 0.4 + f["psych"], spec_1d()),  # coincident curves
+    # 7 x 5 grids with sign changes along both axes, with and without exact zeros
+    (serve_gap(lambda f: (f["a"] - 2.5) * (f["b"] - 1.2) + 0.1 * f["a"]),
+     SweepSpec(indicators=("a", "b"), ranges=((0.0, 6.0), (0.0, 2.0)), steps=(1.0, 0.5),
+               baseline={"a": 0.0, "b": 0.0, "c": 2.0})),
+    (serve_gap(lambda f: (f["a"] - 3.0) * np.cos(3.0 * f["b"])),
+     SweepSpec(indicators=("a", "b"), ranges=((0.0, 6.0), (0.0, 2.0)), steps=(1.0, 0.5),
+               baseline={"a": 0.0, "b": 0.0})),
+    (lambda f: f["a"] * f["b"], sep_2d_spec()),  # coincident surfaces
+], ids=["sine", "zero-runs", "tangent", "coincident", "2d-7x5", "2d-7x5-zeros", "2d-coincident"])
+def test_sweep_equals_the_oracle_exactly(model, spec):
+    result = (sweep_1d if len(spec.indicators) == 1 else sweep_2d)(model, spec)
+    grids, first, second, mean, crossovers, coincident, argmax_mean = sweep_oracle(model, spec)
+    assert result.indicators == spec.indicators
+    for got, want in zip([*result.grids, result.serve_first, result.serve_second, result.mean],
+                         [*grids, first, second, mean]):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert len(result.grids) == len(grids)
+    assert result.crossovers == crossovers
+    assert result.coincident is coincident
+    assert result.argmax_mean == argmax_mean
+
+
+def test_grid_cell_budget_applies_to_one_indicator():
+    with pytest.raises(DataError, match="exceeds"):
+        spec_1d(ranges=((0.0, 1.0),), steps=(1.0 / (MAX_GRID_CELLS + 10),))

@@ -287,6 +287,130 @@ def confusion_oracle(truth, pred, n_classes):
     return out
 
 
+def _ratio_oracle(num, den):
+    num = np.asarray(num, dtype=float)
+    den = np.asarray(den, dtype=float)
+    return np.divide(num, den, out=np.zeros_like(num), where=den != 0)
+
+
+def _f1_oracle(p, r):
+    return 0.0 if p + r == 0 else 2.0 * p * r / (p + r)
+
+
+def summary_oracle(counts):
+    """Per-class, macro and micro metrics with every rate formula written out per column."""
+    tp, fp, fn, tn = counts.tp, counts.fp, counts.fn, counts.tn
+    total = counts.total
+    precision = _ratio_oracle(tp, tp + fp)
+    recall = _ratio_oracle(tp, tp + fn)
+    specificity = _ratio_oracle(tn, tn + fp)
+    accuracy = _ratio_oracle(tp + tn, np.full(counts.n_classes, total))
+    f1 = np.array([_f1_oracle(p, r) for p, r in zip(precision, recall)])
+
+    macro_p = float(precision.mean())
+    macro_r = float(recall.mean())
+    micro_p = _ratio_oracle(tp.sum(), tp.sum() + fp.sum()).item()
+    micro_r = _ratio_oracle(tp.sum(), tp.sum() + fn.sum()).item()
+    return {
+        "per_class": {
+            "true_positive": tp.tolist(),
+            "false_positive": fp.tolist(),
+            "false_negative": fn.tolist(),
+            "true_negative": tn.tolist(),
+            "precision": precision.tolist(),
+            "sensitivity": recall.tolist(),
+            "specificity": specificity.tolist(),
+            "accuracy": accuracy.tolist(),
+            "f_measure": f1.tolist(),
+        },
+        "macro": {
+            "true_positive": float(tp.mean()),
+            "false_positive": float(fp.mean()),
+            "false_negative": float(fn.mean()),
+            "true_negative": float(tn.mean()),
+            "precision": macro_p,
+            "sensitivity": macro_r,
+            "specificity": float(specificity.mean()),
+            "accuracy": float(accuracy.mean()),
+            "f_measure": _f1_oracle(macro_p, macro_r),
+        },
+        "micro": {
+            "true_positive": int(tp.sum()),
+            "false_positive": int(fp.sum()),
+            "false_negative": int(fn.sum()),
+            "true_negative": int(tn.sum()),
+            "precision": micro_p,
+            "sensitivity": micro_r,
+            "specificity": _ratio_oracle(tn.sum(), tn.sum() + fp.sum()).item(),
+            "accuracy": _ratio_oracle(tp.sum(), total).item(),
+            "f_measure": _f1_oracle(micro_p, micro_r),
+        },
+    }
+
+
+def _sweep_call_oracle(model, spec, overrides, serve):
+    features = dict(spec.baseline)
+    features.update(overrides)
+    features["serve_indicator"] = serve
+    return float(model(features))
+
+
+def _crossings_oracle(grid, diff):
+    crossings = []
+    nonzero = np.flatnonzero(diff != 0.0)
+    for a_idx, b_idx in zip(nonzero[:-1], nonzero[1:]):
+        a, b = diff[a_idx], diff[b_idx]
+        if np.sign(a) == np.sign(b):
+            continue
+        if b_idx == a_idx + 1:
+            t = a / (a - b)
+            crossings.append(float(grid[a_idx] + t * (grid[b_idx] - grid[a_idx])))
+        else:
+            zero_run = grid[a_idx + 1 : b_idx]
+            crossings.append(float(zero_run[zero_run.size // 2]))
+    return crossings
+
+
+def sweep_oracle(model, spec):
+    """(grids, serve_first, serve_second, mean, crossovers, coincident, argmax_mean) of a
+    one- or two-indicator sweep, each grid cell and context evaluated in explicit loops."""
+    if len(spec.indicators) == 1:
+        name = spec.indicators[0]
+        grid = spec.grid(0)
+        first = np.array([_sweep_call_oracle(model, spec, {name: v}, 1.0) for v in grid])
+        second = np.array([_sweep_call_oracle(model, spec, {name: v}, 0.0) for v in grid])
+        mean = (first + second) / 2.0
+        coincident = bool(np.all(np.abs(first - second) < spec.tolerance))
+        crossings = [] if coincident else _crossings_oracle(grid, first - second)
+        best = int(np.argmax(mean))
+        return ([grid], first, second, mean, crossings, coincident,
+                {"value": float(mean[best]), "at": {name: float(grid[best])}})
+    nx, ny = spec.indicators
+    gx, gy = spec.grid(0), spec.grid(1)
+    shape = (gx.size, gy.size)
+    first = np.empty(shape)
+    second = np.empty(shape)
+    for i, vx in enumerate(gx):
+        for j, vy in enumerate(gy):
+            first[i, j] = _sweep_call_oracle(model, spec, {nx: vx, ny: vy}, 1.0)
+            second[i, j] = _sweep_call_oracle(model, spec, {nx: vx, ny: vy}, 0.0)
+    mean = (first + second) / 2.0
+    diff = first - second
+    coincident = bool(np.all(np.abs(diff) < spec.tolerance))
+    locus = []
+    if not coincident:
+        sign = np.sign(diff)
+        for i in range(shape[0]):
+            for j in range(shape[1]):
+                along_x = i + 1 < shape[0] and sign[i, j] != sign[i + 1, j]
+                along_y = j + 1 < shape[1] and sign[i, j] != sign[i, j + 1]
+                if along_x or along_y:
+                    locus.append({nx: float(gx[i]), ny: float(gy[j])})
+    bi, bj = np.unravel_index(int(np.argmax(mean)), shape)
+    return ([gx, gy], first, second, mean, locus, coincident,
+            {"value": float(mean[bi, bj]), "at": {nx: float(gx[bi]), ny: float(gy[bj])}})
+
+
 def auc_oracle(truth, scores, positive):
     """Pairwise positive-above-negative count with half-credit ties."""
     pos = [s for t, s in zip(truth, scores) if t == positive]

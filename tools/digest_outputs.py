@@ -2,7 +2,8 @@
 """Print the sha256 of every output of a fixed set of fixture commands.
 
 Runs each command of COMMANDS under each config of CONFIGS against the
-``matchflow`` package in the given ``src`` directory and prints one
+``matchflow`` package in the given ``src`` directory, with ``config.json``
+and the judgment matrix ``matrix.csv`` in the working directory, and prints one
 ``sha256  config/command/file`` line per file written, plus one for the
 command's stdout and exit code.  Two trees write the same bytes for these
 commands when their listings are equal:
@@ -32,7 +33,16 @@ CONFIGS = {
     "stratified-2d-shifted": {"random": {"stratify_by_server": True},
                               "sweep": {"indicators": ["psychological_factor", "set_diff"]},
                               "ahp": {"method": "shifted_row_sum"}},
+    "matrix-csv": {"ahp": {"matrix_csv": "matrix.csv"}},
+    "inline-matrix-2d-ranges": {
+        "ahp": {"matrix": [[1, 3, 5, 1, 2], [1 / 3, 1, 2, 0.5, 1], [0.2, 0.5, 1, 0.25, 0.5],
+                           [1, 2, 4, 1, 3], [0.5, 1, 2, 1 / 3, 1]]},
+        "sweep": {"indicators": ["psychological_factor", "score_diff"],
+                  "ranges": [[0.2, 0.8], [-3, 3]], "steps": [0.05, 0.5]}},
 }
+# a_ij = w_i / w_j: a consistent judgment matrix over the five default indicators
+WEIGHTS = (8.0, 4.0, 4.0, 2.0, 1.0)
+MATRIX_CSV = "".join(",".join(repr(wi / wj) for wj in WEIGHTS) + "\n" for wi in WEIGHTS)
 
 
 def digest(data: bytes) -> str:
@@ -45,6 +55,7 @@ def main(src: str) -> None:
         for command in COMMANDS:
             with tempfile.TemporaryDirectory() as work:  # relative paths keep stdout comparable
                 Path(work, "config.json").write_text(json.dumps(config))
+                Path(work, "matrix.csv").write_text(MATRIX_CSV)
                 args = command.split()
                 args += (["--output", "out/cleaned.csv", "--report", "out/cleaning_report.json"]
                          if args[0] == "clean" else ["--out-dir", "out"])
