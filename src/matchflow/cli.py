@@ -21,7 +21,9 @@ Config: main resolves every key of every section with load_config before the
 command starts, so an unknown key, a wrongly typed value, an out-of-range
 value, an unknown feature name or choice (unit, AHP method, statistic, sweep
 degree), a list that does not line up with its indicators, an empty sweep
-range or a faulty judgment matrix exits 3 whatever stages the command runs;
+range, a configured sweep grid with an axis of fewer than 2 samples or more
+than sweep.MAX_GRID_CELLS cells, or a faulty judgment matrix exits 3 whatever
+stages the command runs;
 ahp.matrix is resolved to the one matrix the AHP stage uses.  Only the
 match's own data is checked by a stage.
 
@@ -221,6 +223,12 @@ def _check_values(config):
     for key, passes, wanted in checks:
         if not passes:
             raise ConfigError(f"{key} must be {wanted}, got {json.dumps(_value(config, key))}")
+    if sweep["ranges"] is not None:  # otherwise the ranges come from the match's data
+        try:
+            sweep_mod.check_grid(sweep["indicators"], sweep["ranges"],
+                                 _sweep_steps(sweep["ranges"], sweep["steps"]))
+        except DataError as exc:
+            raise ConfigError(f"sweep: {exc}") from None
 
 
 def _judgment_matrix(ahp) -> list:
@@ -468,15 +476,15 @@ def _random(ctx, out):
 
 def _sweep(ctx, out):
     section, table = ctx.config["sweep"], ctx.features
-    ranges, steps = [], []
+    ranges = []
     for i, name in enumerate(section["indicators"]):
         column = table.column(name)
         lo, hi = section["ranges"][i] if section["ranges"] else (column.min(), column.max())
         hi = hi if lo < hi else lo + 1.0  # a constant column (load_config rejects lo >= hi)
         ranges.append((lo, hi))
-        steps.append(section["steps"][i] if section["steps"] else (hi - lo) / 24.0)
     spec = sweep_mod.SweepSpec(
-        indicators=section["indicators"], ranges=ranges, steps=steps,
+        indicators=section["indicators"], ranges=ranges,
+        steps=_sweep_steps(ranges, section["steps"]),
         baseline={name: float(np.median(table.column(name))) for name in table.feature_names},
         tolerance=section["tolerance"],
     )
@@ -494,6 +502,11 @@ def _sweep(ctx, out):
     _write_json(out("sweep.json"), payload)
     print(f"crossovers: {payload['crossovers']}")
     return {"sweep_summary": payload}
+
+
+def _sweep_steps(ranges, steps) -> list:
+    """The configured steps, or 24 equal steps across each range."""
+    return steps or [(hi - lo) / 24.0 for lo, hi in ranges]
 
 
 def _wavelet(ctx, out):

@@ -5,21 +5,33 @@ the common point-by-point export convention (``match_id``, ``set_no``,
 ``server``, ``point_victor``, ``p1_score`` ...); alternate headers can be
 remapped with a ``columns`` table.  Extra columns are ignored.
 
-Data stay in numpy columns from parse to artifact: ``parse_match_csv`` reads
-the file once and converts each distinct cell of a column once through the
-scalar rules ``_to_float``, ``_to_int`` and ``_shot_code``, giving one
-``MatchTimeline`` of equal-length arrays per match; ``clean_timelines``
-repairs the columns with array operations and ``write_clean_csv`` writes them.
+Data stay in numpy columns from parse to artifact.  The input is a path,
+bytes, a binary file object (all read as UTF-8, a BOM skipped) or a text file
+object, and it is read as a stream: ``PARSE_BLOCK`` rows at a time, each
+column of a block converted through the scalar rules ``_to_float``,
+``_to_int`` and ``_shot_code`` with a memo that spans the blocks, so each
+distinct cell of a column is converted once and the whole text is never held
+in memory.  The columns of every match are then joined, sorted by match and
+point.  ``parse_match_csv`` splits them into one ``MatchTimeline`` of
+equal-length arrays per match; ``load_and_clean`` repairs the joined columns
+with array operations before it splits them, and ``clean_timelines`` joins
+timelines to repair them the same way.  ``write_clean_csv`` writes the result.
 ``write_csv`` is the one CSV writer: it writes the cleaned file and every
 table the command line produces straight from their columns, formatting each
 distinct cell of a column once.
+
+Input faults are a ``SchemaError`` (the command line exits 2): an empty file,
+a missing required column, malformed CSV such as a field past csv's size
+limit (naming the line), and bytes that are not UTF-8 (naming their offset).
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -77,6 +89,9 @@ SHOT_CODES = {"F": 1, "B": 2}
 
 # Integers beyond int64 cannot be held by an integer column; they count as missing.
 INT_LIMIT = 2.0**63
+
+# Rows parsed and converted at a time; the memos of distinct cells span every block.
+PARSE_BLOCK = 1024
 
 FEATURE_NAMES = [
     "score_diff",
@@ -192,16 +207,6 @@ class CleaningReport:
         self.rejected_rows.extend(other.rejected_rows)
 
 
-def _read_text(source) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8-sig")
-    if hasattr(source, "read"):
-        data = source.read()
-        return data.decode("utf-8-sig") if isinstance(data, bytes) else data
-    with open(os.fspath(source), "rb") as fh:
-        return fh.read().decode("utf-8-sig")
-
-
 def _to_float(text) -> float:
     """The cell as a finite float; blank, unparseable and non-finite cells are NaN."""
     if text is None:
@@ -280,9 +285,60 @@ def _convert(cells, convert, dtype) -> np.ndarray:
     return np.fromiter(map(_Cells(convert).__getitem__, cells), dtype=dtype, count=len(cells))
 
 
-def _parse(text, columns):
-    """(timelines, rejected, header) of CSV text; see parse_match_csv."""
-    reader = csv.reader(io.StringIO(text))
+@contextlib.contextmanager
+def _text_stream(source):
+    """The source as a text stream of CSV lines, for the span of a with block.
+
+    A path is opened, and bytes or a binary file object are wrapped, as UTF-8
+    with an optional BOM and with newline="" as csv asks; a text file object is
+    read as it is.  A caller's file object is left open.
+    """
+    if isinstance(source, io.TextIOBase):
+        yield source
+    elif isinstance(source, bytes) or hasattr(source, "read"):
+        stream = io.TextIOWrapper(io.BytesIO(source) if isinstance(source, bytes) else source,
+                                  encoding="utf-8-sig", newline="")
+        try:
+            yield stream
+        finally:
+            stream.detach()  # closing the wrapper would close the caller's file
+    else:
+        with open(os.fspath(source), encoding="utf-8-sig", newline="") as stream:
+            yield stream
+
+
+def _decode_error(stream, exc) -> SchemaError:
+    """SchemaError naming the byte a UnicodeDecodeError from stream failed on, and its offset.
+
+    The decoder fails on the chunk just read, so exc.object ends where the
+    stream's byte buffer stands; a stream with no buffer that tells its
+    position (a pipe) gives no offset.
+    """
+    where = ""
+    with contextlib.suppress(AttributeError, OSError):
+        where = f" at offset {stream.buffer.tell() - len(exc.object) + exc.start}"
+    return SchemaError(f"input is not UTF-8: byte {exc.object[exc.start]:#04x}{where} "
+                       f"({exc.reason})")
+
+
+def _parse(stream, columns):
+    """(cols, ids, players, matches, rejected, header) of a CSV text stream.
+
+    cols holds every point field of every match, joined and sorted by match
+    and then stably by point_no; ids and players give each match's id and
+    player names in sorted id order, and matches (a _Matches) their spans in
+    cols.  See parse_match_csv.
+    """
+    reader = csv.reader(stream)
+    try:
+        return _parse_rows(reader, columns)
+    except csv.Error as exc:
+        raise SchemaError(f"malformed CSV at line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _decode_error(stream, exc) from None
+
+
+def _parse_rows(reader, columns):
     first = next(reader, None)
     if first is None:
         raise SchemaError("empty input: no header row found")
@@ -293,53 +349,70 @@ def _parse(text, columns):
         raise SchemaError("missing required column(s): " + ", ".join(missing))
 
     width = len(header)
-    cells = []  # row-major: column j is cells[j::width]; each row list is freed once read
-    for row in reader:
-        if len(row) != width:
-            if not row:
-                continue  # blank lines are skipped and not numbered
-            # short rows read their missing cells as None; cells past the header are dropped
-            row = (row + [None] * width)[:width]
-        cells += row
-    if not cells:
-        raise SchemaError("empty input: no data rows")
     position = {name: i for i, name in enumerate(header)}  # a repeated name takes its last column
-    n = len(cells) // width
-    fields = {name: _convert(cells[position[source]::width], convert, dtype)
-              if source in position else np.full(n, absent, dtype=dtype)
-              for name, (source, convert, dtype, absent) in FIELDS.items()}
-    match_ids = _convert(cells[position["match_id"]::width], _strip, object)
-    keep = (match_ids != "") & (fields["point_no"] > 0)
+    named = [p for p in PLAYER_COLUMNS if p in position] if "player1" in position else []
+    # (field, column, memo, dtype) of each column read; a memo outlives the blocks, so each
+    # distinct cell of a column is converted once
+    read = [(name, position[source], _Cells(convert), dtype)
+            for name, (source, convert, dtype, _) in FIELDS.items() if source in position]
+    read += [(name, position[name], _Cells(_strip), object) for name in ("match_id", *named)]
+    parts = {name: [] for name, *_ in read}
+    n = 0
+    for block in iter(lambda: list(itertools.islice(reader, PARSE_BLOCK)), []):
+        cells = []  # row-major: column j is cells[j::width]
+        for row in block:
+            if len(row) != width:
+                if not row:
+                    continue  # blank lines are skipped and not numbered
+                # short rows read their missing cells as None; cells past the header are dropped
+                row = (row + [None] * width)[:width]
+            cells += row
+        rows = len(cells) // width
+        for name, j, memo, dtype in read:
+            parts[name].append(np.fromiter(map(memo.__getitem__, cells[j::width]), dtype=dtype,
+                                           count=rows))
+        n += rows
+    if not n:
+        raise SchemaError("empty input: no data rows")
+
+    match_ids, point_no = np.concatenate(parts["match_id"]), np.concatenate(parts["point_no"])
+    keep = (match_ids != "") & (point_no > 0)
     rejected = [
         (i + 2, "missing match_id" if match_ids[i] == "" else "unparseable point_no")
         for i in np.flatnonzero(~keep).tolist()  # the header is line 1
     ]
     kept = np.flatnonzero(keep)
-    names = sorted(set(match_ids[kept].tolist()))
-    code = {name: m for m, name in enumerate(names)}
+    ids = sorted(set(match_ids[kept].tolist()))
+    code = {name: m for m, name in enumerate(ids)}
     codes = np.fromiter(map(code.__getitem__, match_ids[kept]), dtype=np.int64, count=kept.size)
     # a stable sort: points of one match with the same point_no keep their file order
-    order = kept[np.lexsort((fields["point_no"][kept], codes))]
-    ends = np.cumsum(np.bincount(codes, minlength=len(names))).tolist()
-    spans = list(zip([0] + ends[:-1], ends))
-    first_rows = kept[np.unique(codes, return_index=True)[1]].tolist()
-    columns = {name: fields.pop(name)[order] for name in FIELDS}  # frees each unsorted column
+    order = kept[np.lexsort((point_no[kept], codes))]
+    first_rows = kept[np.unique(codes, return_index=True)[1]]
+    # players come from the first kept row; a blank or absent name keeps its default
+    names = [np.concatenate(parts.pop(p))[first_rows].tolist() if p in named
+             else [""] * len(ids) for p in PLAYER_COLUMNS]
+    players = [tuple(name or p for name, p in zip(pair, PLAYER_COLUMNS)) for pair in zip(*names)]
+    cols = {name: (np.concatenate(parts.pop(name)) if name in parts
+                   else np.full(n, absent, dtype=dtype))[order]
+            for name, (_, _, dtype, absent) in FIELDS.items()}
+    return cols, ids, players, _Matches(np.bincount(codes, minlength=len(ids))), rejected, header
 
-    named = [p for p in PLAYER_COLUMNS if p in position] if "player1" in position else []
-    timelines = []
-    for name, (a, b), i in zip(names, spans, first_rows):
-        # players come from the first kept row; a blank or absent name keeps its default
-        players = tuple((_strip(cells[i * width + position[p]]) if p in named else "") or p
-                        for p in PLAYER_COLUMNS)
-        timelines.append(MatchTimeline(name, {k: v[a:b] for k, v in columns.items()}, players))
-    return timelines, rejected, header
+
+def _timelines(cols, ids, players, matches):
+    """One MatchTimeline per match, viewing its span of the joined columns."""
+    return [MatchTimeline(m, {name: v[a:b] for name, v in cols.items()}, pair)
+            for m, pair, a, b in zip(ids, players, matches.starts.tolist(), matches.ends.tolist())]
 
 
 def parse_match_csv(source, columns=None):
     """Parse a point-by-point CSV into per-match timelines.
 
     Args:
-        source: bytes, a path, or a readable file object.
+        source: a path, bytes, a binary file object or a text file object.
+            Paths, bytes and binary files are read as UTF-8 (a BOM is
+            skipped); a caller's file object is left open.  The file is read
+            as a stream, PARSE_BLOCK rows at a time, so the whole text is
+            never held in memory.
         columns: optional mapping of file column name -> canonical name.
 
     Returns:
@@ -351,10 +424,13 @@ def parse_match_csv(source, columns=None):
         rows only.
 
     Raises:
-        SchemaError: empty input, or a required column absent from the header.
+        SchemaError: empty input, a required column absent from the header,
+            malformed CSV (such as a field past csv's size limit), naming the
+            line, or bytes that are not UTF-8, naming their offset.
     """
-    timelines, rejected, _ = _parse(_read_text(source), columns)
-    return timelines, rejected
+    with _text_stream(source) as stream:
+        cols, ids, players, matches, rejected, _ = _parse(stream, columns)
+    return _timelines(cols, ids, players, matches), rejected
 
 
 class _Matches:
@@ -444,11 +520,11 @@ def _points_won(values, won, matches):
     return out
 
 
-def _repair(timelines, report):
-    """(columns, matches): the repaired columns of every match, joined; counts each repair."""
-    matches = _Matches([len(tl) for tl in timelines])
-    cols = {name: np.concatenate([tl.columns[name] for tl in timelines])
-            for name in timelines[0].columns}
+def _repair(cols, ids, matches, report):
+    """Repair, in place, the columns of the matches joined in cols; counts each repair.
+
+    ids names each match, in the order of its span in matches.  Returns cols.
+    """
     scores = {column: _scores(cols[column]) for column in ("p1_score", "p2_score")}
     means = {column: _means(values, matches) for column, (values, _) in scores.items()}
     means.update({column: _means(cols[column], matches) for column in CONTINUOUS_COLUMNS})
@@ -463,7 +539,7 @@ def _repair(timelines, report):
     failing = np.argwhere(((counts == 0) | overflow) & (matches.sizes > 0)[:, None])
     if failing.size:  # the first in match-major order
         m, k = failing[0].tolist()
-        column, match_id = list(usable)[k], timelines[m].match_id
+        column, match_id = list(usable)[k], ids[m]
         if overflow[m, k]:
             raise DataError(f"imputation impossible: the mean of column {column!r} in match "
                             f"{match_id!r} is not finite")
@@ -510,7 +586,7 @@ def _repair(timelines, report):
 
     for column in CONTINUOUS_COLUMNS:
         cols[column] = _mean_fill(cols[column], means[column], column, matches, report)
-    return cols, matches
+    return cols
 
 
 def clean_timelines(timelines):
@@ -530,19 +606,30 @@ def clean_timelines(timelines):
     report = CleaningReport()
     if not timelines:
         return [], report
-    cols, matches = _repair(timelines, report)
-    return [MatchTimeline(tl.match_id, {name: v[a:b] for name, v in cols.items()}, tl.players)
-            for tl, a, b in zip(timelines, matches.starts.tolist(), matches.ends.tolist())], report
+    ids, players = [tl.match_id for tl in timelines], [tl.players for tl in timelines]
+    matches = _Matches([len(tl) for tl in timelines])
+    cols = {name: np.concatenate([tl.columns[name] for tl in timelines])
+            for name in timelines[0].columns}
+    return _timelines(_repair(cols, ids, matches, report), ids, players, matches), report
 
 
 def load_and_clean(source, columns=None):
     """Parse and clean a CSV in one step.
 
-    Returns (timelines, report); the report also carries rejected rows and
-    any optional columns that were absent from the header and default-filled.
+    source is read as parse_match_csv reads it, as a stream in blocks of
+    rows, and the joined columns are repaired as clean_timelines repairs them
+    before any timeline is built.  Returns (timelines, report); the report
+    also carries rejected rows and any optional columns that were absent from
+    the header and default-filled.
+
+    Raises:
+        SchemaError: as parse_match_csv; the command line exits 2 on it.
+        DataError: a match with a column that cannot be repaired.
     """
-    timelines, rejected, header = _parse(_read_text(source), columns)
-    timelines, report = clean_timelines(timelines)
+    with _text_stream(source) as stream:
+        cols, ids, players, matches, rejected, header = _parse(stream, columns)
+    report = CleaningReport()
+    timelines = _timelines(_repair(cols, ids, matches, report), ids, players, matches)
     report.rejected_rows.extend(rejected)
     for col in CONTINUOUS_COLUMNS + FLAG_COLUMNS + (SHOT_COLUMN,):
         if col not in header:

@@ -51,17 +51,35 @@ class SweepSpec:
                 raise DataError(f"empty range for {name!r}: need lo < hi")
             if step <= 0:
                 raise DataError(f"step for {name!r} must be positive")
-            if self.grid(self.indicators.index(name)).size < 2:
-                raise DataError(f"grid for {name!r} has fewer than 2 samples")
-        cells = int(np.prod([self.grid(i).size for i in range(len(self.indicators))]))
-        if cells > MAX_GRID_CELLS:
-            raise DataError(f"grid of {cells} cells exceeds the {MAX_GRID_CELLS} limit")
+        check_grid(self.indicators, self.ranges, self.steps)
 
     def grid(self, which: int) -> np.ndarray:
         lo, hi = self.ranges[which]
         step = self.steps[which]
-        count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-        return lo + step * np.arange(count)
+        return lo + step * np.arange(int(_samples(lo, hi, step)))
+
+
+def _samples(lo, hi, step) -> float:
+    """Points of the grid lo, lo + step, ... up to hi, allowing for rounding at hi.
+
+    A float, infinite when the span overflows.
+    """
+    return np.floor((hi - lo) / step + 1e-9) + 1
+
+
+def check_grid(indicators, ranges, steps):
+    """DataError unless every axis has 2 or more samples and the grid MAX_GRID_CELLS or fewer.
+
+    Counts the samples as SweepSpec.grid makes them, without building a grid.
+    """
+    cells = 1.0
+    for name, (lo, hi), step in zip(indicators, ranges, steps):
+        samples = _samples(lo, hi, step)
+        if samples < 2:
+            raise DataError(f"grid for {name!r} has fewer than 2 samples")
+        cells *= samples
+    if cells > MAX_GRID_CELLS:
+        raise DataError(f"grid of {cells:.0f} cells exceeds the {MAX_GRID_CELLS} limit")
 
 
 @dataclass

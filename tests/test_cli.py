@@ -172,6 +172,14 @@ def test_out_of_range_config_stops_report_before_any_stage(tmp_path, capsys):
         # an empty configured range, and a judgment matrix file that is not there
         ({"sweep": {"ranges": [[1, 0]]}}, "each with lo < hi, got [[1.0, 0.0]]"),
         ({"ahp": {"matrix_csv": str(tmp_path / "missing.csv")}}, "ahp.matrix_csv: [Errno 2]"),
+        # configured sweep grids too coarse or too fine, counted without building them
+        ({"sweep": {"ranges": [[0, 1]], "steps": [5]}},
+         "sweep: grid for 'psychological_factor' has fewer than 2 samples"),
+        ({"sweep": {"ranges": [[0, 1]], "steps": [1e-9]}},
+         "sweep: grid of 1000000000 cells exceeds the 1000000 limit"),
+        ({"sweep": {"indicators": ["set_diff", "score_diff"], "ranges": [[0, 1], [0, 1]],
+                    "steps": [1e-3, 1e-3]}},
+         "sweep: grid of 1002001 cells exceeds the 1000000 limit"),
     ]
     for i, (config, message) in enumerate(cases):
         path = tmp_path / f"cfg{i}.json"

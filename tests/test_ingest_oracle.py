@@ -3,6 +3,7 @@
 import csv
 import io
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -51,22 +52,26 @@ def assert_same_timelines(timelines, matches):
             assert cells(values.tolist()) == cells(r[name] for r in records), (tl.match_id, name)
 
 
-def assert_matches_oracle(text, columns=None):
-    """Parse, clean, report, errors and written bytes all agree with the oracle."""
+def assert_matches_oracle(text, columns=None, data=None):
+    """Parse, clean, report, errors and written bytes all agree with the oracle.
+
+    ingest reads data, the encoded text unless given.
+    """
+    data = text.encode() if data is None else data
     try:
         parsed, rejected, _ = oracle_parse(text, columns)
         matches, report = ingest_oracle(text, columns)
     except (DataError, SchemaError) as exc:
         with pytest.raises(type(exc)) as got:
-            ingest.load_and_clean(text.encode(), columns)
+            ingest.load_and_clean(data, columns)
         assert str(got.value) == str(exc)
         return str(exc)
 
-    timelines, got_rejected = ingest.parse_match_csv(text.encode(), columns)
+    timelines, got_rejected = ingest.parse_match_csv(data, columns)
     assert got_rejected == rejected
     assert_same_timelines(timelines, parsed)
 
-    timelines, got_report = ingest.load_and_clean(text.encode(), columns)
+    timelines, got_report = ingest.load_and_clean(data, columns)
     assert got_report.to_dict() == report.to_dict()
     assert_same_timelines(timelines, matches)
     buf = io.StringIO()
@@ -298,3 +303,164 @@ def test_cell_fuzz_never_escapes_main(tmp_path, capsys):
                 assert out.with_suffix(".csv").read_text() == oracle_csv(ingest_oracle(text)[0])
             else:
                 assert err.strip().endswith(result)
+
+
+def repeated_fixture(n_rows):
+    """The fixture's header and n_rows rows: its rows again and again, under new match ids."""
+    header, rows = fixture_rows()
+    out = []
+    for k in range(-(-n_rows // len(rows))):
+        out += [[f"{row[0]}-{k}", *row[1:]] for row in rows]
+    return header, out[:n_rows]
+
+
+@pytest.mark.parametrize("block", [7, ingest.PARSE_BLOCK])
+def test_damage_on_both_sides_of_a_block_boundary(monkeypatch, block):
+    monkeypatch.setattr(ingest, "PARSE_BLOCK", block)
+    header, rows = repeated_fixture(block + 12)
+    # data rows 0..block-1 are the first block; blank lines count towards a block
+    rows[block - 2] = []  # a blank line
+    rows[block - 1] = rows[block - 1][:5]  # short: point_no missing, rejected
+    rows[block][0] = ""  # missing match_id, the first row of the second block
+    rows[block + 1] = []
+    rows[block + 2][header.index("point_no")] = "zzz"
+    rows[block + 3] = rows[block + 3][:12]  # short but kept: every cell from server on missing
+    report = assert_matches_oracle(to_csv(header, rows))
+    # rows are numbered from 2 without the blank lines
+    assert report["rejected_rows"] == [{"row": block, "reason": "unparseable point_no"},
+                                       {"row": block + 1, "reason": "missing match_id"},
+                                       {"row": block + 2, "reason": "unparseable point_no"}]
+
+
+def csv_lines(header, rows, endings):
+    """CSV text whose k-th line ends in endings[k % len(endings)]."""
+    buf = io.StringIO()
+    for k, row in enumerate([header, *rows]):
+        csv.writer(buf, lineterminator=endings[k % len(endings)]).writerow(row)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("endings", [["\r\n"], ["\r"], ["\n", "\r\n", "\r"]],
+                         ids=["crlf", "cr", "mixed"])
+def test_line_endings_and_a_quoted_newline_across_blocks(monkeypatch, tmp_path, endings):
+    monkeypatch.setattr(ingest, "PARSE_BLOCK", 7)
+    header, rows = fixture_rows()
+    name = 'L. "Lu"\r\nFerro'  # quoted for its quotes; the line break inside is kept as it is
+    for row in rows:
+        if row[0] == rows[0][0]:
+            row[1] = name
+    rows[9][0] = ""
+    text = csv_lines(header, rows, endings)
+    report = assert_matches_oracle(text)
+    assert report["rejected_rows"] == [{"row": 11, "reason": "missing match_id"}]
+    path = tmp_path / "endings.csv"
+    path.write_bytes(text.encode())
+    timelines, _ = ingest.parse_match_csv(path)
+    assert timelines[0].players[0] == name
+    assert sum(map(len, timelines)) == len(rows) - 1
+
+
+def test_a_bom_is_skipped(monkeypatch):
+    monkeypatch.setattr(ingest, "PARSE_BLOCK", 7)
+    text = FIXTURE.read_text()
+    assert_matches_oracle(text, data=b"\xef\xbb\xbf" + text.encode())
+
+
+def test_every_source_kind_parses_alike_and_file_objects_stay_open():
+    def summary(timelines, report):
+        return [(tl.match_id, tl.players,
+                 {name: cells(v.tolist()) for name, v in tl.columns.items()})
+                for tl in timelines], report.to_dict()
+
+    want = summary(*ingest.load_and_clean(FIXTURE.read_bytes()))
+    with open(FIXTURE, "rb") as binary, open(FIXTURE, newline="") as text:
+        sources = [FIXTURE, str(FIXTURE), FIXTURE.read_bytes(), binary,
+                   io.BytesIO(FIXTURE.read_bytes()), text, io.StringIO(FIXTURE.read_text())]
+        for source in sources:
+            assert summary(*ingest.load_and_clean(source)) == want
+            if hasattr(source, "seek"):
+                assert not source.closed
+                source.seek(0)
+                assert ingest.parse_match_csv(source)[1] == []
+                assert not source.closed
+
+
+def write_bytes(path, data):
+    path.write_bytes(data)
+    return path
+
+
+def clean_cli(tmp_path, path, capsys):
+    """(exit code, stderr, cleaned.csv bytes or None) of clean on path."""
+    out = tmp_path / f"{path.stem}-cleaned.csv"
+    code = cli.main(["clean", str(path), "--output", str(out),
+                     "--report", str(tmp_path / f"{path.stem}-report.json")])
+    return code, capsys.readouterr().err, out.read_bytes() if out.exists() else None
+
+
+def test_bare_cr_line_endings_clean_like_the_fixture(tmp_path, capsys):
+    lf = write_bytes(tmp_path / "lf.csv", FIXTURE.read_bytes())
+    cr = write_bytes(tmp_path / "cr.csv", FIXTURE.read_bytes().replace(b"\n", b"\r"))
+    code, err, cleaned = clean_cli(tmp_path, cr, capsys)
+    assert (code, err) == (0, "")
+    assert cleaned == clean_cli(tmp_path, lf, capsys)[2]
+
+
+def test_an_oversized_field_exits_2_naming_the_line(tmp_path, capsys):
+    header, rows = fixture_rows()
+    rows[5][header.index("player1")] = "x" * 200_000
+    path = write_bytes(tmp_path / "big.csv", to_csv(header, rows).encode())
+    code, err, cleaned = clean_cli(tmp_path, path, capsys)
+    assert code == 2 and cleaned is None
+    limit = csv.field_size_limit()
+    assert err == ("input error: malformed CSV at line 7: "
+                   f"field larger than field limit ({limit})\n")
+
+
+@pytest.mark.parametrize("at", [876, 20_000])
+def test_undecodable_bytes_exit_2_naming_their_offset(tmp_path, capsys, at):
+    data = FIXTURE.read_bytes()
+    data = data[:at] + b"\xff\xfe" + data[at:]
+    path = write_bytes(tmp_path / "bad.csv", data)
+    code, err, cleaned = clean_cli(tmp_path, path, capsys)
+    assert code == 2 and cleaned is None
+    assert err == ("input error: input is not UTF-8: "
+                   f"byte 0xff at offset {at} (invalid start byte)\n")
+    for source, offset in ((data, at), (b"\xef\xbb\xbf" + data, at + 3), (io.BytesIO(data), at)):
+        with pytest.raises(SchemaError, match=f"byte 0xff at offset {offset} "):
+            ingest.parse_match_csv(source)
+
+    class Pipe(io.BytesIO):
+        """Bytes that cannot tell their position."""
+
+        def seekable(self):
+            return False
+
+        def tell(self):
+            raise io.UnsupportedOperation("tell")
+
+    with pytest.raises(SchemaError) as got:
+        ingest.parse_match_csv(Pipe(data))
+    assert str(got.value) == "input is not UTF-8: byte 0xff (invalid start byte)"
+
+
+def test_parsing_streams_in_blocks_within_a_memory_bound():
+    """Traced peak of parse_match_csv on about 20k simulated rows (1.96 MB of CSV).
+
+    Reading the whole text and holding every cell string peaked at 33.7 MB;
+    the block stream peaks at 11.8 MB, about the size of the parsed columns.
+    """
+    rows, k = [], 0
+    while len(rows) < 20_000:
+        match = simulate_match(f"mem-{k:03d}", (f"A{k}", f"B{k}"), 9000 + k)
+        rows.extend([str(row[c]) for c in COLUMNS] for row in match)
+        k += 1
+    data = to_csv(COLUMNS, rows).encode()
+    tracemalloc.start()
+    try:
+        timelines, _ = ingest.parse_match_csv(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, timelines)) == len(rows)
+    assert peak < 20e6, peak

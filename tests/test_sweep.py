@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,20 @@ def test_sweep_equals_the_oracle_exactly(model, spec):
     assert result.crossovers == crossovers
     assert result.coincident is coincident
     assert result.argmax_mean == argmax_mean
+
+
+def test_grid_sizes_are_checked_before_any_grid_is_built():
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="grid of 15000003 cells exceeds"):
+            SweepSpec(indicators=("psych", "other"), ranges=((0.0, 1.0), (0.0, 1.0)),
+                      steps=(2e-7, 0.5), baseline={"psych": 0.0, "other": 0.0})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6  # the first grid alone is 40 MB
+    with pytest.raises(DataError, match="grid of inf cells exceeds"):  # the span overflows
+        spec_1d(ranges=((-1e308, 1e308),), steps=(1.0,))
 
 
 def test_grid_cell_budget_applies_to_one_indicator():

@@ -579,8 +579,11 @@ def gradient_descent_oracle(x, y, n_classes, max_iters=500, tol=1e-6):
 
 
 def oracle_parse(text, columns=None):
-    """(matches, rejected, header): matches is a list of (match_id, players, records)."""
-    reader = csv.reader(io.StringIO(text))
+    """(matches, rejected, header): matches is a list of (match_id, players, records).
+
+    Lines end at \n, \r\n or a bare \r, as in a file opened with newline="".
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
     first = next(reader, None)
     if first is None:
         raise SchemaError("empty input: no header row found")
