@@ -29,10 +29,8 @@ from .errors import ConfigError, DataError, MatchFlowError, SchemaError
 from .ingest import (
     FeatureTable,
     MatchTimeline,
-    clean_timelines,
     derive_features,
     load_and_clean,
-    parse_match_csv,
     write_clean_csv,
 )
 from .labels import LabelSet, ServeWinStats, estimate_serve_win_posterior, label_points
@@ -82,7 +80,6 @@ __all__ = [
     "TrainConfig",
     "WaveletConfig",
     "build_judgment_matrix",
-    "clean_timelines",
     "composite_consistency_ratio",
     "confusion",
     "consistency",
@@ -102,7 +99,6 @@ __all__ = [
     "momentum_series",
     "morlet",
     "nll_and_grad",
-    "parse_match_csv",
     "randomness_test",
     "roc_auc",
     "scale_for_period",

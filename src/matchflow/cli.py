@@ -15,17 +15,18 @@ files it may write (named in STAGES) are removed before it runs, so none
 from an earlier run outlive it.
 report.json records each stage's status, "ok" or "failed" with the reason; a
 failed stage's summaries are null and the other stages still run.  Reading
-the config or the inputs, or selecting the match, stops a command at once.
+the config or the inputs (where a match id in two input files is a schema
+error), or selecting the match, stops a command at once.
 
 Config: main resolves every key of every section with load_config before the
 command starts, so an unknown key, a wrongly typed value, an out-of-range
 value, an unknown feature name or choice (unit, AHP method, statistic, sweep
-degree), a list that does not line up with its indicators, an empty sweep
-range, a configured sweep grid with an axis of fewer than 2 samples or more
-than sweep.MAX_GRID_CELLS cells, or a faulty judgment matrix exits 3 whatever
-stages the command runs;
-ahp.matrix is resolved to the one matrix the AHP stage uses.  Only the
-match's own data is checked by a stage.
+degree), a repeated AHP or sweep indicator, the same trend axis for x and y,
+a list that does not line up with its indicators, an empty sweep range, a
+configured sweep grid with an axis of fewer than 2 samples or more than
+sweep.MAX_GRID_CELLS cells, or a faulty judgment matrix exits 3 whatever
+stages the command runs; ahp.matrix is resolved to the one matrix the AHP
+stage uses.  Only the match's own data is checked by a stage.
 
 Exit codes: 0 success, 1 analysis error, 2 I/O or schema error, 3 config
 error.  A command with a failed stage exits with the code of its first
@@ -206,13 +207,16 @@ def _check_values(config):
     checks = [(key, _value(config, key) in allowed, f"one of {list(allowed)}")
               for key, allowed in choices.items()]
     checks += [  # (key, whether its value passes, what it must be)
-        ("ahp.indicators", 2 <= n_ahp <= max_ahp and set(ahp["indicators"]) <= set(features),
-         f"2 to {max_ahp} feature names from {features}"),
+        ("ahp.indicators", 2 <= n_ahp <= max_ahp
+         and len(set(ahp["indicators"]) & set(features)) == n_ahp,
+         f"2 to {max_ahp} distinct feature names from {features}"),
+        ("trend.y", trend_cfg["y"] != trend_cfg["x"], "an axis other than trend.x"),
         ("trend.grid", trend_cfg["grid"] >= 1, "at least 1"),
         ("random.permutations", config["random"]["permutations"] >= trend.MIN_PERMUTATIONS,
          f"at least {trend.MIN_PERMUTATIONS}"),
-        ("sweep.indicators", 1 <= n_sweep <= 2 and set(sweep["indicators"]) <= set(features),
-         f"one or two feature names from {features}"),
+        ("sweep.indicators", 1 <= n_sweep <= 2
+         and len(set(sweep["indicators"]) & set(features)) == n_sweep,
+         f"one or two distinct feature names from {features}"),
         ("sweep.ranges", sweep["ranges"] is None
          or (len(sweep["ranges"]) == n_sweep and all(lo < hi for lo, hi in sweep["ranges"])),
          f"null or {n_sweep} [lo, hi] pair(s), one per indicator, each with lo < hi"),
@@ -563,9 +567,14 @@ def cmd_clean(args, config):
 
 def cmd_stages(args, config):
     """Run the command's stage, or every stage for report, into the output directory."""
-    timelines, cleaning = [], ingest.CleaningReport()
+    timelines, cleaning, sources = [], ingest.CleaningReport(), {}
     for path in args.inputs:
         part, part_report = ingest.load_and_clean(path, columns=config["columns"] or None)
+        for tl in part:  # a match in two files would be counted twice
+            if tl.match_id in sources:
+                raise SchemaError(f"match id {tl.match_id!r} is in both "
+                                  f"{sources[tl.match_id]} and {path}")
+            sources[tl.match_id] = path
         timelines.extend(part)
         cleaning.merge(part_report)
     if not timelines:

@@ -9,16 +9,15 @@ Data stay in numpy columns from parse to artifact.  The input is a path,
 bytes, a binary file object (all read as UTF-8, a BOM skipped) or a text file
 object, and it is read as a stream: ``PARSE_BLOCK`` rows at a time, each
 column of a block converted through the scalar rules ``_to_float``,
-``_to_int`` and ``_shot_code`` with a memo that spans the blocks, so each
-distinct cell of a column is converted once and the whole text is never held
-in memory.  The columns of every match are then joined, sorted by match and
-point.  ``parse_match_csv`` splits them into one ``MatchTimeline`` of
-equal-length arrays per match; ``load_and_clean`` repairs the joined columns
-with array operations before it splits them, and ``clean_timelines`` joins
-timelines to repair them the same way.  ``write_clean_csv`` writes the result.
-``write_csv`` is the one CSV writer: it writes the cleaned file and every
-table the command line produces straight from their columns, formatting each
-distinct cell of a column once.
+``_to_int``, ``_score`` and ``_shot_code`` with a memo that spans the blocks,
+so each distinct cell of a column is converted once and the whole text is
+never held in memory.  The columns of every match are then joined, sorted by
+match and point, and repaired with array operations; only then are they split
+into one ``MatchTimeline`` of equal-length arrays per match.
+``load_and_clean`` is the one way in, so every timeline is a cleaned one.
+``write_clean_csv`` writes the result.  ``write_csv`` is the one CSV writer:
+it writes the cleaned file and every table the command line produces straight
+from their columns, formatting each distinct cell of a column once.
 
 Input faults are a ``SchemaError`` (the command line exits 2): an empty file,
 a missing required column, malformed CSV such as a field past csv's size
@@ -109,29 +108,21 @@ FEATURE_NAMES = [
 
 @dataclass(eq=False)
 class MatchTimeline:
-    """One match as numpy columns: one equal-length array per point field.
+    """One cleaned match as numpy columns: one equal-length array per point field.
 
     ``columns`` maps each field name to its array, stably sorted by
     ``point_no``: the integer fields ``set_no``, ``game_no``, ``point_no``,
     ``server``, ``point_victor``, ``serve_no``, the ``*_games``, ``*_sets``
     and ``*_points_won`` counters, ``shot_type_code`` and the flag columns
-    are int64, and the continuous columns are float64.  Straight out of
-    ``parse_match_csv`` the score columns hold the stripped raw tokens (such
-    as ``"AD"``) and the numeric columns may hold NaN or out-of-range codes;
-    ``clean_timelines`` turns the scores into float64 and repairs the rest,
-    so that ``server`` and ``point_victor`` are in {1, 2} and the cumulative
-    counters are non-decreasing.
+    are int64, and the scores and continuous columns are float64.  No value
+    is missing: ``server`` and ``point_victor`` are in {1, 2}, advantage
+    scores hold ``ADVANTAGE_SCORE`` and the cumulative counters are
+    non-decreasing.
     """
 
     match_id: str
     columns: dict
     players: tuple[str, str] = ("player1", "player2")
-
-    def __post_init__(self):
-        point_no = self.columns["point_no"]
-        if np.any(point_no[1:] < point_no[:-1]):
-            order = np.argsort(point_no, kind="stable")
-            self.columns = {name: values[order] for name, values in self.columns.items()}
 
     def __len__(self):
         return len(self.columns["point_no"])
@@ -183,9 +174,6 @@ class CleaningReport:
     def bump(self, counter: dict, column: str, amount: int = 1):
         counter[column] = counter.get(column, 0) + amount
 
-    def total(self, counter: dict) -> int:
-        return sum(counter.values())
-
     def to_dict(self) -> dict:
         return {
             "version": 1,
@@ -193,7 +181,7 @@ class CleaningReport:
             "defaulted_columns": sorted(self.defaulted_columns),
             "rejected_rows": [{"row": r, "reason": why} for r, why in self.rejected_rows],
             "totals": {
-                **{name: self.total(getattr(self, name)) for name in COUNTERS},
+                **{name: sum(getattr(self, name).values()) for name in COUNTERS},
                 "rejected_rows": len(self.rejected_rows),
             },
         }
@@ -241,6 +229,11 @@ def _shot_code(token) -> int:
     return -1  # unknown token, coded later as 0 and counted
 
 
+def _score(token) -> float:
+    """The score of a cell; an advantage token (AD, any case) reads as -1, a negative mark."""
+    return -1.0 if (token or "").strip().upper() == "AD" else _to_float(token)
+
+
 def _strip(token) -> str:
     return (token or "").strip()
 
@@ -257,8 +250,8 @@ FIELDS = {
     "point_no": ("point_no", _int_cells(-1), np.int64, None),
     "server": ("server", _int_cells(0), np.int64, None),
     "point_victor": ("point_victor", _int_cells(0), np.int64, None),
-    "p1_score": ("p1_score", _strip, object, None),
-    "p2_score": ("p2_score", _strip, object, None),
+    "p1_score": ("p1_score", _score, np.float64, None),
+    "p2_score": ("p2_score", _score, np.float64, None),
     **{name: (name, _int_cells(-1), np.int64, None)
        for name in ("p1_games", "p2_games", "p1_sets", "p2_sets", "p1_points_won",
                     "p2_points_won")},
@@ -278,11 +271,6 @@ class _Cells(dict):
     def __missing__(self, cell):
         value = self[cell] = self.convert(cell)
         return value
-
-
-def _convert(cells, convert, dtype) -> np.ndarray:
-    """Column of converted cells; each distinct cell goes through `convert` once."""
-    return np.fromiter(map(_Cells(convert).__getitem__, cells), dtype=dtype, count=len(cells))
 
 
 @contextlib.contextmanager
@@ -327,7 +315,7 @@ def _parse(stream, columns):
     cols holds every point field of every match, joined and sorted by match
     and then stably by point_no; ids and players give each match's id and
     player names in sorted id order, and matches (a _Matches) their spans in
-    cols.  See parse_match_csv.
+    cols.  See load_and_clean.
     """
     reader = csv.reader(stream)
     try:
@@ -404,35 +392,6 @@ def _timelines(cols, ids, players, matches):
             for m, pair, a, b in zip(ids, players, matches.starts.tolist(), matches.ends.tolist())]
 
 
-def parse_match_csv(source, columns=None):
-    """Parse a point-by-point CSV into per-match timelines.
-
-    Args:
-        source: a path, bytes, a binary file object or a text file object.
-            Paths, bytes and binary files are read as UTF-8 (a BOM is
-            skipped); a caller's file object is left open.  The file is read
-            as a stream, PARSE_BLOCK rows at a time, so the whole text is
-            never held in memory.
-        columns: optional mapping of file column name -> canonical name.
-
-    Returns:
-        (timelines, rejected): timelines is a list of MatchTimeline, one per
-        distinct match_id in sorted order, each stably ordered by point_no.
-        rejected lists (row_number, reason) pairs, in file order, for rows
-        whose identity fields could not be recovered; they are reported,
-        never silently dropped.  Rows are numbered from 2, counting non-blank
-        rows only.
-
-    Raises:
-        SchemaError: empty input, a required column absent from the header,
-            malformed CSV (such as a field past csv's size limit), naming the
-            line, or bytes that are not UTF-8, naming their offset.
-    """
-    with _text_stream(source) as stream:
-        cols, ids, players, matches, rejected, _ = _parse(stream, columns)
-    return _timelines(cols, ids, players, matches), rejected
-
-
 class _Matches:
     """Where each match's points lie in columns joined over every match."""
 
@@ -456,21 +415,6 @@ class _Matches:
     def falls(self, values) -> np.ndarray:
         """Points whose value is below the one before it in the same match."""
         return np.concatenate(([False], values[1:] < values[:-1])) & ~self.first
-
-
-def _score_cell(token):
-    """(value, is_advantage) of one raw score cell."""
-    if isinstance(token, str) and token.strip().upper() == "AD":
-        return ADVANTAGE_SCORE, True
-    value = _to_float(token)
-    return (ADVANTAGE_SCORE, True) if value < 0 else (value, False)
-
-
-def _scores(cells):
-    """Float scores and the advantage mask: AD tokens and negative scores become the sentinel."""
-    scores = _Cells(_score_cell)
-    return (_convert(cells, lambda cell: scores[cell][0], np.float64),
-            _convert(cells, lambda cell: scores[cell][1], bool))
 
 
 def _means(values, matches) -> np.ndarray:
@@ -525,11 +469,15 @@ def _repair(cols, ids, matches, report):
 
     ids names each match, in the order of its span in matches.  Returns cols.
     """
-    scores = {column: _scores(cols[column]) for column in ("p1_score", "p2_score")}
-    means = {column: _means(values, matches) for column, (values, _) in scores.items()}
-    means.update({column: _means(cols[column], matches) for column in CONTINUOUS_COLUMNS})
+    scores = ("p1_score", "p2_score")
+    for column in scores:  # AD tokens and negative scores, both negative since the parse
+        advantage = cols[column] < 0
+        if advantage.any():
+            cols[column][advantage] = ADVANTAGE_SCORE
+            report.bump(report.ad_replacements, column, int(advantage.sum()))
+    means = {column: _means(cols[column], matches) for column in scores + CONTINUOUS_COLUMNS}
     # columns that cannot be repaired in a match without a usable point, in repair order
-    usable = {column: ~np.isnan(values) for column, (values, _) in scores.items()}
+    usable = {column: ~np.isnan(cols[column]) for column in scores}
     usable.update({column: (cols[column] == 1) | (cols[column] == 2)
                    for column in ("server", "point_victor", "serve_no")})
     usable.update({column: ~np.isnan(cols[column]) for column in CONTINUOUS_COLUMNS})
@@ -546,10 +494,8 @@ def _repair(cols, ids, matches, report):
         raise DataError(f"imputation impossible: column {column!r} has no usable "
                         f"values in match {match_id!r}")
 
-    for column, (values, advantage) in scores.items():
-        if advantage.any():
-            report.bump(report.ad_replacements, column, int(advantage.sum()))
-        cols[column] = _mean_fill(values, means[column], column, matches, report)
+    for column in scores:
+        cols[column] = _mean_fill(cols[column], means[column], column, matches, report)
 
     for column in ("server", "point_victor", "serve_no"):
         cols[column] = _mode_fill(cols[column], 1, column, matches, report)
@@ -589,42 +535,31 @@ def _repair(cols, ids, matches, report):
     return cols
 
 
-def clean_timelines(timelines):
-    """Clean every timeline, preserving match grouping; returns (timelines, CleaningReport).
-
-    Repairs applied per match, in this order: advantage tokens and negative
-    scores become the numeric sentinel, missing scores take the per-match
-    mean; invalid categoricals (server, point_victor, serve_no, the flags)
-    take the per-match mode; unknown shot codes become 0; the set and
-    points-won counters are repaired to stay non-decreasing, and missing or
-    negative game counters are filled forward; missing continuous values take
-    the per-match mean.  Blank, unparseable and non-finite cells (``inf``,
-    ``-inf``, ``1e309``, ``nan``) all count as missing.  The first match, in
-    order, with a column it cannot repair raises DataError.  Cleaning is
-    idempotent.
-    """
-    report = CleaningReport()
-    if not timelines:
-        return [], report
-    ids, players = [tl.match_id for tl in timelines], [tl.players for tl in timelines]
-    matches = _Matches([len(tl) for tl in timelines])
-    cols = {name: np.concatenate([tl.columns[name] for tl in timelines])
-            for name in timelines[0].columns}
-    return _timelines(_repair(cols, ids, matches, report), ids, players, matches), report
-
-
 def load_and_clean(source, columns=None):
-    """Parse and clean a CSV in one step.
+    """Parse and clean a point-by-point CSV into one timeline per match.
 
-    source is read as parse_match_csv reads it, as a stream in blocks of
-    rows, and the joined columns are repaired as clean_timelines repairs them
-    before any timeline is built.  Returns (timelines, report); the report
-    also carries rejected rows and any optional columns that were absent from
-    the header and default-filled.
+    source is read as a stream, as the module docstring says; columns maps
+    file column names to canonical ones.  The joined columns are repaired
+    before any timeline is built, per match and in this order: advantage
+    tokens and negative scores become the numeric sentinel, missing scores
+    take the per-match mean; invalid categoricals (server, point_victor,
+    serve_no, the flags) take the per-match mode; unknown shot codes become
+    0; the set and points-won counters are repaired to stay non-decreasing,
+    and missing or negative game counters are filled forward; missing
+    continuous values take the per-match mean.  Blank, unparseable and
+    non-finite cells (``inf``, ``-inf``, ``1e309``, ``nan``) all count as
+    missing.  Cleaning is idempotent.
+
+    Returns (timelines, report): one MatchTimeline per distinct match_id in
+    sorted order, and a CleaningReport of every repair, of the optional
+    columns absent from the header (default-filled) and, in file order, of
+    the (row, reason) of each row without a usable match_id or point_no
+    (numbered from 2, blank lines not counted).
 
     Raises:
-        SchemaError: as parse_match_csv; the command line exits 2 on it.
-        DataError: a match with a column that cannot be repaired.
+        SchemaError: an input fault the module docstring lists; the command
+            line exits 2 on it.
+        DataError: the first match, in order, with a column it cannot repair.
     """
     with _text_stream(source) as stream:
         cols, ids, players, matches, rejected, header = _parse(stream, columns)

@@ -40,8 +40,8 @@ class SweepSpec:
         self.indicators = tuple(self.indicators)
         self.ranges = tuple(tuple(r) for r in self.ranges)
         self.steps = tuple(self.steps)
-        if len(self.indicators) not in (1, 2):
-            raise DataError("sweep specs take one or two indicators")
+        if len(self.indicators) not in (1, 2) or len(set(self.indicators)) < len(self.indicators):
+            raise DataError("sweep specs take one or two distinct indicators")
         if not (len(self.indicators) == len(self.ranges) == len(self.steps)):
             raise DataError("indicators, ranges and steps must align")
         for name, (lo, hi), step in zip(self.indicators, self.ranges, self.steps):

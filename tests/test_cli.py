@@ -154,6 +154,13 @@ def test_bad_config_exits_3(tmp_path):
     ("analyze ahp", {"ahp": {"matrix_csv": "no-such-dir/judgments.csv"}}, "ahp.matrix_csv"),
     ("analyze ahp", {"ahp": {"matrix": CONSISTENT_5X5, "matrix_csv": "no-such-dir/judgments.csv"}},
      "ahp.matrix and ahp.matrix_csv are both set"),
+    # a repeated indicator, and a trend surface whose axes are the same column
+    ("analyze sweep", {"sweep": {"indicators": ["psychological_factor", "psychological_factor"]}},
+     "sweep.indicators must be one or two distinct feature names"),
+    ("analyze ahp", {"ahp": {"indicators": ["score_diff", "score_diff", "set_diff"]}},
+     "ahp.indicators must be 2 to 9 distinct feature names"),
+    ("analyze trend", {"trend": {"x": "set_diff", "y": "set_diff"}},
+     'trend.y must be an axis other than trend.x, got "set_diff"'),
 ])
 def test_wrong_typed_config_value_exits_3_naming_the_key(tmp_path, capsys, command, config, key):
     path = tmp_path / "cfg.json"
@@ -257,11 +264,21 @@ def test_an_int_for_a_float_is_resolved_as_a_float(tmp_path):
 
 def two_match_csv(tmp_path, *match_ids):
     """A CSV holding one short match per id."""
-    texts = [timeline_to_csv(make_timeline([1, 2] * 6, match_id=match_id))
-             for match_id in match_ids]
     path = tmp_path / "two.csv"
-    path.write_text(texts[0] + "".join(text.split("\n", 1)[1] for text in texts[1:]))
+    timeline_to_csv(*(make_timeline([1, 2] * 6, match_id=match_id) for match_id in match_ids),
+                    path=path)
     return path
+
+
+def test_a_match_id_in_two_input_files_exits_2_naming_both(tmp_path, capsys):
+    other = tmp_path / "other.csv"
+    timeline_to_csv(make_timeline([1, 2] * 6, match_id="2023-fixture-1301"), path=other)
+    for inputs in ([FIXTURE, FIXTURE], [FIXTURE, other]):
+        out = tmp_path / "out"
+        assert run(["train-eval", *inputs, "--out-dir", out]) == 2
+        assert capsys.readouterr().err == ("input error: match id '2023-fixture-1301' is in both "
+                                           f"{FIXTURE} and {inputs[1]}\n")
+        assert not out.exists()
 
 
 def test_an_exact_match_id_wins_over_a_suffix(tmp_path):
@@ -418,12 +435,17 @@ def test_report_bundle_and_out_dir_env(tmp_path, monkeypatch):
 
 
 def test_report_runs_without_importing_scipy(tmp_path):
-    # the runtime depends on numpy alone; scipy may be installed but never loaded
+    # the runtime depends on numpy alone: scipy, or any other installed package, is never
+    # loaded.  Modules loaded at start-up (such as certifi from a .pth file) are not counted,
+    # and numpy's Cython helpers are numpy's.
     script = (
         "import sys\n"
+        "before = set(sys.modules)\n"
         "from matchflow import cli\n"
         f"code = cli.main(['report', {str(FIXTURE)!r}, '--out-dir', {str(tmp_path / 'out')!r}])\n"
-        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "allowed = {*sys.stdlib_module_names, 'numpy', 'matchflow', 'cython_runtime'}\n"
+        "loaded = {m.split('.')[0] for m in set(sys.modules) - before} - allowed\n"
+        "print(code, sorted(m for m in loaded if not m.startswith('_cython_')))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

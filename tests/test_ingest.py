@@ -28,16 +28,21 @@ def row(match_id="m1", point_no=1, victor=1, p1_score="15", extra=""):
     )
 
 
+def load(text):
+    """(timelines, CleaningReport) of CSV text."""
+    return ingest.load_and_clean(text.encode())
+
+
 def clean_one(timeline):
-    """(cleaned timeline, CleaningReport) of one match."""
-    (cleaned,), report = ingest.clean_timelines([timeline])
+    """(cleaned timeline, CleaningReport) of one match, written as CSV and loaded back."""
+    (cleaned,), report = load(timeline_to_csv(timeline))
     return cleaned, report
 
 
 def test_parse_single_match_three_rows():
     text = "\n".join([HEADER, row(point_no=1), row(point_no=2), row(point_no=3)])
-    timelines, rejected = ingest.parse_match_csv(text.encode())
-    assert rejected == []
+    timelines, report = load(text)
+    assert report.rejected_rows == []
     assert len(timelines) == 1
     assert timelines[0].columns["point_no"].tolist() == [1, 2, 3]
 
@@ -47,7 +52,7 @@ def test_parse_interleaved_matches_are_grouped_and_ordered():
     for p in (2, 1, 3):
         lines.append(row("match_a", p))
         lines.append(row("match_b", p))
-    timelines, _ = ingest.parse_match_csv("\n".join(lines).encode())
+    timelines, _ = load("\n".join(lines))
     assert [t.match_id for t in timelines] == ["match_a", "match_b"]
     for tl in timelines:
         assert tl.columns["point_no"].tolist() == [1, 2, 3]
@@ -56,27 +61,27 @@ def test_parse_interleaved_matches_are_grouped_and_ordered():
 def test_parse_missing_required_column_names_it():
     text = HEADER.replace("point_victor", "pv_gone") + "\n" + row()
     with pytest.raises(SchemaError, match="point_victor"):
-        ingest.parse_match_csv(text.encode())
+        load(text)
 
 
 def test_parse_empty_input():
     with pytest.raises(SchemaError, match="empty input"):
-        ingest.parse_match_csv(b"")
+        load("")
     with pytest.raises(SchemaError, match="empty input"):
-        ingest.parse_match_csv((HEADER + "\n").encode())
+        load(HEADER + "\n")
 
 
 def test_parse_column_remapping():
     text = HEADER.replace("point_victor", "PtWinner") + "\n" + row()
-    timelines, _ = ingest.parse_match_csv(text.encode(), columns={"PtWinner": "point_victor"})
+    timelines, _ = ingest.load_and_clean(text.encode(), columns={"PtWinner": "point_victor"})
     assert timelines[0].columns["point_victor"][0] == 1
 
 
 def test_parse_rejects_rows_without_identity():
     text = "\n".join([HEADER, row(point_no=1), row("", 2), row("m1", "zzz")])
-    timelines, rejected = ingest.parse_match_csv(text.encode())
+    timelines, report = load(text)
     assert len(timelines[0]) == 1
-    reasons = [why for _, why in rejected]
+    reasons = [why for _, why in report.rejected_rows]
     assert "missing match_id" in reasons[0]
     assert "point_no" in reasons[1]
 
@@ -100,8 +105,7 @@ def test_shot_letters_map_to_codes():
             + ",winner_shot_type\n"
             + row(extra=f",{token}")
         )
-        timelines, _ = ingest.parse_match_csv(text.encode())
-        cleaned, _ = clean_one(timelines[0])
+        (cleaned,), _ = load(text)
         assert cleaned.columns["shot_type_code"][0] == code, token
 
 
@@ -112,9 +116,8 @@ def test_clean_mean_imputation_within_match():
 
 
 def test_clean_mean_imputation_does_not_cross_matches():
-    timelines = [make_points(2, "a", speed_mph=[100.0, math.nan]),
-                 make_points(1, "b", speed_mph=500.0)]
-    cleaned, _ = ingest.clean_timelines(timelines)
+    cleaned, _ = load(timeline_to_csv(make_points(2, "a", speed_mph=[100.0, math.nan]),
+                                      make_points(1, "b", speed_mph=500.0)))
     by_match = {tl.match_id: tl for tl in cleaned}
     assert by_match["a"].columns["speed_mph"][1] == 100.0
 
@@ -134,11 +137,14 @@ def test_clean_is_idempotent():
         p2_points_won=0,
     )
     once, _ = clean_one(tl)
-    twice, report = clean_one(once)
+    written = io.StringIO()
+    ingest.write_clean_csv([once], written)
+    (twice,), report = load(written.getvalue())
     assert once.columns.keys() == twice.columns.keys()
     assert all(np.array_equal(once.columns[name], twice.columns[name]) for name in once.columns)
     assert report.to_dict()["totals"]["mean_imputations"] == 0
     assert report.to_dict()["totals"]["ad_replacements"] == 0
+    assert not any(report.to_dict()["totals"].values()) and not report.defaulted_columns
 
 
 def test_clean_leaves_no_missing_numerics():
@@ -244,8 +250,7 @@ def test_feature_derivation_is_deterministic(tmp_path):
     text = timeline_to_csv(tl)
     tables = []
     for _ in range(2):
-        timelines, _ = ingest.parse_match_csv(text.encode())
-        cleaned, _ = ingest.clean_timelines(timelines)
+        cleaned, _ = load(text)
         tables.append(ingest.derive_features(cleaned[0]))
     assert np.array_equal(tables[0].values, tables[1].values)
 
@@ -266,9 +271,8 @@ def test_write_clean_csv_roundtrip(tmp_path):
     tl = make_timeline([1, 2, 1, 1], match_id="rt")
     path = tmp_path / "clean.csv"
     ingest.write_clean_csv([tl], path)
-    reparsed, rejected = ingest.parse_match_csv(path)
-    assert rejected == []
-    again, report = ingest.clean_timelines(reparsed)
+    again, report = ingest.load_and_clean(path)
+    assert report.rejected_rows == []
     assert report.to_dict()["totals"]["ad_replacements"] == 0
     assert again[0].columns["point_victor"].tolist() == [1, 2, 1, 1]
     path2 = tmp_path / "clean2.csv"

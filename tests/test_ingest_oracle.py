@@ -12,7 +12,7 @@ import pytest
 from matchflow import cli, ingest
 from matchflow.errors import DataError, SchemaError
 
-from util import ingest_oracle, oracle_csv, oracle_parse
+from util import ingest_oracle, oracle_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE = ROOT / "data" / "fixture_matches.csv"
@@ -53,23 +53,18 @@ def assert_same_timelines(timelines, matches):
 
 
 def assert_matches_oracle(text, columns=None, data=None):
-    """Parse, clean, report, errors and written bytes all agree with the oracle.
+    """Cleaned columns, report, errors and written bytes all agree with the oracle.
 
     ingest reads data, the encoded text unless given.
     """
     data = text.encode() if data is None else data
     try:
-        parsed, rejected, _ = oracle_parse(text, columns)
         matches, report = ingest_oracle(text, columns)
     except (DataError, SchemaError) as exc:
         with pytest.raises(type(exc)) as got:
             ingest.load_and_clean(data, columns)
         assert str(got.value) == str(exc)
         return str(exc)
-
-    timelines, got_rejected = ingest.parse_match_csv(data, columns)
-    assert got_rejected == rejected
-    assert_same_timelines(timelines, parsed)
 
     timelines, got_report = ingest.load_and_clean(data, columns)
     assert got_report.to_dict() == report.to_dict()
@@ -156,7 +151,7 @@ def test_a_match_seen_only_on_rejected_rows_has_no_timeline():
     rows[5][header.index("point_no")] = "zzz"
     report = assert_matches_oracle(to_csv(header, rows))
     assert report["rejected_rows"] == [{"row": 7, "reason": "unparseable point_no"}]
-    timelines, _ = ingest.parse_match_csv(to_csv(header, rows).encode())
+    timelines, _ = ingest.load_and_clean(to_csv(header, rows).encode())
     assert "0-orphan" not in [tl.match_id for tl in timelines]
 
 
@@ -166,7 +161,7 @@ def test_duplicated_header_takes_the_last_column():
     trailing = header + ["server"]
     text = to_csv(trailing, [row + [str(3 - int(row[i]))] for row in rows])
     assert_matches_oracle(text)
-    timelines, _ = ingest.parse_match_csv(text.encode())
+    timelines, _ = ingest.load_and_clean(text.encode())
     assert timelines[0].columns["server"][0] == 3 - int(rows[0][i])
 
     middle = header[:2] + ["speed_mph"] + header[2:]
@@ -178,7 +173,7 @@ def test_remapped_columns():
     renamed = ["PtWinner" if name == "point_victor" else name for name in header]
     text = to_csv(renamed, rows)
     with pytest.raises(SchemaError, match="point_victor"):
-        ingest.parse_match_csv(text.encode())
+        ingest.load_and_clean(text.encode())
     assert_matches_oracle(text, {"PtWinner": "point_victor"})
     # a remap onto a column the file already has: the later column wins
     assert_matches_oracle(to_csv(header, rows), {"p2_ace": "p1_ace"})
@@ -355,7 +350,7 @@ def test_line_endings_and_a_quoted_newline_across_blocks(monkeypatch, tmp_path, 
     assert report["rejected_rows"] == [{"row": 11, "reason": "missing match_id"}]
     path = tmp_path / "endings.csv"
     path.write_bytes(text.encode())
-    timelines, _ = ingest.parse_match_csv(path)
+    timelines, _ = ingest.load_and_clean(path)
     assert timelines[0].players[0] == name
     assert sum(map(len, timelines)) == len(rows) - 1
 
@@ -381,7 +376,7 @@ def test_every_source_kind_parses_alike_and_file_objects_stay_open():
             if hasattr(source, "seek"):
                 assert not source.closed
                 source.seek(0)
-                assert ingest.parse_match_csv(source)[1] == []
+                assert summary(*ingest.load_and_clean(source)) == want
                 assert not source.closed
 
 
@@ -428,7 +423,7 @@ def test_undecodable_bytes_exit_2_naming_their_offset(tmp_path, capsys, at):
                    f"byte 0xff at offset {at} (invalid start byte)\n")
     for source, offset in ((data, at), (b"\xef\xbb\xbf" + data, at + 3), (io.BytesIO(data), at)):
         with pytest.raises(SchemaError, match=f"byte 0xff at offset {offset} "):
-            ingest.parse_match_csv(source)
+            ingest.load_and_clean(source)
 
     class Pipe(io.BytesIO):
         """Bytes that cannot tell their position."""
@@ -440,15 +435,15 @@ def test_undecodable_bytes_exit_2_naming_their_offset(tmp_path, capsys, at):
             raise io.UnsupportedOperation("tell")
 
     with pytest.raises(SchemaError) as got:
-        ingest.parse_match_csv(Pipe(data))
+        ingest.load_and_clean(Pipe(data))
     assert str(got.value) == "input is not UTF-8: byte 0xff (invalid start byte)"
 
 
 def test_parsing_streams_in_blocks_within_a_memory_bound():
-    """Traced peak of parse_match_csv on about 20k simulated rows (1.96 MB of CSV).
+    """Traced peak of load_and_clean on about 20k simulated rows (1.96 MB of CSV).
 
     Reading the whole text and holding every cell string peaked at 33.7 MB;
-    the block stream peaks at 11.8 MB, about the size of the parsed columns.
+    the block stream peaks at about 11.8 MB, about the size of the parsed columns.
     """
     rows, k = [], 0
     while len(rows) < 20_000:
@@ -458,7 +453,7 @@ def test_parsing_streams_in_blocks_within_a_memory_bound():
     data = to_csv(COLUMNS, rows).encode()
     tracemalloc.start()
     try:
-        timelines, _ = ingest.parse_match_csv(data)
+        timelines, _ = ingest.load_and_clean(data)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -112,6 +112,9 @@ def test_spec_validation():
         spec_1d(ranges=((0.0, 0.005),))
     with pytest.raises(DataError, match="one or two"):
         SweepSpec(indicators=(), ranges=(), steps=(), baseline={})
+    with pytest.raises(DataError, match="one or two distinct indicators"):
+        SweepSpec(indicators=("psych", "psych"), ranges=((0.0, 1.0),) * 2, steps=(0.1, 0.1),
+                  baseline={"psych": 0.5})
 
 
 def test_grid_cell_budget_enforced():

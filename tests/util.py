@@ -54,7 +54,9 @@ def make_points(n=1, match_id="m1", **columns) -> MatchTimeline:
     """Timeline of n points numbered 1..n with the POINT_DEFAULTS values.
 
     Each keyword sets a column: a per-point list, or one value for every
-    point.  Scores may be raw tokens such as "AD", as a parse leaves them.
+    point.  A column may hold raw cells, such as an "AD" score, NaN or an
+    out-of-range code; such a timeline is not clean, and is only input for
+    timeline_to_csv, whose text load_and_clean then reads and cleans.
     """
     values = {**POINT_DEFAULTS, "point_no": list(range(1, n + 1)), **columns}
     return MatchTimeline(match_id, {name: _column(v, n) for name, v in values.items()})
@@ -88,13 +90,18 @@ def random_timeline(rng, n, match_id="rand") -> MatchTimeline:
     return make_timeline(victors, servers, match_id=match_id)
 
 
-def timeline_to_csv(timeline, extra_header=(), path=None) -> str:
-    """Minimal CSV text for a timeline (required columns only)."""
-    cols = [c for c in ingest.REQUIRED_COLUMNS if c != "match_id"] + list(extra_header)
-    cells = [timeline.columns[c].tolist() for c in cols]
-    lines = [",".join(["match_id", *cols])]
-    for row in zip(*cells):
-        lines.append(",".join([timeline.match_id, *map(str, row)]))
+def timeline_to_csv(*timelines, path=None) -> str:
+    """CSV text of every field of the timelines, one row per point; also written to path.
+
+    Each cell is str of its value, so a raw cell ("AD", NaN) is written as an
+    input file would hold it; shot_type_code is the winner_shot_type column.
+    """
+    fields = list(timelines[0].columns)
+    header = ["match_id", *(ingest.SHOT_COLUMN if f == "shot_type_code" else f for f in fields)]
+    lines = [",".join(header)]
+    for tl in timelines:
+        for row in zip(*(tl.columns[f].tolist() for f in fields)):
+            lines.append(",".join([tl.match_id, *map(str, row)]))
     text = "\n".join(lines) + "\n"
     if path is not None:
         path.write_text(text)
