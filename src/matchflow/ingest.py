@@ -9,15 +9,21 @@ Data stay in numpy columns from parse to artifact.  The input is a path,
 bytes, a binary file object (all read as UTF-8, a BOM skipped) or a text file
 object, and it is read as a stream: ``PARSE_BLOCK`` rows at a time, each
 column of a block converted through the scalar rules ``_to_float``,
-``_to_int``, ``_score`` and ``_shot_code`` with a memo that spans the blocks,
-so each distinct cell of a column is converted once and the whole text is
-never held in memory.  The columns of every match are then joined, sorted by
-match and point, and repaired with array operations; only then are they split
-into one ``MatchTimeline`` of equal-length arrays per match.
-``load_and_clean`` is the one way in, so every timeline is a cleaned one.
+``_to_int``, ``_score`` and ``_shot_code``, and the whole text is never held
+in memory.  A memo that spans the blocks converts each distinct cell of a
+column once, for as long as the column's cells repeat; a column whose cells
+are mostly distinct drops its memo and converts cell by cell.  The columns of
+every match are then joined, sorted by match and point, and repaired with
+array operations; only then are they split into one ``MatchTimeline`` of
+equal-length arrays per match.  ``load_and_clean`` is the one way in, so
+every timeline is a cleaned one.
+
 ``write_clean_csv`` writes the result.  ``write_csv`` is the one CSV writer:
 it writes the cleaned file and every table the command line produces straight
-from their columns, formatting each distinct cell of a column once.
+from their columns, ``PARSE_BLOCK`` rows at a time, formatting and quoting
+each distinct value of a column's block once.  A field is quoted where csv's
+minimal quoting would quote it and where it holds a lone CR, so every
+written file reads back as it was written.
 
 Input faults are a ``SchemaError`` (the command line exits 2): an empty file,
 a missing required column, malformed CSV such as a field past csv's size
@@ -33,6 +39,7 @@ import io
 import itertools
 import math
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,8 +96,13 @@ SHOT_CODES = {"F": 1, "B": 2}
 # Integers beyond int64 cannot be held by an integer column; they count as missing.
 INT_LIMIT = 2.0**63
 
-# Rows parsed and converted at a time; the memos of distinct cells span every block.
+# Rows parsed and converted, or formatted and written, at a time.  The parse memos of
+# distinct cells span every block; the writer's last one block.
 PARSE_BLOCK = 1024
+
+# A CSV field holding one of these is quoted: csv's QUOTE_MINIMAL set, with CR counted, so a
+# field with a lone CR reads back intact.
+_QUOTED = re.compile('[,"\r\n]')
 
 FEATURE_NAMES = [
     "score_diff",
@@ -263,14 +275,31 @@ FIELDS = {
 
 
 class _Cells(dict):
-    """Cell -> converted value, filled on a cell's first lookup."""
+    """Cell -> converted value, filled on a cell's first lookup, for as long as the memo pays.
+
+    A memo pays where a column's cells repeat.  Once it holds more distinct
+    cells than half the cells it was asked for, it is emptied and the column's
+    later cells are converted one by one.
+    """
 
     def __init__(self, convert):
         self.convert = convert
+        self.asked = 0
+        self.pays = True
 
     def __missing__(self, cell):
         value = self[cell] = self.convert(cell)
         return value
+
+    def convert_all(self, cells):
+        """An iterator of the converted cells."""
+        if self.pays and 2 * len(self) > self.asked:  # judged on the blocks before this one
+            self.clear()
+            self.pays = False
+        if not self.pays:
+            return map(self.convert, cells)
+        self.asked += len(cells)
+        return map(self.__getitem__, cells)
 
 
 @contextlib.contextmanager
@@ -340,7 +369,7 @@ def _parse_rows(reader, columns):
     position = {name: i for i, name in enumerate(header)}  # a repeated name takes its last column
     named = [p for p in PLAYER_COLUMNS if p in position] if "player1" in position else []
     # (field, column, memo, dtype) of each column read; a memo outlives the blocks, so each
-    # distinct cell of a column is converted once
+    # distinct cell of a column whose cells repeat is converted once
     read = [(name, position[source], _Cells(convert), dtype)
             for name, (source, convert, dtype, _) in FIELDS.items() if source in position]
     read += [(name, position[name], _Cells(_strip), object) for name in ("match_id", *named)]
@@ -357,7 +386,7 @@ def _parse_rows(reader, columns):
             cells += row
         rows = len(cells) // width
         for name, j, memo, dtype in read:
-            parts[name].append(np.fromiter(map(memo.__getitem__, cells[j::width]), dtype=dtype,
+            parts[name].append(np.fromiter(memo.convert_all(cells[j::width]), dtype=dtype,
                                            count=rows))
         n += rows
     if not n:
@@ -639,38 +668,87 @@ CSV_COLUMNS = (
 )
 
 
-def write_csv(destination, header, columns, fmt=repr):
-    """Write equal-length columns as CSV rows under header, to a path or an open text file.
+def _fields(texts, alone) -> list:
+    """texts as CSV fields: a text holding a _QUOTED character is quoted, its quotes doubled.
 
-    Float cells are formatted through fmt and every other cell through str;
-    each distinct cell of a column is formatted once.
+    A row's only field is quoted when empty too, as csv does, so that the row
+    is not read as a blank line.
     """
-    cells = []
-    for values in map(np.asarray, columns):
-        floats = values.dtype.kind == "f"
-        cells.append(list(map(_Cells(fmt if floats else str).__getitem__, values.tolist())))
-        if floats and np.signbit(values[values == 0]).any():  # -0.0 and 0.0 share a memo key
-            for i in np.flatnonzero(values == 0).tolist():
-                cells[-1][i] = fmt(values[i].item())
+    if not _QUOTED.search("".join(texts)) and not (alone and "" in texts):
+        return texts
+    return ['"' + text.replace('"', '""') + '"' if _QUOTED.search(text) or (alone and not text)
+            else text for text in texts]
+
+
+def _block_fields(values, fmt, alone) -> list:
+    """The CSV fields of one block of a column, each distinct value formatted and quoted once.
+
+    Bool, integer and float values are told apart by their raw bits, so -0.0
+    and 0.0 keep their own text; other values by their text through str.
+    """
+    kind = values.dtype.kind
+    if kind in "biuf":
+        distinct, inverse = np.unique(values.view(f"u{values.dtype.itemsize}"),
+                                      return_inverse=True)
+        texts = list(map(fmt if kind == "f" else str, distinct.view(values.dtype).tolist()))
+        return np.array(_fields(texts, alone), dtype=object)[inverse].tolist()
+    texts = list(map(str, values.tolist()))
+    distinct = list(dict.fromkeys(texts))
+    return list(map(dict(zip(distinct, _fields(distinct, alone))).__getitem__, texts))
+
+
+def _write_groups(destination, header, groups, fmt):
+    """Write header, then each group of equal-length columns, PARSE_BLOCK rows at a time."""
     own = isinstance(destination, (str, os.PathLike))
     fh = open(destination, "w", newline="") if own else destination
     try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(*cells))
+        fh.write(",".join(_fields(list(map(str, header)), len(header) == 1)) + "\n")
+        for columns in groups:
+            columns = list(map(np.asarray, columns))
+            for a in range(0, min(map(len, columns), default=0), PARSE_BLOCK):
+                fields = [_block_fields(values[a:a + PARSE_BLOCK], fmt, len(columns) == 1)
+                          for values in columns]
+                fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
     finally:
         if own:
             fh.close()
 
 
+def write_csv(destination, header, columns, fmt=repr):
+    """Write equal-length columns as CSV rows under header, to a path or an open text file.
+
+    Float cells are formatted through fmt and every other cell through str.
+    Rows are formatted and written PARSE_BLOCK at a time, and each distinct
+    value of a column's block is formatted once.  A field is quoted where
+    csv's minimal quoting would quote it, and also where it holds a lone CR.
+    """
+    _write_groups(destination, header, [columns], fmt)
+
+
+def _clean_groups(timelines):
+    """The CSV_COLUMNS of consecutive timelines, in groups of at most about PARSE_BLOCK rows."""
+    groups, size = [], 0
+    for tl in timelines:
+        if not groups or size + len(tl) > PARSE_BLOCK:
+            groups.append([])
+            size = 0
+        groups[-1].append(tl)
+        size += len(tl)
+    for group in groups:
+        # match_id, player1 and player2 (CSV_COLUMNS[:3]) hold one value per match
+        per_match = zip(*((tl.match_id, *tl.players) for tl in group))
+        yield [np.repeat(np.array(values, dtype=object), [len(tl) for tl in group])
+               for values in per_match] + [
+            np.concatenate([tl.columns["shot_type_code" if c == SHOT_COLUMN else c]
+                            for tl in group])
+            for c in CSV_COLUMNS[3:]
+        ]
+
+
 def write_clean_csv(timelines, destination):
-    """Write cleaned timelines back out with normalized values, column by column."""
-    sizes = [len(tl) for tl in timelines]
-    # match_id, player1 and player2 (CSV_COLUMNS[:3]) hold one value per match
-    per_match = zip(*((tl.match_id, *tl.players) for tl in timelines))
-    columns = [np.repeat(np.array(values, dtype=object), sizes) for values in per_match] + [
-        np.concatenate([tl.columns["shot_type_code" if c == SHOT_COLUMN else c]
-                        for tl in timelines])
-        for c in CSV_COLUMNS[3:]
-    ] if timelines else []
-    write_csv(destination, CSV_COLUMNS, columns, fmt=_format_float)
+    """Write cleaned timelines back out with normalized values, as write_csv writes columns.
+
+    The columns of about PARSE_BLOCK rows of consecutive timelines are joined
+    at a time, so the whole table is never held as one.
+    """
+    _write_groups(destination, CSV_COLUMNS, _clean_groups(timelines), _format_float)

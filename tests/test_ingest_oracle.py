@@ -1,7 +1,9 @@
 """The columnar ingest against the row-at-a-time oracle, and a cell-fuzz of the CLI."""
 
 import csv
+import functools
 import io
+import math
 import sys
 import tracemalloc
 from pathlib import Path
@@ -12,7 +14,7 @@ import pytest
 from matchflow import cli, ingest
 from matchflow.errors import DataError, SchemaError
 
-from util import ingest_oracle, oracle_csv
+from util import ingest_oracle, oracle_csv, write_csv_oracle
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE = ROOT / "data" / "fixture_matches.csv"
@@ -42,6 +44,11 @@ def fixture_rows():
 def cells(values) -> list:
     """Type-exact view of a column: int 1, float 1.0 and NaN compare as they print."""
     return list(map(repr, values))
+
+
+def timeline_cells(timelines) -> list:
+    return [(tl.match_id, tl.players, {name: cells(v.tolist()) for name, v in tl.columns.items()})
+            for tl in timelines]
 
 
 def assert_same_timelines(timelines, matches):
@@ -363,9 +370,7 @@ def test_a_bom_is_skipped(monkeypatch):
 
 def test_every_source_kind_parses_alike_and_file_objects_stay_open():
     def summary(timelines, report):
-        return [(tl.match_id, tl.players,
-                 {name: cells(v.tolist()) for name, v in tl.columns.items()})
-                for tl in timelines], report.to_dict()
+        return timeline_cells(timelines), report.to_dict()
 
     want = summary(*ingest.load_and_clean(FIXTURE.read_bytes()))
     with open(FIXTURE, "rb") as binary, open(FIXTURE, newline="") as text:
@@ -439,23 +444,109 @@ def test_undecodable_bytes_exit_2_naming_their_offset(tmp_path, capsys, at):
     assert str(got.value) == "input is not UTF-8: byte 0xff (invalid start byte)"
 
 
-def test_parsing_streams_in_blocks_within_a_memory_bound():
-    """Traced peak of load_and_clean on about 20k simulated rows (1.96 MB of CSV).
+def test_a_name_with_a_lone_cr_cleans_twice_to_the_same_bytes(tmp_path, capsys):
+    header, rows = fixture_rows()
+    for row in rows:
+        if row[0] == rows[0][0]:
+            row[1] = "Ann\rBee"
+    source = write_bytes(tmp_path / "cr-name.csv", csv_lines(header, rows, ["\r\n"]).encode())
+    code, err, once = clean_cli(tmp_path, source, capsys)
+    assert (code, err) == (0, "")
+    cleaned = write_bytes(tmp_path / "once.csv", once)
+    assert clean_cli(tmp_path, cleaned, capsys) == (0, "", once)
+    timelines, report = ingest.load_and_clean(cleaned)
+    assert report.rejected_rows == [] and timelines[0].players[0] == "Ann\rBee"
+    assert timeline_cells(timelines) == timeline_cells(ingest.load_and_clean(source)[0])
 
-    Reading the whole text and holding every cell string peaked at 33.7 MB;
-    the block stream peaks at about 11.8 MB, about the size of the parsed columns.
-    """
+
+SPECIAL_FLOATS = (-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, float(2**53 + 2),
+                  0.1, -2.5)
+TEXTS = ("a", "b,c", 'say "hi"', "two\nlines", "crlf\r\nend", "lone\rcr", "", '""', " pad ")
+
+
+def writer_table(rows, fmt):
+    """Seeded columns of every kind the writer takes; infinities only where fmt formats them."""
+    rng = np.random.default_rng([12, rows])
+    specials = [v for v in SPECIAL_FLOATS if fmt is repr or not math.isinf(v)]
+    floats = np.where(rng.random(rows) < 0.5, rng.choice(specials, rows),
+                      rng.normal(size=rows).round(int(rng.integers(0, 4))))
+    ints = rng.choice([-3, 0, 7, 2**53 + 2, -2**63], rows)
+    texts = rng.choice(TEXTS, rows)
+    return ["f", "i", "b", "u", "o"], [floats, ints, rng.random(rows) < 0.3, texts,
+                                       texts.astype(object)]
+
+
+@pytest.mark.parametrize("fmt", [repr, ingest._format_float], ids=["repr", "format_float"])
+@pytest.mark.parametrize("rows", [0, 1, ingest.PARSE_BLOCK - 1, ingest.PARSE_BLOCK,
+                                  ingest.PARSE_BLOCK + 1, 3 * ingest.PARSE_BLOCK + 7])
+def test_write_csv_matches_the_cell_at_a_time_oracle(fmt, rows):
+    header, columns = writer_table(rows, fmt)
+    buf = io.StringIO()
+    ingest.write_csv(buf, header, columns, fmt=fmt)
+    assert buf.getvalue() == write_csv_oracle(header, columns, fmt)
+
+
+def test_write_csv_one_column_tables_and_unformattable_values():
+    for header, column, fmt in (
+        (["s"], ["", "x", ""], repr),
+        (["f"], np.array([np.nan, 1.0, 0.5]), ingest._format_float),
+        ([""], [""], repr),
+    ):
+        buf = io.StringIO()
+        ingest.write_csv(buf, header, [column], fmt=fmt)
+        assert buf.getvalue() == write_csv_oracle(header, [column], fmt)
+        assert '""' in buf.getvalue()
+    infinite = [np.array([1.0, np.inf])]  # _format_float has no text for inf
+    with pytest.raises(OverflowError):
+        write_csv_oracle(["f"], infinite, ingest._format_float)
+    with pytest.raises(OverflowError):
+        ingest.write_csv(io.StringIO(), ["f"], infinite, fmt=ingest._format_float)
+
+
+@functools.cache
+def simulated_csv() -> bytes:
+    """About 20k simulated rows (1.96 MB of CSV)."""
     rows, k = [], 0
     while len(rows) < 20_000:
         match = simulate_match(f"mem-{k:03d}", (f"A{k}", f"B{k}"), 9000 + k)
         rows.extend([str(row[c]) for c in COLUMNS] for row in match)
         k += 1
-    data = to_csv(COLUMNS, rows).encode()
+    return to_csv(COLUMNS, rows).encode()
+
+
+def test_parsing_streams_in_blocks_within_a_memory_bound():
+    """Traced peak of load_and_clean on the simulated rows.
+
+    Reading the whole text and holding every cell string peaked at 33.7 MB,
+    and the block stream with a memo on every column at 11.8 MB.  With the
+    memos of the mostly distinct distance columns dropped it peaks at about
+    8.3 MB, about the size of the parsed columns.
+    """
+    data = simulated_csv()
     tracemalloc.start()
     try:
         timelines, _ = ingest.load_and_clean(data)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(map(len, timelines)) == len(rows)
-    assert peak < 20e6, peak
+    assert sum(map(len, timelines)) == data.count(b"\n") - 1
+    assert peak < 10e6, peak
+
+
+def test_writing_the_cleaned_file_streams_in_blocks_within_a_memory_bound(tmp_path):
+    """Traced peak of write_clean_csv above what is live, on the simulated rows.
+
+    Formatting every cell of every column before writing peaked at 14.2 MB;
+    the block stream peaks at about 1.3 MB.
+    """
+    timelines, _ = ingest.load_and_clean(simulated_csv())
+    path = tmp_path / "cleaned.csv"
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        ingest.write_clean_csv(timelines, path)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert timeline_cells(ingest.load_and_clean(path)[0]) == timeline_cells(timelines)
+    assert peak < 3e6, peak

@@ -760,11 +760,29 @@ def _oracle_cell(value) -> str:
     return str(value)
 
 
+def oracle_row(cells) -> str:
+    """One CSV line of text cells, by csv's minimal quoting with a lone CR quoted too.
+
+    csv quotes a field holding a character of its line terminator, so the row
+    is written with CRLF and its terminator then replaced by LF.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(cells)
+    return buf.getvalue()[:-2] + "\n"
+
+
+def write_csv_oracle(header, columns, fmt=repr) -> str:
+    """The CSV text of equal-length columns, one cell at a time: fmt for floats, str for the rest."""
+    cells = []
+    for column in map(np.asarray, columns):
+        convert = fmt if column.dtype.kind == "f" else str
+        cells.append([convert(value) for value in column.tolist()])
+    return "".join(oracle_row(row) for row in [header, *zip(*cells)])
+
+
 def oracle_csv(matches) -> str:
     """The cleaned-CSV text of (match_id, players, records) matches, one cell at a time."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ingest.CSV_COLUMNS)
+    lines = [oracle_row(ingest.CSV_COLUMNS)]
     for match_id, players, records in matches:
         for r in records:
             row = []
@@ -777,8 +795,8 @@ def oracle_csv(matches) -> str:
                     row.append(str(r["shot_type_code"]))
                 else:
                     row.append(_oracle_cell(r[col]))
-            writer.writerow(row)
-    return buf.getvalue()
+            lines.append(oracle_row(row))
+    return "".join(lines)
 
 
 def ingest_oracle(text, columns=None):
