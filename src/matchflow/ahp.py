@@ -130,14 +130,14 @@ def weights(matrix: JudgmentMatrix, method: str = "geometric_mean") -> np.ndarra
     return w / w.sum()
 
 
-def principal_eigenvector(matrix: JudgmentMatrix, tol: float = 1e-14, max_iters: int = 10_000):
+def principal_eigenvector(matrix: JudgmentMatrix):
     """Perron eigenvector and eigenvalue of a positive matrix (power method)."""
     a = matrix.values
     v = np.full(matrix.n, 1.0 / matrix.n)
-    for _ in range(max_iters):
+    for _ in range(10_000):
         av = a @ v
         nxt = av / av.sum()
-        if np.max(np.abs(nxt - v)) < tol:
+        if np.max(np.abs(nxt - v)) < 1e-14:
             v = nxt
             break
         v = nxt

@@ -24,9 +24,12 @@ value, an unknown feature name or choice (unit, AHP method, statistic, sweep
 degree), a repeated AHP or sweep indicator, the same trend axis for x and y,
 a list that does not line up with its indicators, an empty sweep range, a
 configured sweep grid with an axis of fewer than 2 samples or more than
-sweep.MAX_GRID_CELLS cells, or a faulty judgment matrix exits 3 whatever
-stages the command runs; ahp.matrix is resolved to the one matrix the AHP
-stage uses.  Only the match's own data is checked by a stage.
+sweep.MAX_GRID_CELLS cells, a trend.grid whose grid**2 surface rows exceed
+that same budget (so at most 1000), a negative seed, or a faulty judgment
+matrix exits 3 whatever stages the command runs; ahp.matrix is resolved to
+the one matrix the AHP stage uses.  A negative --seed also exits 3 before
+any input is read or output written.  Only the match's own data is checked
+by a stage.
 
 Exit codes: 0 success, 1 analysis error, 2 I/O or schema error, 3 config
 error.  A command with a failed stage exits with the code of its first
@@ -201,6 +204,7 @@ def _check_values(config):
     ahp, trend_cfg, sweep = config["ahp"], config["trend"], config["sweep"]
     n_ahp, n_sweep = len(ahp["indicators"]), len(sweep["indicators"])
     max_ahp = max(ahp_mod.RANDOM_INDEX)  # the largest judgment matrix order with a random index
+    max_cells = sweep_mod.MAX_GRID_CELLS  # the trend surface's budget too: grid**2 rows
     choices = {"unit": labels.UNITS, "ahp.method": ahp_mod.WEIGHT_METHODS,
                "random.statistic": tuple(trend.STATISTICS), "sweep.degree": (1, 2),
                "trend.x": ("momentum", *features), "trend.y": ("momentum", *features)}
@@ -211,7 +215,9 @@ def _check_values(config):
          and len(set(ahp["indicators"]) & set(features)) == n_ahp,
          f"2 to {max_ahp} distinct feature names from {features}"),
         ("trend.y", trend_cfg["y"] != trend_cfg["x"], "an axis other than trend.x"),
-        ("trend.grid", trend_cfg["grid"] >= 1, "at least 1"),
+        ("seed", config["seed"] >= 0, "at least 0"),
+        ("trend.grid", 1 <= trend_cfg["grid"] and trend_cfg["grid"] ** 2 <= max_cells,
+         f"1 to {math.isqrt(max_cells)}"),
         ("random.permutations", config["random"]["permutations"] >= trend.MIN_PERMUTATIONS,
          f"at least {trend.MIN_PERMUTATIONS}"),
         ("sweep.indicators", 1 <= n_sweep <= 2
@@ -329,7 +335,7 @@ def _train(ctx, out):
     counts = metrics.confusion(test_y, model.predict(test_x), n_classes=label_set.n_classes)
     summary = metrics.summary_metrics(counts)
     _write_json(out("metrics.json"), metrics.metrics_table(summary, label_set.values))
-    proba = np.atleast_2d(model.predict_proba(test_x))
+    proba = model.predict_proba(test_x)
     auc = {}
     for level in range(label_set.n_classes):
         curve = metrics.roc_auc(test_y, proba[:, level], level)
@@ -337,7 +343,7 @@ def _train(ctx, out):
                          [curve.thresholds, curve.fpr, curve.tpr])
         auc[f"roc_level{level}"] = curve.auc
 
-    proba = np.atleast_2d(model.predict_proba(ctx.features.values))
+    proba = model.predict_proba(ctx.features.values)
     pred = np.argmax(proba, axis=1)
     ingest.write_csv(
         out("holdout_probabilities.csv"),
@@ -392,7 +398,6 @@ def _momentum(ctx, out):
             {"player 1": s.p1, "player 2": s.p2},
             out("momentum.svg", key="momentum_plot"),
             title=f"momentum: {match.match_id}",
-            y_range=(0.0, 1.0),
         )
     print(f"momentum series for {match.match_id}: {len(s)} points")
     print(f"p1 mean momentum {float(s.p1.mean()):.3f}")
@@ -567,6 +572,9 @@ def cmd_clean(args, config):
 
 def cmd_stages(args, config):
     """Run the command's stage, or every stage for report, into the output directory."""
+    seed = args.seed if args.seed is not None else config["seed"]
+    if seed < 0:  # load_config has checked the config's seed
+        raise ConfigError(f"--seed must be at least 0, got {seed}")
     timelines, cleaning, sources = [], ingest.CleaningReport(), {}
     for path in args.inputs:
         part, part_report = ingest.load_and_clean(path, columns=config["columns"] or None)
@@ -584,7 +592,6 @@ def cmd_stages(args, config):
     # falls back to the first match when the inputs lack it
     wanted = args.match or (config["holdout"] if bundle or args.stage == "train" else None)
     match = _select_match(timelines, wanted, fallback=bundle and not args.match)
-    seed = args.seed if args.seed is not None else config["seed"]
     others = [tl for tl in timelines if tl.match_id != match.match_id]
     ctx = Context(config, seed, match, others, args.plot)
     out_dir = Path(args.out_dir or os.environ.get(OUT_DIR_ENV) or ".")

@@ -199,11 +199,12 @@ class CleaningReport:
         }
 
     def merge(self, other: "CleaningReport"):
-        """Add another report's counts, defaulted columns and rejected rows to this one."""
+        """Add another report's counts, rejected rows and the defaulted columns this one lacks."""
         for name in COUNTERS:
             for column, count in getattr(other, name).items():
                 self.bump(getattr(self, name), column, count)
-        self.defaulted_columns.extend(other.defaulted_columns)
+        self.defaulted_columns.extend(column for column in other.defaulted_columns
+                                      if column not in self.defaulted_columns)
         self.rejected_rows.extend(other.rejected_rows)
 
 
@@ -595,9 +596,8 @@ def load_and_clean(source, columns=None):
     report = CleaningReport()
     timelines = _timelines(_repair(cols, ids, matches, report), ids, players, matches)
     report.rejected_rows.extend(rejected)
-    for col in CONTINUOUS_COLUMNS + FLAG_COLUMNS + (SHOT_COLUMN,):
-        if col not in header:
-            report.defaulted_columns.append(col)
+    report.defaulted_columns.extend(source for source, _, _, absent in FIELDS.values()
+                                    if absent is not None and source not in header)
     return timelines, report
 
 

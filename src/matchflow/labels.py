@@ -126,8 +126,6 @@ class LabelSet:
 
     values: tuple
 
-    LEVEL_NAMES = ("p2_hold", "p2_break", "p1_break", "p1_hold")
-
     @classmethod
     def from_stats(cls, stats: ServeWinStats) -> "LabelSet":
         p_win = stats.p_win_given_serve

@@ -155,7 +155,7 @@ def roc_auc(truth, scores, positive) -> RocCurve:
     sorted_pos = is_pos[order].astype(int)
 
     # one step per distinct score value
-    distinct = np.flatnonzero(np.diff(sorted_scores)) if t.size > 1 else np.array([], dtype=int)
+    distinct = np.flatnonzero(np.diff(sorted_scores))
     step_ends = np.concatenate([distinct, [t.size - 1]])
     cum_tp = np.cumsum(sorted_pos)[step_ends]
     cum_fp = (step_ends + 1) - cum_tp

@@ -25,29 +25,30 @@ def _scale(values, lo, hi, out_lo, out_hi):
     return out_lo + (np.asarray(values, dtype=float) - lo) * (out_hi - out_lo) / span
 
 
-def line_plot_svg(x, series: dict, path, title: str = "", width: int = 900, height: int = 320,
-                  y_range=None):
-    """Render one or more line series to an SVG file.
-
-    Args:
-        x: shared abscissa values.
-        series: mapping of legend label -> y values.
-        y_range: optional (lo, hi) override for the vertical axis.
-    """
-    x = np.asarray(x, dtype=float)
-    ys = {name: np.asarray(v, dtype=float) for name, v in series.items()}
-    all_y = np.concatenate(list(ys.values())) if ys else np.zeros(1)
-    y_lo, y_hi = y_range if y_range else (float(all_y.min()), float(all_y.max()))
-    if y_lo == y_hi:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
-    x_lo, x_hi = float(x.min()), float(x.max())
-
-    parts = [
+def _header(width, height, title) -> list:
+    """The lines that open every plot: the <svg> tag, a white background and the title."""
+    return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width // 2}" y="18" text-anchor="middle" font-family="monospace" '
         f'font-size="13">{title}</text>',
+    ]
+
+
+def line_plot_svg(x, series: dict, path, title: str = ""):
+    """Render one or more line series to a 900 x 320 SVG file on a vertical axis of [0, 1].
+
+    Args:
+        x: shared abscissa values.
+        series: mapping of legend label -> y values.
+    """
+    width, height = 900, 320
+    y_lo, y_hi = 0.0, 1.0
+    x = np.asarray(x, dtype=float)
+    x_lo, x_hi = float(x.min()), float(x.max())
+
+    parts = _header(width, height, title) + [
         f'<rect x="{MARGIN}" y="{MARGIN}" width="{width - 2 * MARGIN}" '
         f'height="{height - 2 * MARGIN}" fill="none" stroke="#888888"/>',
     ]
@@ -63,9 +64,9 @@ def line_plot_svg(x, series: dict, path, title: str = "", width: int = 900, heig
             f'<text x="{_fmt(px)}" y="{height - MARGIN + 14}" text-anchor="middle" '
             f'font-family="monospace" font-size="10">{tick:.3g}</text>'
         )
-    for idx, (name, y) in enumerate(ys.items()):
+    px = _scale(x, x_lo, x_hi, MARGIN, width - MARGIN)
+    for idx, (name, y) in enumerate(series.items()):
         color = PALETTE[idx % len(PALETTE)]
-        px = _scale(x, x_lo, x_hi, MARGIN, width - MARGIN)
         py = _scale(y, y_lo, y_hi, height - MARGIN, MARGIN)
         points = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
         parts.append(
@@ -116,13 +117,7 @@ def heatmap_svg(matrix, path, title: str = "", x_labels=None, y_labels=None,
     xs = [_fmt(MARGIN + j * cell_w) for j in range(cols)]
     ys = [_fmt(height - MARGIN - (i + 1) * cell_h) for i in range(rows)]
     size = f'width="{_fmt(cell_w + 0.5)}" height="{_fmt(cell_h + 0.5)}"'
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width // 2}" y="18" text-anchor="middle" font-family="monospace" '
-        f'font-size="13">{title}</text>',
-    ]
+    parts = _header(width, height, title)
     parts += [f'<rect x="{x}" y="{y}" {size} fill="#{c}"/>'
               for y, row in zip(ys, fill) for x, c in zip(xs, row)]
     if y_labels is not None:

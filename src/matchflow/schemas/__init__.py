@@ -1,25 +1,14 @@
-"""Versioned JSON schemas for every artifact the CLI emits."""
+"""Versioned JSON schemas for every artifact the CLI emits, one ``{name}.schema.json`` each."""
 
 import json
 from importlib import resources
 
-SCHEMA_NAMES = (
-    "serve_stats",
-    "cleaning_report",
-    "model",
-    "metrics",
-    "momentum_swings",
-    "ahp",
-    "trend",
-    "randomness",
-    "sweep",
-    "scalogram",
-    "report",
-)
+_SUFFIX = ".schema.json"
+SCHEMA_NAMES = tuple(sorted(path.name.removesuffix(_SUFFIX)
+                            for path in resources.files(__package__).iterdir()
+                            if path.name.endswith(_SUFFIX)))
 
 
 def load_schema(name: str) -> dict:
-    if name not in SCHEMA_NAMES:
-        raise KeyError(f"no schema named {name!r}; known: {SCHEMA_NAMES}")
-    path = resources.files(__package__).joinpath(f"{name}.schema.json")
-    return json.loads(path.read_text())
+    """The schema of the artifact ``name``; FileNotFoundError when there is none."""
+    return json.loads(resources.files(__package__).joinpath(f"{name}{_SUFFIX}").read_text())

@@ -87,7 +87,6 @@ class Scalogram:
     scales: np.ndarray
     times: np.ndarray
     coefficients: np.ndarray  # (n_scales, n_times) complex
-    config: WaveletConfig
 
     @property
     def amplitude(self) -> np.ndarray:
@@ -134,7 +133,7 @@ def cwt(signal, config: WaveletConfig | None = None) -> Scalogram:
     spectrum = np.fft.fft(extended, size) * np.fft.fft(kernels, size, axis=1)
     coeffs = np.fft.ifft(spectrum, axis=1)[:, pad + reach : pad + reach + x.size]
     times = np.arange(x.size)
-    return Scalogram(scales, times, coeffs, config)
+    return Scalogram(scales, times, coeffs)
 
 
 @dataclass

@@ -161,6 +161,8 @@ def test_bad_config_exits_3(tmp_path):
      "ahp.indicators must be 2 to 9 distinct feature names"),
     ("analyze trend", {"trend": {"x": "set_diff", "y": "set_diff"}},
      'trend.y must be an axis other than trend.x, got "set_diff"'),
+    # a trend surface of more rows than the sweep's grid budget
+    ("analyze ahp", {"trend": {"grid": 1001}}, "trend.grid must be 1 to 1000, got 1001"),
 ])
 def test_wrong_typed_config_value_exits_3_naming_the_key(tmp_path, capsys, command, config, key):
     path = tmp_path / "cfg.json"
@@ -195,6 +197,25 @@ def test_out_of_range_config_stops_report_before_any_stage(tmp_path, capsys):
         assert run(["report", FIXTURE, "--out-dir", out, "--config", path]) == 3
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_the_trend_grid_may_fill_the_sweep_grid_budget(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"trend": {"grid": 1000}}))
+    assert cli.load_config(path)["trend"]["grid"] ** 2 == cli.sweep_mod.MAX_GRID_CELLS
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["report", "--seed", -1], {}),
+    (["train-eval"], {"seed": -1}),
+])
+def test_a_negative_seed_exits_3_before_any_stage(tmp_path, capsys, argv, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run([*argv, FIXTURE, "--out-dir", out, "--config", path]) == 3
+    assert "seed must be at least 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_a_judgment_matrix_csv_with_a_non_numeric_cell_exits_3(tmp_path, capsys):
@@ -279,6 +300,22 @@ def test_a_match_id_in_two_input_files_exits_2_naming_both(tmp_path, capsys):
         assert capsys.readouterr().err == ("input error: match id '2023-fixture-1301' is in both "
                                            f"{FIXTURE} and {inputs[1]}\n")
         assert not out.exists()
+
+
+def test_a_column_every_input_file_lacks_is_reported_once(tmp_path):
+    with open(FIXTURE, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    keep = [i for i, name in enumerate(header) if name != "rally_count"]
+    inputs = []
+    for match_id in dict.fromkeys(row[0] for row in rows):  # one file per match
+        path = tmp_path / f"{match_id}.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                [row[i] for i in keep] for row in [header, *(r for r in rows if r[0] == match_id)])
+        inputs.append(path)
+    out = tmp_path / "out"
+    assert run(["report", *inputs, "--out-dir", out]) == 0
+    assert read_json(out / "cleaning_report.json")["defaulted_columns"] == ["rally_count"]
 
 
 def test_an_exact_match_id_wins_over_a_suffix(tmp_path):

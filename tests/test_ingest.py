@@ -217,15 +217,16 @@ def test_cleaning_reports_merge_counts_and_lists():
     first, second = ingest.CleaningReport(), ingest.CleaningReport()
     first.bump(first.ad_replacements, "p1_score", 2)
     first.rejected_rows.append((3, "missing match_id"))
+    first.defaulted_columns.append("speed_mph")
     second.bump(second.ad_replacements, "p1_score")
     second.bump(second.mode_imputations, "server")
-    second.defaulted_columns.append("rally_count")
+    second.defaulted_columns.extend(["speed_mph", "rally_count"])  # each column listed once
     second.rejected_rows.append((9, "unparseable point_no"))
     first.merge(second)
     totals = first.to_dict()["totals"]
     assert first.ad_replacements == {"p1_score": 3}
     assert first.mode_imputations == {"server": 1}
-    assert first.defaulted_columns == ["rally_count"]
+    assert first.defaulted_columns == ["speed_mph", "rally_count"]
     assert first.rejected_rows == [(3, "missing match_id"), (9, "unparseable point_no")]
     assert totals["ad_replacements"] == 3 and totals["rejected_rows"] == 2
 

@@ -39,6 +39,10 @@ CONFIGS = {
                            [1, 2, 4, 1, 3], [0.5, 1, 2, 1 / 3, 1]]},
         "sweep": {"indicators": ["psychological_factor", "score_diff"],
                   "ranges": [[0.2, 0.8], [-3, 3]], "steps": [0.05, 0.5]}},
+    "non-default-analyses": {"unit": "game", "momentum": {"causal": True},
+                             "wavelet": {"boundary": "zero"},
+                             "trend": {"x": "score_diff", "y": "momentum", "grid": 7},
+                             "sweep": {"degree": 1}, "train": {"l2_penalty": 0.01}},
 }
 # a_ij = w_i / w_j: a consistent judgment matrix over the five default indicators
 WEIGHTS = (8.0, 4.0, 4.0, 2.0, 1.0)
