@@ -6,7 +6,10 @@ scores.  Training minimizes the mean negative log-likelihood (plus an optional
 L2 penalty on the non-intercept coefficients) by damped Newton steps, the
 textbook IRLS method for multinomial logistic regression, from an all-zeros
 start, so a run is fully deterministic and max_iters=0 yields exactly uniform
-predictions.
+predictions.  Each step's Hessian is built from the class probabilities that
+the loss evaluation of the accepted step already computed, and weighs the
+design into one buffer reused for every class block, so a step holds one
+weighted copy of the design at most.
 
 When the training rows are separable (some coefficients score every row's
 own class strictly first), the likelihood has no finite maximizer: scaling
@@ -102,8 +105,12 @@ class SoftmaxModel:
             raise ValueError(
                 f"feature dimension mismatch: expected {self.n_features}, got {rows.shape[1]}"
             )
-        z = (rows - self.mean) / self.std
-        return np.hstack([np.ones((z.shape[0], 1)), z]), single
+        design = np.empty((rows.shape[0], self.n_features + 1))
+        design[:, 0] = 1.0
+        z = design[:, 1:]  # standardized in place, so no copy is stacked
+        np.subtract(rows, self.mean, out=z)
+        np.divide(z, self.std, out=z)
+        return design, single
 
     def predict_proba(self, rows):
         """Class probability vector(s); components sum to one."""
@@ -161,20 +168,37 @@ def _as_matrix(features):
     return x, [f"x{i}" for i in range(x.shape[1])]
 
 
+class _LossGrad(tuple):
+    """(loss, grad) as nll_and_grad returns them, with the probabilities they came from.
+
+    proba is the (n, K-1) probabilities of the non-reference classes at coef,
+    bit for bit softmax(_scores(coef, design))[:, :-1].
+    """
+
+    def __new__(cls, loss, grad, proba):
+        self = super().__new__(cls, (loss, grad))
+        self.proba = proba
+        return self
+
+
 def nll_and_grad(coef, design, y, n_classes, l2_penalty=0.0):
     """Mean negative log-likelihood and its gradient w.r.t. the coefficients.
 
     coef has shape (K-1, p+1), design (n, p+1) with the intercept column
     first, y holds class levels in [0, K).  The L2 penalty skips intercepts.
+    The returned pair also carries, as .proba, the probabilities of the
+    non-reference classes, computed as softmax computes them.
     """
     n = design.shape[0]
     rows = np.arange(n)
     scores = _scores(coef, design)
     top = scores.max(axis=1, keepdims=True)
-    e = np.exp(scores - top)
+    own = scores[rows, y]  # the last read of the scores, whose buffer e then takes
+    e = np.exp(np.subtract(scores, top, out=scores), out=scores)
     total = e.sum(axis=1, keepdims=True)
-    loss = float(np.mean(np.log(total[:, 0]) + top[:, 0] - scores[rows, y]))
-    delta = e[:, : n_classes - 1] / total  # probabilities of the non-reference classes
+    loss = float(np.mean(np.log(total[:, 0]) + top[:, 0] - own))
+    proba = e[:, : n_classes - 1] / total  # probabilities of the non-reference classes
+    delta = proba.copy()
     one_hot = y < n_classes - 1
     delta[rows[one_hot], y[one_hot]] -= 1.0
     grad = delta.T @ design / n
@@ -183,23 +207,26 @@ def nll_and_grad(coef, design, y, n_classes, l2_penalty=0.0):
         penalty[:, 0] = 0.0
         loss += 0.5 * l2_penalty * float(np.sum(penalty**2))
         grad = grad + l2_penalty * penalty
-    return loss, grad
+    return _LossGrad(loss, grad, proba)
 
 
-def _hessian(coef, design, l2_penalty):
+def _hessian(proba, design, l2_penalty):
     """Hessian of nll_and_grad's loss w.r.t. coef.ravel(): a (K-1)(p+1) square matrix.
 
-    Built one (a, b) class block at a time, X^T diag(p_a (delta_ab - p_b)) X / n,
-    so no (n, K-1, K-1) array is formed.  The L2 term skips intercepts.
+    proba holds the (n, K-1) probabilities of the non-reference classes at
+    coef, as nll_and_grad returns them.  Built one (a, b) class block at a
+    time, X^T diag(p_a (delta_ab - p_b)) X / n, so no (n, K-1, K-1) array is
+    formed; every block weighs the design into one reused buffer.  The L2
+    term skips intercepts.
     """
     n, m = design.shape
-    k1 = coef.shape[0]
-    proba = softmax(_scores(coef, design))
+    k1 = proba.shape[1]
+    weighted = np.empty_like(design)
     hess = np.empty((k1 * m, k1 * m))
     for a in range(k1):
         for b in range(a, k1):
             w = proba[:, a] * (float(a == b) - proba[:, b])
-            block = design.T @ (w[:, None] * design) / n
+            block = design.T @ np.multiply(w[:, None], design, out=weighted) / n
             hess[a * m:(a + 1) * m, b * m:(b + 1) * m] = block
             hess[b * m:(b + 1) * m, a * m:(a + 1) * m] = block.T
     penalty = np.full(m, float(l2_penalty))
@@ -221,14 +248,16 @@ def train(features, labels, cfg: TrainConfig | None = None, class_values=None) -
     """Fit the softmax classifier by damped Newton steps from all-zero coefficients.
 
     Each iteration solves H d = g (Hessian and gradient of the mean NLL plus
-    the L2 term) and tries coef - step * d with the full Newton step, step =
-    1, first, halving it up to MAX_BACKTRACKS times until the loss does not
-    increase.  Training stops when the gradient norm is at most cfg.tol
-    ("converged"), after cfg.max_iters steps ("max_iters"), or when no step
-    descends ("no_descent").  Without an L2 penalty, final coefficients that
-    rank every training row's own class strictly first mean the data are
-    separable and no finite maximum likelihood estimate exists: stop_reason
-    is then "separable" and converged is False.
+    the L2 term at the last accepted coefficients; the Hessian reuses the
+    probabilities that step's loss evaluation computed) and tries
+    coef - step * d with the full Newton step, step = 1, first, halving it up
+    to MAX_BACKTRACKS times until the loss does not increase.  Training stops
+    when the gradient norm is at most cfg.tol ("converged"), after
+    cfg.max_iters steps ("max_iters"), or when no step descends
+    ("no_descent").  Without an L2 penalty, final coefficients that rank
+    every training row's own class strictly first mean the data are separable
+    and no finite maximum likelihood estimate exists: stop_reason is then
+    "separable" and converged is False.
 
     Features are standardized with the statistics of the data passed in (the
     caller's training split).  Every class must appear at least once.
@@ -249,9 +278,9 @@ def train(features, labels, cfg: TrainConfig | None = None, class_values=None) -
     if x.shape[0] != y.size:
         raise ValueError("features and labels disagree on sample count")
     k = len(class_values)
-    present = np.unique(y)
+    present = set(y.tolist())
     if len(present) < k:
-        missing = sorted(set(range(k)) - set(present.tolist()))
+        missing = sorted(set(range(k)) - present)
         raise DataError(f"degenerate labels: class level(s) {missing} absent from training data")
 
     mean = x.mean(axis=0)
@@ -262,7 +291,7 @@ def train(features, labels, cfg: TrainConfig | None = None, class_values=None) -
     design, _ = model._design(x)
 
     coef = model.coef
-    loss, grad = nll_and_grad(coef, design, y, k, cfg.l2_penalty)
+    loss, grad = terms = nll_and_grad(coef, design, y, k, cfg.l2_penalty)
     if not np.isfinite(loss):
         raise ArithmeticError("divergence: training loss is not finite")
     iters = 0
@@ -276,12 +305,13 @@ def train(features, labels, cfg: TrainConfig | None = None, class_values=None) -
         # a constant feature is an all-zero column after standardization and
         # makes the Hessian singular, hence least squares
         g = grad.ravel()
-        d = np.linalg.lstsq(_hessian(coef, design, cfg.l2_penalty), g, rcond=None)[0]
+        d = np.linalg.lstsq(_hessian(terms.proba, design, cfg.l2_penalty), g, rcond=None)[0]
+        del terms  # free the probabilities, which only the Hessian reads, for the line search
         direction = d.reshape(grad.shape) if float(d @ g) > 0.0 else grad
         step = 1.0
         for _ in range(MAX_BACKTRACKS):
             candidate = coef - step * direction
-            new_loss, new_grad = nll_and_grad(candidate, design, y, k, cfg.l2_penalty)
+            new_loss, new_grad = terms = nll_and_grad(candidate, design, y, k, cfg.l2_penalty)
             if np.isfinite(new_loss) and new_loss <= loss:
                 break
             step *= 0.5
@@ -307,7 +337,7 @@ def train_test_split(labels, fraction=0.8, seed=0):
     y = np.asarray(labels, dtype=int)
     rng = np.random.default_rng(seed)
     in_train = np.zeros(y.size, dtype=bool)
-    for level in np.unique(y):
+    for level in sorted(set(y.tolist())):
         idx = np.flatnonzero(y == level)
         idx = idx[rng.permutation(idx.size)]
         n_train = int(round(fraction * idx.size))

@@ -25,11 +25,11 @@ degree), a repeated AHP or sweep indicator, the same trend axis for x and y,
 a list that does not line up with its indicators, an empty sweep range, a
 configured sweep grid with an axis of fewer than 2 samples or more than
 sweep.MAX_GRID_CELLS cells, a trend.grid whose grid**2 surface rows exceed
-that same budget (so at most 1000), a negative seed, or a faulty judgment
-matrix exits 3 whatever stages the command runs; ahp.matrix is resolved to
-the one matrix the AHP stage uses.  A negative --seed also exits 3 before
-any input is read or output written.  Only the match's own data is checked
-by a stage.
+that same budget (so at most 1000), random.permutations past that budget, a
+negative seed, or a faulty judgment matrix exits 3 whatever stages the
+command runs; ahp.matrix is resolved to the one matrix the AHP stage uses.
+A negative --seed also exits 3 before any input is read or output written.
+Only the match's own data is checked by a stage.
 
 Exit codes: 0 success, 1 analysis error, 2 I/O or schema error, 3 config
 error.  A command with a failed stage exits with the code of its first
@@ -204,7 +204,8 @@ def _check_values(config):
     ahp, trend_cfg, sweep = config["ahp"], config["trend"], config["sweep"]
     n_ahp, n_sweep = len(ahp["indicators"]), len(sweep["indicators"])
     max_ahp = max(ahp_mod.RANDOM_INDEX)  # the largest judgment matrix order with a random index
-    max_cells = sweep_mod.MAX_GRID_CELLS  # the trend surface's budget too: grid**2 rows
+    # the trend surface's budget too (grid**2 rows), and the permutation test's
+    max_cells = sweep_mod.MAX_GRID_CELLS
     choices = {"unit": labels.UNITS, "ahp.method": ahp_mod.WEIGHT_METHODS,
                "random.statistic": tuple(trend.STATISTICS), "sweep.degree": (1, 2),
                "trend.x": ("momentum", *features), "trend.y": ("momentum", *features)}
@@ -218,8 +219,9 @@ def _check_values(config):
         ("seed", config["seed"] >= 0, "at least 0"),
         ("trend.grid", 1 <= trend_cfg["grid"] and trend_cfg["grid"] ** 2 <= max_cells,
          f"1 to {math.isqrt(max_cells)}"),
-        ("random.permutations", config["random"]["permutations"] >= trend.MIN_PERMUTATIONS,
-         f"at least {trend.MIN_PERMUTATIONS}"),
+        ("random.permutations",
+         trend.MIN_PERMUTATIONS <= config["random"]["permutations"] <= max_cells,
+         f"{trend.MIN_PERMUTATIONS} to {max_cells}"),
         ("sweep.indicators", 1 <= n_sweep <= 2
          and len(set(sweep["indicators"]) & set(features)) == n_sweep,
          f"one or two distinct feature names from {features}"),
@@ -326,12 +328,13 @@ def _train(ctx, out):
     y = np.concatenate([labels.label_points(tl, stats) for tl in ctx.train_timelines])
     cfg = classifier.TrainConfig(**ctx.config["train"], seed=ctx.seed)
     train_idx, test_idx = classifier.train_test_split(y, fraction=cfg.split, seed=cfg.seed)
-    table = ingest.FeatureTable("corpus", list(ingest.FEATURE_NAMES), x[train_idx])
+    test_x, test_y = x[test_idx], y[test_idx]
+    x = x[train_idx]  # the whole matrix is not held through training
+    table = ingest.FeatureTable("corpus", list(ingest.FEATURE_NAMES), x)
     model = classifier.train(table, y[train_idx], cfg, class_values=label_set.values)
     _write_json(out("model.json"), model.to_dict())
     _write_json(out("serve_stats.json"), stats.to_dict())
 
-    test_x, test_y = x[test_idx], y[test_idx]
     counts = metrics.confusion(test_y, model.predict(test_x), n_classes=label_set.n_classes)
     summary = metrics.summary_metrics(counts)
     _write_json(out("metrics.json"), metrics.metrics_table(summary, label_set.values))

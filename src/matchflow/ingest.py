@@ -12,9 +12,13 @@ column of a block converted through the scalar rules ``_to_float``,
 ``_to_int``, ``_score`` and ``_shot_code``, and the whole text is never held
 in memory.  A memo that spans the blocks converts each distinct cell of a
 column once, for as long as the column's cells repeat; a column whose cells
-are mostly distinct drops its memo and converts cell by cell.  The columns of
-every match are then joined, sorted by match and point, and repaired with
-array operations; only then are they split into one ``MatchTimeline`` of
+are mostly distinct drops its memo and converts cell by cell.  Each numeric
+column's cells are appended to one growable typed buffer (an
+``array.array``), and each text column's to one list, so the blocks leave no
+small arrays behind to fragment the heap; a buffer is viewed as an array
+(``np.frombuffer``) only when the columns of every match are joined.  The
+joined columns are sorted by match and point and repaired with array
+operations; only then are they split into one ``MatchTimeline`` of
 equal-length arrays per match.  ``load_and_clean`` is the one way in, so
 every timeline is a cleaned one.
 
@@ -32,6 +36,7 @@ limit (naming the line), and bytes that are not UTF-8 (naming their offset).
 
 from __future__ import annotations
 
+import array
 import contextlib
 import csv
 import functools
@@ -374,7 +379,10 @@ def _parse_rows(reader, columns):
     read = [(name, position[source], _Cells(convert), dtype)
             for name, (source, convert, dtype, _) in FIELDS.items() if source in position]
     read += [(name, position[name], _Cells(_strip), object) for name in ("match_id", *named)]
-    parts = {name: [] for name, *_ in read}
+    # one growable buffer per column: typed for numbers, so the blocks leave no small arrays
+    # behind to fragment the heap, and a list for text
+    parts = {name: [] if dtype is object else array.array(np.dtype(dtype).char)
+             for name, _, _, dtype in read}
     n = 0
     for block in iter(lambda: list(itertools.islice(reader, PARSE_BLOCK)), []):
         cells = []  # row-major: column j is cells[j::width]
@@ -386,14 +394,14 @@ def _parse_rows(reader, columns):
                 row = (row + [None] * width)[:width]
             cells += row
         rows = len(cells) // width
-        for name, j, memo, dtype in read:
-            parts[name].append(np.fromiter(memo.convert_all(cells[j::width]), dtype=dtype,
-                                           count=rows))
+        for name, j, memo, _ in read:
+            parts[name].extend(memo.convert_all(cells[j::width]))
         n += rows
     if not n:
         raise SchemaError("empty input: no data rows")
 
-    match_ids, point_no = np.concatenate(parts["match_id"]), np.concatenate(parts["point_no"])
+    match_ids = np.array(parts["match_id"], dtype=object)
+    point_no = np.frombuffer(parts["point_no"], dtype=np.int64)
     keep = (match_ids != "") & (point_no > 0)
     rejected = [
         (i + 2, "missing match_id" if match_ids[i] == "" else "unparseable point_no")
@@ -407,10 +415,10 @@ def _parse_rows(reader, columns):
     order = kept[np.lexsort((point_no[kept], codes))]
     first_rows = kept[np.unique(codes, return_index=True)[1]]
     # players come from the first kept row; a blank or absent name keeps its default
-    names = [np.concatenate(parts.pop(p))[first_rows].tolist() if p in named
+    names = [list(map(parts.pop(p).__getitem__, first_rows.tolist())) if p in named
              else [""] * len(ids) for p in PLAYER_COLUMNS]
     players = [tuple(name or p for name, p in zip(pair, PLAYER_COLUMNS)) for pair in zip(*names)]
-    cols = {name: (np.concatenate(parts.pop(name)) if name in parts
+    cols = {name: (np.frombuffer(parts.pop(name), dtype=dtype) if name in parts
                    else np.full(n, absent, dtype=dtype))[order]
             for name, (_, _, dtype, absent) in FIELDS.items()}
     return cols, ids, players, _Matches(np.bincount(codes, minlength=len(ids))), rejected, header
@@ -439,7 +447,7 @@ class _Matches:
 
     def spans(self, mask):
         """(start, end) of each match with a point where mask holds."""
-        hit = np.unique(self.ids[mask])
+        hit = np.flatnonzero(self.count(mask))
         return zip(self.starts[hit].tolist(), self.ends[hit].tolist())
 
     def falls(self, values) -> np.ndarray:
@@ -454,8 +462,7 @@ def _means(values, matches) -> np.ndarray:
     present value, get NaN.  A sum past the float range gives an infinite mean.
     """
     means = np.full(matches.sizes.size, np.nan)
-    missing = np.isnan(values)
-    for m in np.unique(matches.ids[missing]).tolist():
+    for m in np.flatnonzero(matches.count(np.isnan(values))).tolist():
         part = values[matches.starts[m]:matches.ends[m]]
         finite = part[~np.isnan(part)].tolist()
         if finite:

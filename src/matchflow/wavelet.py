@@ -46,7 +46,7 @@ class WaveletConfig:
     center_frequency: float = 6.0
     n_scales: int = 32
     min_period: float = 2.0
-    max_period: float | None = None  # defaults to half the signal length
+    max_period: float | None = None  # defaults to half the signal length; at most the length
     scales: np.ndarray | None = None  # explicit ladder overrides the periods
     boundary: str = "reflect"  # or "zero"
 
@@ -73,6 +73,9 @@ class WaveletConfig:
         max_period = self.max_period if self.max_period else signal_length / 2.0
         if max_period <= self.min_period:
             raise DataError("max_period must exceed min_period")
+        if max_period > signal_length:  # it sizes the padding and every kernel
+            raise DataError(f"max_period must be at most the signal length, {signal_length}, "
+                            f"got {max_period:g}")
         lo = scale_for_period(self.min_period, self.center_frequency)
         hi = scale_for_period(max_period, self.center_frequency)
         if self.n_scales == 1:

@@ -249,7 +249,8 @@ def test_hessian_matches_central_differences_of_the_gradient(l2_penalty):
         design = np.hstack([np.ones((30, 1)), rng.normal(size=(30, 3))])
         y = rng.integers(0, 4, size=30)
         coef = rng.normal(scale=0.7, size=(3, 4))
-        hess = classifier._hessian(coef, design, l2_penalty)
+        proba = softmax(classifier._scores(coef, design))[:, :-1]
+        hess = classifier._hessian(proba, design, l2_penalty)
         fd = np.zeros_like(hess)
         h = 1e-5
         for j in range(coef.size):
@@ -260,6 +261,19 @@ def test_hessian_matches_central_differences_of_the_gradient(l2_penalty):
             g_down = nll_and_grad(down.reshape(coef.shape), design, y, 4, l2_penalty)[1]
             fd[:, j] = (g_up - g_down).ravel() / (2 * h)
         assert np.linalg.norm(hess - fd) / np.linalg.norm(hess) <= 1e-5
+
+
+def test_the_loss_returns_the_probabilities_softmax_gives_bit_for_bit():
+    # the Newton step builds its Hessian from these instead of recomputing softmax
+    rng = np.random.default_rng(41)
+    for n, k, l2_penalty in [(1, 2, 0.0), (50, 4, 0.0), (200, 3, 0.5), (37, 5, 0.0)]:
+        design = np.hstack([np.ones((n, 1)), rng.normal(scale=3.0, size=(n, 4))])
+        y = rng.integers(0, k, size=n)
+        coef = rng.normal(scale=2.0, size=(k - 1, 5))
+        terms = nll_and_grad(coef, design, y, k, l2_penalty)
+        assert len(terms) == 2  # still the (loss, grad) pair callers unpack
+        assert np.array_equal(terms.proba, softmax(classifier._scores(coef, design))[:, :-1])
+        assert terms.proba.shape == (n, k - 1)
 
 
 def test_newton_converges_below_the_gradient_descent_loss():

@@ -163,6 +163,9 @@ def test_bad_config_exits_3(tmp_path):
      'trend.y must be an axis other than trend.x, got "set_diff"'),
     # a trend surface of more rows than the sweep's grid budget
     ("analyze ahp", {"trend": {"grid": 1001}}, "trend.grid must be 1 to 1000, got 1001"),
+    # more permutations than that budget
+    ("analyze ahp", {"random": {"permutations": 1_000_001}},
+     "random.permutations must be 99 to 1000000, got 1000001"),
 ])
 def test_wrong_typed_config_value_exits_3_naming_the_key(tmp_path, capsys, command, config, key):
     path = tmp_path / "cfg.json"
@@ -203,6 +206,12 @@ def test_the_trend_grid_may_fill_the_sweep_grid_budget(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"trend": {"grid": 1000}}))
     assert cli.load_config(path)["trend"]["grid"] ** 2 == cli.sweep_mod.MAX_GRID_CELLS
+
+
+def test_the_permutation_count_may_fill_the_sweep_grid_budget(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"random": {"permutations": 1_000_000}}))
+    assert cli.load_config(path)["random"]["permutations"] == cli.sweep_mod.MAX_GRID_CELLS
 
 
 @pytest.mark.parametrize("argv,config", [
@@ -491,6 +500,26 @@ def test_report_runs_without_importing_scipy(tmp_path):
     assert proc.stdout.split()[-2:] == ["0", "[]"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["train-eval", FIXTURE, "--seed", 3, "--out-dir", "out"],
+    ["clean", FIXTURE, "--output", "cleaned.csv", "--report", "cleaning_report.json"],
+], ids=["train-eval", "clean"])
+def test_train_eval_and_clean_never_import_numpy_ma(tmp_path, argv):
+    # a plain np.unique imports numpy.ma (about 1.3 MB and 10-15 ms) for a masked-array check
+    script = (
+        "import sys\n"
+        "from matchflow import cli\n"
+        f"code = cli.main({[str(a) for a in argv]!r})\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                          cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
 # ---------------------------------------------------------------- stage runner
 
 # Files each single-stage command writes; together they are the report bundle
@@ -615,6 +644,21 @@ def test_report_svg_bytes_are_pinned(tmp_path):
         "trend_surface.csv": "db7cec1c74889251804e8ddf1283bfe8fe9580b2b1d58e604c72ee23caac9406",
         "cleaned.csv": "1f051ff2b97f470eca0c1aaebeab4f219668f34272eeef47adab982428e88825",
     }
+
+
+def test_a_wavelet_max_period_past_the_match_fails_only_the_wavelet_stage(tmp_path):
+    # max_period sizes the padding and the kernels: 1e6 would ask for gigabytes
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"wavelet": {"max_period": 1e6}}))
+    out = tmp_path / "out"
+    assert run(["report", FIXTURE, "--out-dir", out, "--config", path]) == 1
+    report = read_json(out / "report.json")
+    assert report["match_id"] == "2023-fixture-1701"
+    assert report["stages"]["wavelet"] == {
+        "status": "failed", "reason": "max_period must be at most the signal length, 123, got 1e+06"}
+    assert all(s == {"status": "ok"} for n, s in report["stages"].items() if n != "wavelet")
+    assert report["wavelet_summary"] is None
+    assert not {p.name for p in out.iterdir()} & {"scalogram.json", "scalogram.csv"}
 
 
 def test_failed_stage_removes_an_earlier_runs_files(tmp_path):

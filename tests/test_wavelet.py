@@ -181,3 +181,15 @@ def test_validation_errors():
         cwt(np.zeros(16), WaveletConfig(scales=np.array([1.0, -2.0])))
     with pytest.raises(DataError, match="max_period"):
         cwt(np.zeros(16), WaveletConfig(min_period=10.0, max_period=5.0))
+
+
+def test_max_period_may_reach_the_signal_length_and_no_further():
+    # max_period sizes the reflect padding and every kernel, so the data bound it
+    signal = np.sin(np.arange(40) / 3.0)
+    scalogram = cwt(signal, WaveletConfig(max_period=40.0))
+    assert scalogram.scales[-1] == pytest.approx(scale_for_period(40.0))
+    assert scalogram.coefficients.shape == (32, 40)
+    assert np.all(np.isfinite(scalogram.coefficients))
+    with pytest.raises(DataError, match="max_period must be at most the signal length, 40, "
+                                        "got 40.5"):
+        cwt(signal, WaveletConfig(max_period=40.5))
