@@ -12,9 +12,7 @@ from .ahp import (
     AhpResult,
     JudgmentMatrix,
     build_judgment_matrix,
-    composite_consistency_ratio,
     consistency,
-    matrix_from_weights,
     score_rounds,
     weights,
 )
@@ -22,7 +20,6 @@ from .classifier import (
     SoftmaxModel,
     TrainConfig,
     nll_and_grad,
-    sigmoid,
     softmax,
     train,
     train_test_split,

@@ -102,14 +102,6 @@ def build_judgment_matrix(n: int, entries=()) -> JudgmentMatrix:
     return JudgmentMatrix(a)
 
 
-def matrix_from_weights(w) -> JudgmentMatrix:
-    """Perfectly consistent matrix a_ij = w_i / w_j from a positive vector."""
-    w = np.asarray(w, dtype=float)
-    if np.any(w <= 0):
-        raise DataError("weight vector must be positive")
-    return JudgmentMatrix(w[:, None] / w[None, :])
-
-
 def weights(matrix: JudgmentMatrix, method: str = "geometric_mean") -> np.ndarray:
     """Indicator weights from a judgment matrix, normalized to sum 1.
 
@@ -145,37 +137,21 @@ def principal_eigenvector(matrix: JudgmentMatrix):
     return v, lam
 
 
-def consistency(
-    matrix: JudgmentMatrix, w=None, random_index: dict | None = None
-) -> AhpResult:
+def consistency(matrix: JudgmentMatrix) -> AhpResult:
     """Consistency index and ratio of a judgment matrix.
 
-    lambda_max is the mean of (A w)_i / w_i.  With no weight vector supplied
-    the principal eigenvector is used, which makes the estimate agree with
-    the true dominant eigenvalue; passing explicit weights evaluates the same
-    formula at those weights instead.  CR is defined as 0 for n <= 2.
+    lambda_max is the mean of (A w)_i / w_i at the principal eigenvector w,
+    which makes the estimate agree with the true dominant eigenvalue.  CR is
+    defined as 0 for n <= 2.
 
     Raises:
-        DataError: order above 9 without a user-supplied random_index table.
+        DataError: an order above 9, for which RANDOM_INDEX has no entry.
     """
     n = matrix.n
-    if w is None:
-        vec, lambda_max = principal_eigenvector(matrix)
-    else:
-        vec = np.asarray(w, dtype=float)
-        if vec.size != n:
-            raise DataError("weight vector length must match the matrix order")
-        if np.any(vec <= 0):
-            raise DataError("weight vector must be positive")
-        vec = vec / vec.sum()
-        lambda_max = float(np.mean(matrix.values @ vec / vec))
-
-    ri_table = RANDOM_INDEX if random_index is None else {**RANDOM_INDEX, **random_index}
-    if n not in ri_table:
-        raise DataError(
-            f"no random index for order {n}; supply one via the random_index argument"
-        )
-    ri = ri_table[n]
+    vec, lambda_max = principal_eigenvector(matrix)
+    if n not in RANDOM_INDEX:
+        raise DataError(f"no random index for order {n}; orders 1 to 9 have one")
+    ri = RANDOM_INDEX[n]
     if n <= 2:
         ci = 0.0 if n < 2 else max(0.0, (lambda_max - n) / (n - 1))
         cr = 0.0
@@ -183,19 +159,6 @@ def consistency(
         ci = (lambda_max - n) / (n - 1)
         cr = ci / ri
     return AhpResult(vec, lambda_max, ci, cr, cr < CONSISTENCY_THRESHOLD, n, ri)
-
-
-def composite_consistency_ratio(cis, ris, layer_weights) -> float:
-    """Multi-layer consistency ratio: weighted CI sum over weighted RI sum."""
-    cis = np.asarray(cis, dtype=float)
-    ris = np.asarray(ris, dtype=float)
-    a = np.asarray(layer_weights, dtype=float)
-    if not (cis.size == ris.size == a.size):
-        raise DataError("per-layer CI, RI and layer weights must align")
-    denom = float(ris @ a)
-    if denom == 0:
-        return 0.0
-    return float(cis @ a) / denom
 
 
 @dataclass
@@ -219,13 +182,13 @@ def minmax_normalize(columns: np.ndarray) -> np.ndarray:
     return out
 
 
-def score_rounds(indicators, w, normalize: bool = True) -> RoundScores:
-    """Score rounds by the weighted sum of indicator columns and rank them.
+def score_rounds(indicators, w) -> RoundScores:
+    """Score rounds by the weighted sum of min-max scaled indicator columns and rank them.
 
     Args:
-        indicators: (rounds x indicators) matrix of finite values.
+        indicators: (rounds x indicators) matrix of finite values; each
+            column is scaled to [0,1] before weighting.
         w: indicator weights summing to 1.
-        normalize: min-max scale each column to [0,1] first (defaults on).
 
     Raises:
         DataError: a non-finite indicator (naming its column), a shape
@@ -242,9 +205,7 @@ def score_rounds(indicators, w, normalize: bool = True) -> RoundScores:
         raise DataError("one weight per indicator column is required")
     if abs(w.sum() - 1.0) > 1e-9:
         raise DataError("weights must sum to 1")
-    if normalize:
-        x = minmax_normalize(x)
-    scores = x @ w
+    scores = minmax_normalize(x) @ w
     total = scores.sum()
     standardized = scores / total if total != 0 else np.zeros_like(scores)
     distinct, position = np.unique(scores, return_inverse=True)  # ascending

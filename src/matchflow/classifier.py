@@ -29,17 +29,6 @@ from .errors import DataError
 MAX_BACKTRACKS = 60
 
 
-def sigmoid(z):
-    """Logistic function 1/(1+e^-z), stable for |z| up to ~700."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return float(out) if out.ndim == 0 else out
-
-
 def softmax(scores):
     """Row-wise softmax of a score matrix (n, K)."""
     scores = np.asarray(scores, dtype=float)
@@ -98,9 +87,8 @@ class SoftmaxModel:
 
     def _design(self, rows):
         rows = np.asarray(rows, dtype=float)
-        single = rows.ndim == 1
-        if single:
-            rows = rows[None, :]
+        if rows.ndim != 2:
+            raise ValueError(f"rows must be an (n, p) matrix, got {rows.ndim} dimension(s)")
         if rows.shape[1] != self.n_features:
             raise ValueError(
                 f"feature dimension mismatch: expected {self.n_features}, got {rows.shape[1]}"
@@ -110,19 +98,18 @@ class SoftmaxModel:
         z = design[:, 1:]  # standardized in place, so no copy is stacked
         np.subtract(rows, self.mean, out=z)
         np.divide(z, self.std, out=z)
-        return design, single
+        return design
 
     def predict_proba(self, rows):
-        """Class probability vector(s); components sum to one."""
-        design, single = self._design(rows)
-        proba = softmax(_scores(self.coef, design))
-        return proba[0] if single else proba
+        """(n, K) class probabilities of an (n, p) feature matrix; each row sums to one."""
+        return softmax(_scores(self.coef, self._design(rows)))
 
     def predict(self, rows):
-        """Most probable class level(s); ties go to the lowest class index."""
-        proba = np.atleast_2d(self.predict_proba(rows))
-        levels = np.argmax(proba, axis=1)  # argmax takes the first maximum
-        return int(levels[0]) if np.asarray(rows).ndim == 1 else levels
+        """(n,) most probable class levels of an (n, p) feature matrix.
+
+        Ties go to the lowest class index.
+        """
+        return np.argmax(self.predict_proba(rows), axis=1)  # argmax takes the first maximum
 
     def to_dict(self) -> dict:
         return {
@@ -140,32 +127,10 @@ class SoftmaxModel:
             },
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SoftmaxModel":
-        return cls(
-            class_values=tuple(payload["class_values"]),
-            coef=np.asarray(payload["coefficients"], dtype=float),
-            feature_names=list(payload["feature_names"]),
-            mean=np.asarray(payload["standardization"]["mean"], dtype=float),
-            std=np.asarray(payload["standardization"]["std"], dtype=float),
-            n_iters=payload["training"]["iterations"],
-            final_loss=payload["training"]["final_loss"],
-            converged=payload["training"]["converged"],
-            seed=payload["training"]["seed"],
-            stop_reason=payload["training"].get("stop_reason"),  # absent before it was recorded
-        )
-
 
 def _scores(coef, design):
     """Class scores (n, K): one column per coefficient row, then the reference class's zero."""
     return np.hstack([design @ coef.T, np.zeros((design.shape[0], 1))])
-
-
-def _as_matrix(features):
-    if hasattr(features, "values") and hasattr(features, "feature_names"):
-        return np.asarray(features.values, dtype=float), list(features.feature_names)
-    x = np.asarray(features, dtype=float)
-    return x, [f"x{i}" for i in range(x.shape[1])]
 
 
 class _LossGrad(tuple):
@@ -259,8 +224,9 @@ def train(features, labels, cfg: TrainConfig | None = None, class_values=None) -
     and no finite maximum likelihood estimate exists: stop_reason is then
     "separable" and converged is False.
 
-    Features are standardized with the statistics of the data passed in (the
-    caller's training split).  Every class must appear at least once.
+    features is a FeatureTable; its columns are standardized with the
+    statistics of the rows passed in (the caller's training split).  Every
+    class must appear at least once.
 
     Raises:
         DataError: a class is absent from the labels (degenerate labels).
@@ -268,7 +234,7 @@ def train(features, labels, cfg: TrainConfig | None = None, class_values=None) -
     """
     cfg = cfg or TrainConfig()
     cfg.validate()
-    x, feature_names = _as_matrix(features)
+    x = np.asarray(features.values, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ArithmeticError("divergence: features contain non-finite values")
     y = np.asarray(labels, dtype=int)
@@ -286,9 +252,9 @@ def train(features, labels, cfg: TrainConfig | None = None, class_values=None) -
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     std[std == 0.0] = 1.0
-    model = SoftmaxModel(class_values, np.zeros((k - 1, x.shape[1] + 1)), feature_names, mean,
-                         std, seed=cfg.seed)
-    design, _ = model._design(x)
+    model = SoftmaxModel(class_values, np.zeros((k - 1, x.shape[1] + 1)),
+                         list(features.feature_names), mean, std, seed=cfg.seed)
+    design = model._design(x)
 
     coef = model.coef
     loss, grad = terms = nll_and_grad(coef, design, y, k, cfg.l2_penalty)

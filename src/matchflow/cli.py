@@ -14,7 +14,10 @@ inside the output directory and its files land only if it succeeds; the
 files it may write (named in STAGES) are removed before it runs, so none
 from an earlier run outlive it.
 report.json records each stage's status, "ok" or "failed" with the reason; a
-failed stage's summaries are null and the other stages still run.  Reading
+failed stage's summaries are null and the other stages still run.  report
+removes report.json and cleaning_report.json before its first stage and writes
+them last, each through a temporary file, so if report.json exists, this run
+wrote it.  Reading
 the config or the inputs (where a match id in two input files is a schema
 error), or selecting the match, stops a command at once.
 
@@ -99,9 +102,14 @@ DEFAULTS = {
 # ---------------------------------------------------------------- plumbing
 
 def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write payload to path through a temporary file beside it, so path is never half-written."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _is_number(value) -> bool:
@@ -387,7 +395,7 @@ def _momentum(ctx, out):
         [s.point_no, s.p1, s.p2, s.short_p1, s.long_p1, s.short_p2, s.long_p2, s.streak_len,
          s.streak_holder],
     )
-    swings = momentum.find_swings(s, player=1)
+    swings = momentum.find_swings(s)
     _write_json(out("momentum_swings.json"), {
         "version": 1,
         "match_id": match.match_id,
@@ -497,7 +505,7 @@ def _sweep(ctx, out):
     spec = sweep_mod.SweepSpec(
         indicators=section["indicators"], ranges=ranges,
         steps=_sweep_steps(ranges, section["steps"]),
-        baseline={name: float(np.median(table.column(name))) for name in table.feature_names},
+        baseline={name: _median(table.column(name)) for name in table.feature_names},
         tolerance=section["tolerance"],
     )
     model = sweep_mod.fit_response_model(table, ctx.series.p1, degree=section["degree"])
@@ -514,6 +522,15 @@ def _sweep(ctx, out):
     _write_json(out("sweep.json"), payload)
     print(f"crossovers: {payload['crossovers']}")
     return {"sweep_summary": payload}
+
+
+def _median(values) -> float:
+    """np.median of a nonempty finite 1-D array bit for bit, without the numpy.ma import it makes:
+    partitions at the indices np.median does, then takes np.mean of the middle."""
+    m = values.size // 2
+    kth = [m - 1, m] if values.size % 2 == 0 else [m]  # the middle one or two
+    part = np.partition(values, [*kth, -1])
+    return float(np.mean(part[kth[0] : m + 1]))
 
 
 def _sweep_steps(ranges, steps) -> list:
@@ -599,6 +616,9 @@ def cmd_stages(args, config):
     ctx = Context(config, seed, match, others, args.plot)
     out_dir = Path(args.out_dir or os.environ.get(OUT_DIR_ENV) or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
+    if bundle:  # neither may describe an earlier run if this one stops
+        for file_name in ("report.json", "cleaning_report.json"):
+            (out_dir / file_name).unlink(missing_ok=True)
 
     statuses, summaries, artifacts, failure = {}, {}, {}, None
     for name in list(STAGES) if bundle else [args.stage]:

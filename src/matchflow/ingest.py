@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import sigmoid
 from .errors import DataError, SchemaError
 from .momentum import _run_lengths
 
@@ -622,6 +621,17 @@ def streak_lengths(victors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p1, p2
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function 1/(1+e^-z) of an array, as floats, stable for |z| up to ~700."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def derive_features(timeline: MatchTimeline) -> FeatureTable:
     """Build the per-point feature matrix from a cleaned timeline.
 
@@ -652,7 +662,7 @@ def derive_features(timeline: MatchTimeline) -> FeatureTable:
         np.cumsum(c["p2_unf_err"]) / idx,
         np.cumsum(c["p1_distance_run"] - c["p2_distance_run"]).astype(float),
         (c["server"] == 1).astype(float),
-        sigmoid(bp_won - dfaults - streak_p2),
+        _sigmoid(bp_won - dfaults - streak_p2),
     ]
     return FeatureTable(timeline.match_id, list(FEATURE_NAMES), np.column_stack(columns))
 

@@ -33,15 +33,10 @@ class ServeWinStats:
     serve_wins: dict
     wins: dict
     n_units: int
-    laplace: bool = False
 
     @property
     def p_win_given_serve(self) -> float:
-        num = self.serve_wins[1] + self.serve_wins[2]
-        den = self.serves[1] + self.serves[2]
-        if self.laplace:
-            return (num + 1) / (den + 2)
-        return num / den
+        return (self.serve_wins[1] + self.serve_wins[2]) / (self.serves[1] + self.serves[2])
 
     @property
     def p_lose_given_serve(self) -> float:
@@ -59,7 +54,6 @@ class ServeWinStats:
                 "wins": {str(k): v for k, v in sorted(self.wins.items())},
                 "units": self.n_units,
             },
-            "laplace": self.laplace,
         }
 
 
@@ -80,14 +74,12 @@ def unit_ends(timeline, unit) -> list[int]:
     return np.flatnonzero(change).tolist() + ([n - 1] if n else [])
 
 
-def estimate_serve_win_posterior(timelines, unit="point", laplace=False) -> ServeWinStats:
+def estimate_serve_win_posterior(timelines, unit="point") -> ServeWinStats:
     """Count serve/win events over the given timelines at one time scale.
 
     Args:
         timelines: iterable of MatchTimeline (cleaned).
         unit: "point", "game" or "set".
-        laplace: apply add-one smoothing to the pooled ratio (off by default;
-            raw ratios reproduce the counting estimate exactly).
 
     Raises:
         DataError: no units with an identified server were observed.
@@ -111,7 +103,7 @@ def estimate_serve_win_posterior(timelines, unit="point", laplace=False) -> Serv
             serve_wins[player] += int(np.count_nonzero((server == player) & (victor == player)))
     if n_units == 0 or serves[1] + serves[2] == 0:
         raise DataError(f"insufficient data: no {unit} units with an identified server")
-    return ServeWinStats(unit, serves, serve_wins, wins, n_units, laplace)
+    return ServeWinStats(unit, serves, serve_wins, wins, n_units)
 
 
 @dataclass
@@ -150,9 +142,6 @@ class LabelSet:
     def winner(self, level: int) -> int:
         """Match-point winner implied by a level (levels 2,3 -> player 1)."""
         return 1 if level >= 2 else 2
-
-    def describe(self, level: int) -> str:
-        return f"{self.values[level]:g} (Player {self.winner(level)} wins)"
 
 
 def label_points(timeline, stats: ServeWinStats) -> np.ndarray:

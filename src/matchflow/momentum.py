@@ -81,9 +81,6 @@ class MomentumSeries:
     def __len__(self):
         return self.p1.size
 
-    def for_player(self, player: int) -> np.ndarray:
-        return self.p1 if player == 1 else self.p2
-
 
 def _victors(timeline_or_victors) -> np.ndarray:
     if hasattr(timeline_or_victors, "victors"):
@@ -164,24 +161,19 @@ def momentum_from_victors(victors, params: MomentumParams | None = None) -> dict
 
 
 def momentum_series(timeline, params: MomentumParams | None = None) -> MomentumSeries:
-    """Momentum trajectories for both players over a cleaned timeline."""
+    """Momentum trajectories for both players over a cleaned MatchTimeline."""
     arrays = momentum_from_victors(timeline, params)
-    if hasattr(timeline, "columns"):
-        match_id = timeline.match_id
-        point_no = np.array(timeline.columns["point_no"], dtype=int)
-    else:
-        match_id = ""
-        point_no = np.arange(1, len(arrays["p1"]) + 1, dtype=int)
-    return MomentumSeries(match_id=match_id, point_no=point_no, **arrays)
+    point_no = np.array(timeline.columns["point_no"], dtype=int)
+    return MomentumSeries(match_id=timeline.match_id, point_no=point_no, **arrays)
 
 
-def find_swings(series: MomentumSeries, player: int = 1) -> dict:
-    """Local maxima and minima of one player's momentum trajectory."""
-    x = series.for_player(player)
+def find_swings(series: MomentumSeries) -> dict:
+    """Point numbers of the local maxima and minima of player 1's momentum trajectory."""
+    x = series.p1
     maxima, minima = [], []
     for i in range(1, x.size - 1):
         if x[i] > x[i - 1] and x[i] > x[i + 1]:
             maxima.append(int(series.point_no[i]))
         elif x[i] < x[i - 1] and x[i] < x[i + 1]:
             minima.append(int(series.point_no[i]))
-    return {"player": player, "maxima": maxima, "minima": minima}
+    return {"player": 1, "maxima": maxima, "minima": minima}

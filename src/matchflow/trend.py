@@ -31,6 +31,7 @@ POLY22_TERMS = ("p00", "p10", "p01", "p20", "p11", "p02")
 MIN_PERMUTATIONS = 99
 MIN_TIMELINE_POINTS = 20
 PERMUTATION_BLOCK = 128  # shuffles scored per matrix; bounds memory for any count
+NULL_QUANTILES = {"q05": 0.05, "q25": 0.25, "q50": 0.5, "q75": 0.75, "q95": 0.95}
 
 
 def cosine_similarity(a, b) -> float:
@@ -61,7 +62,6 @@ class SurfaceFit:
 
     coefficients: np.ndarray  # ordered as POLY22_TERMS
     r_squared: float
-    residuals: np.ndarray
 
     def coefficient(self, term: str) -> float:
         return float(self.coefficients[POLY22_TERMS.index(term)])
@@ -116,7 +116,7 @@ def fit_poly22(x, y, z) -> SurfaceFit:
     sse = float(residuals @ residuals)
     sst = float(np.sum((z - z.mean()) ** 2))
     r2 = 1.0 if sst == 0.0 else 1.0 - sse / sst
-    return SurfaceFit(coeffs, r2, residuals)
+    return SurfaceFit(coeffs, r2)
 
 
 def _servers_of(timeline):
@@ -153,6 +153,17 @@ STATISTICS = {
     "max_streak": stat_max_streak,
     "lag1_autocorr": stat_lag1_autocorr,
 }
+
+
+def _quantiles(values, qs) -> np.ndarray:
+    """np.quantile(values, qs) bit for bit (1-D, size >= 2, q < 1), without its numpy.ma
+    import: partitions at the indices np.quantile does, then interpolates by its formula."""
+    h = (values.size - 1) * np.asarray(qs)
+    below = np.floor(h)
+    lo = below.astype(np.intp)
+    part = np.partition(values, sorted({0, -1, *lo.tolist(), *(lo + 1).tolist()}))
+    a, b, t = part[lo], part[lo + 1], h - below
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
 
 
 def _permutation_null(victors, servers, fn, params, n_permutations, seed) -> np.ndarray:
@@ -243,13 +254,13 @@ def randomness_test(
     params = params or MomentumParams()
     fn = STATISTICS[statistic]
     observed = fn(victors[None, :], params)[0]
-    degenerate = np.unique(victors).size < 2
+    degenerate = bool(victors.min() == victors.max())
     null = _permutation_null(
         victors, servers if stratify_by_server else None, fn, params, n_permutations, seed
     )
 
     p_value = (1.0 + float(np.sum(null >= observed))) / (1.0 + n_permutations)
-    qs = np.quantile(null, [0.05, 0.25, 0.5, 0.75, 0.95])
+    qs = _quantiles(null, list(NULL_QUANTILES.values()))
     return PermutationReport(
         statistic=statistic,
         observed=float(observed),
@@ -258,13 +269,7 @@ def randomness_test(
         seed=seed,
         null_mean=float(null.mean()),
         null_sd=float(null.std()),
-        null_quantiles={
-            "q05": float(qs[0]),
-            "q25": float(qs[1]),
-            "q50": float(qs[2]),
-            "q75": float(qs[3]),
-            "q95": float(qs[4]),
-        },
+        null_quantiles=dict(zip(NULL_QUANTILES, qs.tolist())),
         stratified_by_server=stratify_by_server,
         degenerate=degenerate,
     )

@@ -35,6 +35,7 @@ from util import (
     cwt_oracle,
     ks_distance_uniform,
     make_timeline,
+    matrix_from_weights,
     momentum_oracle,
     posterior_via_prior,
     streak_lengths_oracle,
@@ -261,7 +262,7 @@ def test_criterion_05_ahp_properties():
     for trial in range(200):
         n = 3 + trial % 7  # orders 3..9
         target = rng.uniform(0.05, 4.0, size=n)
-        matrix = mf.matrix_from_weights(target)
+        matrix = matrix_from_weights(target)
         recovered = mf.weights(matrix, method="geometric_mean")
         assert np.max(np.abs(recovered - target / target.sum())) <= 1e-9
         result = mf.consistency(matrix)

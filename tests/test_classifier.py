@@ -5,25 +5,11 @@ import numpy as np
 import pytest
 
 from matchflow import classifier, cli
-from matchflow.classifier import SoftmaxModel, TrainConfig, nll_and_grad, sigmoid, softmax, train
+from matchflow.classifier import SoftmaxModel, TrainConfig, nll_and_grad, softmax, train
 from matchflow.errors import DataError
 from matchflow.ingest import FeatureTable
 
 from util import gradient_descent_oracle, split_oracle, standardized_design
-
-
-def test_sigmoid_basics():
-    assert sigmoid(0.0) == 0.5
-    assert abs(sigmoid(40.0) - 1.0) <= 1e-12
-    for z in (-3.0, 0.7, 12.0):
-        assert sigmoid(z) + sigmoid(-z) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_sigmoid_stable_at_extremes():
-    assert sigmoid(700.0) == 1.0
-    assert sigmoid(-700.0) == pytest.approx(0.0, abs=1e-300)
-    out = sigmoid(np.array([-700.0, 0.0, 700.0]))
-    assert np.all(np.isfinite(out))
 
 
 def separable_fixture():
@@ -43,7 +29,7 @@ def test_separable_toy_reaches_perfect_train_accuracy():
     assert np.array_equal(pred, np.array(y))
     # each row keeps its constructed label
     for row, label in zip(table.values, y):
-        assert model.predict(row) == label
+        assert model.predict(row[None]).tolist() == [label]
 
 
 def test_degenerate_labels_error():
@@ -70,9 +56,9 @@ def test_zero_coefficients_uniform_and_tie_break():
         mean=np.zeros(2),
         std=np.ones(2),
     )
-    proba = model.predict_proba(np.array([3.0, -2.0]))
+    proba = model.predict_proba(np.array([[3.0, -2.0]]))
     assert np.allclose(proba, 0.25)
-    assert model.predict(np.array([3.0, -2.0])) == 0  # exact tie -> lowest index
+    assert model.predict(np.array([[3.0, -2.0]])).tolist() == [0]  # exact tie -> lowest index
 
 
 def test_three_class_zero_exponents_give_thirds():
@@ -83,7 +69,7 @@ def test_three_class_zero_exponents_give_thirds():
         mean=np.zeros(1),
         std=np.ones(1),
     )
-    proba = model.predict_proba(np.array([1.234]))
+    proba = model.predict_proba(np.array([[1.234]]))
     assert np.allclose(proba, 1.0 / 3.0)
 
 
@@ -103,9 +89,9 @@ def intercept_only_model(probabilities):
 def test_published_style_probability_row_selects_the_break_class():
     probs = [7.19e-15, 0.859431, 9.17e-23, 0.140568]
     model = intercept_only_model(probs)
-    out = model.predict_proba(np.zeros(0))
-    assert np.allclose(out, np.array(probs) / sum(probs), rtol=1e-9)
-    level = model.predict(np.zeros(0))
+    out = model.predict_proba(np.zeros((1, 0)))
+    assert np.allclose(out[0], np.array(probs) / sum(probs), rtol=1e-9)
+    level = int(model.predict(np.zeros((1, 0)))[0])
     assert level == 1
     assert model.class_values[level] == 0.3266
 
@@ -177,8 +163,10 @@ def test_softmax_shift_invariance():
 def test_dimension_mismatch_raises():
     table, y = separable_fixture()
     model = train(table, y, TrainConfig(max_iters=10))
-    with pytest.raises(ValueError, match="dimension"):
-        model.predict_proba(np.zeros(5))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        model.predict_proba(np.zeros((1, 5)))
+    with pytest.raises(ValueError, match=r"\(n, p\) matrix"):
+        model.predict_proba(np.zeros(2))  # one row is passed as row[None]
 
 
 def test_divergent_input_raises():
@@ -206,7 +194,14 @@ def test_model_json_round_trip(tmp_path):
     path = tmp_path / "model.json"
     cli._write_json(path, model.to_dict())
     with open(path) as fh:
-        loaded = SoftmaxModel.from_dict(json.load(fh))
+        payload = json.load(fh)
+    loaded = SoftmaxModel(
+        class_values=tuple(payload["class_values"]),
+        coef=np.array(payload["coefficients"]),
+        feature_names=payload["feature_names"],
+        mean=np.array(payload["standardization"]["mean"]),
+        std=np.array(payload["standardization"]["std"]),
+    )
     rows = np.array([[0.3, -0.2], [1.0, 1.0]])
     assert np.allclose(model.predict_proba(rows), loaded.predict_proba(rows))
 
@@ -336,8 +331,3 @@ def test_max_iters_no_descent_and_legacy_model_json_stop_reasons(monkeypatch):
     assert (model.n_iters, model.stop_reason, model.converged) == (0, "no_descent", False)
     model = train(table, y, TrainConfig(max_iters=1))
     assert (model.n_iters, model.stop_reason, model.converged) == (1, "max_iters", False)
-    payload = model.to_dict()
-    del payload["training"]["stop_reason"]  # model.json written before stop reasons
-    loaded = SoftmaxModel.from_dict(payload)
-    assert loaded.stop_reason is None
-    assert np.array_equal(loaded.predict_proba(x), model.predict_proba(x))

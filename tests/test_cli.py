@@ -503,9 +503,10 @@ def test_report_runs_without_importing_scipy(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["train-eval", FIXTURE, "--seed", 3, "--out-dir", "out"],
     ["clean", FIXTURE, "--output", "cleaned.csv", "--report", "cleaning_report.json"],
-], ids=["train-eval", "clean"])
+    ["report", FIXTURE, "--out-dir", "out"],
+], ids=["train-eval", "clean", "report"])
 def test_train_eval_and_clean_never_import_numpy_ma(tmp_path, argv):
-    # a plain np.unique imports numpy.ma (about 1.3 MB and 10-15 ms) for a masked-array check
+    # a plain np.unique, np.quantile or np.median imports numpy.ma (about 1.3 MB and 10-15 ms)
     script = (
         "import sys\n"
         "from matchflow import cli\n"
@@ -518,6 +519,20 @@ def test_train_eval_and_clean_never_import_numpy_ma(tmp_path, argv):
                           cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
+def test_median_and_null_quantiles_match_numpy_bit_for_bit():
+    # they stand in for np.median and np.quantile, which import numpy.ma; a plain
+    # np.sort would differ, returning +0.0 where numpy returns -0.0
+    rng = np.random.default_rng(16)
+    qs = list(trend.NULL_QUANTILES.values())
+    for i in range(3000):
+        n = int(rng.integers(2, 200))
+        x = [rng.normal(size=n), rng.integers(-3, 4, size=n).astype(float),
+             rng.choice([0.0, -0.0, 1.0], size=n), rng.choice([0.0, -0.0], size=n)][i % 4]
+        assert trend._quantiles(x, qs).tobytes() == np.quantile(x, qs).tobytes()
+        assert np.float64(cli._median(x)).tobytes() == np.median(x).tobytes()
+        assert np.float64(cli._median(x[1:])).tobytes() == np.median(x[1:]).tobytes()
 
 
 # ---------------------------------------------------------------- stage runner
@@ -671,6 +686,22 @@ def test_failed_stage_removes_an_earlier_runs_files(tmp_path):
     names = {p.name for p in out.iterdir()}
     assert sorted(names) == sorted({*report["artifacts"].values(), "report.json"})
     assert not names & {"model.json", "serve_stats.json", "metrics.json", *ROC_FILES}
+
+
+@pytest.mark.parametrize("error", [MemoryError, TypeError])
+def test_an_unrecorded_exception_leaves_no_report_json(tmp_path, monkeypatch, error):
+    out = tmp_path / "out"
+    assert run(["report", FIXTURE, "--seed", 11, "--out-dir", out]) == 0
+
+    def broken(ctx, out_file):
+        raise error("not a stage error")
+
+    monkeypatch.setitem(cli.STAGES, "wavelet", (broken, *cli.STAGES["wavelet"][1:]))
+    with pytest.raises(error):
+        run(["report", FIXTURE, "--seed", 12, "--out-dir", out])
+    names = {p.name for p in out.iterdir()}
+    assert not names & {"report.json", "cleaning_report.json"}
+    assert "randomness.json" in names and not [n for n in names if n.startswith(".")]
 
 
 @pytest.mark.parametrize("module,attr,stage,files", [

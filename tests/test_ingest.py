@@ -238,6 +238,21 @@ def test_unforced_error_ratio():
     assert table.column("unforced_error_ratio_p1")[7] == pytest.approx(0.25)
 
 
+def test_sigmoid_basics():
+    z = np.array([0.0, 40.0, -3.0, 0.7, 12.0])
+    out = ingest._sigmoid(z)
+    assert out[0] == 0.5
+    assert abs(out[1] - 1.0) <= 1e-12
+    assert np.allclose(out + ingest._sigmoid(-z), 1.0, rtol=0.0, atol=1e-12)
+
+
+def test_sigmoid_stable_at_extremes():
+    out = ingest._sigmoid(np.array([-700.0, 0.0, 700.0]))
+    assert np.all(np.isfinite(out))
+    assert out[2] == 1.0
+    assert out[0] == pytest.approx(0.0, abs=1e-300)
+
+
 def test_psychological_factor_bounds():
     rng = np.random.default_rng(5)
     for _ in range(10):

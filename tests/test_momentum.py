@@ -218,7 +218,7 @@ def test_param_validation():
 def test_find_swings_marks_local_extrema():
     tl = make_timeline([1, 1, 1, 2, 2, 2, 1, 1, 1, 2, 2, 2, 1, 1])
     series = momentum_series(tl)
-    swings = find_swings(series, player=1)
+    swings = find_swings(series)
     assert swings["player"] == 1
     x = series.p1
     for point in swings["maxima"]:

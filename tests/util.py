@@ -16,6 +16,7 @@ from collections import Counter
 import numpy as np
 
 from matchflow import ingest
+from matchflow.ahp import JudgmentMatrix
 from matchflow.classifier import MAX_BACKTRACKS, nll_and_grad
 from matchflow.errors import DataError, SchemaError
 from matchflow.ingest import MatchTimeline, _shot_code, _to_float, _to_int
@@ -522,6 +523,14 @@ def cwt_oracle(signal, scales, center_frequency, boundary="zero", support_radius
                 acc += ext[idx] * psi.conjugate() / root
             out[si, b] = acc
     return out
+
+
+def matrix_from_weights(w) -> JudgmentMatrix:
+    """Perfectly consistent matrix a_ij = w_i / w_j from a positive vector."""
+    w = np.asarray(w, dtype=float)
+    if np.any(w <= 0):
+        raise DataError("weight vector must be positive")
+    return JudgmentMatrix(w[:, None] / w[None, :])
 
 
 def eigenvalue_oracle(matrix, iters=500):
