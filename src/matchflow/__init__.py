@@ -41,7 +41,7 @@ from .momentum import (
     momentum_from_victors,
     momentum_series,
 )
-from .sweep import ResponseModel, SweepResult, SweepSpec, fit_response_model, sweep_1d, sweep_2d
+from .sweep import ResponseModel, SweepResult, SweepSpec, fit_response_model, sweep_grid
 from .trend import (
     PermutationReport,
     SurfaceFit,

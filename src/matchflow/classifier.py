@@ -7,7 +7,7 @@ L2 penalty on the non-intercept coefficients) by damped Newton steps, the
 textbook IRLS method for multinomial logistic regression, from an all-zeros
 start, so a run is fully deterministic and max_iters=0 yields exactly uniform
 predictions.  Each step's Hessian is built from the class probabilities that
-the loss evaluation of the accepted step already computed, and weighs the
+nll_and_grad returned beside the loss of the accepted step, and weighs the
 design into one buffer reused for every class block, so a step holds one
 weighted copy of the design at most.
 
@@ -133,26 +133,14 @@ def _scores(coef, design):
     return np.hstack([design @ coef.T, np.zeros((design.shape[0], 1))])
 
 
-class _LossGrad(tuple):
-    """(loss, grad) as nll_and_grad returns them, with the probabilities they came from.
-
-    proba is the (n, K-1) probabilities of the non-reference classes at coef,
-    bit for bit softmax(_scores(coef, design))[:, :-1].
-    """
-
-    def __new__(cls, loss, grad, proba):
-        self = super().__new__(cls, (loss, grad))
-        self.proba = proba
-        return self
-
-
 def nll_and_grad(coef, design, y, n_classes, l2_penalty=0.0):
-    """Mean negative log-likelihood and its gradient w.r.t. the coefficients.
+    """(loss, grad, proba): the mean negative log-likelihood, its gradient w.r.t.
+    the coefficients, and the probabilities they came from.
 
     coef has shape (K-1, p+1), design (n, p+1) with the intercept column
     first, y holds class levels in [0, K).  The L2 penalty skips intercepts.
-    The returned pair also carries, as .proba, the probabilities of the
-    non-reference classes, computed as softmax computes them.
+    proba is the (n, K-1) probabilities of the non-reference classes at coef,
+    bit for bit softmax(_scores(coef, design))[:, :-1].
     """
     n = design.shape[0]
     rows = np.arange(n)
@@ -172,7 +160,7 @@ def nll_and_grad(coef, design, y, n_classes, l2_penalty=0.0):
         penalty[:, 0] = 0.0
         loss += 0.5 * l2_penalty * float(np.sum(penalty**2))
         grad = grad + l2_penalty * penalty
-    return _LossGrad(loss, grad, proba)
+    return loss, grad, proba
 
 
 def _hessian(proba, design, l2_penalty):
@@ -257,7 +245,7 @@ def train(features, labels, cfg: TrainConfig | None = None, class_values=None) -
     design = model._design(x)
 
     coef = model.coef
-    loss, grad = terms = nll_and_grad(coef, design, y, k, cfg.l2_penalty)
+    loss, grad, proba = nll_and_grad(coef, design, y, k, cfg.l2_penalty)
     if not np.isfinite(loss):
         raise ArithmeticError("divergence: training loss is not finite")
     iters = 0
@@ -271,13 +259,13 @@ def train(features, labels, cfg: TrainConfig | None = None, class_values=None) -
         # a constant feature is an all-zero column after standardization and
         # makes the Hessian singular, hence least squares
         g = grad.ravel()
-        d = np.linalg.lstsq(_hessian(terms.proba, design, cfg.l2_penalty), g, rcond=None)[0]
-        del terms  # free the probabilities, which only the Hessian reads, for the line search
+        d = np.linalg.lstsq(_hessian(proba, design, cfg.l2_penalty), g, rcond=None)[0]
+        del proba  # only the Hessian reads the probabilities; free them for the line search
         direction = d.reshape(grad.shape) if float(d @ g) > 0.0 else grad
         step = 1.0
         for _ in range(MAX_BACKTRACKS):
             candidate = coef - step * direction
-            new_loss, new_grad = terms = nll_and_grad(candidate, design, y, k, cfg.l2_penalty)
+            new_loss, new_grad, proba = nll_and_grad(candidate, design, y, k, cfg.l2_penalty)
             if np.isfinite(new_loss) and new_loss <= loss:
                 break
             step *= 0.5

@@ -14,10 +14,15 @@ inside the output directory and its files land only if it succeeds; the
 files it may write (named in STAGES) are removed before it runs, so none
 from an earlier run outlive it.
 report.json records each stage's status, "ok" or "failed" with the reason; a
-failed stage's summaries are null and the other stages still run.  report
-removes report.json and cleaning_report.json before its first stage and writes
-them last, each through a temporary file, so if report.json exists, this run
-wrote it.  Reading
+failed stage's summaries are null and the other stages still run.  Any
+Exception fails only its stage: one outside STAGE_ERRORS (a bug, or an
+OSError) is recorded as "<TypeName>: <message>" and, once the command has
+written what it writes, re-raised with its traceback ahead of any stage error.
+A BaseException such as KeyboardInterrupt stops the command where it is.
+report removes report.json and cleaning_report.json before its first stage
+and writes them last, each through a temporary file, so the bundle keeps one
+invariant: if report.json exists, this run wrote it, and every file it lists
+exists.  clean writes its two outputs through temporary files too.  Reading
 the config or the inputs (where a match id in two input files is a schema
 error), or selecting the match, stops a command at once.
 
@@ -36,7 +41,7 @@ Only the match's own data is checked by a stage.
 
 Exit codes: 0 success, 1 analysis error, 2 I/O or schema error, 3 config
 error.  A command with a failed stage exits with the code of its first
-failure, report after writing report.json.
+failure, report after writing report.json; a bug is raised, never mapped to a code.
 """
 
 from __future__ import annotations
@@ -101,15 +106,19 @@ DEFAULTS = {
 
 # ---------------------------------------------------------------- plumbing
 
-def _write_json(path, payload):
-    """Write payload to path through a temporary file beside it, so path is never half-written."""
+def _replace(path, write):
+    """Call write(tmp) on a temporary path beside path, then move it to path: never half-written."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write(tmp)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _write_json(path, payload):
+    _replace(path, lambda tmp: tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n"))
 
 
 def _is_number(value) -> bool:
@@ -481,12 +490,12 @@ def _trend(ctx, out):
 def _random(ctx, out):
     section = ctx.config["random"]
     payload = trend.randomness_test(
-        ctx.match,
+        ctx.match.victors(),
+        ctx.match.servers() if section["stratify_by_server"] else None,
         params=ctx.params,
         statistic=section["statistic"],
         n_permutations=section["permutations"],
         seed=ctx.seed,
-        stratify_by_server=section["stratify_by_server"],
     ).to_dict()
     _write_json(out("randomness.json"), payload)
     print(f"{payload['statistic']}: observed {payload['observed']:.4f}, "
@@ -509,8 +518,7 @@ def _sweep(ctx, out):
         tolerance=section["tolerance"],
     )
     model = sweep_mod.fit_response_model(table, ctx.series.p1, degree=section["degree"])
-    run = sweep_mod.sweep_1d if len(spec.indicators) == 1 else sweep_mod.sweep_2d
-    result = run(model, spec)
+    result = sweep_mod.sweep_grid(model, spec)
     # one row per grid point (first indicator outermost) and context
     contexts = ("serve_first", "serve_second", "mean")
     ingest.write_csv(out("sweep.csv", key="sweep_csv"), [*spec.indicators, "context", "momentum"],
@@ -583,7 +591,7 @@ STAGES = {
 
 def cmd_clean(args, config):
     timelines, report = ingest.load_and_clean(args.input, columns=config["columns"] or None)
-    ingest.write_clean_csv(timelines, args.output)
+    _replace(args.output, functools.partial(ingest.write_clean_csv, timelines))
     _write_json(args.report, report.to_dict())
     print(f"cleaned {sum(len(t) for t in timelines)} points from {len(timelines)} match(es)")
     print(f"wrote {args.output} and {args.report}")
@@ -620,7 +628,7 @@ def cmd_stages(args, config):
         for file_name in ("report.json", "cleaning_report.json"):
             (out_dir / file_name).unlink(missing_ok=True)
 
-    statuses, summaries, artifacts, failure = {}, {}, {}, None
+    statuses, summaries, artifacts, failures = {}, {}, {}, []
     for name in list(STAGES) if bundle else [args.stage]:
         stage, keys, owned = STAGES[name]
         for file_name in owned:  # no file of an earlier run may outlive this run of the stage
@@ -629,10 +637,12 @@ def cmd_stages(args, config):
         with tempfile.TemporaryDirectory(prefix=".stage-", dir=out_dir) as scratch:
             try:
                 summaries.update(stage(ctx, functools.partial(_stage_file, scratch, files)))
-            except STAGE_ERRORS as exc:
-                statuses[name] = {"status": "failed", "reason": str(exc)}
+            except Exception as exc:  # a BaseException such as KeyboardInterrupt is not caught
+                reason = (str(exc) if isinstance(exc, STAGE_ERRORS)
+                          else f"{type(exc).__name__}: {exc}")
+                statuses[name] = {"status": "failed", "reason": reason}
                 summaries.update(dict.fromkeys(keys))
-                failure = failure or exc
+                failures.append(exc)
                 continue
             for file_name in files.values():
                 os.replace(Path(scratch, file_name), out_dir / file_name)
@@ -651,8 +661,8 @@ def cmd_stages(args, config):
             **summaries,
         })
         print(f"report for {match.match_id} written to {out_dir}")
-    if failure is not None:
-        raise failure
+    if failures:  # the first bug, which no exit code stands for, else the first stage error
+        raise min(failures, key=lambda exc: isinstance(exc, STAGE_ERRORS))
     return 0
 
 

@@ -82,12 +82,6 @@ class MomentumSeries:
         return self.p1.size
 
 
-def _victors(timeline_or_victors) -> np.ndarray:
-    if hasattr(timeline_or_victors, "victors"):
-        return timeline_or_victors.victors()
-    return np.asarray(timeline_or_victors, dtype=int)
-
-
 def _run_lengths(v: np.ndarray) -> np.ndarray:
     """Length of the run of equal values ending at each position (last axis)."""
     idx = np.arange(v.shape[-1])
@@ -112,7 +106,7 @@ def _window_sums(values: np.ndarray, half_width: int, causal: bool):
 
 
 def momentum_from_victors(victors, params: MomentumParams | None = None) -> dict:
-    """Momentum arrays straight from a point-victor sequence.
+    """Momentum arrays from a point-victor sequence (1 or 2 per point).
 
     Works along the last axis: a (n,) sequence gives (n,) arrays, and a
     (rows, n) matrix of sequences (a block of permutations) gives (rows, n)
@@ -123,7 +117,7 @@ def momentum_from_victors(victors, params: MomentumParams | None = None) -> dict
     """
     params = params or MomentumParams()
     params.validate()
-    v = _victors(victors)
+    v = np.asarray(victors, dtype=int)
     if v.size == 0:
         raise DataError("cannot score an empty timeline")
     if not np.all((v == 1) | (v == 2)):
@@ -162,7 +156,7 @@ def momentum_from_victors(victors, params: MomentumParams | None = None) -> dict
 
 def momentum_series(timeline, params: MomentumParams | None = None) -> MomentumSeries:
     """Momentum trajectories for both players over a cleaned MatchTimeline."""
-    arrays = momentum_from_victors(timeline, params)
+    arrays = momentum_from_victors(timeline.victors(), params)
     point_no = np.array(timeline.columns["point_no"], dtype=int)
     return MomentumSeries(match_id=timeline.match_id, point_no=point_no, **arrays)
 

@@ -2,7 +2,8 @@
 contrasting serve-first and serve-second contexts.
 
 A response model is any callable taking a feature mapping and returning a
-momentum score.  Sweeps never recompute momentum from raw points; they probe
+momentum score.  sweep_grid sweeps the grid a SweepSpec names, whether it has
+one axis or two.  Sweeps never recompute momentum from raw points; they probe
 the trained response, overriding the swept indicator(s) on top of a fixed
 baseline feature vector, once with serve_indicator 1.0 (serve first) and once
 with 0.0 (serve second).  Crossovers are the indicator values where the two
@@ -133,8 +134,14 @@ def find_crossings_1d(grid, diff):
     return crossings
 
 
-def _sweep_grid(model: Callable, spec: SweepSpec) -> SweepResult:
-    """Both contexts at every grid cell (first indicator outermost), their mean and crossings."""
+def sweep_grid(model: Callable, spec: SweepSpec) -> SweepResult:
+    """Both contexts at every grid cell (first indicator outermost), their mean and crossings.
+
+    Contexts that agree within spec.tolerance everywhere are flagged coincident,
+    with no crossings.  Otherwise one indicator gives find_crossings_1d's
+    interpolated crossings, and two give the locus of cells whose difference
+    changes sign towards the next cell along either axis.
+    """
     grids = [spec.grid(i) for i in range(len(spec.indicators))]
     shape = tuple(grid.size for grid in grids)
     first, second = (
@@ -170,28 +177,6 @@ def _sweep_grid(model: Callable, spec: SweepSpec) -> SweepResult:
         coincident=coincident,
         argmax_mean={"value": float(mean[best]), "at": at(best)},
     )
-
-
-def sweep_1d(model: Callable, spec: SweepSpec) -> SweepResult:
-    """Sweep one indicator; returns both context curves and their crossings.
-
-    When the two curves agree within tolerance everywhere the result is
-    flagged coincident and no crossings are reported.
-    """
-    if len(spec.indicators) != 1:
-        raise DataError("sweep_1d takes a single-indicator spec")
-    return _sweep_grid(model, spec)
-
-
-def sweep_2d(model: Callable, spec: SweepSpec) -> SweepResult:
-    """Sweep two indicators; the crossover list holds the intersection locus.
-
-    Each locus entry is a grid cell (x, y) where the serve-first minus
-    serve-second difference changes sign along either axis.
-    """
-    if len(spec.indicators) != 2:
-        raise DataError("sweep_2d takes a two-indicator spec")
-    return _sweep_grid(model, spec)
 
 
 @dataclass

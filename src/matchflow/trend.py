@@ -2,8 +2,8 @@
 the claim that scoring runs are pure chance.
 
 The permutation test shuffles the point-victor sequence (preserving each
-player's win count, optionally within serve strata), recomputes a summary
-statistic per shuffle, and reports the add-one p-value
+player's win count, and each server's when given the servers), recomputes a
+summary statistic per shuffle, and reports the add-one p-value
 (1 + #{null >= observed}) / (1 + permutations) (Phipson & Smyth 2010,
 "Permutation p-values should never be zero").
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .momentum import MomentumParams, _run_lengths, _victors, momentum_from_victors
+from .momentum import MomentumParams, _run_lengths, momentum_from_victors
 
 POLY22_TERMS = ("p00", "p10", "p01", "p20", "p11", "p02")
 
@@ -62,9 +62,6 @@ class SurfaceFit:
 
     coefficients: np.ndarray  # ordered as POLY22_TERMS
     r_squared: float
-
-    def coefficient(self, term: str) -> float:
-        return float(self.coefficients[POLY22_TERMS.index(term)])
 
     def predict(self, x, y) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -117,10 +114,6 @@ def fit_poly22(x, y, z) -> SurfaceFit:
     sst = float(np.sum((z - z.mean()) ** 2))
     r2 = 1.0 if sst == 0.0 else 1.0 - sse / sst
     return SurfaceFit(coeffs, r2)
-
-
-def _servers_of(timeline):
-    return timeline.servers() if hasattr(timeline, "servers") else None
 
 
 def stat_momentum_variance(victors, params) -> np.ndarray:
@@ -222,42 +215,41 @@ class PermutationReport:
 
 
 def randomness_test(
-    timeline,
+    victors,
+    servers=None,
     params: MomentumParams | None = None,
     statistic: str = "max_streak",
     n_permutations: int = 199,
     seed: int = 0,
-    stratify_by_server: bool = False,
 ) -> PermutationReport:
     """Permutation test of the are-runs-just-chance hypothesis.
 
     Args:
-        timeline: MatchTimeline or a raw victor sequence.
+        victors: the point-victor sequence, player 1 or 2 per point.
+        servers: the server of each point, or None.  Given, victors are
+            shuffled within each server's points only (stratified).
         params: momentum constants for momentum-based statistics.
         statistic: one of momentum_variance, max_streak, lag1_autocorr.
         n_permutations: >= 99 shuffles of the victor sequence.
         seed: base seed; permutation i draws from generator (seed, i).
-        stratify_by_server: shuffle victors within each server's points only
-            (needs a MatchTimeline).
     """
     if statistic not in STATISTICS:
         raise DataError(f"unknown statistic {statistic!r}; expected one of {sorted(STATISTICS)}")
     if n_permutations < MIN_PERMUTATIONS:
         raise DataError(f"need at least {MIN_PERMUTATIONS} permutations")
-    victors = _victors(timeline)
+    victors = np.asarray(victors, dtype=int)
     if victors.size < MIN_TIMELINE_POINTS:
         raise DataError(f"need a timeline of at least {MIN_TIMELINE_POINTS} points")
-    servers = _servers_of(timeline)
-    if stratify_by_server and servers is None:
-        raise DataError("stratified shuffling needs a timeline with server information")
+    if servers is not None:
+        servers = np.asarray(servers, dtype=int)
+        if servers.shape != victors.shape:
+            raise ValueError("servers must name one server per point of victors")
 
     params = params or MomentumParams()
     fn = STATISTICS[statistic]
     observed = fn(victors[None, :], params)[0]
     degenerate = bool(victors.min() == victors.max())
-    null = _permutation_null(
-        victors, servers if stratify_by_server else None, fn, params, n_permutations, seed
-    )
+    null = _permutation_null(victors, servers, fn, params, n_permutations, seed)
 
     p_value = (1.0 + float(np.sum(null >= observed))) / (1.0 + n_permutations)
     qs = _quantiles(null, list(NULL_QUANTILES.values()))
@@ -270,6 +262,6 @@ def randomness_test(
         null_mean=float(null.mean()),
         null_sd=float(null.std()),
         null_quantiles=dict(zip(NULL_QUANTILES, qs.tolist())),
-        stratified_by_server=stratify_by_server,
+        stratified_by_server=servers is not None,
         degenerate=degenerate,
     )

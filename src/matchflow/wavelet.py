@@ -28,10 +28,9 @@ SUPPORT_RADIUS = 6.0  # reflect padding extends this many scale units
 
 
 def morlet(t, center_frequency: float = 6.0):
-    """Complex Morlet wavelet pi^(-1/4) e^(i w0 t) e^(-t^2/2)."""
+    """Complex Morlet wavelet pi^(-1/4) e^(i w0 t) e^(-t^2/2); a scalar t gives an np.complex128."""
     t = np.asarray(t, dtype=float)
-    value = math.pi**-0.25 * np.exp(1j * center_frequency * t) * np.exp(-0.5 * t**2)
-    return complex(value) if value.ndim == 0 else value
+    return math.pi**-0.25 * np.exp(1j * center_frequency * t) * np.exp(-0.5 * t**2)
 
 
 def scale_for_period(period: float, center_frequency: float = 6.0) -> float:

@@ -25,7 +25,7 @@ from matchflow.classifier import TrainConfig, nll_and_grad
 from matchflow.ingest import FEATURE_NAMES, FeatureTable
 from matchflow.momentum import MomentumParams, momentum_from_victors
 from matchflow.schemas import load_schema
-from matchflow.sweep import SweepSpec, sweep_1d
+from matchflow.sweep import SweepSpec, sweep_grid
 from matchflow.trend import randomness_test
 from matchflow.wavelet import WaveletConfig, cwt, scale_for_period
 
@@ -104,7 +104,7 @@ def test_criterion_02_classifier():
         design = np.hstack([np.ones((5, 1)), x])
         y = rng.integers(0, 4, size=5)
         coef = rng.normal(scale=0.7, size=(3, 4))
-        _, grad = nll_and_grad(coef, design, y, 4)
+        _, grad, _ = nll_and_grad(coef, design, y, 4)
         fd = np.zeros_like(coef)
         for i in range(3):
             for j in range(4):
@@ -276,10 +276,10 @@ def test_criterion_06_surface_fit():
     x, y = np.meshgrid(np.arange(4.0), np.arange(4.0))
     x, y = x.ravel(), y.ravel()
     fit = mf.fit_poly22(x, y, x**2 + 2.0 * x * y)
-    assert fit.coefficient("p20") == pytest.approx(1.0, abs=1e-8)
-    assert fit.coefficient("p11") == pytest.approx(2.0, abs=1e-8)
+    assert fit.to_dict()["coefficients"]["p20"] == pytest.approx(1.0, abs=1e-8)
+    assert fit.to_dict()["coefficients"]["p11"] == pytest.approx(2.0, abs=1e-8)
     for term in ("p00", "p10", "p01", "p02"):
-        assert abs(fit.coefficient(term)) <= 1e-8
+        assert abs(fit.to_dict()["coefficients"][term]) <= 1e-8
 
     rng = np.random.default_rng(6)
     six_x = np.array([0.0, 1.0, 0.0, 2.0, 1.0, 0.5])
@@ -349,7 +349,7 @@ def test_criterion_09_sensitivity_crossover():
         steps=(0.01,),
         baseline={"psychological_factor": 0.0, "serve_indicator": 1.0},
     )
-    result = sweep_1d(model, spec)
+    result = sweep_grid(model, spec)
     assert len(result.crossovers) == 1
     assert abs(result.crossovers[0] - 0.06) <= 0.01
     ok(f"09 sensitivity crossover at {result.crossovers[0]:.4f} (target 0.06 +- 0.01)")

@@ -109,7 +109,7 @@ def test_gradient_matches_finite_differences():
         y = rng.integers(0, 4, size=5)
         y[0] = 3  # keep the reference class present
         coef = rng.normal(scale=0.5, size=(3, 4))
-        _, grad = nll_and_grad(coef, design, y, 4)
+        _, grad, _ = nll_and_grad(coef, design, y, 4)
         fd = np.zeros_like(coef)
         h = 1e-5
         for i in range(coef.shape[0]):
@@ -265,10 +265,9 @@ def test_the_loss_returns_the_probabilities_softmax_gives_bit_for_bit():
         design = np.hstack([np.ones((n, 1)), rng.normal(scale=3.0, size=(n, 4))])
         y = rng.integers(0, k, size=n)
         coef = rng.normal(scale=2.0, size=(k - 1, 5))
-        terms = nll_and_grad(coef, design, y, k, l2_penalty)
-        assert len(terms) == 2  # still the (loss, grad) pair callers unpack
-        assert np.array_equal(terms.proba, softmax(classifier._scores(coef, design))[:, :-1])
-        assert terms.proba.shape == (n, k - 1)
+        _, _, proba = nll_and_grad(coef, design, y, k, l2_penalty)
+        assert np.array_equal(proba, softmax(classifier._scores(coef, design))[:, :-1])
+        assert proba.shape == (n, k - 1)
 
 
 def test_newton_converges_below_the_gradient_descent_loss():
@@ -281,7 +280,7 @@ def test_newton_converges_below_the_gradient_descent_loss():
         cfg = TrainConfig()
         model = train(FeatureTable("t", list("abc"), x), y, cfg)
         _, oracle_loss, oracle_iters = gradient_descent_oracle(x, y, 4)
-        _, grad = nll_and_grad(model.coef, standardized_design(x), y, 4)
+        _, grad, _ = nll_and_grad(model.coef, standardized_design(x), y, 4)
         assert np.linalg.norm(grad) <= cfg.tol
         assert model.stop_reason == "converged" and model.converged
         assert model.final_loss <= oracle_loss + 1e-12

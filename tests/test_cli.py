@@ -11,14 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matchflow import cli, plots, trend
+from matchflow import cli, ingest, plots, trend
 from matchflow.classifier import TrainConfig
 from matchflow.errors import DataError
 from matchflow.ingest import FEATURE_NAMES
 from matchflow.momentum import MomentumParams, momentum_from_victors
 from matchflow.wavelet import WaveletConfig
 
-from util import make_timeline, timeline_to_csv
+from util import make_timeline, permutation_oracle, timeline_to_csv
 
 FIXTURE = Path(__file__).resolve().parents[1] / "data" / "fixture_matches.csv"
 
@@ -68,6 +68,22 @@ def test_clean_is_idempotent_at_the_file_level(tmp_path, thirty_point_csv):
     assert read_json(r2)["totals"]["ad_replacements"] == 0
     assert read_json(r2)["totals"]["mean_imputations"] == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_a_failed_clean_leaves_the_previous_outputs_whole(tmp_path, monkeypatch,
+                                                          thirty_point_csv):
+    argv = ["clean", thirty_point_csv, "--output", tmp_path / "cleaned.csv",
+            "--report", tmp_path / "cleaning_report.json"]
+    assert run(argv) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def write_part_then_fail(timelines, destination):
+        Path(destination).write_text("match_id,player1\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(ingest, "write_clean_csv", write_part_then_fail)
+    assert run(argv) == 2
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before  # no .*.tmp either
 
 
 def test_missing_input_file_exits_2(tmp_path):
@@ -410,6 +426,26 @@ def test_analyze_random_is_deterministic(tmp_path):
     assert (out1 / "randomness.json").read_bytes() == (out2 / "randomness.json").read_bytes()
 
 
+def test_analyze_random_stratified_by_server_matches_the_oracle(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"random": {"stratify_by_server": True}}))
+    out = tmp_path / "out"
+    assert run(["analyze", "random", FIXTURE, "--match", "1701", "--seed", 5,
+                "--out-dir", out, "--config", cfg]) == 0
+    payload = read_json(out / "randomness.json")
+    timelines, _ = ingest.load_and_clean(FIXTURE)
+    match = next(tl for tl in timelines if tl.match_id.endswith("1701"))
+    victors, servers = match.victors(), match.servers()
+    observed, null, p_value = permutation_oracle(victors, servers, "max_streak", 199, 5)
+    assert not np.array_equal(null, permutation_oracle(victors, None, "max_streak", 199, 5)[1])
+    assert payload["stratified_by_server"] is True
+    assert payload["observed"] == observed and payload["p_value"] == p_value
+    assert payload["null"] == {
+        "mean": float(null.mean()), "sd": float(null.std()),
+        "quantiles": {key: float(np.quantile(null, q)) for key, q in trend.NULL_QUANTILES.items()},
+    }
+
+
 def test_analyze_ahp_with_consistent_inline_matrix(tmp_path):
     w = [0.4, 0.25, 0.2, 0.1, 0.05]
     matrix = [[wi / wj for wj in w] for wi in w]
@@ -688,8 +724,8 @@ def test_failed_stage_removes_an_earlier_runs_files(tmp_path):
     assert not names & {"model.json", "serve_stats.json", "metrics.json", *ROC_FILES}
 
 
-@pytest.mark.parametrize("error", [MemoryError, TypeError])
-def test_an_unrecorded_exception_leaves_no_report_json(tmp_path, monkeypatch, error):
+@pytest.mark.parametrize("error", [MemoryError, TypeError, KeyboardInterrupt])
+def test_an_exception_outside_the_stage_errors_propagates(tmp_path, monkeypatch, error):
     out = tmp_path / "out"
     assert run(["report", FIXTURE, "--seed", 11, "--out-dir", out]) == 0
 
@@ -697,11 +733,53 @@ def test_an_unrecorded_exception_leaves_no_report_json(tmp_path, monkeypatch, er
         raise error("not a stage error")
 
     monkeypatch.setitem(cli.STAGES, "wavelet", (broken, *cli.STAGES["wavelet"][1:]))
-    with pytest.raises(error):
+    with pytest.raises(error) as raised:
         run(["report", FIXTURE, "--seed", 12, "--out-dir", out])
+    assert raised.traceback[-1].name == "broken"  # re-raised with its own traceback
     names = {p.name for p in out.iterdir()}
-    assert not names & {"report.json", "cleaning_report.json"}
     assert "randomness.json" in names and not [n for n in names if n.startswith(".")]
+    if error is KeyboardInterrupt:  # stops the run: no file may describe the earlier one
+        assert not names & {"report.json", "cleaning_report.json"}
+    else:  # fails the wavelet stage alone, and report.json records it
+        report = read_json(out / "report.json")
+        assert report["seed"] == 12
+        assert report["stages"].pop("wavelet") == {
+            "status": "failed", "reason": f"{error.__name__}: not a stage error"}
+        assert all(s == {"status": "ok"} for s in report["stages"].values())
+        assert names == {*report["artifacts"].values(), "report.json"}
+
+
+@pytest.mark.parametrize("faults", [
+    {"random": DataError}, {"trend": TypeError}, {"wavelet": MemoryError},
+    dict.fromkeys(STAGE_NAMES, TypeError), {"ahp": DataError, "sweep": TypeError},
+], ids=["DataError", "TypeError", "MemoryError", "TypeError-everywhere", "bug-after-DataError"])
+def test_injected_faults_keep_report_json_to_this_runs_files(tmp_path, monkeypatch, faults):
+    """If report.json exists, this run wrote it, and every file it lists exists."""
+    out = tmp_path / "out"
+    out.mkdir()
+    earlier = [name for _, _, files in cli.STAGES.values() for name in files]
+    for name in [*earlier, "report.json", "cleaning_report.json"]:
+        (out / name).write_text("an earlier run\n")
+    for stage, error in faults.items():
+        def broken(ctx, out_file, stage=stage, error=error):
+            out_file(cli.STAGES[stage][2][0]).write_text("half")
+            raise error(f"injected into {stage}")
+
+        monkeypatch.setitem(cli.STAGES, stage, (broken, *cli.STAGES[stage][1:]))
+    argv = ["report", FIXTURE, "--seed", 12, "--out-dir", out]
+    bugs = [error for error in faults.values() if not issubclass(error, cli.STAGE_ERRORS)]
+    if bugs:  # the first bug is raised, whatever stage errors came before it
+        with pytest.raises(bugs[0]):
+            run(argv)
+    else:
+        assert run(argv) == 1
+    report = read_json(out / "report.json")
+    assert report["seed"] == 12
+    assert {name: s["status"] for name, s in report["stages"].items()} == {
+        name: "failed" if name in faults else "ok" for name in STAGE_NAMES}
+    names = {p.name for p in out.iterdir()}
+    assert names == {*report["artifacts"].values(), "report.json"}
+    assert all((out / name).read_text() not in ("an earlier run\n", "half") for name in names)
 
 
 @pytest.mark.parametrize("module,attr,stage,files", [

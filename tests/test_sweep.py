@@ -5,7 +5,7 @@ import pytest
 
 from matchflow.errors import DataError
 from matchflow.ingest import FeatureTable
-from matchflow.sweep import MAX_GRID_CELLS, SweepSpec, fit_response_model, sweep_1d, sweep_2d
+from matchflow.sweep import MAX_GRID_CELLS, SweepSpec, fit_response_model, sweep_grid
 
 from util import sweep_oracle
 
@@ -28,14 +28,14 @@ def spec_1d(**overrides):
 
 
 def test_linear_crossover_found_at_intersection():
-    result = sweep_1d(crossover_model, spec_1d())
+    result = sweep_grid(crossover_model, spec_1d())
     assert not result.coincident
     assert len(result.crossovers) == 1
     assert result.crossovers[0] == pytest.approx(0.06, abs=0.01)
 
 
 def test_coincident_curves_sentinel():
-    result = sweep_1d(lambda f: 0.4, spec_1d())
+    result = sweep_grid(lambda f: 0.4, spec_1d())
     assert result.coincident
     assert result.crossovers == []
 
@@ -45,7 +45,7 @@ def test_monotone_non_crossing_curves_have_no_crossovers():
         x = features["psych"]
         return 0.2 + x if features["serve_indicator"] == 1.0 else 0.1 + x
 
-    result = sweep_1d(model, spec_1d())
+    result = sweep_grid(model, spec_1d())
     assert not result.coincident
     assert result.crossovers == []
 
@@ -57,7 +57,7 @@ def test_every_crossover_brackets_a_sign_change():
         return base if features["serve_indicator"] == 1.0 else -base
 
     spec = spec_1d(steps=(0.005,))
-    result = sweep_1d(wiggly, spec)
+    result = sweep_grid(wiggly, spec)
     diff = result.serve_first - result.serve_second
     grid = result.grids[0]
     for crossing in result.crossovers:
@@ -74,19 +74,19 @@ def test_tangent_touch_is_not_a_crossover():
         return 0.5 + gap if features["serve_indicator"] == 1.0 else 0.5
 
     spec = spec_1d(tolerance=1e-9)
-    result = sweep_1d(touching, spec)
+    result = sweep_grid(touching, spec)
     assert result.crossovers == []
 
 
 def test_refining_the_step_keeps_the_crossover():
-    coarse = sweep_1d(crossover_model, spec_1d(steps=(0.02,)))
-    fine = sweep_1d(crossover_model, spec_1d(steps=(0.01,)))
+    coarse = sweep_grid(crossover_model, spec_1d(steps=(0.02,)))
+    fine = sweep_grid(crossover_model, spec_1d(steps=(0.01,)))
     assert len(coarse.crossovers) == len(fine.crossovers) == 1
     assert coarse.crossovers[0] == pytest.approx(fine.crossovers[0], abs=0.02)
 
 
 def test_mean_curve_and_argmax():
-    result = sweep_1d(crossover_model, spec_1d())
+    result = sweep_grid(crossover_model, spec_1d())
     assert np.allclose(result.mean, (result.serve_first + result.serve_second) / 2.0)
     best = result.argmax_mean
     assert best["value"] == pytest.approx(float(result.mean.max()))
@@ -97,7 +97,7 @@ def test_sweep_is_pure():
     baseline = {"psych": 0.05, "other": 1.0, "serve_indicator": 1.0}
     frozen = dict(baseline)
     spec = spec_1d(baseline=baseline)
-    sweep_1d(crossover_model, spec)
+    sweep_grid(crossover_model, spec)
     assert baseline == frozen
 
 
@@ -142,7 +142,7 @@ def test_2d_intersection_locus_tracks_the_line():
             return features["a"] + features["b"]
         return 1.0
 
-    result = sweep_2d(model, sep_2d_spec())
+    result = sweep_grid(model, sep_2d_spec())
     assert not result.coincident
     assert result.crossovers, "intersection locus must not be empty"
     for cell in result.crossovers:
@@ -150,7 +150,7 @@ def test_2d_intersection_locus_tracks_the_line():
 
 
 def test_2d_identical_surfaces_flagged_coincident():
-    result = sweep_2d(lambda f: 0.7, sep_2d_spec())
+    result = sweep_grid(lambda f: 0.7, sep_2d_spec())
     assert result.coincident
     assert result.crossovers == []
 
@@ -168,7 +168,7 @@ def test_minimal_2x2_grid_matches_direct_calls():
         steps=(1.0, 1.0),
         baseline={"a": 0.0, "b": 0.0, "extra": 3.0},
     )
-    result = sweep_2d(model, spec)
+    result = sweep_grid(model, spec)
     assert result.serve_first.shape == (2, 2)
     assert len(calls) == 8  # 4 cells x 2 contexts
     for i, va in enumerate((0.0, 1.0)):
@@ -176,13 +176,6 @@ def test_minimal_2x2_grid_matches_direct_calls():
             assert result.serve_first[i, j] == va * 10.0 + vb + 0.5
             assert result.serve_second[i, j] == va * 10.0 + vb
     assert all(call["extra"] == 3.0 for call in calls)
-
-
-def test_wrong_arity_helpers():
-    with pytest.raises(DataError, match="single-indicator"):
-        sweep_1d(lambda f: 0.0, sep_2d_spec())
-    with pytest.raises(DataError, match="two-indicator"):
-        sweep_2d(lambda f: 0.0, spec_1d())
 
 
 def test_response_model_fits_linear_map():
@@ -247,7 +240,7 @@ STEPS = (-1.0, -1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0)  # zero runs,
     (lambda f: f["a"] * f["b"], sep_2d_spec()),  # coincident surfaces
 ], ids=["sine", "zero-runs", "tangent", "coincident", "2d-7x5", "2d-7x5-zeros", "2d-coincident"])
 def test_sweep_equals_the_oracle_exactly(model, spec):
-    result = (sweep_1d if len(spec.indicators) == 1 else sweep_2d)(model, spec)
+    result = sweep_grid(model, spec)
     grids, first, second, mean, crossovers, coincident, argmax_mean = sweep_oracle(model, spec)
     assert result.indicators == spec.indicators
     for got, want in zip([*result.grids, result.serve_first, result.serve_second, result.mean],

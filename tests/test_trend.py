@@ -5,7 +5,7 @@ from matchflow import trend
 from matchflow.errors import DataError
 from matchflow.momentum import MomentumParams
 
-from util import make_timeline, permutation_oracle
+from util import permutation_oracle
 
 
 def test_cosine_similarity_basics():
@@ -55,9 +55,10 @@ def test_constant_surface_recovers_the_constant():
     x, y = np.meshgrid(np.arange(4.0), np.arange(4.0))
     z = np.full(16, 2.75)
     fit = trend.fit_poly22(x.ravel(), y.ravel(), z)
-    assert fit.coefficient("p00") == pytest.approx(2.75, abs=1e-9)
+    coefficients = fit.to_dict()["coefficients"]
+    assert coefficients["p00"] == pytest.approx(2.75, abs=1e-9)
     for term in ("p10", "p01", "p20", "p11", "p02"):
-        assert abs(fit.coefficient(term)) < 1e-9
+        assert abs(coefficients[term]) < 1e-9
     assert fit.r_squared == 1.0  # zero-variance convention
 
 
@@ -66,10 +67,11 @@ def test_quadratic_recovery_on_grid():
     x, y = x.ravel(), y.ravel()
     z = x**2 + 2.0 * x * y
     fit = trend.fit_poly22(x, y, z)
-    assert fit.coefficient("p20") == pytest.approx(1.0, abs=1e-8)
-    assert fit.coefficient("p11") == pytest.approx(2.0, abs=1e-8)
+    coefficients = fit.to_dict()["coefficients"]
+    assert coefficients["p20"] == pytest.approx(1.0, abs=1e-8)
+    assert coefficients["p11"] == pytest.approx(2.0, abs=1e-8)
     for term in ("p00", "p10", "p01", "p02"):
-        assert abs(fit.coefficient(term)) <= 1e-8
+        assert abs(coefficients[term]) <= 1e-8
 
 
 def test_surface_fit_errors():
@@ -116,26 +118,27 @@ def test_predict_reproduces_fitted_values():
 # ---------------------------------------------------------- permutation test
 
 def test_same_seed_same_report():
-    tl = make_timeline(np.random.default_rng(6).integers(1, 3, size=40).tolist())
-    a = trend.randomness_test(tl, statistic="max_streak", n_permutations=99, seed=7)
-    b = trend.randomness_test(tl, statistic="max_streak", n_permutations=99, seed=7)
+    victors = np.random.default_rng(6).integers(1, 3, size=40)
+    a = trend.randomness_test(victors, statistic="max_streak", n_permutations=99, seed=7)
+    b = trend.randomness_test(victors, statistic="max_streak", n_permutations=99, seed=7)
     assert a == b
 
 
 def test_preconditions():
-    tl = make_timeline([1, 2] * 12)
+    victors = [1, 2] * 12
     with pytest.raises(DataError, match="permutations"):
-        trend.randomness_test(tl, n_permutations=50)
+        trend.randomness_test(victors, n_permutations=50)
     with pytest.raises(DataError, match="20 points"):
-        trend.randomness_test(make_timeline([1, 2] * 5))
+        trend.randomness_test([1, 2] * 5)
     with pytest.raises(DataError, match="statistic"):
-        trend.randomness_test(tl, statistic="entropy")
+        trend.randomness_test(victors, statistic="entropy")
+    with pytest.raises(ValueError, match="one server per point"):
+        trend.randomness_test(victors, [1, 2] * 11)
 
 
 def test_pvalue_is_one_when_null_is_a_point_mass():
     # one player wins everything: every shuffle is the same sequence
-    tl = make_timeline([1] * 30)
-    report = trend.randomness_test(tl, statistic="max_streak", n_permutations=99, seed=0)
+    report = trend.randomness_test([1] * 30, statistic="max_streak", n_permutations=99, seed=0)
     assert report.degenerate
     assert report.p_value == 1.0
     assert report.null_sd == 0.0
@@ -145,8 +148,7 @@ def test_injected_streak_is_detected():
     rng = np.random.default_rng(9)
     victors = rng.integers(1, 3, size=60)
     victors[20:35] = 1
-    tl = make_timeline(victors.tolist())
-    report = trend.randomness_test(tl, statistic="max_streak", n_permutations=199, seed=5)
+    report = trend.randomness_test(victors, statistic="max_streak", n_permutations=199, seed=5)
     assert report.p_value < 0.05
 
 
@@ -154,8 +156,7 @@ def test_add_one_formula_lower_bound():
     rng = np.random.default_rng(10)
     victors = rng.integers(1, 3, size=60)
     victors[10:40] = 2  # extreme run: observed beats every shuffle
-    tl = make_timeline(victors.tolist())
-    report = trend.randomness_test(tl, statistic="max_streak", n_permutations=199, seed=3)
+    report = trend.randomness_test(victors, statistic="max_streak", n_permutations=199, seed=3)
     assert report.p_value == pytest.approx(1.0 / 200.0)
 
 
@@ -163,23 +164,15 @@ def test_stratified_shuffle_preserves_server_conditional_wins():
     # every server wins its own points; within-server shuffles cannot change that
     servers = [1] * 15 + [2] * 15
     victors = servers[:]
-    tl = make_timeline(victors, servers)
     report = trend.randomness_test(
-        tl, statistic="max_streak", n_permutations=99, seed=1, stratify_by_server=True
+        victors, servers, statistic="max_streak", n_permutations=99, seed=1
     )
+    assert report.stratified_by_server
     assert report.null_sd == 0.0
     assert report.p_value == 1.0
-    free = trend.randomness_test(
-        tl, statistic="max_streak", n_permutations=99, seed=1, stratify_by_server=False
-    )
+    free = trend.randomness_test(victors, statistic="max_streak", n_permutations=99, seed=1)
+    assert not free.stratified_by_server
     assert free.null_sd > 0.0
-
-
-def test_stratified_needs_server_information():
-    with pytest.raises(DataError, match="server"):
-        trend.randomness_test(
-            np.ones(30, dtype=int) + 1, stratify_by_server=True, n_permutations=99
-        )
 
 
 def test_statistics_are_finite_and_sane():
@@ -192,27 +185,23 @@ def test_statistics_are_finite_and_sane():
 
 
 def test_report_serialization():
-    tl = make_timeline(np.random.default_rng(12).integers(1, 3, size=30).tolist())
-    payload = trend.randomness_test(tl, n_permutations=99, seed=2).to_dict()
+    victors = np.random.default_rng(12).integers(1, 3, size=30)
+    payload = trend.randomness_test(victors, n_permutations=99, seed=2).to_dict()
     assert payload["version"] == 1
     assert 0.0 < payload["p_value"] <= 1.0
     assert set(payload["null"]["quantiles"]) == {"q05", "q25", "q50", "q75", "q95"}
 
 
-def assert_matches_oracle(timeline, statistic, n_permutations, seed, stratify):
-    victors, servers = timeline.victors(), timeline.servers()
+def assert_matches_oracle(victors, servers, statistic, n_permutations, seed):
     params = MomentumParams()
     observed, null, p_value = permutation_oracle(
-        victors, servers if stratify else None, statistic, n_permutations, seed, params
+        victors, servers, statistic, n_permutations, seed, params
     )
     got = trend._permutation_null(
-        victors, servers if stratify else None, trend.STATISTICS[statistic], params,
-        n_permutations, seed,
+        victors, servers, trend.STATISTICS[statistic], params, n_permutations, seed
     )
     assert np.array_equal(got, null)
-    report = trend.randomness_test(
-        timeline, params, statistic, n_permutations, seed, stratify_by_server=stratify
-    )
+    report = trend.randomness_test(victors, servers, params, statistic, n_permutations, seed)
     assert report.observed == observed
     assert report.p_value == p_value
     assert report.null_mean == float(null.mean())
@@ -224,25 +213,23 @@ def assert_matches_oracle(timeline, statistic, n_permutations, seed, stratify):
 @pytest.mark.parametrize("statistic", sorted(trend.STATISTICS))
 def test_null_and_pvalue_equal_the_one_at_a_time_oracle(statistic, stratify):
     rng = np.random.default_rng(13)
-    tl = make_timeline(rng.integers(1, 3, size=57).tolist(), rng.integers(1, 3, size=57).tolist())
-    assert_matches_oracle(tl, statistic, 99, 21, stratify)
+    victors, servers = rng.integers(1, 3, size=57), rng.integers(1, 3, size=57)
+    assert_matches_oracle(victors, servers if stratify else None, statistic, 99, 21)
 
 
 def test_null_matches_oracle_on_a_one_player_sequence():
-    tl = make_timeline([2] * 25)
+    victors = np.full(25, 2)
     for statistic in trend.STATISTICS:
-        assert assert_matches_oracle(tl, statistic, 99, 4, False).degenerate
+        assert assert_matches_oracle(victors, None, statistic, 99, 4).degenerate
 
 
 def test_null_matches_oracle_when_one_server_has_no_points():
-    rng = np.random.default_rng(14)
-    tl = make_timeline(rng.integers(1, 3, size=30).tolist(), [1] * 30)
-    assert_matches_oracle(tl, "max_streak", 99, 6, True)
-    assert_matches_oracle(tl, "lag1_autocorr", 99, 6, True)
+    victors = np.random.default_rng(14).integers(1, 3, size=30)
+    assert_matches_oracle(victors, np.ones(30, dtype=int), "max_streak", 99, 6)
+    assert_matches_oracle(victors, np.ones(30, dtype=int), "lag1_autocorr", 99, 6)
 
 
 def test_null_matches_oracle_across_a_partial_block():
-    rng = np.random.default_rng(15)
-    tl = make_timeline(rng.integers(1, 3, size=40).tolist())
+    victors = np.random.default_rng(15).integers(1, 3, size=40)
     n_permutations = 2 * trend.PERMUTATION_BLOCK + 3
-    assert_matches_oracle(tl, "momentum_variance", n_permutations, 8, False)
+    assert_matches_oracle(victors, None, "momentum_variance", n_permutations, 8)

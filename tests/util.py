@@ -569,13 +569,13 @@ def gradient_descent_oracle(x, y, n_classes, max_iters=500, tol=1e-6):
     """
     design = standardized_design(x)
     coef = np.zeros((n_classes - 1, design.shape[1]))
-    loss, grad = nll_and_grad(coef, design, y, n_classes)
+    loss, grad, _ = nll_and_grad(coef, design, y, n_classes)
     iters = 0
     while np.linalg.norm(grad) > tol and iters < max_iters:
         step = 1.0
         for _ in range(MAX_BACKTRACKS):
             candidate = coef - step * grad
-            new_loss, new_grad = nll_and_grad(candidate, design, y, n_classes)
+            new_loss, new_grad, _ = nll_and_grad(candidate, design, y, n_classes)
             if np.isfinite(new_loss) and new_loss <= loss:
                 break
             step *= 0.5
