@@ -9,10 +9,16 @@ Every command but clean runs stages from the STAGES table on one Context
 (config, seed, selected match, training matches), which derives the match's
 features and momentum series once: train-eval runs train, momentum runs
 momentum, analyze X runs X, and report runs all seven, then writes
-report.json from their summaries.  A stage writes into a scratch directory
-inside the output directory and its files land only if it succeeds; the
-files it may write (named in STAGES) are removed before it runs, so none
-from an earlier run outlive it.
+report.json from their summaries.  The selected match owns a copy of its
+columns.  The training matches view the blocks their parse filled (see
+ingest), and Context.train_timelines is the one list that holds them.  Only
+the train stage reads it, and train empties it as soon as it has built the
+feature matrix and the labels, so the parsed corpus is freed before the split
+and the fit allocate; every later stage sees an empty list.
+
+A stage writes into a scratch directory inside the output directory and its
+files land only if it succeeds; the files it may write (named in STAGES) are
+removed before it runs, so none from an earlier run outlive it.
 report.json records each stage's status, "ok" or "failed" with the reason; a
 failed stage's summaries are null and the other stages still run.  Any
 Exception fails only its stage: one outside STAGE_ERRORS (a bug, or an
@@ -311,7 +317,7 @@ class Context:
     config: dict
     seed: int
     match: ingest.MatchTimeline
-    train_timelines: list  # every input match but the selected one
+    train_timelines: list  # every input match but the selected one, until train empties it
     plot: bool
 
     @functools.cached_property
@@ -343,6 +349,8 @@ def _train(ctx, out):
     label_set = labels.LabelSet.from_stats(stats)
     x = np.vstack([ingest.derive_features(tl).values for tl in ctx.train_timelines])
     y = np.concatenate([labels.label_points(tl, stats) for tl in ctx.train_timelines])
+    n_matches = len(ctx.train_timelines)
+    ctx.train_timelines.clear()  # frees each parsed block in one piece before the fit allocates
     cfg = classifier.TrainConfig(**ctx.config["train"], seed=ctx.seed)
     train_idx, test_idx = classifier.train_test_split(y, fraction=cfg.split, seed=cfg.seed)
     test_x, test_y = x[test_idx], y[test_idx]
@@ -375,7 +383,7 @@ def _train(ctx, out):
     )
 
     micro = summary["micro"]
-    print(f"trained on {len(ctx.train_timelines)} match(es), held out {ctx.match.match_id}")
+    print(f"trained on {n_matches} match(es), held out {ctx.match.match_id}")
     print(f"{model.n_iters} training iteration(s), stop reason {model.stop_reason}, "
           f"final loss {model.final_loss:.3g}")
     print(f"micro accuracy {micro['accuracy']:.3f}, micro F1 {micro['f_measure']:.3f}")
@@ -598,13 +606,10 @@ def cmd_clean(args, config):
     return 0
 
 
-def cmd_stages(args, config):
-    """Run the command's stage, or every stage for report, into the output directory."""
-    seed = args.seed if args.seed is not None else config["seed"]
-    if seed < 0:  # load_config has checked the config's seed
-        raise ConfigError(f"--seed must be at least 0, got {seed}")
+def _read_inputs(paths, config):
+    """(timelines, cleaning report) of every input file; a match id in two files is an error."""
     timelines, cleaning, sources = [], ingest.CleaningReport(), {}
-    for path in args.inputs:
+    for path in paths:
         part, part_report = ingest.load_and_clean(path, columns=config["columns"] or None)
         for tl in part:  # a match in two files would be counted twice
             if tl.match_id in sources:
@@ -615,13 +620,25 @@ def cmd_stages(args, config):
         cleaning.merge(part_report)
     if not timelines:
         raise DataError("no matches found in the input files")
+    return timelines, cleaning
+
+
+def cmd_stages(args, config):
+    """Run the command's stage, or every stage for report, into the output directory."""
+    seed = args.seed if args.seed is not None else config["seed"]
+    if seed < 0:  # load_config has checked the config's seed
+        raise ConfigError(f"--seed must be at least 0, got {seed}")
+    timelines, cleaning = _read_inputs(args.inputs, config)
     bundle = args.stage is None
     # train-eval and report default to the configured holdout; only report
     # falls back to the first match when the inputs lack it
     wanted = args.match or (config["holdout"] if bundle or args.stage == "train" else None)
     match = _select_match(timelines, wanted, fallback=bundle and not args.match)
-    others = [tl for tl in timelines if tl.match_id != match.match_id]
-    ctx = Context(config, seed, match, others, args.plot)
+    timelines.remove(match)  # the rest are the training matches: ctx's list, which train empties
+    # the match owns its columns, so no view of it keeps a parsed block alive
+    match = dataclasses.replace(match, columns={name: values.copy()
+                                                for name, values in match.columns.items()})
+    ctx = Context(config, seed, match, timelines, args.plot)
     out_dir = Path(args.out_dir or os.environ.get(OUT_DIR_ENV) or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     if bundle:  # neither may describe an earlier run if this one stops

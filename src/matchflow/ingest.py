@@ -12,15 +12,22 @@ column of a block converted through the scalar rules ``_to_float``,
 ``_to_int``, ``_score`` and ``_shot_code``, and the whole text is never held
 in memory.  A memo that spans the blocks converts each distinct cell of a
 column once, for as long as the column's cells repeat; a column whose cells
-are mostly distinct drops its memo and converts cell by cell.  Each numeric
-column's cells are appended to one growable typed buffer (an
-``array.array``), and each text column's to one list, so the blocks leave no
-small arrays behind to fragment the heap; a buffer is viewed as an array
-(``np.frombuffer``) only when the columns of every match are joined.  The
-joined columns are sorted by match and point and repaired with array
-operations; only then are they split into one ``MatchTimeline`` of
-equal-length arrays per match.  ``load_and_clean`` is the one way in, so
-every timeline is a cleaned one.
+are mostly distinct drops its memo and converts cell by cell.
+
+Every numeric field is written straight into one ``(fields, capacity)`` block
+per dtype, int64 and float64, a field to a row (``BLOCK_FIELDS``); each text
+column goes to one list.  The capacity is a hint taken before the parse: a
+source that can be read twice (a path, bytes, a seekable file object) is read
+once for its newline count, and the capacity is that count + 1, which holds
+every data row; the stream is then put back where it stood.  Where the hint
+runs short (a stream that cannot seek, or CR-only line ends) the blocks double,
+with a copy.  So the columns of a parse take two allocations and leave no holes
+in the heap.  Each row is then sorted by match and point in place, through one
+row of scratch, and the column is a view of its row; the repairs run on the
+joined columns with array operations and write into those rows too.  Only
+then are the columns split into one ``MatchTimeline`` per match, whose arrays
+view the blocks: a block is freed when the last timeline of its parse goes.
+``load_and_clean`` is the one way in, so every timeline is a cleaned one.
 
 ``write_clean_csv`` writes the result.  ``write_csv`` is the one CSV writer:
 it writes the cleaned file and every table the command line produces straight
@@ -36,7 +43,6 @@ limit (naming the line), and bytes that are not UTF-8 (naming their offset).
 
 from __future__ import annotations
 
-import array
 import contextlib
 import csv
 import functools
@@ -347,20 +353,43 @@ def _parse(stream, columns):
     """(cols, ids, players, matches, rejected, header) of a CSV text stream.
 
     cols holds every point field of every match, joined and sorted by match
-    and then stably by point_no; ids and players give each match's id and
-    player names in sorted id order, and matches (a _Matches) their spans in
-    cols.  See load_and_clean.
+    and then stably by point_no, each a view of its row of its dtype's block;
+    ids and players give each match's id and player names in sorted id order,
+    and matches (a _Matches) their spans in cols.  See load_and_clean.
     """
     reader = csv.reader(stream)
     try:
-        return _parse_rows(reader, columns)
+        return _parse_rows(reader, columns, _capacity(stream))
     except csv.Error as exc:
         raise SchemaError(f"malformed CSV at line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise _decode_error(stream, exc) from None
 
 
-def _parse_rows(reader, columns):
+def _capacity(stream) -> int:
+    """Rows the blocks start with: the newlines left in a seekable stream + 1, else PARSE_BLOCK.
+
+    A seekable stream is read to its end for the count and put back where it
+    stood.  The count covers every data row of a file with LF or CRLF line
+    ends; the blocks grow past it for CR-only line ends.
+    """
+    if not stream.seekable():
+        return PARSE_BLOCK
+    try:
+        start = stream.tell()
+    except OSError:  # a text file iterated with next() cannot tell its position
+        return PARSE_BLOCK
+    newlines = sum(chunk.count("\n") for chunk in iter(functools.partial(stream.read, 1 << 16), ""))
+    stream.seek(start)
+    return newlines + 1
+
+
+# The point fields of each dtype, in FIELDS order: the i-th is row i of its dtype's block.
+BLOCK_FIELDS = {dtype: [name for name, spec in FIELDS.items() if spec[2] is dtype]
+                for dtype in (np.int64, np.float64)}
+
+
+def _parse_rows(reader, columns, capacity):
     first = next(reader, None)
     if first is None:
         raise SchemaError("empty input: no header row found")
@@ -373,15 +402,16 @@ def _parse_rows(reader, columns):
     width = len(header)
     position = {name: i for i, name in enumerate(header)}  # a repeated name takes its last column
     named = [p for p in PLAYER_COLUMNS if p in position] if "player1" in position else []
-    # (field, column, memo, dtype) of each column read; a memo outlives the blocks, so each
+    # (dtype, row, column, memo) of each numeric field read; a memo outlives the blocks, so each
     # distinct cell of a column whose cells repeat is converted once
-    read = [(name, position[source], _Cells(convert), dtype)
+    read = [(dtype, BLOCK_FIELDS[dtype].index(name), position[source], _Cells(convert))
             for name, (source, convert, dtype, _) in FIELDS.items() if source in position]
-    read += [(name, position[name], _Cells(_strip), object) for name in ("match_id", *named)]
-    # one growable buffer per column: typed for numbers, so the blocks leave no small arrays
-    # behind to fragment the heap, and a list for text
-    parts = {name: [] if dtype is object else array.array(np.dtype(dtype).char)
-             for name, _, _, dtype in read}
+    # one (fields, capacity) block per dtype, so the columns leave no holes in the heap, and a
+    # list per text column
+    blocks = {dtype: np.empty((len(names), capacity), dtype)
+              for dtype, names in BLOCK_FIELDS.items()}
+    texts = {name: [] for name in ("match_id", *named)}
+    text_memos = {name: _Cells(_strip) for name in texts}
     n = 0
     for block in iter(lambda: list(itertools.islice(reader, PARSE_BLOCK)), []):
         cells = []  # row-major: column j is cells[j::width]
@@ -393,14 +423,23 @@ def _parse_rows(reader, columns):
                 row = (row + [None] * width)[:width]
             cells += row
         rows = len(cells) // width
-        for name, j, memo, _ in read:
-            parts[name].extend(memo.convert_all(cells[j::width]))
+        if n + rows > capacity:  # the hint ran short: double, with a copy
+            capacity = max(2 * capacity, n + rows)
+            for dtype, old in list(blocks.items()):
+                blocks[dtype] = np.empty((len(old), capacity), dtype)
+                blocks[dtype][:, :n] = old[:, :n]
+            del old  # the last block outgrown
+        for dtype, i, j, memo in read:
+            blocks[dtype][i, n:n + rows] = np.fromiter(memo.convert_all(cells[j::width]), dtype,
+                                                       count=rows)
+        for name, values in texts.items():
+            values.extend(text_memos[name].convert_all(cells[position[name]::width]))
         n += rows
     if not n:
         raise SchemaError("empty input: no data rows")
 
-    match_ids = np.array(parts["match_id"], dtype=object)
-    point_no = np.frombuffer(parts["point_no"], dtype=np.int64)
+    match_ids = np.array(texts["match_id"], dtype=object)
+    point_no = blocks[np.int64][BLOCK_FIELDS[np.int64].index("point_no"), :n]
     keep = (match_ids != "") & (point_no > 0)
     rejected = [
         (i + 2, "missing match_id" if match_ids[i] == "" else "unparseable point_no")
@@ -414,12 +453,21 @@ def _parse_rows(reader, columns):
     order = kept[np.lexsort((point_no[kept], codes))]
     first_rows = kept[np.unique(codes, return_index=True)[1]]
     # players come from the first kept row; a blank or absent name keeps its default
-    names = [list(map(parts.pop(p).__getitem__, first_rows.tolist())) if p in named
+    names = [list(map(texts[p].__getitem__, first_rows.tolist())) if p in named
              else [""] * len(ids) for p in PLAYER_COLUMNS]
     players = [tuple(name or p for name, p in zip(pair, PLAYER_COLUMNS)) for pair in zip(*names)]
-    cols = {name: (np.frombuffer(parts.pop(name), dtype=dtype) if name in parts
-                   else np.full(n, absent, dtype=dtype))[order]
-            for name, (_, _, dtype, absent) in FIELDS.items()}
+    # each row is sorted in place through one row of scratch, whose bytes serve both dtypes;
+    # a column the header lacks holds its default
+    scratch = np.empty(order.size, np.int64)
+    cols = {}
+    for name, (source, _, dtype, absent) in FIELDS.items():
+        row = blocks[dtype][BLOCK_FIELDS[dtype].index(name)]
+        if source in position:
+            np.take(row[:n], order, out=scratch.view(dtype), mode="clip")  # "raise" would buffer
+            row[:order.size] = scratch.view(dtype)
+        else:
+            row[:order.size] = absent
+        cols[name] = row[:order.size]
     return cols, ids, players, _Matches(np.bincount(codes, minlength=len(ids))), rejected, header
 
 
@@ -470,22 +518,23 @@ def _means(values, matches) -> np.ndarray:
 
 
 def _mean_fill(values, means, column, matches, report):
-    """Missing points take their match's mean."""
+    """Missing points take their match's mean, in place."""
     missing = np.isnan(values)
     if missing.any():
-        values = np.where(missing, means[matches.ids], values)
+        values[missing] = means[matches.ids[missing]]
         report.bump(report.mean_imputations, column, int(missing.sum()))
-    return values
 
 
 def _mode_fill(values, low, column, matches, report):
-    """Points outside {low, low + 1} take their match's more frequent valid value (ties: low)."""
+    """Points outside {low, low + 1} take their match's more frequent valid value (ties: low).
+
+    Fills in place.
+    """
     invalid = (values != low) & (values != low + 1)
     if invalid.any():
         high = matches.count(values == low + 1) > matches.count(values == low)
-        values = np.where(invalid, np.where(high, low + 1, low)[matches.ids], values)
+        values[invalid] = np.where(high, low + 1, low)[matches.ids[invalid]]
         report.bump(report.mode_imputations, column, int(invalid.sum()))
-    return values
 
 
 def _points_won(values, won, matches):
@@ -501,9 +550,11 @@ def _points_won(values, won, matches):
 
 
 def _repair(cols, ids, matches, report):
-    """Repair, in place, the columns of the matches joined in cols; counts each repair.
+    """Repair the columns of the matches joined in cols; counts each repair.
 
-    ids names each match, in the order of its span in matches.  Returns cols.
+    Every repair is written into the column's own array, so a column that
+    views a row of a block stays that view.  ids names each match, in the
+    order of its span in matches.  Returns cols.
     """
     scores = ("p1_score", "p2_score")
     for column in scores:  # AD tokens and negative scores, both negative since the parse
@@ -531,16 +582,16 @@ def _repair(cols, ids, matches, report):
                         f"values in match {match_id!r}")
 
     for column in scores:
-        cols[column] = _mean_fill(cols[column], means[column], column, matches, report)
+        _mean_fill(cols[column], means[column], column, matches, report)
 
     for column in ("server", "point_victor", "serve_no"):
-        cols[column] = _mode_fill(cols[column], 1, column, matches, report)
+        _mode_fill(cols[column], 1, column, matches, report)
     for column in FLAG_COLUMNS:
-        cols[column] = _mode_fill(cols[column], 0, column, matches, report)
+        _mode_fill(cols[column], 0, column, matches, report)
 
     unknown = (cols["shot_type_code"] < 0) | (cols["shot_type_code"] > 2)  # coded -1 at parse
     if unknown.any():
-        cols["shot_type_code"] = np.where(unknown, 0, cols["shot_type_code"])
+        cols["shot_type_code"][unknown] = 0
         report.bump(report.categorical_mapped, SHOT_COLUMN, int(unknown.sum()))
 
     repaired = {}
@@ -556,18 +607,19 @@ def _repair(cols, ids, matches, report):
         changed = int(np.count_nonzero(values != cols[column]))
         if changed:
             report.bump(report.monotone_repairs, column, changed)
-        cols[column] = values
+        cols[column][...] = values
     # game counters restart each set, so a bad point takes the last good value before it in
     # its match, or the floor
     for column, floor in (("game_no", 1), ("p1_games", 0), ("p2_games", 0)):
         bad = cols[column] < floor
         if bad.any():
             last = np.maximum.accumulate(np.where(bad, -1, np.arange(bad.size)))
-            cols[column] = np.where(last < matches.starts[matches.ids], floor, cols[column][last])
+            cols[column][...] = np.where(last < matches.starts[matches.ids], floor,
+                                         cols[column][last])
             report.bump(report.monotone_repairs, column, int(bad.sum()))
 
     for column in CONTINUOUS_COLUMNS:
-        cols[column] = _mean_fill(cols[column], means[column], column, matches, report)
+        _mean_fill(cols[column], means[column], column, matches, report)
     return cols
 
 

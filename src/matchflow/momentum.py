@@ -105,6 +105,18 @@ def _window_sums(values: np.ndarray, half_width: int, causal: bool):
     return sums, counts
 
 
+def _players(victors) -> np.ndarray:
+    """victors as an int array; a DataError unless every value is exactly 1 or 2.
+
+    The values are checked before the int conversion, which would truncate
+    1.5 to player 1.
+    """
+    v = np.asarray(victors)
+    if not np.all((v == 1) | (v == 2)):
+        raise DataError("victor sequence must contain only players 1 and 2")
+    return v.astype(int, copy=False)
+
+
 def momentum_from_victors(victors, params: MomentumParams | None = None) -> dict:
     """Momentum arrays from a point-victor sequence (1 or 2 per point).
 
@@ -113,15 +125,15 @@ def momentum_from_victors(victors, params: MomentumParams | None = None) -> dict
     arrays whose every row equals the single-sequence result bit for bit.
     Returns a dict with p1/p2 momentum, the four window components, and the
     capped run-length diagnostics.  Only the victor sequence matters, which
-    makes this the workhorse for permutation tests.
+    makes this the workhorse for permutation tests.  An empty sequence, or a
+    value other than exactly 1 or 2, is a DataError.
     """
     params = params or MomentumParams()
     params.validate()
-    v = np.asarray(victors, dtype=int)
+    v = np.asarray(victors)
     if v.size == 0:
         raise DataError("cannot score an empty timeline")
-    if not np.all((v == 1) | (v == 2)):
-        raise DataError("victor sequence must contain only players 1 and 2")
+    v = _players(v)
 
     r1 = np.where(v == 1, WIN_RESULT, LOSS_RESULT)
     run = _run_lengths(v)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .momentum import MomentumParams, _run_lengths, momentum_from_victors
+from .momentum import MomentumParams, _players, _run_lengths, momentum_from_victors
 
 POLY22_TERMS = ("p00", "p10", "p01", "p20", "p11", "p02")
 
@@ -225,7 +225,8 @@ def randomness_test(
     """Permutation test of the are-runs-just-chance hypothesis.
 
     Args:
-        victors: the point-victor sequence, player 1 or 2 per point.
+        victors: the point-victor sequence, player 1 or 2 per point; any
+            other value is a DataError, whatever the statistic.
         servers: the server of each point, or None.  Given, victors are
             shuffled within each server's points only (stratified).
         params: momentum constants for momentum-based statistics.
@@ -237,9 +238,10 @@ def randomness_test(
         raise DataError(f"unknown statistic {statistic!r}; expected one of {sorted(STATISTICS)}")
     if n_permutations < MIN_PERMUTATIONS:
         raise DataError(f"need at least {MIN_PERMUTATIONS} permutations")
-    victors = np.asarray(victors, dtype=int)
+    victors = np.asarray(victors)
     if victors.size < MIN_TIMELINE_POINTS:
         raise DataError(f"need a timeline of at least {MIN_TIMELINE_POINTS} points")
+    victors = _players(victors)
     if servers is not None:
         servers = np.asarray(servers, dtype=int)
         if servers.shape != victors.shape:

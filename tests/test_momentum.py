@@ -215,6 +215,15 @@ def test_param_validation():
         momentum_from_victors([1, 2, 3])
 
 
+@pytest.mark.parametrize("victors", [[1.5, 2.9, 1.0], [1, 2, 0], [1, 2, np.nan], [1, 2, None]])
+def test_victors_other_than_exactly_1_or_2_are_rejected(victors):
+    # an int conversion first would score [1.5, 2.9, 1.0] as [1, 2, 1]
+    with pytest.raises(DataError, match="only players 1 and 2"):
+        momentum_from_victors(victors)
+    assert momentum_from_victors([1.0, 2.0, 1.0])["p1"].tolist() == \
+        momentum_from_victors([1, 2, 1])["p1"].tolist()
+
+
 def test_find_swings_marks_local_extrema():
     tl = make_timeline([1, 1, 1, 2, 2, 2, 1, 1, 1, 2, 2, 2, 1, 1])
     series = momentum_series(tl)

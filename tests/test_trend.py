@@ -136,6 +136,14 @@ def test_preconditions():
         trend.randomness_test(victors, [1, 2] * 11)
 
 
+@pytest.mark.parametrize("statistic", sorted(trend.STATISTICS))
+@pytest.mark.parametrize("victors", [[1, 3] * 15, [1.5, 2.0] * 15, [0, 1, 2] * 10])
+def test_victors_other_than_exactly_1_or_2_are_rejected(victors, statistic):
+    # max_streak, the default, never reaches momentum's check: [1, 3] * 15 gave p = 1.0
+    with pytest.raises(DataError, match="only players 1 and 2"):
+        trend.randomness_test(victors, statistic=statistic, n_permutations=99)
+
+
 def test_pvalue_is_one_when_null_is_a_point_mass():
     # one player wins everything: every shuffle is the same sequence
     report = trend.randomness_test([1] * 30, statistic="max_streak", n_permutations=99, seed=0)
