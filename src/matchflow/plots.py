@@ -2,6 +2,9 @@
 
 No display server, no plotting dependency, and byte-stable output: the same
 data always renders to the same file, which keeps report bundles reproducible.
+Every plot streams its lines to the file; a heatmap is coloured and written one
+matrix row at a time, so neither its cells' colours nor the whole document are
+ever held at once.
 """
 
 from __future__ import annotations
@@ -104,41 +107,48 @@ def heatmap_svg(matrix, path, title: str = "", x_labels=None, y_labels=None,
     if not np.isfinite(v).all():
         raise ValueError("heatmap matrix is not finite")
 
-    # dark blue -> yellow ramp on a fixed integer lattice for reproducibility; rint rounds
-    # half to even like round()
+    xs = [_fmt(MARGIN + j * cell_w) for j in range(cols)]
+    size = f'width="{_fmt(cell_w + 0.5)}" height="{_fmt(cell_h + 0.5)}"'
+
+    def lines():
+        yield from _header(width, height, title)
+        for i, row in enumerate(v):
+            y = _fmt(height - MARGIN - (i + 1) * cell_h)
+            yield "\n".join(f'<rect x="{x}" y="{y}" {size} fill="#{c}"/>'
+                             for x, c in zip(xs, _colors(row)))
+        if y_labels is not None:
+            for i in (0, rows - 1):
+                py = height - MARGIN - (i + 0.5) * cell_h
+                yield (f'<text x="{MARGIN - 4}" y="{_fmt(py)}" text-anchor="end" '
+                       f'font-family="monospace" font-size="10">{y_labels[i]:.3g}</text>')
+        if x_labels is not None:
+            for j in (0, cols - 1):
+                px = MARGIN + (j + 0.5) * cell_w
+                yield (f'<text x="{_fmt(px)}" y="{height - MARGIN + 14}" text-anchor="middle" '
+                       f'font-family="monospace" font-size="10">{x_labels[j]:.3g}</text>')
+        yield "</svg>"
+
+    _write(path, lines())
+
+
+def _colors(v) -> list:
+    """The "rrggbb" fills of ramp positions v in [0, 1], on a dark blue -> yellow ramp.
+
+    The ramp sits on a fixed integer lattice for reproducibility; rint rounds half to even
+    like round().
+    """
     blue = 84 + 60 * (1.0 - v) * (1.0 - v) - 84 * v
     # (1 - v) ** 2 is libm pow, which can differ from the product in the last bit; that moves
     # the rounding only within 1e-13 of a half-integer, so those cells take pow
     tie = np.abs(blue - np.floor(blue) - 0.5) < 1e-9
     blue[tie] = [84 + 60 * (1.0 - x) ** 2 - 84 * x for x in v[tie].tolist()]
     rgb = np.stack([np.rint(253 * v), np.rint(40 + 191 * v), np.maximum(np.rint(blue), 0)], -1)
-    fill = _HEX[rgb.astype(int)].view("U6")[..., 0].tolist()  # rows x cols "rrggbb" strings
-
-    xs = [_fmt(MARGIN + j * cell_w) for j in range(cols)]
-    ys = [_fmt(height - MARGIN - (i + 1) * cell_h) for i in range(rows)]
-    size = f'width="{_fmt(cell_w + 0.5)}" height="{_fmt(cell_h + 0.5)}"'
-    parts = _header(width, height, title)
-    parts += [f'<rect x="{x}" y="{y}" {size} fill="#{c}"/>'
-              for y, row in zip(ys, fill) for x, c in zip(xs, row)]
-    if y_labels is not None:
-        for i in (0, rows - 1):
-            py = height - MARGIN - (i + 0.5) * cell_h
-            parts.append(
-                f'<text x="{MARGIN - 4}" y="{_fmt(py)}" text-anchor="end" '
-                f'font-family="monospace" font-size="10">{y_labels[i]:.3g}</text>'
-            )
-    if x_labels is not None:
-        for j in (0, cols - 1):
-            px = MARGIN + (j + 0.5) * cell_w
-            parts.append(
-                f'<text x="{_fmt(px)}" y="{height - MARGIN + 14}" text-anchor="middle" '
-                f'font-family="monospace" font-size="10">{x_labels[j]:.3g}</text>'
-            )
-    parts.append("</svg>")
-    _write(path, parts)
+    return _HEX[rgb.astype(int)].view("U6")[..., 0].tolist()
 
 
-def _write(path, parts):
+def _write(path, lines):
+    """Write the lines of a plot to path as they come, each ending in a newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts))
-        fh.write("\n")
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")

@@ -8,7 +8,9 @@ convolution per scale (Torrence & Compo 1998, "A Practical Guide to Wavelet
 Analysis", BAMS 79): the wavelet is sampled once at every lag the sum can
 reach, and the FFT is at least as long as that sampled kernel, so no term
 the sum uses wraps around or is dropped.  The result is the direct sum up
-to rounding.
+to rounding.  The signal's spectrum is taken once and the scales are then
+transformed one at a time, so besides the (n_scales, n) output only one
+scale's kernel, spectrum and inverse are held at any moment.
 Boundaries are handled by reflecting the signal (default) or by treating
 everything outside it as zero.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,8 +93,9 @@ class Scalogram:
     times: np.ndarray
     coefficients: np.ndarray  # (n_scales, n_times) complex
 
-    @property
+    @cached_property
     def amplitude(self) -> np.ndarray:
+        """|coefficients|, computed on the first read and kept."""
         return np.abs(self.coefficients)
 
 
@@ -104,6 +108,12 @@ def cwt(signal, config: WaveletConfig | None = None) -> Scalogram:
     conjugate wavelet, sampled over every lag between an extended position
     and an output time.  Agrees with the direct sum to rounding error (about
     1e-14 of the peak amplitude).
+
+    The signal's FFT is taken once; each scale then builds its kernel,
+    multiplies the kernel's FFT by that spectrum and inverts it into its row
+    of a preallocated output.  Beyond the output, the transient is one
+    scale's kernel and spectra: a few complex arrays of the FFT length, not
+    n_scales of each.
 
     Args:
         signal: real sequence of at least 8 samples.
@@ -125,15 +135,22 @@ def cwt(signal, config: WaveletConfig | None = None) -> Scalogram:
     # extended[j] sits at position j - pad, so position - time spans +-reach
     reach = x.size - 1 + pad
     lags = np.arange(-reach, reach + 1, dtype=float)
-    kernels = np.conj(morlet(-lags / scales[:, None], config.center_frequency))
-    kernels /= np.sqrt(scales)[:, None]
     # Output index q = b + pad + reach pairs extended[j] with kernel index
     # q - j = reach - (j - pad - b), which stays inside 0..2*reach for every
     # j and b; an FFT at least as long as the kernel therefore never wraps a
     # term that the direct sum uses.
     size = 1 << (lags.size - 1).bit_length()
-    spectrum = np.fft.fft(extended, size) * np.fft.fft(kernels, size, axis=1)
-    coeffs = np.fft.ifft(spectrum, axis=1)[:, pad + reach : pad + reach + x.size]
+    signal_fft = np.fft.fft(extended, size)
+    start = pad + reach
+    coeffs = np.empty((scales.size, x.size), dtype=complex)
+    for row, scale, root in zip(coeffs, scales, np.sqrt(scales)):
+        kernel = np.conj(morlet(-lags / scale, config.center_frequency))
+        kernel /= root
+        spectrum = np.fft.fft(kernel, size)
+        # signal first: numpy's complex product is not bitwise commutative, and a bare
+        # `signal_fft * np.fft.fft(...)` may reuse the temporary and swap the operands
+        np.multiply(signal_fft, spectrum, out=spectrum)
+        row[:] = np.fft.ifft(spectrum)[start : start + x.size]
     times = np.arange(x.size)
     return Scalogram(scales, times, coeffs)
 

@@ -1,6 +1,7 @@
 """The array heatmap renderer against the scalar oracle, byte for byte."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,3 +111,25 @@ def test_non_finite_heatmap_input_is_rejected(tmp_path, bad):
     with pytest.raises(ValueError, match="heatmap matrix is not finite"):
         plots.heatmap_svg(matrix, tmp_path / "bad.svg")
     assert not (tmp_path / "bad.svg").exists()
+
+
+def test_heatmap_is_written_row_by_row_within_a_memory_bound(tmp_path):
+    """Traced peak of heatmap_svg on a 32 x 1000 matrix with both label axes.
+
+    Holding every cell's colour and the whole document as one list and one string
+    peaked at about 11.7 MB.  Colouring and writing one row at a time it peaks at
+    about 0.6 MB, most of it the matrix's ramp positions.
+    """
+    rng = np.random.default_rng([7, 32, 1000])
+    matrix = rng.random((32, 1000))
+    labels = dict(x_labels=np.arange(1000), y_labels=np.geomspace(2, 50, 32))
+    path = tmp_path / "big.svg"
+    tracemalloc.start()
+    try:
+        plots.heatmap_svg(matrix, path, title="t", **labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6e6, peak
+    heatmap_oracle(matrix, tmp_path / "want.svg", title="t", **labels)
+    assert path.read_bytes() == (tmp_path / "want.svg").read_bytes()

@@ -21,6 +21,7 @@ from matchflow.classifier import MAX_BACKTRACKS, nll_and_grad
 from matchflow.errors import DataError, SchemaError
 from matchflow.ingest import MatchTimeline, _shot_code, _to_float, _to_int
 from matchflow.momentum import MomentumParams, momentum_from_victors
+from matchflow.wavelet import SUPPORT_RADIUS, WaveletConfig, morlet
 
 # Point fields of a MatchTimeline and the value each takes unless a test sets another.
 POINT_DEFAULTS = dict(
@@ -523,6 +524,26 @@ def cwt_oracle(signal, scales, center_frequency, boundary="zero", support_radius
                 acc += ext[idx] * psi.conjugate() / root
             out[si, b] = acc
     return out
+
+
+def cwt_batched_oracle(signal, config=None):
+    """The FFT transform with every scale's kernel, spectrum and inverse built at once.
+
+    The same arithmetic as wavelet.cwt, element for element, but each step runs on the
+    whole (n_scales, fft length) array, so the per-scale loop must match it bit for bit.
+    """
+    x = np.asarray(signal, dtype=float).ravel()
+    config = config or WaveletConfig()
+    scales = config.scale_ladder(x.size)
+    pad = int(math.ceil(SUPPORT_RADIUS * scales.max())) if config.boundary == "reflect" else 0
+    extended = np.pad(x, pad, mode="reflect") if pad else x
+    reach = x.size - 1 + pad
+    lags = np.arange(-reach, reach + 1, dtype=float)
+    kernels = np.conj(morlet(-lags / scales[:, None], config.center_frequency))
+    kernels /= np.sqrt(scales)[:, None]
+    size = 1 << (lags.size - 1).bit_length()
+    spectrum = np.fft.fft(extended, size) * np.fft.fft(kernels, size, axis=1)
+    return np.fft.ifft(spectrum, axis=1)[:, pad + reach : pad + reach + x.size]
 
 
 def matrix_from_weights(w) -> JudgmentMatrix:
