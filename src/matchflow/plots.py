@@ -2,9 +2,9 @@
 
 No display server, no plotting dependency, and byte-stable output: the same
 data always renders to the same file, which keeps report bundles reproducible.
-Every plot streams its lines to the file; a heatmap is coloured and written one
-matrix row at a time, so neither its cells' colours nor the whole document are
-ever held at once.
+Every plot streams its lines to the file.  A heatmap keeps three bytes of colour
+per cell and formats and writes its cells one matrix row at a time, so its text
+is never held whole.
 """
 
 from __future__ import annotations
@@ -107,15 +107,28 @@ def heatmap_svg(matrix, path, title: str = "", x_labels=None, y_labels=None,
     if not np.isfinite(v).all():
         raise ValueError("heatmap matrix is not finite")
 
+    # dark blue -> yellow ramp on a fixed integer lattice for reproducibility; rint rounds
+    # half to even like round()
+    blue = 84 + 60 * (1.0 - v) * (1.0 - v) - 84 * v
+    # (1 - v) ** 2 is libm pow, which can differ from the product in the last bit; that moves
+    # the rounding only within 1e-13 of a half-integer, so those cells take pow
+    tie = np.abs(blue - np.floor(blue) - 0.5) < 1e-9
+    blue[tie] = [84 + 60 * (1.0 - x) ** 2 - 84 * x for x in v[tie].tolist()]
+    rgb = np.empty((rows, cols, 3), dtype=np.uint8)  # every channel lies in 0..253
+    rgb[..., 0] = np.rint(253 * v)
+    rgb[..., 1] = np.rint(40 + 191 * v)
+    rgb[..., 2] = np.maximum(np.rint(blue), 0)
+
     xs = [_fmt(MARGIN + j * cell_w) for j in range(cols)]
     size = f'width="{_fmt(cell_w + 0.5)}" height="{_fmt(cell_h + 0.5)}"'
 
     def lines():
         yield from _header(width, height, title)
-        for i, row in enumerate(v):
+        for i, row in enumerate(rgb):
             y = _fmt(height - MARGIN - (i + 1) * cell_h)
+            fill = _HEX[row].view("U6")[:, 0].tolist()  # "rrggbb" per cell
             yield "\n".join(f'<rect x="{x}" y="{y}" {size} fill="#{c}"/>'
-                             for x, c in zip(xs, _colors(row)))
+                             for x, c in zip(xs, fill))
         if y_labels is not None:
             for i in (0, rows - 1):
                 py = height - MARGIN - (i + 0.5) * cell_h
@@ -129,21 +142,6 @@ def heatmap_svg(matrix, path, title: str = "", x_labels=None, y_labels=None,
         yield "</svg>"
 
     _write(path, lines())
-
-
-def _colors(v) -> list:
-    """The "rrggbb" fills of ramp positions v in [0, 1], on a dark blue -> yellow ramp.
-
-    The ramp sits on a fixed integer lattice for reproducibility; rint rounds half to even
-    like round().
-    """
-    blue = 84 + 60 * (1.0 - v) * (1.0 - v) - 84 * v
-    # (1 - v) ** 2 is libm pow, which can differ from the product in the last bit; that moves
-    # the rounding only within 1e-13 of a half-integer, so those cells take pow
-    tie = np.abs(blue - np.floor(blue) - 0.5) < 1e-9
-    blue[tie] = [84 + 60 * (1.0 - x) ** 2 - 84 * x for x in v[tie].tolist()]
-    rgb = np.stack([np.rint(253 * v), np.rint(40 + 191 * v), np.maximum(np.rint(blue), 0)], -1)
-    return _HEX[rgb.astype(int)].view("U6")[..., 0].tolist()
 
 
 def _write(path, lines):

@@ -116,9 +116,10 @@ def test_non_finite_heatmap_input_is_rejected(tmp_path, bad):
 def test_heatmap_is_written_row_by_row_within_a_memory_bound(tmp_path):
     """Traced peak of heatmap_svg on a 32 x 1000 matrix with both label axes.
 
-    Holding every cell's colour and the whole document as one list and one string
-    peaked at about 11.7 MB.  Colouring and writing one row at a time it peaks at
-    about 0.6 MB, most of it the matrix's ramp positions.
+    Holding every cell's colour string and the whole document as one list and one
+    string peaked at about 12.2 MB.  With three colour bytes per cell and the text
+    formatted and written one row at a time it peaks at about 1.2 MB, nearly all of
+    it the ramp positions and the float temporaries of the colour ramp.
     """
     rng = np.random.default_rng([7, 32, 1000])
     matrix = rng.random((32, 1000))

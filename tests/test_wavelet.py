@@ -218,7 +218,7 @@ def test_transform_holds_one_scale_at_a_time_within_a_memory_bound():
     """Traced peak of cwt on 1000 points with the default 32-scale ladder.
 
     Building every scale's kernel, spectrum and inverse at once peaked at about
-    12.1 MB.  One scale at a time it peaks at about 1.5 MB: the 0.5 MB output, the
+    12.7 MB.  One scale at a time it peaks at about 1.6 MB: the 0.5 MB output, the
     signal's spectrum and one scale's kernel and spectra.
     """
     signal = np.random.default_rng(1000).normal(size=1000)
