@@ -73,9 +73,12 @@ class SoftmaxModel:
     std: np.ndarray
     n_iters: int = 0
     final_loss: float = float("nan")
-    converged: bool = False
     seed: int = 0
     stop_reason: str | None = None  # converged, separable, max_iters or no_descent once trained
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     @property
     def n_classes(self) -> int:
@@ -279,8 +282,7 @@ def train(features, labels, cfg: TrainConfig | None = None, class_values=None) -
     if not cfg.l2_penalty and _separates(coef, design, y):
         stop_reason = "separable"
 
-    return replace(model, coef=coef, n_iters=iters, final_loss=loss,
-                   converged=stop_reason == "converged", stop_reason=stop_reason)
+    return replace(model, coef=coef, n_iters=iters, final_loss=loss, stop_reason=stop_reason)
 
 
 def train_test_split(labels, fraction=0.8, seed=0):

@@ -124,7 +124,8 @@ def _replace(path, write):
 
 
 def _write_json(path, payload):
-    _replace(path, lambda tmp: tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n"))
+    _replace(path, lambda tmp: tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                                              encoding="utf-8"))
 
 
 def _is_number(value) -> bool:
@@ -192,9 +193,9 @@ def load_config(path) -> dict:
     user = {}
     if path:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 user = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(user, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -274,7 +275,7 @@ def _judgment_matrix(ahp) -> list:
     try:
         if ahp["matrix_csv"] is not None:
             key = "ahp.matrix_csv"
-            with open(ahp["matrix_csv"]) as fh:
+            with open(ahp["matrix_csv"], encoding="utf-8") as fh:
                 rows = [[float(cell) for cell in row] for row in csv.reader(fh) if row]
         elif rows is None:  # other indicator lists fall back to equal importance
             entries = DEFAULT_AHP_ENTRIES if ahp["indicators"] == DEFAULT_AHP_INDICATORS else ()
@@ -360,10 +361,10 @@ def _train(ctx, out):
     _write_json(out("model.json"), model.to_dict())
     _write_json(out("serve_stats.json"), stats.to_dict())
 
-    counts = metrics.confusion(test_y, model.predict(test_x), n_classes=label_set.n_classes)
+    proba = model.predict_proba(test_x)
+    counts = metrics.confusion(test_y, np.argmax(proba, axis=1), n_classes=label_set.n_classes)
     summary = metrics.summary_metrics(counts)
     _write_json(out("metrics.json"), metrics.metrics_table(summary, label_set.values))
-    proba = model.predict_proba(test_x)
     auc = {}
     for level in range(label_set.n_classes):
         curve = metrics.roc_auc(test_y, proba[:, level], level)
@@ -598,7 +599,7 @@ STAGES = {
 # ---------------------------------------------------------------- commands
 
 def cmd_clean(args, config):
-    timelines, report = ingest.load_and_clean(args.input, columns=config["columns"] or None)
+    timelines, report = ingest.load_and_clean(args.input, columns=config["columns"])
     _replace(args.output, functools.partial(ingest.write_clean_csv, timelines))
     _write_json(args.report, report.to_dict())
     print(f"cleaned {sum(len(t) for t in timelines)} points from {len(timelines)} match(es)")
@@ -610,7 +611,7 @@ def _read_inputs(paths, config):
     """(timelines, cleaning report) of every input file; a match id in two files is an error."""
     timelines, cleaning, sources = [], ingest.CleaningReport(), {}
     for path in paths:
-        part, part_report = ingest.load_and_clean(path, columns=config["columns"] or None)
+        part, part_report = ingest.load_and_clean(path, columns=config["columns"])
         for tl in part:  # a match in two files would be counted twice
             if tl.match_id in sources:
                 raise SchemaError(f"match id {tl.match_id!r} is in both "
@@ -708,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train-eval", help="train the classifier and evaluate it")
     common(p_train)
     p_train.add_argument("--holdout", dest="match", default=None,
-                         help="match id (or suffix) to hold out; default 1701")
+                         help=f"match id (or suffix) to hold out; default {DEFAULTS['holdout']}")
     p_train.set_defaults(func=cmd_stages, stage="train", plot=False)
 
     p_mom = sub.add_parser("momentum", help="momentum series and swing annotations")

@@ -5,28 +5,28 @@ the common point-by-point export convention (``match_id``, ``set_no``,
 ``server``, ``point_victor``, ``p1_score`` ...); alternate headers can be
 remapped with a ``columns`` table.  Extra columns are ignored.
 
-Data stay in numpy columns from parse to artifact.  The input is a path,
-bytes, a binary file object (all read as UTF-8, a BOM skipped) or a text file
-object, and it is read as a stream: ``PARSE_BLOCK`` rows at a time, each
-column of a block converted through the scalar rules ``_to_float``,
-``_to_int``, ``_score`` and ``_shot_code``, and the whole text is never held
-in memory.  A memo that spans the blocks converts each distinct cell of a
-column once, for as long as the column's cells repeat; a column whose cells
-are mostly distinct drops its memo and converts cell by cell.
+Data stay in numpy columns from parse to artifact.  The input is a path (a
+FIFO included) or bytes, read as UTF-8 with an optional BOM skipped, and it is
+read as a stream: ``PARSE_BLOCK`` rows at a time, each column of a block
+converted through the scalar rules ``_to_float``, ``_to_int``, ``_score`` and
+``_shot_code``, and the whole text is never held in memory.  A memo that spans
+the blocks converts each distinct cell of a column once, for as long as the
+column's cells repeat; a column whose cells are mostly distinct drops its memo
+and converts cell by cell.
 
 Every numeric field is written straight into one ``(fields, capacity)`` block
 per dtype, int64 and float64, a field to a row (``BLOCK_FIELDS``); each text
 column goes to one list.  The capacity is a hint taken before the parse: a
-source that can be read twice (a path, bytes, a seekable file object) is read
-once for its newline count, and the capacity is that count + 1, which holds
-every data row; the stream is then put back where it stood.  Where the hint
-runs short (a stream that cannot seek, or CR-only line ends) the blocks double,
-with a copy.  So the columns of a parse take two allocations and leave no holes
-in the heap.  Each row is then sorted by match and point in place, through one
-row of scratch, and the column is a view of its row; the repairs run on the
-joined columns with array operations and write into those rows too.  Only
-then are the columns split into one ``MatchTimeline`` per match, whose arrays
-view the blocks: a block is freed when the last timeline of its parse goes.
+source that can seek (a file, bytes) is read once for its count of newline
+bytes, and the capacity is that count + 1, which holds every data row; the
+stream then goes back to its start.  Where the hint runs short (a FIFO, which
+cannot seek, or CR-only line ends) the blocks double, with a copy.  So the
+columns of a parse take two allocations and leave no holes in the heap.  Each
+row is then sorted by match and point in place, through one row of scratch,
+and the column is a view of its row; the repairs run on the joined columns
+with array operations and write into those rows too.  Only then are the
+columns split into one ``MatchTimeline`` per match, whose arrays view the
+blocks: a block is freed when the last timeline of its parse goes.
 ``load_and_clean`` is the one way in, so every timeline is a cleaned one.
 
 ``write_clean_csv`` writes the result.  ``write_csv`` is the one CSV writer:
@@ -313,74 +313,51 @@ class _Cells(dict):
         return map(self.__getitem__, cells)
 
 
-@contextlib.contextmanager
-def _text_stream(source):
-    """The source as a text stream of CSV lines, for the span of a with block.
-
-    A path is opened, and bytes or a binary file object are wrapped, as UTF-8
-    with an optional BOM and with newline="" as csv asks; a text file object is
-    read as it is.  A caller's file object is left open.
-    """
-    if isinstance(source, io.TextIOBase):
-        yield source
-    elif isinstance(source, bytes) or hasattr(source, "read"):
-        stream = io.TextIOWrapper(io.BytesIO(source) if isinstance(source, bytes) else source,
-                                  encoding="utf-8-sig", newline="")
-        try:
-            yield stream
-        finally:
-            stream.detach()  # closing the wrapper would close the caller's file
-    else:
-        with open(os.fspath(source), encoding="utf-8-sig", newline="") as stream:
-            yield stream
-
-
 def _decode_error(stream, exc) -> SchemaError:
     """SchemaError naming the byte a UnicodeDecodeError from stream failed on, and its offset.
 
     The decoder fails on the chunk just read, so exc.object ends where the
-    stream's byte buffer stands; a stream with no buffer that tells its
-    position (a pipe) gives no offset.
+    stream's byte buffer stands; a buffer that cannot tell its position (a
+    FIFO) gives no offset.
     """
     where = ""
-    with contextlib.suppress(AttributeError, OSError):
+    with contextlib.suppress(OSError):
         where = f" at offset {stream.buffer.tell() - len(exc.object) + exc.start}"
     return SchemaError(f"input is not UTF-8: byte {exc.object[exc.start]:#04x}{where} "
                        f"({exc.reason})")
 
 
 def _parse(stream, columns):
-    """(cols, ids, players, matches, rejected, header) of a CSV text stream.
+    """(cols, ids, players, matches, rejected, header) of a CSV text stream not yet read.
 
     cols holds every point field of every match, joined and sorted by match
     and then stably by point_no, each a view of its row of its dtype's block;
     ids and players give each match's id and player names in sorted id order,
     and matches (a _Matches) their spans in cols.  See load_and_clean.
     """
+    capacity = _capacity(stream.buffer)
     reader = csv.reader(stream)
     try:
-        return _parse_rows(reader, columns, _capacity(stream))
+        return _parse_rows(reader, columns, capacity)
     except csv.Error as exc:
         raise SchemaError(f"malformed CSV at line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise _decode_error(stream, exc) from None
 
 
-def _capacity(stream) -> int:
-    """Rows the blocks start with: the newlines left in a seekable stream + 1, else PARSE_BLOCK.
+def _capacity(binary) -> int:
+    """Rows the blocks start with: the newlines of a seekable stream + 1, else PARSE_BLOCK.
 
-    A seekable stream is read to its end for the count and put back where it
-    stood.  The count covers every data row of a file with LF or CRLF line
-    ends; the blocks grow past it for CR-only line ends.
+    A seekable stream is read to its end for the count of b"\\n" and put back
+    at its start.  That byte never occurs inside a multibyte UTF-8 sequence,
+    so the count is the text's.  It covers every data row of a file with LF
+    or CRLF line ends; the blocks grow past it for CR-only line ends.
     """
-    if not stream.seekable():
+    if not binary.seekable():
         return PARSE_BLOCK
-    try:
-        start = stream.tell()
-    except OSError:  # a text file iterated with next() cannot tell its position
-        return PARSE_BLOCK
-    newlines = sum(chunk.count("\n") for chunk in iter(functools.partial(stream.read, 1 << 16), ""))
-    stream.seek(start)
+    chunks = iter(functools.partial(binary.read, 1 << 16), b"")
+    newlines = sum(chunk.count(b"\n") for chunk in chunks)
+    binary.seek(0)
     return newlines + 1
 
 
@@ -626,17 +603,17 @@ def _repair(cols, ids, matches, report):
 def load_and_clean(source, columns=None):
     """Parse and clean a point-by-point CSV into one timeline per match.
 
-    source is read as a stream, as the module docstring says; columns maps
-    file column names to canonical ones.  The joined columns are repaired
-    before any timeline is built, per match and in this order: advantage
-    tokens and negative scores become the numeric sentinel, missing scores
-    take the per-match mean; invalid categoricals (server, point_victor,
-    serve_no, the flags) take the per-match mode; unknown shot codes become
-    0; the set and points-won counters are repaired to stay non-decreasing,
-    and missing or negative game counters are filled forward; missing
-    continuous values take the per-match mean.  Blank, unparseable and
-    non-finite cells (``inf``, ``-inf``, ``1e309``, ``nan``) all count as
-    missing.  Cleaning is idempotent.
+    source is a path (str or PathLike, a FIFO included) or bytes, read as a
+    stream as the module docstring says; columns maps file column names to
+    canonical ones.  The joined columns are repaired before any timeline is
+    built, per match and in this order: advantage tokens and negative scores
+    become the numeric sentinel, missing scores take the per-match mean;
+    invalid categoricals (server, point_victor, serve_no, the flags) take the
+    per-match mode; unknown shot codes become 0; the set and points-won
+    counters are repaired to stay non-decreasing, and missing or negative game
+    counters are filled forward; missing continuous values take the per-match
+    mean.  Blank, unparseable and non-finite cells (``inf``, ``-inf``,
+    ``1e309``, ``nan``) all count as missing.  Cleaning is idempotent.
 
     Returns (timelines, report): one MatchTimeline per distinct match_id in
     sorted order, and a CleaningReport of every repair, of the optional
@@ -645,11 +622,19 @@ def load_and_clean(source, columns=None):
     (numbered from 2, blank lines not counted).
 
     Raises:
+        TypeError: a source that is neither a path nor bytes, such as a file
+            object.
         SchemaError: an input fault the module docstring lists; the command
             line exits 2 on it.
         DataError: the first match, in order, with a column it cannot repair.
     """
-    with _text_stream(source) as stream:
+    if isinstance(source, bytes):
+        binary = io.BytesIO(source)
+    elif isinstance(source, (str, os.PathLike)):
+        binary = open(source, "rb")
+    else:
+        raise TypeError(f"source must be a path or bytes, not {type(source).__name__}")
+    with io.TextIOWrapper(binary, encoding="utf-8-sig", newline="") as stream:
         cols, ids, players, matches, rejected, header = _parse(stream, columns)
     report = CleaningReport()
     timelines = _timelines(_repair(cols, ids, matches, report), ids, players, matches)
@@ -769,7 +754,7 @@ def _block_fields(values, fmt, alone) -> list:
 def _write_groups(destination, header, groups, fmt):
     """Write header, then each group of equal-length columns, PARSE_BLOCK rows at a time."""
     own = isinstance(destination, (str, os.PathLike))
-    fh = open(destination, "w", newline="") if own else destination
+    fh = open(destination, "w", encoding="utf-8", newline="") if own else destination
     try:
         fh.write(",".join(_fields(list(map(str, header)), len(header) == 1)) + "\n")
         for columns in groups:

@@ -104,9 +104,10 @@ def fit_poly22(x, y, z) -> SurfaceFit:
     scale = np.max(np.abs(design), axis=0)
     scale[scale == 0.0] = 1.0
     scaled = design / scale
-    if np.linalg.matrix_rank(scaled) < 6:
+    # lstsq's rank counts singular values above eps * max(m, n) * s_max, as matrix_rank does
+    solution, _, rank, _ = np.linalg.lstsq(scaled, z, rcond=None)
+    if rank < 6:
         raise DataError("singular design: samples do not span the quadratic basis")
-    solution, *_ = np.linalg.lstsq(scaled, z, rcond=None)
     coeffs = solution / scale
     fitted = design @ coeffs
     residuals = z - fitted

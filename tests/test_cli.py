@@ -105,6 +105,37 @@ def test_bad_config_exits_3(tmp_path):
     assert code == 3
 
 
+def test_a_config_file_that_is_not_utf8_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"seed": 1, "x\xff": 2}')
+    code = run(["clean", FIXTURE, "--output", tmp_path / "o.csv", "--report", tmp_path / "r.json",
+                "--config", cfg])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "config error: config file is not valid JSON: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_clean_reads_and_writes_utf8_under_an_ascii_locale(tmp_path):
+    """A non-ASCII player name and a non-ASCII column key in the config clean as they do anywhere."""
+    header, body = FIXTURE.read_text(encoding="utf-8").split("\n", 1)
+    data = tmp_path / "renamed.csv"
+    data.write_text(header.replace(",server,", ",sérveur,") + "\n"
+                    + body.replace("L. Ferro", "Novak Đoković"), encoding="utf-8")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"columns": {"sérveur": "server"}}', encoding="utf-8")
+    argv = ["clean", data, "--report", tmp_path / "r.json", "--config", cfg, "--output"]
+    assert run(argv + [tmp_path / "here.csv"]) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "matchflow.cli",
+                           *map(str, argv + [tmp_path / "ascii.csv"])],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    cleaned = (tmp_path / "ascii.csv").read_bytes()
+    assert "Novak Đoković".encode() in cleaned and cleaned == (tmp_path / "here.csv").read_bytes()
+
+
 @pytest.mark.parametrize("command,config,key", [
     ("train-eval", {"train": {"max_iters": None}}, "train.max_iters"),
     ("train-eval", {"train": {"max_iters": "5"}}, "train.max_iters"),

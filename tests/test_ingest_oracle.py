@@ -1,10 +1,14 @@
 """The columnar ingest against the row-at-a-time oracle, and a cell-fuzz of the CLI."""
 
+import contextlib
 import csv
 import functools
 import io
 import math
+import os
 import sys
+import threading
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -369,14 +373,29 @@ def test_a_bom_is_skipped(monkeypatch):
     assert_matches_oracle(text, data=b"\xef\xbb\xbf" + text.encode())
 
 
-class Pipe(io.BytesIO):
-    """Bytes that can neither seek nor tell their position."""
+@contextlib.contextmanager
+def fifo(path, data):
+    """path made a FIFO that a writer thread fills with data, for the span of a with block.
 
-    def seekable(self):
-        return False
+    The FIFO is to be opened for reading once inside the block; if it is not,
+    the block's end opens it, so the writer is not left waiting for a reader.
+    """
+    os.mkfifo(path)
 
-    def tell(self):
-        raise io.UnsupportedOperation("tell")
+    def write():
+        with contextlib.suppress(BrokenPipeError), open(path, "wb") as fh:
+            fh.write(data)  # a reader that stops early closes the FIFO under it
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        yield path
+    finally:
+        deadline = time.monotonic() + 10
+        while writer.is_alive() and time.monotonic() < deadline:
+            os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(0.1)
+        assert not writer.is_alive()
 
 
 def block_bases(timelines) -> dict:
@@ -388,38 +407,42 @@ def block_bases(timelines) -> dict:
     return {dtype: list(owners.values()) for dtype, owners in bases.items()}
 
 
-def test_every_source_kind_parses_alike_and_file_objects_stay_open(tmp_path):
+def test_every_source_kind_parses_alike(tmp_path, monkeypatch):
     """Every kind of source gives the same timelines and report, in one block per dtype.
 
-    The blocks start at the newline count + 1 rows of a source that can be
-    read twice, at PARSE_BLOCK rows for a stream that cannot seek and at one
-    row for CR-only line ends; the last two grow.
+    The blocks start at the newline count + 1 rows of a source that can seek,
+    at PARSE_BLOCK rows for a FIFO, which cannot, and at one row for CR-only
+    line ends; the last two grow.
     """
     data = damaged_csv(11, n_matches=16).encode()
     assert data.count(b"\n") > 2 * ingest.PARSE_BLOCK and b"\r" not in data
     path = write_bytes(tmp_path / "sim.csv", data)
-    skipped = b"skipped,before,the,start\n" * 3
-    binary, text = io.BytesIO(skipped + data), io.StringIO((skipped + data).decode())
-    binary.seek(len(skipped))  # a seekable stream is parsed from where it stands
-    text.seek(len(skipped))
+    capacities = []
+
+    def capacity(binary, measure=ingest._capacity):
+        capacities.append(measure(binary))
+        return capacities[-1]
+
+    monkeypatch.setattr(ingest, "_capacity", capacity)
     want = None
-    with open(path, "rb") as binary_file, open(path, newline="") as text_file:
-        sources = [path, str(path), data, binary_file, binary, text_file, text, Pipe(data),
-                   data.replace(b"\n", b"\r")]
-        for source in sources:
-            rereads = isinstance(source, io.IOBase) and source.seekable()
-            start = source.tell() if rereads else None
-            for _ in range(2 if rereads else 1):
-                timelines, report = ingest.load_and_clean(source)
-                got = timeline_cells(timelines), report.to_dict()
-                want = want or got
-                assert got == want, source
-                assert sorted(map(len, block_bases(timelines).values())) == [1, 1], source
-                if isinstance(source, io.IOBase):
-                    assert not source.closed
-                if rereads:
-                    source.seek(start)
+    with fifo(tmp_path / "sim.fifo", data) as pipe:
+        for source in [path, str(path), data, data.replace(b"\n", b"\r"), pipe]:
+            timelines, report = ingest.load_and_clean(source)
+            got = timeline_cells(timelines), report.to_dict()
+            want = want or got
+            assert got == want, source
+            assert sorted(map(len, block_bases(timelines).values())) == [1, 1], source
+    lines = data.count(b"\n") + 1
+    assert capacities == [lines, lines, lines, 1, ingest.PARSE_BLOCK]
     assert want[1]["rejected_rows"] and want[1]["totals"]["mean_imputations"]
+
+
+def test_a_file_object_is_a_type_error(tmp_path):
+    path = write_bytes(tmp_path / "fixture.csv", FIXTURE.read_bytes())
+    with open(path, "rb") as binary, open(path, newline="") as text:
+        for source in (binary, text, io.BytesIO(FIXTURE.read_bytes())):
+            with pytest.raises(TypeError, match="source must be a path or bytes"):
+                ingest.load_and_clean(source)
 
 
 def write_bytes(path, data):
@@ -452,6 +475,9 @@ def test_an_oversized_field_exits_2_naming_the_line(tmp_path, capsys):
     limit = csv.field_size_limit()
     assert err == ("input error: malformed CSV at line 7: "
                    f"field larger than field limit ({limit})\n")
+    # bytes that are not UTF-8 after the field leave the error alone: the first fault is named
+    bad = write_bytes(tmp_path / "big-then-bad.csv", path.read_bytes() + b"\xff\n")
+    assert clean_cli(tmp_path, bad, capsys)[:2] == (code, err)
 
 
 @pytest.mark.parametrize("at", [876, 20_000])
@@ -463,13 +489,21 @@ def test_undecodable_bytes_exit_2_naming_their_offset(tmp_path, capsys, at):
     assert code == 2 and cleaned is None
     assert err == ("input error: input is not UTF-8: "
                    f"byte 0xff at offset {at} (invalid start byte)\n")
-    for source, offset in ((data, at), (b"\xef\xbb\xbf" + data, at + 3), (io.BytesIO(data), at)):
+    for source, offset in ((data, at), (b"\xef\xbb\xbf" + data, at + 3)):
         with pytest.raises(SchemaError, match=f"byte 0xff at offset {offset} "):
             ingest.load_and_clean(source)
 
-    with pytest.raises(SchemaError) as got:
-        ingest.load_and_clean(Pipe(data))
+    with fifo(tmp_path / "bad.fifo", data) as pipe, pytest.raises(SchemaError) as got:
+        ingest.load_and_clean(pipe)
     assert str(got.value) == "input is not UTF-8: byte 0xff (invalid start byte)"
+
+
+def test_clean_writes_the_same_bytes_from_a_fifo_as_from_a_file(tmp_path, capsys):
+    path = write_bytes(tmp_path / "file.csv", FIXTURE.read_bytes())
+    with fifo(tmp_path / "pipe.csv", FIXTURE.read_bytes()) as pipe:
+        code, err, cleaned = clean_cli(tmp_path, pipe, capsys)
+    assert (code, err) == (0, "")
+    assert cleaned == clean_cli(tmp_path, path, capsys)[2]
 
 
 def test_a_name_with_a_lone_cr_cleans_twice_to_the_same_bytes(tmp_path, capsys):
