@@ -174,12 +174,9 @@ def minmax_normalize(columns: np.ndarray) -> np.ndarray:
     """Column-wise min-max scaling to [0,1]; constant columns map to 0.5."""
     x = np.asarray(columns, dtype=float)
     lo = x.min(axis=0)
-    hi = x.max(axis=0)
-    span = hi - lo
-    out = np.empty_like(x)
-    for j in range(x.shape[1]):
-        out[:, j] = 0.5 if span[j] == 0 else (x[:, j] - lo[j]) / span[j]
-    return out
+    span = x.max(axis=0) - lo
+    constant = span == 0
+    return np.where(constant, 0.5, (x - lo) / np.where(constant, 1.0, span))
 
 
 def score_rounds(indicators, w) -> RoundScores:

@@ -81,10 +81,6 @@ class SoftmaxModel:
         return self.stop_reason == "converged"
 
     @property
-    def n_classes(self) -> int:
-        return len(self.class_values)
-
-    @property
     def n_features(self) -> int:
         return self.coef.shape[1] - 1
 

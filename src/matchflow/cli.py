@@ -46,8 +46,9 @@ A negative --seed also exits 3 before any input is read or output written.
 Only the match's own data is checked by a stage.
 
 Exit codes: 0 success, 1 analysis error, 2 I/O or schema error, 3 config
-error.  A command with a failed stage exits with the code of its first
-failure, report after writing report.json; a bug is raised, never mapped to a code.
+error, a config file that cannot be read included.  A command with a failed
+stage exits with the code of its first failure, report after writing
+report.json; a bug is raised, never mapped to a code.
 """
 
 from __future__ import annotations
@@ -195,6 +196,8 @@ def load_config(path) -> dict:
         try:
             with open(path, encoding="utf-8") as fh:
                 user = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file: {exc}") from None
         except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(user, dict):
@@ -225,6 +228,8 @@ def load_config(path) -> dict:
 def _check_values(config):
     """ConfigError for the first value, of those checkable without input data, out of range."""
     features = ingest.FEATURE_NAMES
+    # the sweep sets serve_indicator itself, once per context
+    sweepable = [name for name in features if name != sweep_mod.SERVE_INDICATOR]
     ahp, trend_cfg, sweep = config["ahp"], config["trend"], config["sweep"]
     n_ahp, n_sweep = len(ahp["indicators"]), len(sweep["indicators"])
     max_ahp = max(ahp_mod.RANDOM_INDEX)  # the largest judgment matrix order with a random index
@@ -247,8 +252,8 @@ def _check_values(config):
          trend.MIN_PERMUTATIONS <= config["random"]["permutations"] <= max_cells,
          f"{trend.MIN_PERMUTATIONS} to {max_cells}"),
         ("sweep.indicators", 1 <= n_sweep <= 2
-         and len(set(sweep["indicators"]) & set(features)) == n_sweep,
-         f"one or two distinct feature names from {features}"),
+         and len(set(sweep["indicators"]) & set(sweepable)) == n_sweep,
+         f"one or two distinct feature names from {sweepable}"),
         ("sweep.ranges", sweep["ranges"] is None
          or (len(sweep["ranges"]) == n_sweep and all(lo < hi for lo, hi in sweep["ranges"])),
          f"null or {n_sweep} [lo, hi] pair(s), one per indicator, each with lo < hi"),

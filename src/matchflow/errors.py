@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: SchemaError (and I/O failures) exit 2,
-ConfigError exit 3, everything else raised during an analysis exits 1.
+ConfigError (and failures to read the config file or a file it names) exit 3,
+everything else raised during an analysis exits 1.
 """
 
 

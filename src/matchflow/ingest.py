@@ -30,11 +30,11 @@ blocks: a block is freed when the last timeline of its parse goes.
 ``load_and_clean`` is the one way in, so every timeline is a cleaned one.
 
 ``write_clean_csv`` writes the result.  ``write_csv`` is the one CSV writer:
-it writes the cleaned file and every table the command line produces straight
-from their columns, ``PARSE_BLOCK`` rows at a time, formatting and quoting
-each distinct value of a column's block once.  A field is quoted where csv's
-minimal quoting would quote it and where it holds a lone CR, so every
-written file reads back as it was written.
+it writes the cleaned file and every table the command line produces to a
+path, straight from their columns, ``PARSE_BLOCK`` rows at a time, formatting
+and quoting each distinct value of a column's block once.  A field is quoted
+where csv's minimal quoting would quote it and where it holds a lone CR, so
+every written file reads back as it was written.
 
 Input faults are a ``SchemaError`` (the command line exits 2): an empty file,
 a missing required column, malformed CSV such as a field past csv's size
@@ -163,9 +163,6 @@ class FeatureTable:
     match_id: str
     feature_names: list[str]
     values: np.ndarray  # shape (n_points, n_features)
-
-    def __len__(self):
-        return self.values.shape[0]
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.feature_names.index(name)]
@@ -751,11 +748,9 @@ def _block_fields(values, fmt, alone) -> list:
     return list(map(dict(zip(distinct, _fields(distinct, alone))).__getitem__, texts))
 
 
-def _write_groups(destination, header, groups, fmt):
+def _write_groups(path, header, groups, fmt):
     """Write header, then each group of equal-length columns, PARSE_BLOCK rows at a time."""
-    own = isinstance(destination, (str, os.PathLike))
-    fh = open(destination, "w", encoding="utf-8", newline="") if own else destination
-    try:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_fields(list(map(str, header)), len(header) == 1)) + "\n")
         for columns in groups:
             columns = list(map(np.asarray, columns))
@@ -763,20 +758,17 @@ def _write_groups(destination, header, groups, fmt):
                 fields = [_block_fields(values[a:a + PARSE_BLOCK], fmt, len(columns) == 1)
                           for values in columns]
                 fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
-def write_csv(destination, header, columns, fmt=repr):
-    """Write equal-length columns as CSV rows under header, to a path or an open text file.
+def write_csv(path, header, columns):
+    """Write equal-length columns as CSV rows under header, to a path.
 
-    Float cells are formatted through fmt and every other cell through str.
+    Float cells are formatted through repr and every other cell through str.
     Rows are formatted and written PARSE_BLOCK at a time, and each distinct
     value of a column's block is formatted once.  A field is quoted where
     csv's minimal quoting would quote it, and also where it holds a lone CR.
     """
-    _write_groups(destination, header, [columns], fmt)
+    _write_groups(path, header, [columns], repr)
 
 
 def _clean_groups(timelines):
@@ -799,10 +791,10 @@ def _clean_groups(timelines):
         ]
 
 
-def write_clean_csv(timelines, destination):
+def write_clean_csv(timelines, path):
     """Write cleaned timelines back out with normalized values, as write_csv writes columns.
 
     The columns of about PARSE_BLOCK rows of consecutive timelines are joined
     at a time, so the whole table is never held as one.
     """
-    _write_groups(destination, CSV_COLUMNS, _clean_groups(timelines), _format_float)
+    _write_groups(path, CSV_COLUMNS, _clean_groups(timelines), _format_float)

@@ -47,7 +47,7 @@ class ConfusionCounts:
         return int(self.tp[0] + self.fp[0] + self.fn[0] + self.tn[0]) if self.n_classes else 0
 
 
-def confusion(truth, pred, n_classes=None) -> ConfusionCounts:
+def confusion(truth, pred, n_classes) -> ConfusionCounts:
     """Exact one-vs-rest confusion counts.
 
     Raises:
@@ -57,8 +57,6 @@ def confusion(truth, pred, n_classes=None) -> ConfusionCounts:
     p = np.asarray(pred, dtype=int)
     if t.size != p.size:
         raise ValueError(f"length mismatch: {t.size} truths vs {p.size} predictions")
-    if n_classes is None:
-        n_classes = int(max(t.max(initial=-1), p.max(initial=-1))) + 1
     if t.size and not (0 <= min(t.min(), p.min()) and max(t.max(), p.max()) < n_classes):
         raise ValueError(f"class levels must lie in [0, {n_classes})")
     # cell (truth, pred) of the K x K confusion matrix

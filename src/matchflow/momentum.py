@@ -67,7 +67,6 @@ class MomentumParams:
 class MomentumSeries:
     """Momentum trajectories for both players plus component diagnostics."""
 
-    match_id: str
     point_no: np.ndarray
     p1: np.ndarray
     p2: np.ndarray
@@ -170,16 +169,13 @@ def momentum_series(timeline, params: MomentumParams | None = None) -> MomentumS
     """Momentum trajectories for both players over a cleaned MatchTimeline."""
     arrays = momentum_from_victors(timeline.victors(), params)
     point_no = np.array(timeline.columns["point_no"], dtype=int)
-    return MomentumSeries(match_id=timeline.match_id, point_no=point_no, **arrays)
+    return MomentumSeries(point_no=point_no, **arrays)
 
 
 def find_swings(series: MomentumSeries) -> dict:
     """Point numbers of the local maxima and minima of player 1's momentum trajectory."""
     x = series.p1
-    maxima, minima = [], []
-    for i in range(1, x.size - 1):
-        if x[i] > x[i - 1] and x[i] > x[i + 1]:
-            maxima.append(int(series.point_no[i]))
-        elif x[i] < x[i - 1] and x[i] < x[i + 1]:
-            minima.append(int(series.point_no[i]))
-    return {"player": 1, "maxima": maxima, "minima": minima}
+    mid, point_no = x[1:-1], series.point_no[1:-1]
+    maxima = (mid > x[:-2]) & (mid > x[2:])
+    minima = (mid < x[:-2]) & (mid < x[2:])
+    return {"player": 1, "maxima": point_no[maxima].tolist(), "minima": point_no[minima].tolist()}

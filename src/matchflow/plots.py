@@ -89,13 +89,13 @@ def line_plot_svg(x, series: dict, path, title: str = ""):
 _HEX = np.array([f"{k:02x}" for k in range(256)])
 
 
-def heatmap_svg(matrix, path, title: str = "", x_labels=None, y_labels=None,
-                width: int = 900, height: int = 420):
-    """Render a matrix as a colored cell grid (rows bottom-up).
+def heatmap_svg(matrix, path, title: str = "", x_labels=None, y_labels=None):
+    """Render a matrix as a colored cell grid (rows bottom-up) to a 900 x 420 SVG file.
 
     Raises:
         ValueError: the matrix, or its value range, is not finite.
     """
+    width, height = 900, 420
     m = np.asarray(matrix, dtype=float)
     lo, hi = float(m.min()), float(m.max())
     span = hi - lo if hi > lo else 1.0

@@ -6,11 +6,12 @@ momentum score.  sweep_grid sweeps the grid a SweepSpec names, whether it has
 one axis or two.  Sweeps never recompute momentum from raw points; they probe
 the trained response, overriding the swept indicator(s) on top of a fixed
 baseline feature vector, once with serve_indicator 1.0 (serve first) and once
-with 0.0 (serve second).  Crossovers are the indicator values where the two
-responses change order; each reported crossing brackets a sign change of
-their difference.  ResponseModel has no serve x indicator term, so for it
-that difference is the same at every grid point and a sweep of it reports no
-crossover: the curves either coincide or never meet.
+with 0.0 (serve second), so serve_indicator itself cannot be swept.
+Crossovers are the indicator values where the two responses change order;
+each reported crossing brackets a sign change of their difference.
+ResponseModel has no serve x indicator term, so for it that difference is the
+same at every grid point and a sweep of it reports no crossover: the curves
+either coincide or never meet.
 """
 
 from __future__ import annotations
@@ -46,7 +47,9 @@ class SweepSpec:
         if not (len(self.indicators) == len(self.ranges) == len(self.steps)):
             raise DataError("indicators, ranges and steps must align")
         for name, (lo, hi), step in zip(self.indicators, self.ranges, self.steps):
-            if name not in self.baseline and name != SERVE_INDICATOR:
+            if name == SERVE_INDICATOR:
+                raise DataError(f"{name!r} cannot be swept: each context sets it")
+            if name not in self.baseline:
                 raise DataError(f"unknown indicator {name!r}: not in the baseline feature set")
             if not lo < hi:
                 raise DataError(f"empty range for {name!r}: need lo < hi")

@@ -4,7 +4,7 @@ import pytest
 from matchflow import ahp
 from matchflow.errors import DataError
 
-from util import eigenvalue_oracle, matrix_from_weights
+from util import eigenvalue_oracle, matrix_from_weights, minmax_oracle
 
 
 def test_empty_entries_give_all_ones():
@@ -142,6 +142,9 @@ def test_constant_indicator_column_maps_to_half():
     indicators = np.array([[1.0, 7.0], [2.0, 7.0], [3.0, 7.0]])
     rounds = ahp.score_rounds(indicators, np.array([0.5, 0.5]))
     assert np.allclose(rounds.scores, np.array([0.0, 0.5, 1.0]) * 0.5 + 0.25)
+    rng = np.random.default_rng(4)
+    for x in (indicators, np.full((1, 3), 2.0), rng.integers(0, 3, (6, 5)).astype(float)):
+        assert np.array_equal(ahp.minmax_normalize(x), minmax_oracle(x))
 
 
 def test_ranking_invariant_under_affine_transform():

@@ -115,6 +115,14 @@ def test_a_config_file_that_is_not_utf8_exits_3(tmp_path, capsys):
         "config error: config file is not valid JSON: 'utf-8' codec can't decode byte 0xff")
 
 
+def test_a_config_file_that_cannot_be_read_exits_3(tmp_path, capsys):
+    code = run(["clean", FIXTURE, "--output", tmp_path / "o.csv", "--report", tmp_path / "r.json",
+                "--config", tmp_path / "missing.json"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "config error: cannot read config file: [Errno 2] No such file or directory")
+
+
 def test_clean_reads_and_writes_utf8_under_an_ascii_locale(tmp_path):
     """A non-ASCII player name and a non-ASCII column key in the config clean as they do anywhere."""
     header, body = FIXTURE.read_text(encoding="utf-8").split("\n", 1)
@@ -213,6 +221,9 @@ def test_clean_reads_and_writes_utf8_under_an_ascii_locale(tmp_path):
     # more permutations than that budget
     ("analyze ahp", {"random": {"permutations": 1_000_001}},
      "random.permutations must be 99 to 1000000, got 1000001"),
+    # the sweep sets serve_indicator itself in each context
+    ("analyze sweep", {"sweep": {"indicators": ["serve_indicator"]}},
+     "sweep.indicators must be one or two distinct feature names"),
 ])
 def test_wrong_typed_config_value_exits_3_naming_the_key(tmp_path, capsys, command, config, key):
     path = tmp_path / "cfg.json"

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -122,7 +121,7 @@ def test_clean_mean_imputation_does_not_cross_matches():
     assert by_match["a"].columns["speed_mph"][1] == 100.0
 
 
-def test_clean_is_idempotent():
+def test_clean_is_idempotent(tmp_path):
     rng = np.random.default_rng(7)
     victors, speeds = [], []
     for i in range(40):
@@ -137,9 +136,9 @@ def test_clean_is_idempotent():
         p2_points_won=0,
     )
     once, _ = clean_one(tl)
-    written = io.StringIO()
+    written = tmp_path / "clean.csv"
     ingest.write_clean_csv([once], written)
-    (twice,), report = load(written.getvalue())
+    (twice,), report = ingest.load_and_clean(written)
     assert once.columns.keys() == twice.columns.keys()
     assert all(np.array_equal(once.columns[name], twice.columns[name]) for name in once.columns)
     assert report.to_dict()["totals"]["mean_imputations"] == 0
@@ -271,16 +270,16 @@ def test_feature_derivation_is_deterministic(tmp_path):
     assert np.array_equal(tables[0].values, tables[1].values)
 
 
-def test_write_csv_formats_floats_through_fmt_and_other_cells_through_str():
+def test_write_csv_formats_floats_through_fmt_and_other_cells_through_str(tmp_path):
     columns = [np.array([0.0, -0.0, 0.1, -0.0, 0.0, np.nan]), np.arange(6),
                ["a", "b,c", "a", "", "d", "a"]]
-    text = io.StringIO()
-    ingest.write_csv(text, ["f", "i", "s"], columns)
+    path = tmp_path / "table.csv"
+    ingest.write_csv(path, ["f", "i", "s"], columns)
     # -0.0 equals 0.0, so the per-distinct-cell memo must not hand one the other's text
-    assert text.getvalue() == 'f,i,s\n0.0,0,a\n-0.0,1,"b,c"\n0.1,2,a\n-0.0,3,\n0.0,4,d\nnan,5,a\n'
-    text = io.StringIO()
-    ingest.write_csv(text, ["f", "i", "s"], columns, fmt=lambda v: f"<{v}>")
-    assert text.getvalue().splitlines()[1:3] == ["<0.0>,0,a", '<-0.0>,1,"b,c"']
+    assert path.read_bytes() == (b'f,i,s\n0.0,0,a\n-0.0,1,"b,c"\n0.1,2,a\n'
+                                 b'-0.0,3,\n0.0,4,d\nnan,5,a\n')
+    ingest._write_groups(path, ["f", "i", "s"], [columns], lambda v: f"<{v}>")
+    assert path.read_bytes().splitlines()[1:3] == [b"<0.0>,0,a", b'<-0.0>,1,"b,c"']
 
 
 def test_write_clean_csv_roundtrip(tmp_path):

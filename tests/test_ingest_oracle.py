@@ -7,6 +7,7 @@ import io
 import math
 import os
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -64,6 +65,11 @@ def assert_same_timelines(timelines, matches):
             assert cells(values.tolist()) == cells(r[name] for r in records), (tl.match_id, name)
 
 
+def written(path) -> str:
+    """The text of a written file, its bytes decoded as they are: a lone CR stays a CR."""
+    return path.read_bytes().decode("utf-8")
+
+
 def assert_matches_oracle(text, columns=None, data=None):
     """Cleaned columns, report, errors and written bytes all agree with the oracle.
 
@@ -81,9 +87,10 @@ def assert_matches_oracle(text, columns=None, data=None):
     timelines, got_report = ingest.load_and_clean(data, columns)
     assert got_report.to_dict() == report.to_dict()
     assert_same_timelines(timelines, matches)
-    buf = io.StringIO()
-    ingest.write_clean_csv(timelines, buf)
-    assert buf.getvalue() == oracle_csv(matches)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "clean.csv"
+        ingest.write_clean_csv(timelines, path)
+        assert written(path) == oracle_csv(matches)
     return report.to_dict()
 
 
@@ -443,6 +450,11 @@ def test_a_file_object_is_a_type_error(tmp_path):
         for source in (binary, text, io.BytesIO(FIXTURE.read_bytes())):
             with pytest.raises(TypeError, match="source must be a path or bytes"):
                 ingest.load_and_clean(source)
+    with open(tmp_path / "table.csv", "w") as text:  # the writers take a path too
+        with pytest.raises(TypeError):
+            ingest.write_csv(text, ["s"], [["x"]])
+        with pytest.raises(TypeError):
+            ingest.write_clean_csv([], text)
 
 
 def write_bytes(path, data):
@@ -541,28 +553,28 @@ def writer_table(rows, fmt):
 @pytest.mark.parametrize("fmt", [repr, ingest._format_float], ids=["repr", "format_float"])
 @pytest.mark.parametrize("rows", [0, 1, ingest.PARSE_BLOCK - 1, ingest.PARSE_BLOCK,
                                   ingest.PARSE_BLOCK + 1, 3 * ingest.PARSE_BLOCK + 7])
-def test_write_csv_matches_the_cell_at_a_time_oracle(fmt, rows):
+def test_write_csv_matches_the_cell_at_a_time_oracle(tmp_path, fmt, rows):
     header, columns = writer_table(rows, fmt)
-    buf = io.StringIO()
-    ingest.write_csv(buf, header, columns, fmt=fmt)
-    assert buf.getvalue() == write_csv_oracle(header, columns, fmt)
+    path = tmp_path / "table.csv"
+    ingest._write_groups(path, header, [columns], fmt)
+    assert written(path) == write_csv_oracle(header, columns, fmt)
 
 
-def test_write_csv_one_column_tables_and_unformattable_values():
+def test_write_csv_one_column_tables_and_unformattable_values(tmp_path):
+    path = tmp_path / "table.csv"
     for header, column, fmt in (
         (["s"], ["", "x", ""], repr),
         (["f"], np.array([np.nan, 1.0, 0.5]), ingest._format_float),
         ([""], [""], repr),
     ):
-        buf = io.StringIO()
-        ingest.write_csv(buf, header, [column], fmt=fmt)
-        assert buf.getvalue() == write_csv_oracle(header, [column], fmt)
-        assert '""' in buf.getvalue()
+        ingest._write_groups(path, header, [[column]], fmt)
+        assert written(path) == write_csv_oracle(header, [column], fmt)
+        assert '""' in written(path)
     infinite = [np.array([1.0, np.inf])]  # _format_float has no text for inf
     with pytest.raises(OverflowError):
         write_csv_oracle(["f"], infinite, ingest._format_float)
     with pytest.raises(OverflowError):
-        ingest.write_csv(io.StringIO(), ["f"], infinite, fmt=ingest._format_float)
+        ingest._write_groups(path, ["f"], [infinite], ingest._format_float)
 
 
 @functools.cache

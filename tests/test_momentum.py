@@ -11,7 +11,7 @@ from matchflow.momentum import (
     momentum_series,
 )
 
-from util import make_timeline, momentum_oracle, point_result, window_score
+from util import make_timeline, momentum_oracle, point_result, swings_oracle, window_score
 
 SCRIPTED_20 = [1, 1, 1, 2, 1, 2, 2, 2, 2, 1, 1, 2, 1, 1, 1, 1, 2, 2, 1, 2]
 
@@ -183,9 +183,7 @@ def test_determinism_bitwise():
 
 
 def test_momentum_series_wraps_timeline():
-    tl = make_timeline(SCRIPTED_20, match_id="scripted")
-    series = momentum_series(tl)
-    assert series.match_id == "scripted"
+    series = momentum_series(make_timeline(SCRIPTED_20))
     assert len(series) == 20
     assert series.point_no[0] == 1
     assert np.array_equal(series.p1, momentum_from_victors(SCRIPTED_20)["p1"])
@@ -236,3 +234,10 @@ def test_find_swings_marks_local_extrema():
     for point in swings["minima"]:
         i = point - 1
         assert x[i] < x[i - 1] and x[i] < x[i + 1]
+    rng = np.random.default_rng(5)
+    for victors in ([1], [1, 2], [2, 1, 2], SCRIPTED_20, rng.integers(1, 3, 60).tolist()):
+        for causal in (False, True):
+            series = momentum_series(make_timeline(victors), MomentumParams(causal=causal))
+            swings = find_swings(series)
+            assert (swings["maxima"], swings["minima"]) == swings_oracle(series.point_no,
+                                                                         series.p1)

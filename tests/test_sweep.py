@@ -104,6 +104,9 @@ def test_sweep_is_pure():
 def test_spec_validation():
     with pytest.raises(DataError, match="unknown indicator"):
         spec_1d(indicators=("missing",))
+    # each context sets it, so a swept value would be overwritten in every cell
+    with pytest.raises(DataError, match="'serve_indicator' cannot be swept"):
+        spec_1d(indicators=("serve_indicator",))
     with pytest.raises(DataError, match="lo < hi"):
         spec_1d(ranges=((0.2, 0.1),))
     with pytest.raises(DataError, match="positive"):

@@ -148,6 +148,17 @@ def momentum_oracle(victors, params: MomentumParams | None = None):
     return np.array(p1), np.array(p2)
 
 
+def swings_oracle(point_no, p1):
+    """`momentum.find_swings` one point at a time: (maxima, minima) point numbers."""
+    maxima, minima = [], []
+    for i in range(1, len(p1) - 1):
+        if p1[i] > p1[i - 1] and p1[i] > p1[i + 1]:
+            maxima.append(int(point_no[i]))
+        elif p1[i] < p1[i - 1] and p1[i] < p1[i + 1]:
+            minima.append(int(point_no[i]))
+    return maxima, minima
+
+
 def streak_lengths_oracle(victors):
     """Consecutive wins ending at each point, per player, by a running count."""
     v = np.asarray(victors, dtype=int)
@@ -457,8 +468,9 @@ def _oracle_color(v: float) -> str:
     return f"#{r:02x}{g:02x}{max(b, 0):02x}"
 
 
-def heatmap_oracle(matrix, path, title="", x_labels=None, y_labels=None, width=900, height=420):
+def heatmap_oracle(matrix, path, title="", x_labels=None, y_labels=None):
     """`plots.heatmap_svg` one cell at a time, with a scalar colour ramp."""
+    width, height = 900, 420
     fmt = "{:.2f}".format
     margin = 46
     m = np.asarray(matrix, dtype=float)
@@ -544,6 +556,16 @@ def cwt_batched_oracle(signal, config=None):
     size = 1 << (lags.size - 1).bit_length()
     spectrum = np.fft.fft(extended, size) * np.fft.fft(kernels, size, axis=1)
     return np.fft.ifft(spectrum, axis=1)[:, pad + reach : pad + reach + x.size]
+
+
+def minmax_oracle(columns):
+    """`ahp.minmax_normalize` one column at a time."""
+    x = np.asarray(columns, dtype=float)
+    out = np.empty_like(x)
+    for j in range(x.shape[1]):
+        lo, hi = x[:, j].min(), x[:, j].max()
+        out[:, j] = 0.5 if hi == lo else (x[:, j] - lo) / (hi - lo)
+    return out
 
 
 def matrix_from_weights(w) -> JudgmentMatrix:
@@ -801,7 +823,7 @@ def oracle_row(cells) -> str:
     return buf.getvalue()[:-2] + "\n"
 
 
-def write_csv_oracle(header, columns, fmt=repr) -> str:
+def write_csv_oracle(header, columns, fmt) -> str:
     """The CSV text of equal-length columns, one cell at a time: fmt for floats, str for the rest."""
     cells = []
     for column in map(np.asarray, columns):
