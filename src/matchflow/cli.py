@@ -29,8 +29,8 @@ report removes report.json and cleaning_report.json before its first stage
 and writes them last, each through a temporary file, so the bundle keeps one
 invariant: if report.json exists, this run wrote it, and every file it lists
 exists.  clean writes its two outputs through temporary files too.  Reading
-the config or the inputs (where a match id in two input files is a schema
-error), or selecting the match, stops a command at once.
+the config or the inputs (no usable match, or a match id in two input files,
+is a schema error), or selecting the match, stops a command at once.
 
 Config: main resolves every key of every section with load_config before the
 command starts, so an unknown key, a wrongly typed value, an out-of-range
@@ -236,7 +236,7 @@ def _check_values(config):
     # the trend surface's budget too (grid**2 rows), and the permutation test's
     max_cells = sweep_mod.MAX_GRID_CELLS
     choices = {"unit": labels.UNITS, "ahp.method": ahp_mod.WEIGHT_METHODS,
-               "random.statistic": tuple(trend.STATISTICS), "sweep.degree": (1, 2),
+               "random.statistic": tuple(trend.STATISTICS), "sweep.degree": sweep_mod.DEGREES,
                "trend.x": ("momentum", *features), "trend.y": ("momentum", *features)}
     checks = [(key, _value(config, key) in allowed, f"one of {list(allowed)}")
               for key, allowed in choices.items()]
@@ -625,7 +625,7 @@ def _read_inputs(paths, config):
         timelines.extend(part)
         cleaning.merge(part_report)
     if not timelines:
-        raise DataError("no matches found in the input files")
+        raise SchemaError("no matches found in the input files")
     return timelines, cleaning
 
 

@@ -9,7 +9,10 @@ Data stay in numpy columns from parse to artifact.  The input is a path (a
 FIFO included) or bytes, read as UTF-8 with an optional BOM skipped, and it is
 read as a stream: ``PARSE_BLOCK`` rows at a time, each column of a block
 converted through the scalar rules ``_to_float``, ``_to_int``, ``_score`` and
-``_shot_code``, and the whole text is never held in memory.  A memo that spans
+``_shot_code``, and the whole text is never held in memory.  ``FIELDS`` declares
+the point fields once.  Each rule takes a cell's text (a short row's missing
+cells are ""); ``_to_int`` reads a blank, unparseable, non-finite or
+beyond-int64 cell as -1, below every field's valid range.  A memo that spans
 the blocks converts each distinct cell of a column once, for as long as the
 column's cells repeat; a column whose cells are mostly distinct drops its memo
 and converts cell by cell.
@@ -57,25 +60,6 @@ import numpy as np
 
 from .errors import DataError, SchemaError
 from .momentum import _run_lengths
-
-# Columns that must be present (after remapping) for a file to parse at all.
-REQUIRED_COLUMNS = (
-    "match_id",
-    "set_no",
-    "game_no",
-    "point_no",
-    "server",
-    "point_victor",
-    "p1_score",
-    "p2_score",
-    "p1_games",
-    "p2_games",
-    "p1_sets",
-    "p2_sets",
-    "p1_points_won",
-    "p2_points_won",
-    "serve_no",
-)
 
 # Optional columns: defaulted (and reported) when the header lacks them.
 CONTINUOUS_COLUMNS = ("p1_distance_run", "p2_distance_run", "rally_count", "speed_mph")
@@ -215,11 +199,9 @@ class CleaningReport:
         self.rejected_rows.extend(other.rejected_rows)
 
 
-def _to_float(text) -> float:
+def _to_float(text: str) -> float:
     """The cell as a finite float; blank, unparseable and non-finite cells are NaN."""
-    if text is None:
-        return math.nan
-    text = str(text).strip()
+    text = text.strip()
     if not text:
         return math.nan
     try:
@@ -229,15 +211,16 @@ def _to_float(text) -> float:
     return value if math.isfinite(value) else math.nan
 
 
-def _to_int(text, default=0) -> int:
+def _to_int(text: str) -> int:
+    """The cell as an int; blank, unparseable, non-finite and beyond-int64 cells are -1."""
     value = _to_float(text)
     if math.isnan(value) or abs(value) >= INT_LIMIT:
-        return default
+        return -1
     return int(round(value))
 
 
-def _shot_code(token) -> int:
-    token = ("" if token is None else str(token)).strip()
+def _shot_code(token: str) -> int:
+    token = token.strip()
     if not token:
         return 0
     upper = token.upper()
@@ -249,37 +232,28 @@ def _shot_code(token) -> int:
     return -1  # unknown token, coded later as 0 and counted
 
 
-def _score(token) -> float:
+def _score(token: str) -> float:
     """The score of a cell; an advantage token (AD, any case) reads as -1, a negative mark."""
-    return -1.0 if (token or "").strip().upper() == "AD" else _to_float(token)
+    return -1.0 if token.strip().upper() == "AD" else _to_float(token)
 
 
-def _strip(token) -> str:
-    return (token or "").strip()
-
-
-def _int_cells(default):
-    return functools.partial(_to_int, default=default)
-
-
-# Point field -> (file column, cell converter, dtype, value when the header
-# lacks the column).  Required columns are never absent.
+# The one declaration of the point fields: field -> (file column, converter of a cell's
+# text, dtype, value when the header lacks the column, None for a required column).  A
+# missing integer reads as -1, below every field's valid range, so it is repaired as invalid.
 FIELDS = {
-    "set_no": ("set_no", _int_cells(0), np.int64, None),
-    "game_no": ("game_no", _int_cells(0), np.int64, None),
-    "point_no": ("point_no", _int_cells(-1), np.int64, None),
-    "server": ("server", _int_cells(0), np.int64, None),
-    "point_victor": ("point_victor", _int_cells(0), np.int64, None),
-    "p1_score": ("p1_score", _score, np.float64, None),
-    "p2_score": ("p2_score", _score, np.float64, None),
-    **{name: (name, _int_cells(-1), np.int64, None)
+    **{name: (name, _to_int, np.int64, None)
+       for name in ("set_no", "game_no", "point_no", "server", "point_victor")},
+    **{name: (name, _score, np.float64, None) for name in ("p1_score", "p2_score")},
+    **{name: (name, _to_int, np.int64, None)
        for name in ("p1_games", "p2_games", "p1_sets", "p2_sets", "p1_points_won",
-                    "p2_points_won")},
-    "serve_no": ("serve_no", _int_cells(0), np.int64, None),
+                    "p2_points_won", "serve_no")},
     "shot_type_code": (SHOT_COLUMN, _shot_code, np.int64, 0),
     **{name: (name, _to_float, np.float64, 0.0) for name in CONTINUOUS_COLUMNS},
-    **{name: (name, _int_cells(-1), np.int64, 0) for name in FLAG_COLUMNS},
+    **{name: (name, _to_int, np.int64, 0) for name in FLAG_COLUMNS},
 }
+
+# Columns that must be present (after remapping) for a file to parse at all.
+REQUIRED_COLUMNS = ("match_id", *(spec[0] for spec in FIELDS.values() if spec[3] is None))
 
 
 class _Cells(dict):
@@ -385,7 +359,7 @@ def _parse_rows(reader, columns, capacity):
     blocks = {dtype: np.empty((len(names), capacity), dtype)
               for dtype, names in BLOCK_FIELDS.items()}
     texts = {name: [] for name in ("match_id", *named)}
-    text_memos = {name: _Cells(_strip) for name in texts}
+    text_memos = {name: _Cells(str.strip) for name in texts}
     n = 0
     for block in iter(lambda: list(itertools.islice(reader, PARSE_BLOCK)), []):
         cells = []  # row-major: column j is cells[j::width]
@@ -393,8 +367,8 @@ def _parse_rows(reader, columns, capacity):
             if len(row) != width:
                 if not row:
                     continue  # blank lines are skipped and not numbered
-                # short rows read their missing cells as None; cells past the header are dropped
-                row = (row + [None] * width)[:width]
+                # short rows read their missing cells as ""; cells past the header are dropped
+                row = (row + [""] * width)[:width]
             cells += row
         rows = len(cells) // width
         if n + rows > capacity:  # the hint ran short: double, with a copy
@@ -709,14 +683,8 @@ def _format_float(value: float) -> str:
     return repr(value)
 
 
-CSV_COLUMNS = (
-    ("match_id",)
-    + ("player1", "player2")
-    + tuple(c for c in REQUIRED_COLUMNS if c != "match_id")
-    + (SHOT_COLUMN,)
-    + CONTINUOUS_COLUMNS
-    + FLAG_COLUMNS
-)
+# The cleaned file's header: the match, its players and every point field's file column.
+CSV_COLUMNS = ("match_id", *PLAYER_COLUMNS, *(source for source, *_ in FIELDS.values()))
 
 
 def _fields(texts, alone) -> list:
@@ -785,9 +753,7 @@ def _clean_groups(timelines):
         per_match = zip(*((tl.match_id, *tl.players) for tl in group))
         yield [np.repeat(np.array(values, dtype=object), [len(tl) for tl in group])
                for values in per_match] + [
-            np.concatenate([tl.columns["shot_type_code" if c == SHOT_COLUMN else c]
-                            for tl in group])
-            for c in CSV_COLUMNS[3:]
+            np.concatenate([tl.columns[name] for tl in group]) for name in FIELDS
         ]
 
 

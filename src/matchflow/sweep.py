@@ -26,6 +26,7 @@ from .errors import DataError
 
 MAX_GRID_CELLS = 1_000_000
 SERVE_INDICATOR = "serve_indicator"  # set to 1.0 (serve first), then to 0.0 (serve second)
+DEGREES = (1, 2)  # of a response model: linear, or with squared terms
 
 
 @dataclass
@@ -226,7 +227,7 @@ def fit_response_model(features, targets, degree: int = 2) -> ResponseModel:
         targets: momentum scores aligned with the rows.
         degree: 1 for linear, 2 to add squared terms.
     """
-    if degree not in (1, 2):
+    if degree not in DEGREES:
         raise DataError("response model degree must be 1 or 2")
     x = np.asarray(features.values, dtype=float)
     names = list(features.feature_names)

@@ -105,6 +105,15 @@ def test_bad_config_exits_3(tmp_path):
     assert code == 3
 
 
+def test_a_config_file_that_is_not_a_json_object_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    code = run(["clean", FIXTURE, "--output", tmp_path / "o.csv", "--report", tmp_path / "r.json",
+                "--config", cfg])
+    assert code == 3
+    assert capsys.readouterr().err == "config error: config file must hold a JSON object\n"
+
+
 def test_a_config_file_that_is_not_utf8_exits_3(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(b'{"seed": 1, "x\xff": 2}')
@@ -383,6 +392,33 @@ def test_a_column_every_input_file_lacks_is_reported_once(tmp_path):
     out = tmp_path / "out"
     assert run(["report", *inputs, "--out-dir", out]) == 0
     assert read_json(out / "cleaning_report.json")["defaulted_columns"] == ["rally_count"]
+
+
+def test_inputs_without_a_usable_match_exit_2_but_clean_them(tmp_path, capsys):
+    with open(FIXTURE, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    path = tmp_path / "blank_ids.csv"
+    with open(path, "w", newline="") as fh:  # every row lacks its match_id
+        csv.writer(fh, lineterminator="\n").writerows([header, *([""] + r[1:] for r in rows)])
+    for command in ("momentum", "report"):
+        out = tmp_path / "out"
+        assert run([command, path, "--out-dir", out]) == 2
+        assert capsys.readouterr().err == "input error: no matches found in the input files\n"
+        assert not out.exists()
+    code = run(["clean", path, "--output", tmp_path / "o.csv", "--report", tmp_path / "r.json"])
+    assert code == 0
+
+
+def test_report_falls_back_to_the_first_match_but_train_eval_does_not(tmp_path, capsys):
+    path = two_match_csv(tmp_path, "2023-x-0001", "2023-x-0002")  # the holdout is neither
+    out = tmp_path / "out"
+    # train, random and trend fail on 12 points, so report exits 1, but it writes report.json
+    assert run(["report", path, "--out-dir", out]) == 1
+    assert read_json(out / "report.json")["match_id"] == "2023-x-0001"
+    capsys.readouterr()
+    assert run(["train-eval", path, "--out-dir", tmp_path / "train"]) == 3
+    assert capsys.readouterr().err == ("config error: no match with id (or id suffix) '1701' in "
+                                       "the inputs\n")
 
 
 def test_an_exact_match_id_wins_over_a_suffix(tmp_path):

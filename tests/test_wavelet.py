@@ -169,6 +169,7 @@ def test_ladder_spans_requested_periods():
     assert ladder[-1] == pytest.approx(scale_for_period(64.0))
     ratios = ladder[1:] / ladder[:-1]
     assert np.allclose(ratios, ratios[0])
+    assert WaveletConfig(n_scales=1).scale_ladder(64).tolist() == [scale_for_period(2.0)]
 
 
 def test_validation_errors():
@@ -182,6 +183,8 @@ def test_validation_errors():
         cwt(np.zeros(16), WaveletConfig(scales=np.array([1.0, -2.0])))
     with pytest.raises(DataError, match="max_period"):
         cwt(np.zeros(16), WaveletConfig(min_period=10.0, max_period=5.0))
+    with pytest.raises(DataError, match="max_period must exceed min_period"):
+        WaveletConfig(min_period=40.0).scale_ladder(64)  # the default max_period is 64 / 2
 
 
 def test_max_period_may_reach_the_signal_length_and_no_further():

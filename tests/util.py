@@ -634,7 +634,9 @@ def gradient_descent_oracle(x, y, n_classes, max_iters=500, tol=1e-6):
 # The row-at-a-time ingest that the columnar one replaced: each row becomes a
 # dict of point fields, cleaning walks the points one attribute at a time,
 # and the writer formats one cell at a time.  The scalar token rules
-# (_to_float, _to_int, _shot_code) are shared with the library.
+# (_to_float, _to_int, _shot_code) are shared with the library: each takes a
+# cell's text, so a short row's missing cells read as "", and _to_int reads
+# every missing integer as -1.
 
 
 def oracle_parse(text, columns=None):
@@ -658,9 +660,9 @@ def oracle_parse(text, columns=None):
         if not raw:
             continue
         row_no += 1
-        row = {header[i]: v for i, v in enumerate(raw[: len(header)])}
-        match_id = (row.get("match_id") or "").strip()
-        point_no = _to_int(row.get("point_no"), default=-1)
+        row = dict(zip(header, raw + [""] * (len(header) - len(raw))))
+        match_id = row["match_id"].strip()
+        point_no = _to_int(row["point_no"])
         if not match_id:
             rejected.append((row_no, "missing match_id"))
             continue
@@ -668,21 +670,19 @@ def oracle_parse(text, columns=None):
             rejected.append((row_no, "unparseable point_no"))
             continue
         record = dict(POINT_DEFAULTS, point_no=point_no)
-        for name in ("set_no", "game_no", "server", "point_victor", "serve_no"):
-            record[name] = _to_int(row.get(name), default=0)
-        for name in ("p1_games", "p2_games", "p1_sets", "p2_sets", "p1_points_won",
-                     "p2_points_won"):
-            record[name] = _to_int(row.get(name), default=-1)
+        for name in ("set_no", "game_no", "server", "point_victor", "serve_no", "p1_games",
+                     "p2_games", "p1_sets", "p2_sets", "p1_points_won", "p2_points_won"):
+            record[name] = _to_int(row[name])
         for name in ("p1_score", "p2_score"):
-            record[name] = (row.get(name) or "").strip()
+            record[name] = row[name].strip()
         for name in ingest.CONTINUOUS_COLUMNS:
             if name in header:
-                record[name] = _to_float(row.get(name))
+                record[name] = _to_float(row[name])
         for name in ingest.FLAG_COLUMNS:
             if name in header:
-                record[name] = _to_int(row.get(name), default=-1)
+                record[name] = _to_int(row[name])
         if ingest.SHOT_COLUMN in header:
-            record["shot_type_code"] = _shot_code(row.get(ingest.SHOT_COLUMN))
+            record["shot_type_code"] = _shot_code(row[ingest.SHOT_COLUMN])
         if "player1" in header and match_id not in players_by_match:
             players_by_match[match_id] = (
                 (row.get("player1") or "player1").strip() or "player1",
