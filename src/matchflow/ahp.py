@@ -6,6 +6,12 @@ generating ratio vector exactly on a consistent matrix) or from a shifted
 row-sum formula kept for compatibility with additive scoring conventions.
 Consistency uses the classic index (lambda_max - n)/(n - 1) against Saaty's
 random-index table; a ratio under 0.1 counts as consistent.
+
+The weights are the configured judgments restated, not findings about the
+data: no input file can move them.  The default judgments give score_diff the
+top weight (0.41) and set_diff 0.14, and both are running tallies of the
+points won, so a round score built on them tracks the outcome it is read
+against.
 """
 
 from __future__ import annotations

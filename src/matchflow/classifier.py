@@ -16,6 +16,19 @@ own class strictly first), the likelihood has no finite maximizer: scaling
 those coefficients up drives the loss towards zero.  Newton steps then shrink
 the loss by about a factor e each, so the run still ends at the gradient
 tolerance, and the model reports the separation instead of convergence.
+
+The loss kernel works on the (n, K-1) scores design @ coef.T column by column,
+in place: a running row maximum that counts the reference class's zero, one
+exp, a left-to-right row sum and a divide.  It never stacks the (n, K) score
+matrix, and softmax and the separation check share its column steps, so the
+probabilities of the loss and of predict_proba agree bit for bit.
+
+The fit holds one copy of the feature matrix: train drops its references to
+the features once it has built the standardized design.  A caller that hands
+the matrix over, as a temporary in the call with no name, list or wrapper of
+its own still holding it, lets it be freed before the Newton loop allocates.
+That takes CPython 3.11 or later, which moves a call's arguments into the
+callee's frame; 3.10 keeps them on the caller's stack until the call returns.
 """
 
 from __future__ import annotations
@@ -30,11 +43,51 @@ MAX_BACKTRACKS = 60
 
 
 def softmax(scores):
-    """Row-wise softmax of a score matrix (n, K)."""
-    scores = np.asarray(scores, dtype=float)
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row-wise softmax of a score matrix (n, K), by the column kernel _exp_columns."""
+    proba = np.array(scores, dtype=float)  # a copy: the kernel works in place
+    _, total = _exp_columns(proba)
+    for column in proba.T:
+        np.divide(column, total, out=column)
+    return proba
+
+
+def _row_max(scores, ref=None):
+    """Row maxima (n,) of the columns of scores (n, m) and of ref, a score or (n,) scores."""
+    top = scores[:, 0].copy()
+    for column in scores.T[1:]:
+        np.maximum(top, column, out=top)
+    return top if ref is None else np.maximum(top, ref, out=top)
+
+
+def _exp_columns(scores, ref=None):
+    """Exponentiate the columns of scores (n, m) in place, shifted by each row's maximum.
+
+    ref, when given, is the score (a scalar or (n,) array) of one more class,
+    the reference class, which scores does not hold.  Returns (top, total):
+    the row maxima and the row sums of the exponentials, ref's last.  The sums
+    add the columns left to right, as numpy's sum(axis=1) adds fewer than
+    eight columns, so the kernel gives the bits of the (n, K) reductions on a
+    stacked score matrix without stacking it.
+    """
+    top = _row_max(scores, ref)
+    for column in scores.T:
+        np.subtract(column, top, out=column)
+    np.exp(scores, out=scores)
+    total = scores[:, 0].copy()
+    for column in scores.T[1:]:
+        total += column
+    if ref is not None:
+        e = np.subtract(ref, top)
+        total += np.exp(e, out=e)
+    return top, total
+
+
+def _own_scores(scores, y):
+    """(n,) score of each row's own class; the reference class, K-1, scores 0."""
+    ref = y == scores.shape[1]
+    own = np.take_along_axis(scores, np.where(ref, 0, y)[:, None], axis=1)[:, 0]
+    own[ref] = 0.0
+    return own
 
 
 @dataclass
@@ -137,22 +190,23 @@ def nll_and_grad(coef, design, y, n_classes, l2_penalty=0.0):
     the coefficients, and the probabilities they came from.
 
     coef has shape (K-1, p+1), design (n, p+1) with the intercept column
-    first, y holds class levels in [0, K).  The L2 penalty skips intercepts.
+    first, y holds class levels in [0, K), n_classes is K.  The L2 penalty
+    skips intercepts.
     proba is the (n, K-1) probabilities of the non-reference classes at coef,
-    bit for bit softmax(_scores(coef, design))[:, :-1].
+    bit for bit softmax(_scores(coef, design))[:, :-1].  The scores design @
+    coef.T turn into proba in place, one column at a time, and the reference
+    class's zero score is never stored.
     """
     n = design.shape[0]
-    rows = np.arange(n)
-    scores = _scores(coef, design)
-    top = scores.max(axis=1, keepdims=True)
-    own = scores[rows, y]  # the last read of the scores, whose buffer e then takes
-    e = np.exp(np.subtract(scores, top, out=scores), out=scores)
-    total = e.sum(axis=1, keepdims=True)
-    loss = float(np.mean(np.log(total[:, 0]) + top[:, 0] - own))
-    proba = e[:, : n_classes - 1] / total  # probabilities of the non-reference classes
+    proba = design @ coef.T
+    own = _own_scores(proba, y)  # read before the kernel overwrites the scores
+    top, total = _exp_columns(proba, 0.0)
+    loss = float(np.mean(np.log(total) + top - own))
+    for column in proba.T:
+        np.divide(column, total, out=column)
     delta = proba.copy()
-    one_hot = y < n_classes - 1
-    delta[rows[one_hot], y[one_hot]] -= 1.0
+    for level, column in enumerate(delta.T):
+        column[y == level] -= 1.0
     grad = delta.T @ design / n
     if l2_penalty:
         penalty = coef.copy()
@@ -189,11 +243,12 @@ def _hessian(proba, design, l2_penalty):
 
 def _separates(coef, design, y) -> bool:
     """Whether coef scores every row's own class strictly above every other class."""
-    rows = np.arange(design.shape[0])
-    scores = _scores(coef, design)
-    own = scores[rows, y].copy()
-    scores[rows, y] = -np.inf
-    return bool(np.all(own > scores.max(axis=1)))
+    scores = design @ coef.T
+    own = _own_scores(scores, y)
+    for level, column in enumerate(scores.T):
+        column[y == level] = -np.inf  # a row's own class is not its rival
+    rival = _row_max(scores, np.where(y == scores.shape[1], -np.inf, 0.0))
+    return bool(np.all(own > rival))
 
 
 def train(features, labels, cfg: TrainConfig | None = None, class_values=None) -> SoftmaxModel:
@@ -213,7 +268,9 @@ def train(features, labels, cfg: TrainConfig | None = None, class_values=None) -
 
     features is a FeatureTable; its columns are standardized with the
     statistics of the rows passed in (the caller's training split).  Every
-    class must appear at least once.
+    class must appear at least once.  train keeps no reference to the
+    features once the design is built, so a table passed as a temporary, held
+    by nothing else, is freed before the first Newton step.
 
     Raises:
         DataError: a class is absent from the labels (degenerate labels).
@@ -242,6 +299,7 @@ def train(features, labels, cfg: TrainConfig | None = None, class_values=None) -
     model = SoftmaxModel(class_values, np.zeros((k - 1, x.shape[1] + 1)),
                          list(features.feature_names), mean, std, seed=cfg.seed)
     design = model._design(x)
+    del features, x  # the fit holds the design, not also its source (see the module docstring)
 
     coef = model.coef
     loss, grad, proba = nll_and_grad(coef, design, y, k, cfg.l2_penalty)

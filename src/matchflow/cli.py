@@ -14,7 +14,10 @@ columns.  The training matches view the blocks their parse filled (see
 ingest), and Context.train_timelines is the one list that holds them.  Only
 the train stage reads it, and train empties it as soon as it has built the
 feature matrix and the labels, so the parsed corpus is freed before the split
-and the fit allocate; every later stage sees an empty list.
+and the fit allocate; every later stage sees an empty list.  The feature
+matrix goes the same way: train keeps the test rows, hands the training rows
+to classifier.train as its one reference to them, and drops the whole matrix
+first, so the fit holds its standardized design and no other copy.
 
 A stage writes into a scratch directory inside the output directory and its
 files land only if it succeeds; the files it may write (named in STAGES) are
@@ -360,9 +363,9 @@ def _train(ctx, out):
     cfg = classifier.TrainConfig(**ctx.config["train"], seed=ctx.seed)
     train_idx, test_idx = classifier.train_test_split(y, fraction=cfg.split, seed=cfg.seed)
     test_x, test_y = x[test_idx], y[test_idx]
-    x = x[train_idx]  # the whole matrix is not held through training
-    table = ingest.FeatureTable("corpus", list(ingest.FEATURE_NAMES), x)
-    model = classifier.train(table, y[train_idx], cfg, class_values=label_set.values)
+    held = [ingest.FeatureTable("corpus", list(ingest.FEATURE_NAMES), x[train_idx])]
+    del x  # held.pop() hands train the one reference to the training rows
+    model = classifier.train(held.pop(), y[train_idx], cfg, class_values=label_set.values)
     _write_json(out("model.json"), model.to_dict())
     _write_json(out("serve_stats.json"), stats.to_dict())
 

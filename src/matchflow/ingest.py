@@ -11,11 +11,12 @@ read as a stream: ``PARSE_BLOCK`` rows at a time, each column of a block
 converted through the scalar rules ``_to_float``, ``_to_int``, ``_score`` and
 ``_shot_code``, and the whole text is never held in memory.  ``FIELDS`` declares
 the point fields once.  Each rule takes a cell's text (a short row's missing
-cells are ""); ``_to_int`` reads a blank, unparseable, non-finite or
-beyond-int64 cell as -1, below every field's valid range.  A memo that spans
-the blocks converts each distinct cell of a column once, for as long as the
-column's cells repeat; a column whose cells are mostly distinct drops its memo
-and converts cell by cell.
+cells are ""); ``_to_int`` reads a blank, unparseable, non-finite,
+non-integral ("2.5") or beyond-int64 cell as -1, below every field's valid
+range, so the cell is repaired and counted, or its row rejected, and never
+rounded.  A memo that spans the blocks converts each distinct cell of a column
+once, for as long as the column's cells repeat; a column whose cells are
+mostly distinct drops its memo and converts cell by cell.
 
 Every numeric field is written straight into one ``(fields, capacity)`` block
 per dtype, int64 and float64, a field to a row (``BLOCK_FIELDS``); each text
@@ -212,11 +213,12 @@ def _to_float(text: str) -> float:
 
 
 def _to_int(text: str) -> int:
-    """The cell as an int; blank, unparseable, non-finite and beyond-int64 cells are -1."""
+    """The cell as an int; blank, unparseable, non-finite, non-integral and beyond-int64
+    cells are -1."""
     value = _to_float(text)
-    if math.isnan(value) or abs(value) >= INT_LIMIT:
+    if not value.is_integer() or abs(value) >= INT_LIMIT:  # nan is not an integer
         return -1
-    return int(round(value))
+    return int(value)
 
 
 def _shot_code(token: str) -> int:
@@ -239,7 +241,8 @@ def _score(token: str) -> float:
 
 # The one declaration of the point fields: field -> (file column, converter of a cell's
 # text, dtype, value when the header lacks the column, None for a required column).  A
-# missing integer reads as -1, below every field's valid range, so it is repaired as invalid.
+# missing or non-integral integer reads as -1, below every field's valid range, so it is
+# repaired as invalid.
 FIELDS = {
     **{name: (name, _to_int, np.int64, None)
        for name in ("set_no", "game_no", "point_no", "server", "point_victor")},

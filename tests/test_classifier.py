@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,13 @@ from matchflow.classifier import SoftmaxModel, TrainConfig, nll_and_grad, softma
 from matchflow.errors import DataError
 from matchflow.ingest import FeatureTable
 
-from util import gradient_descent_oracle, split_oracle, standardized_design
+from util import (
+    gradient_descent_oracle,
+    nll_and_grad_oracle,
+    separates_oracle,
+    split_oracle,
+    standardized_design,
+)
 
 
 def separable_fixture():
@@ -270,6 +278,27 @@ def test_the_loss_returns_the_probabilities_softmax_gives_bit_for_bit():
         assert proba.shape == (n, k - 1)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 7, 97, 200, 1000, 9000])
+def test_the_column_kernel_matches_the_stacked_score_oracle_bit_for_bit(n, k):
+    # the mid-sized n are where a change of BLAS operand layout moves bits
+    rng = np.random.default_rng(1000 * n + k)
+    design = np.hstack([np.ones((n, 1)), rng.normal(size=(n, 10))])
+    y = rng.integers(0, k, size=n)
+    for coef in (np.zeros((k - 1, 11)), rng.normal(scale=0.3, size=(k - 1, 11)),
+                 rng.normal(scale=4.0, size=(k - 1, 11))):
+        for l2_penalty in (0.0, 0.3):
+            loss, grad, proba = nll_and_grad(coef, design, y, k, l2_penalty)
+            want_loss, want_grad, want_proba = nll_and_grad_oracle(coef, design, y, k, l2_penalty)
+            assert np.float64(loss).view(np.uint64) == np.float64(want_loss).view(np.uint64)
+            assert np.array_equal(grad.view(np.uint64), want_grad.view(np.uint64))
+            assert np.array_equal(proba.view(np.uint64), want_proba.view(np.uint64))
+        # each row labelled with its top class, then one row relabelled
+        own_first = np.argmax(classifier._scores(coef, design), axis=1)
+        for labels in (y, own_first, np.where(np.arange(n) == n // 2, (own_first + 1) % k, own_first)):
+            assert classifier._separates(coef, design, labels) == separates_oracle(coef, design, labels)
+
+
 def test_newton_converges_below_the_gradient_descent_loss():
     # random labels: the classes overlap, so a finite optimum exists
     for seed in range(20):
@@ -330,3 +359,28 @@ def test_max_iters_no_descent_and_legacy_model_json_stop_reasons(monkeypatch):
     assert (model.n_iters, model.stop_reason, model.converged) == (0, "no_descent", False)
     model = train(table, y, TrainConfig(max_iters=1))
     assert (model.n_iters, model.stop_reason, model.converged) == (1, "max_iters", False)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="CPython 3.10 keeps a call's arguments on the caller's stack")
+def test_the_fit_holds_one_copy_of_a_feature_matrix_handed_over():
+    # The matrix exists only inside the call.  Building the design holds it
+    # beside its standardized copy; the Newton loop then holds the design, the
+    # weighted design and the kernel's columns, about 2.8 matrices, where
+    # keeping the matrix too reads about 3.8.
+    rng = np.random.default_rng(17)
+    n, p = 5000, 10
+    y = rng.integers(0, 4, size=n)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        model = train(FeatureTable("t", list("abcdefghij"), rng.normal(size=(n, p))), y)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert model.stop_reason == "converged"
+    assert peak <= 3.2 * n * p * 8

@@ -775,6 +775,14 @@ def test_report_svg_bytes_are_pinned(tmp_path):
     }
 
 
+def test_train_eval_model_json_is_pinned(tmp_path):
+    """Every coefficient at full precision, pinned so a change to the solver's bits shows."""
+    out = tmp_path / "out"
+    assert run(["train-eval", FIXTURE, "--seed", 3, "--out-dir", out]) == 0
+    assert hashlib.sha256((out / "model.json").read_bytes()).hexdigest() == (
+        "fdfdb03f04edb436406f3b1986fc5bf89f43dcb5280b96c9d408124e434f63df")
+
+
 def test_a_wavelet_max_period_past_the_match_fails_only_the_wavelet_stage(tmp_path):
     # max_period sizes the padding and the kernels: 1e6 would ask for gigabytes
     path = tmp_path / "cfg.json"

@@ -85,6 +85,31 @@ def test_parse_rejects_rows_without_identity():
     assert "point_no" in reasons[1]
 
 
+def test_to_int_reads_whole_numbers_and_every_other_cell_as_missing():
+    for text, value in (("3", 3), (" 3.0 ", 3), ("1e0", 1), ("-0.0", 0), ("-2", -2),
+                        ("9.2e18", 9200000000000000000)):
+        assert ingest._to_int(text) == value, text
+    for text in ("", "  ", "x", "2.5", "1.4", "2.2", "-0.5", "nan", "inf", "9.3e18", "-1e19"):
+        assert ingest._to_int(text) == -1, text
+
+
+def test_clean_counts_a_fractional_integer_cell_as_missing():
+    def with_cells(point_no, server):
+        fields = row(point_no=1).split(",")
+        fields[3], fields[4] = point_no, server
+        return ",".join(fields)
+
+    text = "\n".join([HEADER, with_cells("1", "1"), with_cells("2", "2.5"), with_cells("2.2", "1"),
+                      with_cells("3", "1")])
+    (cleaned,), report = load(text)
+    assert cleaned.columns["point_no"].tolist() == [1, 2, 3]
+    assert cleaned.columns["server"].tolist() == [1, 1, 1]
+    assert report.mode_imputations == {"server": 1}
+    assert report.rejected_rows == [(4, "unparseable point_no")]
+    totals = report.to_dict()["totals"]
+    assert (totals["mode_imputations"], totals["rejected_rows"]) == (1, 1)
+
+
 def test_clean_replaces_ad_with_sentinel():
     cleaned, report = clean_one(make_points(p1_score="AD", p2_score="40"))
     assert cleaned.columns["p1_score"][0] == 50.0

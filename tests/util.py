@@ -603,6 +603,47 @@ def standardized_design(x):
     return np.hstack([np.ones((x.shape[0], 1)), (x - x.mean(axis=0)) / std])
 
 
+def _stacked_scores_oracle(coef, design):
+    """(n, K) scores: the coefficient rows' scores, then the reference class's zero."""
+    return np.hstack([design @ coef.T, np.zeros((design.shape[0], 1))])
+
+
+def nll_and_grad_oracle(coef, design, y, n_classes, l2_penalty=0.0):
+    """The loss kernel on the stacked (n, K) score matrix, with numpy's row reductions.
+
+    The kernel `classifier.nll_and_grad` replaced; returns (loss, grad, proba)
+    as it does, and the Newton solver's outputs are pinned on its bits.
+    """
+    n = design.shape[0]
+    rows = np.arange(n)
+    scores = _stacked_scores_oracle(coef, design)
+    top = scores.max(axis=1, keepdims=True)
+    own = scores[rows, y]
+    e = np.exp(scores - top)
+    total = e.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(total[:, 0]) + top[:, 0] - own))
+    proba = e[:, : n_classes - 1] / total
+    delta = proba.copy()
+    one_hot = y < n_classes - 1
+    delta[rows[one_hot], y[one_hot]] -= 1.0
+    grad = delta.T @ design / n
+    if l2_penalty:
+        penalty = coef.copy()
+        penalty[:, 0] = 0.0
+        loss += 0.5 * l2_penalty * float(np.sum(penalty**2))
+        grad = grad + l2_penalty * penalty
+    return loss, grad, proba
+
+
+def separates_oracle(coef, design, y) -> bool:
+    """Whether every row's own class scores strictly above the maximum of the others."""
+    rows = np.arange(design.shape[0])
+    scores = _stacked_scores_oracle(coef, design)
+    own = scores[rows, y].copy()
+    scores[rows, y] = -np.inf
+    return bool(np.all(own > scores.max(axis=1)))
+
+
 def gradient_descent_oracle(x, y, n_classes, max_iters=500, tol=1e-6):
     """Batch gradient descent with step halving on the standardized problem.
 
@@ -636,7 +677,7 @@ def gradient_descent_oracle(x, y, n_classes, max_iters=500, tol=1e-6):
 # and the writer formats one cell at a time.  The scalar token rules
 # (_to_float, _to_int, _shot_code) are shared with the library: each takes a
 # cell's text, so a short row's missing cells read as "", and _to_int reads
-# every missing integer as -1.
+# every missing or non-integral integer cell ("2.5") as -1.
 
 
 def oracle_parse(text, columns=None):
