@@ -5,11 +5,12 @@ softmax classification with F1/ROC evaluation, plus momentum scoring, AHP
 round evaluation, trend and randomness tests, sensitivity sweeps and wavelet
 scalograms.  The ``matchflow`` CLI wires the pieces together.
 
-The names imported below are the public API.
+The names imported below are the public API.  Four analyses return the JSON
+payload their artifact holds, as a dict whose keys matchflow.schemas states:
+estimate_serve_win_posterior, consistency, randomness_test, scalogram_export.
 """
 
 from .ahp import (
-    AhpResult,
     JudgmentMatrix,
     build_judgment_matrix,
     consistency,
@@ -32,7 +33,7 @@ from .ingest import (
     load_and_clean,
     write_clean_csv,
 )
-from .labels import LabelSet, ServeWinStats, estimate_serve_win_posterior, label_points
+from .labels import LabelSet, estimate_serve_win_posterior, label_points
 from .metrics import ConfusionCounts, RocCurve, confusion, metrics_table, roc_auc, summary_metrics
 from .momentum import (
     MomentumParams,
@@ -43,7 +44,6 @@ from .momentum import (
 )
 from .sweep import ResponseModel, SweepResult, SweepSpec, fit_response_model, sweep_grid
 from .trend import (
-    PermutationReport,
     SurfaceFit,
     cosine_similarity,
     euclidean_distance,

@@ -53,31 +53,6 @@ class JudgmentMatrix:
         return self.values.shape[0]
 
 
-@dataclass
-class AhpResult:
-    """Weights plus the consistency diagnostics behind them."""
-
-    weights: np.ndarray
-    lambda_max: float
-    ci: float
-    cr: float
-    consistent: bool
-    n: int
-    random_index: float
-
-    def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "n": self.n,
-            "weights": self.weights.tolist(),
-            "lambda_max": self.lambda_max,
-            "consistency_index": self.ci,
-            "consistency_ratio": self.cr,
-            "random_index": self.random_index,
-            "consistent": self.consistent,
-        }
-
-
 def build_judgment_matrix(n: int, entries=()) -> JudgmentMatrix:
     """Assemble a reciprocal matrix from upper-triangle scale entries.
 
@@ -143,12 +118,15 @@ def principal_eigenvector(matrix: JudgmentMatrix):
     return v, lam
 
 
-def consistency(matrix: JudgmentMatrix) -> AhpResult:
+def consistency(matrix: JudgmentMatrix) -> dict:
     """Consistency index and ratio of a judgment matrix.
 
     lambda_max is the mean of (A w)_i / w_i at the principal eigenvector w,
     which makes the estimate agree with the true dominant eigenvalue.  CR is
     defined as 0 for n <= 2.
+
+    Returns the payload ahp.json holds under "result" (schema ``ahp``); its
+    weights are the principal eigenvector.
 
     Raises:
         DataError: an order above 9, for which RANDOM_INDEX has no entry.
@@ -164,7 +142,16 @@ def consistency(matrix: JudgmentMatrix) -> AhpResult:
     else:
         ci = (lambda_max - n) / (n - 1)
         cr = ci / ri
-    return AhpResult(vec, lambda_max, ci, cr, cr < CONSISTENCY_THRESHOLD, n, ri)
+    return {
+        "version": 1,
+        "n": n,
+        "weights": vec.tolist(),
+        "lambda_max": lambda_max,
+        "consistency_index": ci,
+        "consistency_ratio": cr,
+        "random_index": ri,
+        "consistent": cr < CONSISTENCY_THRESHOLD,
+    }
 
 
 @dataclass

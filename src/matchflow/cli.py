@@ -357,7 +357,7 @@ def _train(ctx, out):
     stats = labels.estimate_serve_win_posterior(ctx.train_timelines, unit=ctx.config["unit"])
     label_set = labels.LabelSet.from_stats(stats)
     x = np.vstack([ingest.derive_features(tl).values for tl in ctx.train_timelines])
-    y = np.concatenate([labels.label_points(tl, stats) for tl in ctx.train_timelines])
+    y = np.concatenate([labels.label_points(tl) for tl in ctx.train_timelines])
     n_matches = len(ctx.train_timelines)
     ctx.train_timelines.clear()  # frees each parsed block in one piece before the fit allocates
     cfg = classifier.TrainConfig(**ctx.config["train"], seed=ctx.seed)
@@ -367,7 +367,7 @@ def _train(ctx, out):
     del x  # held.pop() hands train the one reference to the training rows
     model = classifier.train(held.pop(), y[train_idx], cfg, class_values=label_set.values)
     _write_json(out("model.json"), model.to_dict())
-    _write_json(out("serve_stats.json"), stats.to_dict())
+    _write_json(out("serve_stats.json"), stats)
 
     proba = model.predict_proba(test_x)
     counts = metrics.confusion(test_y, np.argmax(proba, axis=1), n_classes=label_set.n_classes)
@@ -399,7 +399,7 @@ def _train(ctx, out):
     for name, value in auc.items():
         print(f"{name}: AUC {value:.3f}")
     return {
-        "serve_stats": stats.to_dict(),
+        "serve_stats": stats,
         "metrics_summary": {"micro": micro, "macro": summary["macro"], "auc": auc},
     }
 
@@ -454,7 +454,7 @@ def _ahp(ctx, out):
     columns = np.column_stack([ctx.features.column(name) for name in indicator_names])
 
     scoring_weights = ahp_mod.weights(matrix, method=section["method"])
-    result = ahp_mod.consistency(matrix).to_dict()
+    result = ahp_mod.consistency(matrix)
     rounds = ahp_mod.score_rounds(columns, scoring_weights)
     payload = {
         "version": 1,
@@ -513,7 +513,7 @@ def _random(ctx, out):
         statistic=section["statistic"],
         n_permutations=section["permutations"],
         seed=ctx.seed,
-    ).to_dict()
+    )
     _write_json(out("randomness.json"), payload)
     print(f"{payload['statistic']}: observed {payload['observed']:.4f}, "
           f"p = {payload['p_value']:.4f}")
@@ -566,12 +566,11 @@ def _sweep_steps(ranges, steps) -> list:
 def _wavelet(ctx, out):
     section = ctx.config["wavelet"]
     scalogram = wavelet.cwt(ctx.series.p1, wavelet.WaveletConfig(**section))
-    export = wavelet.scalogram_export(scalogram)
     scales, times = scalogram.scales, scalogram.times
     ingest.write_csv(out("scalogram.csv", key="scalogram_csv"), ["scale", "time", "amplitude"],
                      [np.repeat(scales, times.size), np.tile(times, scales.size),
                       scalogram.amplitude.ravel()])
-    payload = {**export.to_dict(), "config": section}
+    payload = {**wavelet.scalogram_export(scalogram), "config": section}
     _write_json(out("scalogram.json"), payload)
     if ctx.plot:
         plots.heatmap_svg(

@@ -653,6 +653,9 @@ def derive_features(timeline: MatchTimeline) -> FeatureTable:
     serve, and psychological_factor is a unit-slope logistic squash of
     (break points won - double faults - opponent's current streak), a bounded
     composite of pressure-relevant events for player 1.
+
+    Raises:
+        DataError: an empty timeline, or a feature that is not finite, such as an overflow.
     """
     c = timeline.columns
     n = len(timeline)
@@ -663,19 +666,24 @@ def derive_features(timeline: MatchTimeline) -> FeatureTable:
     bp_won = np.cumsum(c["p1_break_pt_won"])
     dfaults = np.cumsum(c["p1_double_fault"])
 
-    columns = [
-        c["p1_points_won"].astype(float) - c["p2_points_won"].astype(float),
-        (c["p1_games"] - c["p2_games"]).astype(float),
-        (c["p1_sets"] - c["p2_sets"]).astype(float),
-        streak_p1.astype(float),
-        streak_p2.astype(float),
-        np.cumsum(c["p1_unf_err"]) / idx,
-        np.cumsum(c["p2_unf_err"]) / idx,
-        np.cumsum(c["p1_distance_run"] - c["p2_distance_run"]).astype(float),
-        (c["server"] == 1).astype(float),
-        _sigmoid(bp_won - dfaults - streak_p2),
-    ]
-    return FeatureTable(timeline.match_id, list(FEATURE_NAMES), np.column_stack(columns))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is named below
+        values = np.column_stack([
+            c["p1_points_won"].astype(float) - c["p2_points_won"].astype(float),
+            (c["p1_games"] - c["p2_games"]).astype(float),
+            (c["p1_sets"] - c["p2_sets"]).astype(float),
+            streak_p1.astype(float),
+            streak_p2.astype(float),
+            np.cumsum(c["p1_unf_err"]) / idx,
+            np.cumsum(c["p2_unf_err"]) / idx,
+            np.cumsum(c["p1_distance_run"] - c["p2_distance_run"]).astype(float),
+            (c["server"] == 1).astype(float),
+            _sigmoid(bp_won - dfaults - streak_p2),
+        ])
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=0))
+    if bad.size:
+        raise DataError(f"feature {FEATURE_NAMES[bad[0]]} of match {timeline.match_id} "
+                        "is not finite")
+    return FeatureTable(timeline.match_id, list(FEATURE_NAMES), values)
 
 
 def _format_float(value: float) -> str:

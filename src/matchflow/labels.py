@@ -19,44 +19,6 @@ from .errors import DataError
 UNITS = ("point", "game", "set")
 
 
-@dataclass
-class ServeWinStats:
-    """Counted serve/win events at one time scale.
-
-    serves[p] units where player p served first, serve_wins[p] units that
-    player both served first and won, wins[p] units won by p.  Probabilities
-    are exact count ratios.
-    """
-
-    unit: str
-    serves: dict
-    serve_wins: dict
-    wins: dict
-    n_units: int
-
-    @property
-    def p_win_given_serve(self) -> float:
-        return (self.serve_wins[1] + self.serve_wins[2]) / (self.serves[1] + self.serves[2])
-
-    @property
-    def p_lose_given_serve(self) -> float:
-        return 1.0 - self.p_win_given_serve
-
-    def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "unit": self.unit,
-            "p_win_given_serve": self.p_win_given_serve,
-            "p_lose_given_serve": self.p_lose_given_serve,
-            "counts": {
-                "serves": {str(k): v for k, v in sorted(self.serves.items())},
-                "serve_wins": {str(k): v for k, v in sorted(self.serve_wins.items())},
-                "wins": {str(k): v for k, v in sorted(self.wins.items())},
-                "units": self.n_units,
-            },
-        }
-
-
 def unit_ends(timeline, unit) -> list[int]:
     """Index of the last point of each point, game or set, in order.
 
@@ -74,8 +36,12 @@ def unit_ends(timeline, unit) -> list[int]:
     return np.flatnonzero(change).tolist() + ([n - 1] if n else [])
 
 
-def estimate_serve_win_posterior(timelines, unit="point") -> ServeWinStats:
+def estimate_serve_win_posterior(timelines, unit="point") -> dict:
     """Count serve/win events over the given timelines at one time scale.
+
+    Returns the payload serve_stats.json holds (schema ``serve_stats``): per
+    player, the units served first, served first and won, and won; and
+    p_win_given_serve, the exact pooled ratio of the second count to the first.
 
     Args:
         timelines: iterable of MatchTimeline (cleaned).
@@ -86,9 +52,7 @@ def estimate_serve_win_posterior(timelines, unit="point") -> ServeWinStats:
     """
     if unit not in UNITS:
         raise DataError(f"unknown unit {unit!r}; expected one of {UNITS}")
-    serves = {1: 0, 2: 0}
-    serve_wins = {1: 0, 2: 0}
-    wins = {1: 0, 2: 0}
+    counts = {name: {"1": 0, "2": 0} for name in ("serves", "serve_wins", "wins")}
     n_units = 0
     for tl in timelines:
         ends = np.array(unit_ends(tl, unit), dtype=int)
@@ -97,13 +61,21 @@ def estimate_serve_win_posterior(timelines, unit="point") -> ServeWinStats:
         known = np.isin(server, (1, 2)) & np.isin(victor, (1, 2))
         server, victor = server[known], victor[known]
         n_units += int(known.sum())
-        for player in (1, 2):
-            serves[player] += int(np.count_nonzero(server == player))
-            wins[player] += int(np.count_nonzero(victor == player))
-            serve_wins[player] += int(np.count_nonzero((server == player) & (victor == player)))
-    if n_units == 0 or serves[1] + serves[2] == 0:
+        for player, key in ((1, "1"), (2, "2")):
+            served, won = server == player, victor == player
+            counts["serves"][key] += int(np.count_nonzero(served))
+            counts["wins"][key] += int(np.count_nonzero(won))
+            counts["serve_wins"][key] += int(np.count_nonzero(served & won))
+    if n_units == 0:  # each unit counted has a server, so the serves total n_units
         raise DataError(f"insufficient data: no {unit} units with an identified server")
-    return ServeWinStats(unit, serves, serve_wins, wins, n_units)
+    p_win = (counts["serve_wins"]["1"] + counts["serve_wins"]["2"]) / n_units
+    return {
+        "version": 1,
+        "unit": unit,
+        "p_win_given_serve": p_win,
+        "p_lose_given_serve": 1.0 - p_win,
+        "counts": {**counts, "units": n_units},
+    }
 
 
 @dataclass
@@ -119,9 +91,10 @@ class LabelSet:
     values: tuple
 
     @classmethod
-    def from_stats(cls, stats: ServeWinStats) -> "LabelSet":
-        p_win = stats.p_win_given_serve
-        p_lose = stats.p_lose_given_serve
+    def from_stats(cls, stats: dict) -> "LabelSet":
+        """The levels of a serve_stats payload: its p_lose_given_serve and p_win_given_serve."""
+        p_win = stats["p_win_given_serve"]
+        p_lose = stats["p_lose_given_serve"]
         if not (0.0 < p_lose < p_win < 1.0):
             raise DataError(
                 "label levels must be strictly ordered 0 < p_lose < p_win < 1; "
@@ -144,16 +117,12 @@ class LabelSet:
         return 1 if level >= 2 else 2
 
 
-def label_points(timeline, stats: ServeWinStats) -> np.ndarray:
-    """Each point's outcome level, an int array indexing LabelSet.from_stats(stats).values.
+def label_points(timeline) -> np.ndarray:
+    """Each point's outcome level, an int array indexing LabelSet.values.
 
-    Player 1 winning its own serve maps to level 3 (value 1.0) and losing it
-    to level 1 (p_lose); receiver wins take level 2 (p_win, player 1 breaks)
-    and level 0 (0.0, player 2 holds).
-
-    Raises:
-        DataError: stats give no strictly ordered label set.
+    Level 3 (value 1.0): player 1 holds serve; level 2 (p_win): player 1
+    breaks; level 1 (p_lose): player 2 breaks; level 0 (0.0): player 2 holds.
+    Levels 1 and 2 are the receiver wins.
     """
-    LabelSet.from_stats(stats)
     p1_won, p1_served = timeline.victors() == 1, timeline.servers() == 1
     return np.where(p1_won, np.where(p1_served, 3, 2), np.where(p1_served, 1, 0))

@@ -182,39 +182,6 @@ def _permutation_null(victors, servers, fn, params, n_permutations, seed) -> np.
     return null
 
 
-@dataclass
-class PermutationReport:
-    """Observed statistic vs the shuffle null, with the add-one p-value."""
-
-    statistic: str
-    observed: float
-    p_value: float
-    n_permutations: int
-    seed: int
-    null_mean: float
-    null_sd: float
-    null_quantiles: dict
-    stratified_by_server: bool
-    degenerate: bool  # one player won everything; the null is a point mass
-
-    def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "statistic": self.statistic,
-            "observed": self.observed,
-            "p_value": self.p_value,
-            "n_permutations": self.n_permutations,
-            "seed": self.seed,
-            "null": {
-                "mean": self.null_mean,
-                "sd": self.null_sd,
-                "quantiles": self.null_quantiles,
-            },
-            "stratified_by_server": self.stratified_by_server,
-            "degenerate": self.degenerate,
-        }
-
-
 def randomness_test(
     victors,
     servers=None,
@@ -222,8 +189,11 @@ def randomness_test(
     statistic: str = "max_streak",
     n_permutations: int = 199,
     seed: int = 0,
-) -> PermutationReport:
+) -> dict:
     """Permutation test of the are-runs-just-chance hypothesis.
+
+    Returns the payload randomness.json holds (schema ``randomness``); it is
+    degenerate when one player won every point, so the null is a point mass.
 
     One match carries little power: on seeded matches simulated with a
     planted point-to-point carry-over, each statistic rejected in under half
@@ -256,20 +226,22 @@ def randomness_test(
     params = params or MomentumParams()
     fn = STATISTICS[statistic]
     observed = fn(victors[None, :], params)[0]
-    degenerate = bool(victors.min() == victors.max())
     null = _permutation_null(victors, servers, fn, params, n_permutations, seed)
 
     p_value = (1.0 + float(np.sum(null >= observed))) / (1.0 + n_permutations)
     qs = _quantiles(null, list(NULL_QUANTILES.values()))
-    return PermutationReport(
-        statistic=statistic,
-        observed=float(observed),
-        p_value=p_value,
-        n_permutations=n_permutations,
-        seed=seed,
-        null_mean=float(null.mean()),
-        null_sd=float(null.std()),
-        null_quantiles=dict(zip(NULL_QUANTILES, qs.tolist())),
-        stratified_by_server=servers is not None,
-        degenerate=degenerate,
-    )
+    return {
+        "version": 1,
+        "statistic": statistic,
+        "observed": float(observed),
+        "p_value": p_value,
+        "n_permutations": n_permutations,
+        "seed": seed,
+        "null": {
+            "mean": float(null.mean()),
+            "sd": float(null.std()),
+            "quantiles": dict(zip(NULL_QUANTILES, qs.tolist())),
+        },
+        "stratified_by_server": servers is not None,
+        "degenerate": bool(victors.min() == victors.max()),
+    }

@@ -155,39 +155,24 @@ def cwt(signal, config: WaveletConfig | None = None) -> Scalogram:
     return Scalogram(scales, times, coeffs)
 
 
-@dataclass
-class ScalogramTable:
-    """Ridge annotations of a scalogram, with its number of long-format rows."""
-
-    n_rows: int
-    peak_time_per_scale: np.ndarray
-    peak_scale_per_time: np.ndarray
-    global_peak: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "n_rows": self.n_rows,
-            "peak_time_per_scale": self.peak_time_per_scale.tolist(),
-            "peak_scale_per_time": self.peak_scale_per_time.tolist(),
-            "global_peak": self.global_peak,
-        }
-
-
-def scalogram_export(scalogram: Scalogram) -> ScalogramTable:
+def scalogram_export(scalogram: Scalogram) -> dict:
     """Peak marks of a scalogram and its number of (scale, time, amplitude) rows.
 
-    The per-time peak scale traces the momentum-oscillation ridge; the global
-    peak row always matches the amplitude matrix argmax.
+    Returns the payload scalogram.json holds (schema ``scalogram``), less the
+    config the CLI adds.  The per-time peak scale traces the
+    momentum-oscillation ridge; the global peak row always matches the
+    amplitude matrix argmax.
     """
     amp = scalogram.amplitude
-    peak_time_per_scale = scalogram.times[np.argmax(amp, axis=1)]
-    peak_scale_per_time = scalogram.scales[np.argmax(amp, axis=0)]
-    flat = int(np.argmax(amp))
-    si, ti = np.unravel_index(flat, amp.shape)
-    global_peak = {
-        "scale": float(scalogram.scales[si]),
-        "time": int(scalogram.times[ti]),
-        "amplitude": float(amp[si, ti]),
+    si, ti = np.unravel_index(int(np.argmax(amp)), amp.shape)
+    return {
+        "version": 1,
+        "n_rows": amp.size,
+        "peak_time_per_scale": scalogram.times[np.argmax(amp, axis=1)].tolist(),
+        "peak_scale_per_time": scalogram.scales[np.argmax(amp, axis=0)].tolist(),
+        "global_peak": {
+            "scale": float(scalogram.scales[si]),
+            "time": int(scalogram.times[ti]),
+            "amplitude": float(amp[si, ti]),
+        },
     }
-    return ScalogramTable(amp.size, peak_time_per_scale, peak_scale_per_time, global_peak)

@@ -69,17 +69,17 @@ def test_consistent_matrices_have_zero_inconsistency():
     for n in range(3, 10):
         w = rng.uniform(0.1, 5.0, size=n)
         result = ahp.consistency(matrix_from_weights(w))
-        assert abs(result.lambda_max - n) < 1e-9
-        assert abs(result.ci) < 1e-9
-        assert abs(result.cr) < 1e-9
-        assert result.consistent
+        assert abs(result["lambda_max"] - n) < 1e-9
+        assert abs(result["consistency_index"]) < 1e-9
+        assert abs(result["consistency_ratio"]) < 1e-9
+        assert result["consistent"]
 
 
 def test_order_two_has_zero_cr_by_convention():
     matrix = ahp.build_judgment_matrix(2, [(0, 1, 5.0)])
     result = ahp.consistency(matrix)
-    assert result.cr == 0.0
-    assert result.consistent
+    assert result["consistency_ratio"] == 0.0
+    assert result["consistent"]
 
 
 def test_perturbed_matrix_matches_eigenvalue_oracle():
@@ -90,9 +90,9 @@ def test_perturbed_matrix_matches_eigenvalue_oracle():
     result = ahp.consistency(matrix)
     lam = eigenvalue_oracle(base)
     cr = ((lam - 4) / 3) / ahp.RANDOM_INDEX[4]
-    assert result.lambda_max == pytest.approx(lam, abs=1e-6)
-    assert result.cr == pytest.approx(cr, abs=1e-6)
-    assert result.cr > 0.0
+    assert result["lambda_max"] == pytest.approx(lam, abs=1e-6)
+    assert result["consistency_ratio"] == pytest.approx(cr, abs=1e-6)
+    assert result["consistency_ratio"] > 0.0
 
 
 def test_large_order_needs_user_random_index():

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matchflow import cli, ingest, plots, trend
+from matchflow import ahp, cli, ingest, labels, momentum, plots, trend, wavelet
 from matchflow.classifier import TrainConfig
 from matchflow.errors import DataError
 from matchflow.ingest import FEATURE_NAMES
@@ -692,6 +692,84 @@ def test_single_stage_command_matches_the_report_bundle(tmp_path, fixture_bundle
         assert (out / name).read_bytes() == (fixture_bundle / name).read_bytes(), name
 
 
+def test_each_analysis_returns_the_payload_its_artifact_holds(fixture_bundle):
+    """The fixture report's four payload artifacts, against direct library calls on the
+    report's inputs, its default config and its seed 11."""
+    config = cli.load_config(None)
+    timelines, _ = ingest.load_and_clean(FIXTURE)
+    match = cli._select_match(timelines, config["holdout"])
+    params = momentum.MomentumParams(**config["momentum"])
+    random = config["random"]
+    calls = {
+        "serve_stats.json": labels.estimate_serve_win_posterior(
+            [tl for tl in timelines if tl is not match], unit=config["unit"]),
+        "randomness.json": trend.randomness_test(
+            match.victors(), None, params=params, statistic=random["statistic"],
+            n_permutations=random["permutations"], seed=11),
+    }
+    artifacts = {name: read_json(fixture_bundle / name) for name in
+                 ("serve_stats.json", "randomness.json", "ahp.json", "scalogram.json")}
+    assert not random["stratify_by_server"]
+    for name, payload in calls.items():
+        assert artifacts[name] == json.loads(json.dumps(payload)), name
+    assert artifacts["ahp.json"]["result"] == json.loads(json.dumps(
+        ahp.consistency(ahp.JudgmentMatrix(np.asarray(config["ahp"]["matrix"])))))
+    scalogram = wavelet.cwt(momentum.momentum_series(match, params).p1,
+                            WaveletConfig(**config["wavelet"]))
+    export = artifacts["scalogram.json"]
+    assert export.pop("config") == config["wavelet"]
+    assert export == json.loads(json.dumps(wavelet.scalogram_export(scalogram)))
+
+
+def _break(payload, path, value):
+    """Set the key of payload at path (a tuple of keys) to value, or delete it for None."""
+    *parents, key = path
+    for parent in parents:
+        payload = payload[parent]
+    if value is None:
+        del payload[key]
+    else:
+        payload[key] = value
+
+
+BROKEN_KEYS = [  # (artifact, path to the key, the value set there, or None to delete the key)
+    ("ahp", ("result", "n"), "5"),
+    ("ahp", ("result", "lambda_max"), [5.0]),
+    ("ahp", ("result", "consistency_index"), "0"),
+    ("ahp", ("result", "random_index"), None),
+    ("ahp", ("result", "eigenvector"), [1.0]),
+    ("ahp", ("scoring_weights",), None),
+    ("randomness", ("null", "quantiles", "q50"), "0.5"),
+    ("randomness", ("null", "quantiles", "q95"), None),
+    ("randomness", ("null", "median"), 3.0),
+    ("randomness", ("p_value",), None),
+    ("serve_stats", ("counts", "serves", "1"), 1.5),
+    ("serve_stats", ("counts", "serve_wins", "2"), None),
+    ("serve_stats", ("counts", "wins", "3"), 0),
+    ("serve_stats", ("counts", "wins"), [61, 62]),
+    ("serve_stats", ("p_win",), 0.6),
+    ("scalogram", ("peak_time_per_scale",), [0.5]),
+    ("scalogram", ("global_peak", "period"), 4.0),
+    ("scalogram", ("n_rows",), None),
+]
+
+
+@pytest.mark.parametrize("name,path,value", BROKEN_KEYS, ids=[
+    ".".join((name, *path)) + ("-deleted" if value is None else "-set")
+    for name, path, value in BROKEN_KEYS])
+def test_a_payload_artifact_with_one_key_broken_fails_its_schema(fixture_bundle, name, path,
+                                                                  value):
+    jsonschema = pytest.importorskip("jsonschema")
+    from matchflow.schemas import load_schema
+
+    schema = load_schema(name)
+    payload = read_json(fixture_bundle / f"{name}.json")
+    jsonschema.validate(payload, schema)
+    _break(payload, path, value)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(payload, schema)
+
+
 def test_two_indicator_sweep_rows_run_x_outer_y_inner(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sweep": {"indicators": ["psychological_factor", "score_diff"],
@@ -746,6 +824,39 @@ def test_one_match_report_records_failed_stages(tmp_path, points, failed):
     assert ("randomness.json" in names) == ("random" not in failed)
     assert sorted(names) == sorted({*report["artifacts"].values(), "report.json"})
     assert sorted(p.name for p in tmp_path.iterdir()) == ["one.csv", "out"]
+
+
+def overflowing_distance_csv(tmp_path):
+    """The fixture with match 1301's distances run at +-1.7e308: finite, but their difference
+    overflows."""
+    with open(FIXTURE, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        if row["match_id"].endswith("1301"):
+            row["p1_distance_run"], row["p2_distance_run"] = "1.7e308", "-1.7e308"
+    path = tmp_path / "overflow.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    return path
+
+
+@pytest.mark.parametrize("match,failed", [
+    ("1301", {"train", "ahp", "trend", "sweep"}),  # the selected match's features overflow
+    ("1701", {"train"}),  # a training match's features overflow
+])
+def test_an_overflowing_feature_fails_the_stages_that_read_it_naming_it(tmp_path, capsys,
+                                                                        match, failed):
+    out = tmp_path / "out"
+    assert run(["report", overflowing_distance_csv(tmp_path), "--match", match,
+                "--out-dir", out]) == 1
+    reason = "feature distance_run_diff of match 2023-fixture-1301 is not finite"
+    assert capsys.readouterr().err == f"analysis error: {reason}\n"
+    stages = read_json(out / "report.json")["stages"]
+    assert stages == {name: {"status": "failed", "reason": reason} if name in failed
+                      else {"status": "ok"} for name in STAGE_NAMES}
+    assert not (out / "holdout_probabilities.csv").exists()
 
 
 def test_report_svg_bytes_are_pinned(tmp_path):

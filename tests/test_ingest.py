@@ -262,6 +262,14 @@ def test_unforced_error_ratio():
     assert table.column("unforced_error_ratio_p1")[7] == pytest.approx(0.25)
 
 
+def test_a_feature_that_overflows_from_finite_inputs_is_a_data_error():
+    # both distances are finite, so cleaning keeps them; their difference is not
+    tl = make_timeline([1, 2, 1], match_id="far", p1_distance_run=[1.0, 1.7e308, 1.0],
+                       p2_distance_run=[1.0, -1.7e308, 1.0])
+    with pytest.raises(DataError, match="^feature distance_run_diff of match far is not finite$"):
+        ingest.derive_features(tl)
+
+
 def test_sigmoid_basics():
     z = np.array([0.0, 40.0, -3.0, 0.7, 12.0])
     out = ingest._sigmoid(z)

@@ -147,9 +147,9 @@ def test_victors_other_than_exactly_1_or_2_are_rejected(victors, statistic):
 def test_pvalue_is_one_when_null_is_a_point_mass():
     # one player wins everything: every shuffle is the same sequence
     report = trend.randomness_test([1] * 30, statistic="max_streak", n_permutations=99, seed=0)
-    assert report.degenerate
-    assert report.p_value == 1.0
-    assert report.null_sd == 0.0
+    assert report["degenerate"]
+    assert report["p_value"] == 1.0
+    assert report["null"]["sd"] == 0.0
 
 
 def test_injected_streak_is_detected():
@@ -157,7 +157,7 @@ def test_injected_streak_is_detected():
     victors = rng.integers(1, 3, size=60)
     victors[20:35] = 1
     report = trend.randomness_test(victors, statistic="max_streak", n_permutations=199, seed=5)
-    assert report.p_value < 0.05
+    assert report["p_value"] < 0.05
 
 
 def test_add_one_formula_lower_bound():
@@ -165,7 +165,7 @@ def test_add_one_formula_lower_bound():
     victors = rng.integers(1, 3, size=60)
     victors[10:40] = 2  # extreme run: observed beats every shuffle
     report = trend.randomness_test(victors, statistic="max_streak", n_permutations=199, seed=3)
-    assert report.p_value == pytest.approx(1.0 / 200.0)
+    assert report["p_value"] == pytest.approx(1.0 / 200.0)
 
 
 def test_stratified_shuffle_preserves_server_conditional_wins():
@@ -175,12 +175,12 @@ def test_stratified_shuffle_preserves_server_conditional_wins():
     report = trend.randomness_test(
         victors, servers, statistic="max_streak", n_permutations=99, seed=1
     )
-    assert report.stratified_by_server
-    assert report.null_sd == 0.0
-    assert report.p_value == 1.0
+    assert report["stratified_by_server"]
+    assert report["null"]["sd"] == 0.0
+    assert report["p_value"] == 1.0
     free = trend.randomness_test(victors, statistic="max_streak", n_permutations=99, seed=1)
-    assert not free.stratified_by_server
-    assert free.null_sd > 0.0
+    assert not free["stratified_by_server"]
+    assert free["null"]["sd"] > 0.0
 
 
 def test_statistics_are_finite_and_sane():
@@ -194,7 +194,7 @@ def test_statistics_are_finite_and_sane():
 
 def test_report_serialization():
     victors = np.random.default_rng(12).integers(1, 3, size=30)
-    payload = trend.randomness_test(victors, n_permutations=99, seed=2).to_dict()
+    payload = trend.randomness_test(victors, n_permutations=99, seed=2)
     assert payload["version"] == 1
     assert 0.0 < payload["p_value"] <= 1.0
     assert set(payload["null"]["quantiles"]) == {"q05", "q25", "q50", "q75", "q95"}
@@ -210,10 +210,10 @@ def assert_matches_oracle(victors, servers, statistic, n_permutations, seed):
     )
     assert np.array_equal(got, null)
     report = trend.randomness_test(victors, servers, params, statistic, n_permutations, seed)
-    assert report.observed == observed
-    assert report.p_value == p_value
-    assert report.null_mean == float(null.mean())
-    assert report.null_sd == float(null.std())
+    assert report["observed"] == observed
+    assert report["p_value"] == p_value
+    assert report["null"]["mean"] == float(null.mean())
+    assert report["null"]["sd"] == float(null.std())
     return report
 
 
@@ -228,7 +228,7 @@ def test_null_and_pvalue_equal_the_one_at_a_time_oracle(statistic, stratify):
 def test_null_matches_oracle_on_a_one_player_sequence():
     victors = np.full(25, 2)
     for statistic in trend.STATISTICS:
-        assert assert_matches_oracle(victors, None, statistic, 99, 4).degenerate
+        assert assert_matches_oracle(victors, None, statistic, 99, 4)["degenerate"]
 
 
 def test_null_matches_oracle_when_one_server_has_no_points():

@@ -144,17 +144,17 @@ def test_export_shape_and_exactness():
     config = WaveletConfig(scales=np.array([2.0, 4.0]))
     sg = cwt(signal, config)
     table = scalogram_export(sg)
-    assert table.n_rows == 2 * 16
+    assert table["n_rows"] == 2 * 16
     # export is lossless: every row of the three columns the CLI writes matches the
     # in-memory amplitude matrix
     amp = sg.amplitude
     columns = [np.repeat(sg.scales, sg.times.size), np.tile(sg.times, sg.scales.size),
                amp.ravel()]
-    assert all(column.size == table.n_rows for column in columns)
+    assert all(column.size == table["n_rows"] for column in columns)
     for scale, time, amplitude in zip(*columns):
         si = int(np.argmin(np.abs(sg.scales - scale)))
         assert amplitude == amp[si, int(time)]
-    peak = table.global_peak
+    peak = table["global_peak"]
     si, ti = np.unravel_index(int(np.argmax(amp)), amp.shape)
     assert peak["scale"] == sg.scales[si]
     assert peak["time"] == int(sg.times[ti])

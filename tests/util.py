@@ -221,12 +221,13 @@ def posterior_via_prior(stats) -> float:
 
     Multiplies the serve-rate-given-win likelihood by the win prior and
     divides by the serve rate, over player/unit pairs: algebraically the same
-    ratio as ServeWinStats.p_win_given_serve, by a separate path.
+    ratio as a serve_stats payload's p_win_given_serve, by a separate path.
     """
-    pairs = 2 * stats.n_units
-    n_serve_and_win = stats.serve_wins[1] + stats.serve_wins[2]
-    n_win = stats.wins[1] + stats.wins[2]
-    n_serve = stats.serves[1] + stats.serves[2]
+    counts = stats["counts"]
+    pairs = 2 * counts["units"]
+    n_serve_and_win = counts["serve_wins"]["1"] + counts["serve_wins"]["2"]
+    n_win = counts["wins"]["1"] + counts["wins"]["2"]
+    n_serve = counts["serves"]["1"] + counts["serves"]["2"]
     p_serve_given_win = n_serve_and_win / n_win
     p_win = n_win / pairs
     p_serve = n_serve / pairs
