@@ -273,7 +273,8 @@ def train(features, labels, cfg: TrainConfig | None = None, class_values=None) -
     by nothing else, is freed before the first Newton step.
 
     Raises:
-        DataError: a class is absent from the labels (degenerate labels).
+        DataError: a class is absent from the labels (degenerate labels), or
+            a column's mean or std overflows.
         ArithmeticError: loss went non-finite (divergence).
     """
     cfg = cfg or TrainConfig()
@@ -293,9 +294,7 @@ def train(features, labels, cfg: TrainConfig | None = None, class_values=None) -
         missing = sorted(set(range(k)) - present)
         raise DataError(f"degenerate labels: class level(s) {missing} absent from training data")
 
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
-    std[std == 0.0] = 1.0
+    mean, std = features.standardization()
     model = SoftmaxModel(class_values, np.zeros((k - 1, x.shape[1] + 1)),
                          list(features.feature_names), mean, std, seed=cfg.seed)
     design = model._design(x)

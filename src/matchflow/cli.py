@@ -7,23 +7,26 @@ Option precedence is command line > config file > built-in defaults.
 
 Every command but clean runs stages from the STAGES table on one Context
 (config, seed, selected match, training matches), which derives the match's
-features and momentum series once: train-eval runs train, momentum runs
-momentum, analyze X runs X, and report runs all seven, then writes
-report.json from their summaries.  The selected match owns a copy of its
-columns.  The training matches view the blocks their parse filled (see
-ingest), and Context.train_timelines is the one list that holds them.  Only
-the train stage reads it, and train empties it as soon as it has built the
-feature matrix and the labels, so the parsed corpus is freed before the split
-and the fit allocate; every later stage sees an empty list.  The feature
-matrix goes the same way: train keeps the test rows, hands the training rows
-to classifier.train as its one reference to them, and drops the whole matrix
-first, so the fit holds its standardized design and no other copy.
+features (or the error that fails them) and momentum series once: train-eval
+runs train, momentum runs momentum, analyze X runs X, and report runs all
+seven, then writes report.json.  A stage writes files and returns nothing.
+The selected match owns a copy of its columns.  The training matches view the
+blocks their parse filled (see ingest), and Context.train_timelines is the
+one list that holds them.  Only the train stage reads it, and train empties
+it as soon as it has built the feature matrix and the labels, so the parsed
+corpus is freed before the split and the fit allocate; every later stage sees
+an empty list.  The feature matrix goes the same way: train keeps the test
+rows, hands the training rows to classifier.train as its one reference to
+them, and drops the whole matrix first, so the fit holds its standardized
+design and no other copy.
 
 A stage writes into a scratch directory inside the output directory and its
 files land only if it succeeds; the files it may write (named in STAGES) are
 removed before it runs, so none from an earlier run outlive it.
-report.json records each stage's status, "ok" or "failed" with the reason; a
-failed stage's summaries are null and the other stages still run.  Any
+report.json indexes the bundle and copies no value of it: the match id, the
+seed, each stage's status ("ok", or "failed" with the reason) and the name of
+every file that landed; a failed stage does not stop the others.  No JSON
+artifact holds NaN or Infinity; a payload that would fails its stage.  Any
 Exception fails only its stage: one outside STAGE_ERRORS (a bug, or an
 OSError) is recorded as "<TypeName>: <message>" and, once the command has
 written what it writes, re-raised with its traceback ahead of any stage error.
@@ -106,7 +109,7 @@ DEFAULTS = {
     "ahp": {"indicators": DEFAULT_AHP_INDICATORS, "method": "geometric_mean", "matrix": None,
             "matrix_csv": None},
     "trend": {"x": "momentum", "y": "streak_len_p1", "grid": 20},
-    "random": {"statistic": "max_streak", "permutations": 199, "stratify_by_server": False},
+    "random": {"statistic": "max_streak", "permutations": 199},
     "sweep": {"indicators": ["psychological_factor"], "ranges": None, "steps": None,
               "degree": 2, "tolerance": 1e-3},
     **{name: {f.name: f.default for f in dataclasses.fields(cls) if f.name not in omit}
@@ -128,8 +131,8 @@ def _replace(path, write):
 
 
 def _write_json(path, payload):
-    _replace(path, lambda tmp: tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                                              encoding="utf-8"))
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    _replace(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def _is_number(value) -> bool:
@@ -330,8 +333,18 @@ class Context:
     plot: bool
 
     @functools.cached_property
+    def _features(self):
+        """The match's feature table, or the stage error that deriving it raised."""
+        try:
+            return ingest.derive_features(self.match)
+        except STAGE_ERRORS as exc:  # kept, so every stage that reads the features fails alike
+            return exc
+
+    @property
     def features(self) -> ingest.FeatureTable:
-        return ingest.derive_features(self.match)
+        if isinstance(self._features, STAGE_ERRORS):
+            raise self._features
+        return self._features
 
     @functools.cached_property
     def params(self) -> momentum.MomentumParams:
@@ -372,13 +385,14 @@ def _train(ctx, out):
     proba = model.predict_proba(test_x)
     counts = metrics.confusion(test_y, np.argmax(proba, axis=1), n_classes=label_set.n_classes)
     summary = metrics.summary_metrics(counts)
-    _write_json(out("metrics.json"), metrics.metrics_table(summary, label_set.values))
     auc = {}
     for level in range(label_set.n_classes):
         curve = metrics.roc_auc(test_y, proba[:, level], level)
         ingest.write_csv(out(f"roc_level{level}.csv"), ["threshold", "fpr", "tpr"],
                          [curve.thresholds, curve.fpr, curve.tpr])
         auc[f"roc_level{level}"] = curve.auc
+    _write_json(out("metrics.json"), {**metrics.metrics_table(summary, label_set.values),
+                                      "auc": auc})
 
     proba = model.predict_proba(ctx.features.values)
     pred = np.argmax(proba, axis=1)
@@ -398,10 +412,6 @@ def _train(ctx, out):
     print(f"micro accuracy {micro['accuracy']:.3f}, micro F1 {micro['f_measure']:.3f}")
     for name, value in auc.items():
         print(f"{name}: AUC {value:.3f}")
-    return {
-        "serve_stats": stats,
-        "metrics_summary": {"micro": micro, "macro": summary["macro"], "auc": auc},
-    }
 
 
 def _unit_end_points(match, unit):
@@ -421,11 +431,10 @@ def _momentum(ctx, out):
         [s.point_no, s.p1, s.p2, s.short_p1, s.long_p1, s.short_p2, s.long_p2, s.streak_len,
          s.streak_holder],
     )
-    swings = momentum.find_swings(s)
     _write_json(out("momentum_swings.json"), {
         "version": 1,
         "match_id": match.match_id,
-        "swings": swings,
+        "swings": momentum.find_swings(s),
         "game_end_points": _unit_end_points(match, "game"),
         "set_end_points": _unit_end_points(match, "set"),
     })
@@ -438,13 +447,6 @@ def _momentum(ctx, out):
         )
     print(f"momentum series for {match.match_id}: {len(s)} points")
     print(f"p1 mean momentum {float(s.p1.mean()):.3f}")
-    return {"momentum_summary": {
-        "points": len(s),
-        "p1_mean": float(s.p1.mean()),
-        "p1_max": float(s.p1.max()),
-        "p1_min": float(s.p1.min()),
-        "swings": swings,
-    }}
 
 
 def _ahp(ctx, out):
@@ -468,7 +470,6 @@ def _ahp(ctx, out):
                      [np.arange(1, rounds.scores.size + 1), rounds.scores, rounds.standardized,
                       rounds.ranking])
     print(f"CR {result['consistency_ratio']:.4f} (consistent: {result['consistent']})")
-    return {"ahp_summary": payload}
 
 
 def _trend(ctx, out):
@@ -501,14 +502,12 @@ def _trend(ctx, out):
     _write_json(out("trend.json"), payload)
     print(f"cosine similarity {payload['cosine_similarity']:.4f}, "
           f"R^2 {payload['surface']['r_squared']:.4f}")
-    return {"trend_summary": payload}
 
 
 def _random(ctx, out):
     section = ctx.config["random"]
     payload = trend.randomness_test(
         ctx.match.victors(),
-        ctx.match.servers() if section["stratify_by_server"] else None,
         params=ctx.params,
         statistic=section["statistic"],
         n_permutations=section["permutations"],
@@ -517,7 +516,6 @@ def _random(ctx, out):
     _write_json(out("randomness.json"), payload)
     print(f"{payload['statistic']}: observed {payload['observed']:.4f}, "
           f"p = {payload['p_value']:.4f}")
-    return {"randomness_summary": payload}
 
 
 def _sweep(ctx, out):
@@ -546,7 +544,6 @@ def _sweep(ctx, out):
     payload = result.to_dict()
     _write_json(out("sweep.json"), payload)
     print(f"crossovers: {payload['crossovers']}")
-    return {"sweep_summary": payload}
 
 
 def _median(values) -> float:
@@ -583,23 +580,19 @@ def _wavelet(ctx, out):
     peak = payload["global_peak"]
     print(f"peak amplitude {peak['amplitude']:.4f} at scale {peak['scale']:.2f}, "
           f"point {peak['time']}")
-    return {"wavelet_summary": payload}
 
 
-# name -> (stage, the report.json keys its summary fills, the files it may write),
-# in report order
+# name -> (stage, the files it may write), in report order
 STAGES = {
-    "train": (_train, ("serve_stats", "metrics_summary"),
-              ("model.json", "serve_stats.json", "metrics.json", "holdout_probabilities.csv",
-               *(f"roc_level{level}.csv" for level in range(4)))),  # one per label level
-    "momentum": (_momentum, ("momentum_summary",),
-                 ("momentum.csv", "momentum_swings.json", "momentum.svg")),
-    "ahp": (_ahp, ("ahp_summary",), ("ahp.json", "ahp_ranking.csv")),
-    "trend": (_trend, ("trend_summary",), ("trend.json", "trend_surface.csv")),
-    "random": (_random, ("randomness_summary",), ("randomness.json",)),
-    "sweep": (_sweep, ("sweep_summary",), ("sweep.json", "sweep.csv")),
-    "wavelet": (_wavelet, ("wavelet_summary",),
-                ("scalogram.json", "scalogram.csv", "scalogram.svg")),
+    "train": (_train, ("model.json", "serve_stats.json", "metrics.json",
+                       "holdout_probabilities.csv",
+                       *(f"roc_level{level}.csv" for level in range(4)))),  # one per label level
+    "momentum": (_momentum, ("momentum.csv", "momentum_swings.json", "momentum.svg")),
+    "ahp": (_ahp, ("ahp.json", "ahp_ranking.csv")),
+    "trend": (_trend, ("trend.json", "trend_surface.csv")),
+    "random": (_random, ("randomness.json",)),
+    "sweep": (_sweep, ("sweep.json", "sweep.csv")),
+    "wavelet": (_wavelet, ("scalogram.json", "scalogram.csv", "scalogram.svg")),
 }
 
 
@@ -653,20 +646,19 @@ def cmd_stages(args, config):
         for file_name in ("report.json", "cleaning_report.json"):
             (out_dir / file_name).unlink(missing_ok=True)
 
-    statuses, summaries, artifacts, failures = {}, {}, {}, []
+    statuses, artifacts, failures = {}, {}, []
     for name in list(STAGES) if bundle else [args.stage]:
-        stage, keys, owned = STAGES[name]
+        stage, owned = STAGES[name]
         for file_name in owned:  # no file of an earlier run may outlive this run of the stage
             (out_dir / file_name).unlink(missing_ok=True)
         files = {}  # report.json artifact key -> file name
         with tempfile.TemporaryDirectory(prefix=".stage-", dir=out_dir) as scratch:
             try:
-                summaries.update(stage(ctx, functools.partial(_stage_file, scratch, files)))
+                stage(ctx, functools.partial(_stage_file, scratch, files))
             except Exception as exc:  # a BaseException such as KeyboardInterrupt is not caught
                 reason = (str(exc) if isinstance(exc, STAGE_ERRORS)
                           else f"{type(exc).__name__}: {exc}")
                 statuses[name] = {"status": "failed", "reason": reason}
-                summaries.update(dict.fromkeys(keys))
                 failures.append(exc)
                 continue
             for file_name in files.values():
@@ -678,12 +670,11 @@ def cmd_stages(args, config):
         _write_json(out_dir / "cleaning_report.json", cleaning.to_dict())
         artifacts["cleaning_report"] = "cleaning_report.json"
         _write_json(out_dir / "report.json", {
-            "version": 1,
+            "version": 2,
             "match_id": match.match_id,
             "seed": seed,
             "artifacts": artifacts,
             "stages": statuses,
-            **summaries,
         })
         print(f"report for {match.match_id} written to {out_dir}")
     if failures:  # the first bug, which no exit code stands for, else the first stage error

@@ -152,6 +152,21 @@ class FeatureTable:
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.feature_names.index(name)]
 
+    def standardization(self) -> tuple[np.ndarray, np.ndarray]:
+        """(mean, std) of each column, a zero std taken as 1, for scaling to (x - mean) / std.
+
+        Raises:
+            DataError: naming the first column whose mean or std overflows.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, std = self.values.mean(axis=0), self.values.std(axis=0)
+        bad = ~(np.isfinite(mean) & np.isfinite(std))
+        if bad.any():
+            name = self.feature_names[int(np.argmax(bad))]
+            raise DataError(f"feature {name} has a spread too large to scale")
+        std[std == 0.0] = 1.0
+        return mean, std
+
 
 # Per-column repair counters of a CleaningReport.
 COUNTERS = (

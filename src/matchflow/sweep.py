@@ -223,9 +223,12 @@ def fit_response_model(features, targets, degree: int = 2) -> ResponseModel:
     """Fit the momentum-response regressor on a feature table.
 
     Args:
-        features: FeatureTable (or anything with .values/.feature_names).
+        features: FeatureTable; its columns are standardized first.
         targets: momentum scores aligned with the rows.
         degree: 1 for linear, 2 to add squared terms.
+
+    Raises:
+        DataError: an unknown degree, or a column too spread to standardize.
     """
     if degree not in DEGREES:
         raise DataError("response model degree must be 1 or 2")
@@ -234,8 +237,6 @@ def fit_response_model(features, targets, degree: int = 2) -> ResponseModel:
     t = np.asarray(targets, dtype=float)
     if x.shape[0] != t.size:
         raise ValueError("feature rows and targets must align")
-    mean = x.mean(axis=0)
-    scale = x.std(axis=0)
-    scale[scale == 0.0] = 1.0
+    mean, scale = features.standardization()
     coef, *_ = np.linalg.lstsq(_terms((x - mean) / scale, degree), t, rcond=None)
     return ResponseModel(names, degree, coef, mean, scale)

@@ -1,11 +1,10 @@
 """Similarity measures, quadratic surface fitting, and a permutation test for
 the claim that scoring runs are pure chance.
 
-The permutation test shuffles the point-victor sequence (preserving each
-player's win count, and each server's when given the servers), recomputes a
-summary statistic per shuffle, and reports the add-one p-value
-(1 + #{null >= observed}) / (1 + permutations) (Phipson & Smyth 2010,
-"Permutation p-values should never be zero").
+The permutation test shuffles the whole point-victor sequence (preserving
+each player's win count), recomputes a summary statistic per shuffle, and
+reports the add-one p-value (1 + #{null >= observed}) / (1 + permutations)
+(Phipson & Smyth 2010, "Permutation p-values should never be zero").
 
 Permutation i is drawn from its own generator default_rng([seed, i]), so the
 shuffles never depend on scheduling.  The shuffles are written as rows of a
@@ -160,31 +159,20 @@ def _quantiles(values, qs) -> np.ndarray:
     return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
 
 
-def _permutation_null(victors, servers, fn, params, n_permutations, seed) -> np.ndarray:
-    """Statistic fn of each shuffle; permutation i uses generator (seed, i).
-
-    Victors are shuffled within each stratum: each server's points, or with
-    servers None the whole sequence as one stratum.
-    """
-    if servers is None:
-        strata = [slice(None)]
-    else:
-        strata = [idx for idx in (np.flatnonzero(servers == s) for s in (1, 2)) if idx.size]
+def _permutation_null(victors, fn, params, n_permutations, seed) -> np.ndarray:
+    """Statistic fn of each shuffle of victors; permutation i uses generator (seed, i)."""
     null = np.empty(n_permutations)
     for first in range(0, n_permutations, PERMUTATION_BLOCK):
         count = min(PERMUTATION_BLOCK, n_permutations - first)
-        rows = np.tile(victors, (count, 1))
+        rows = np.empty((count, victors.size), dtype=victors.dtype)
         for r in range(count):
-            rng = np.random.default_rng([seed, first + r])
-            for stratum in strata:
-                rows[r, stratum] = rng.permutation(victors[stratum])
+            rows[r] = np.random.default_rng([seed, first + r]).permutation(victors)
         null[first : first + count] = fn(rows, params)
     return null
 
 
 def randomness_test(
     victors,
-    servers=None,
     params: MomentumParams | None = None,
     statistic: str = "max_streak",
     n_permutations: int = 199,
@@ -202,9 +190,8 @@ def randomness_test(
 
     Args:
         victors: the point-victor sequence, player 1 or 2 per point; any
-            other value is a DataError, whatever the statistic.
-        servers: the server of each point, or None.  Given, victors are
-            shuffled within each server's points only (stratified).
+            other value is a DataError, whatever the statistic.  Each
+            shuffle permutes the whole sequence.
         params: momentum constants for momentum-based statistics.
         statistic: one of momentum_variance, max_streak, lag1_autocorr.
         n_permutations: >= 99 shuffles of the victor sequence.
@@ -218,15 +205,11 @@ def randomness_test(
     if victors.size < MIN_TIMELINE_POINTS:
         raise DataError(f"need a timeline of at least {MIN_TIMELINE_POINTS} points")
     victors = _players(victors)
-    if servers is not None:
-        servers = np.asarray(servers, dtype=int)
-        if servers.shape != victors.shape:
-            raise ValueError("servers must name one server per point of victors")
 
     params = params or MomentumParams()
     fn = STATISTICS[statistic]
     observed = fn(victors[None, :], params)[0]
-    null = _permutation_null(victors, servers, fn, params, n_permutations, seed)
+    null = _permutation_null(victors, fn, params, n_permutations, seed)
 
     p_value = (1.0 + float(np.sum(null >= observed))) / (1.0 + n_permutations)
     qs = _quantiles(null, list(NULL_QUANTILES.values()))
@@ -242,6 +225,5 @@ def randomness_test(
             "sd": float(null.std()),
             "quantiles": dict(zip(NULL_QUANTILES, qs.tolist())),
         },
-        "stratified_by_server": servers is not None,
         "degenerate": bool(victors.min() == victors.max()),
     }

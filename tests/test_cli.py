@@ -18,7 +18,7 @@ from matchflow.ingest import FEATURE_NAMES
 from matchflow.momentum import MomentumParams, momentum_from_victors
 from matchflow.wavelet import WaveletConfig
 
-from util import make_timeline, permutation_oracle, timeline_to_csv
+from util import make_timeline, timeline_to_csv
 
 FIXTURE = Path(__file__).resolve().parents[1] / "data" / "fixture_matches.csv"
 
@@ -233,6 +233,9 @@ def test_clean_reads_and_writes_utf8_under_an_ascii_locale(tmp_path):
     # the sweep sets serve_indicator itself in each context
     ("analyze sweep", {"sweep": {"indicators": ["serve_indicator"]}},
      "sweep.indicators must be one or two distinct feature names"),
+    # an unknown key of a known section
+    ("analyze random", {"random": {"stratify_by_server": True}},
+     "unknown config key random.stratify_by_server"),
 ])
 def test_wrong_typed_config_value_exits_3_naming_the_key(tmp_path, capsys, command, config, key):
     path = tmp_path / "cfg.json"
@@ -504,26 +507,6 @@ def test_analyze_random_is_deterministic(tmp_path):
     assert (out1 / "randomness.json").read_bytes() == (out2 / "randomness.json").read_bytes()
 
 
-def test_analyze_random_stratified_by_server_matches_the_oracle(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"random": {"stratify_by_server": True}}))
-    out = tmp_path / "out"
-    assert run(["analyze", "random", FIXTURE, "--match", "1701", "--seed", 5,
-                "--out-dir", out, "--config", cfg]) == 0
-    payload = read_json(out / "randomness.json")
-    timelines, _ = ingest.load_and_clean(FIXTURE)
-    match = next(tl for tl in timelines if tl.match_id.endswith("1701"))
-    victors, servers = match.victors(), match.servers()
-    observed, null, p_value = permutation_oracle(victors, servers, "max_streak", 199, 5)
-    assert not np.array_equal(null, permutation_oracle(victors, None, "max_streak", 199, 5)[1])
-    assert payload["stratified_by_server"] is True
-    assert payload["observed"] == observed and payload["p_value"] == p_value
-    assert payload["null"] == {
-        "mean": float(null.mean()), "sd": float(null.std()),
-        "quantiles": {key: float(np.quantile(null, q)) for key, q in trend.NULL_QUANTILES.items()},
-    }
-
-
 def test_analyze_ahp_with_consistent_inline_matrix(tmp_path):
     w = [0.4, 0.25, 0.2, 0.1, 0.05]
     matrix = [[wi / wj for wj in w] for wi in w]
@@ -667,6 +650,8 @@ SINGLE_STAGE_RUNS = [
      ["scalogram.json", "scalogram.csv", "scalogram.svg"]),
 ]
 STAGE_NAMES = ["train", "momentum", "ahp", "trend", "random", "sweep", "wavelet"]
+# report.json indexes the bundle: it copies no value of another artifact
+REPORT_KEYS = {"version", "match_id", "seed", "artifacts", "stages"}
 
 
 @pytest.fixture(scope="module")
@@ -680,7 +665,7 @@ def test_single_stage_runs_cover_the_bundle(fixture_bundle):
     written = sorted(name for _, names in SINGLE_STAGE_RUNS for name in names)
     bundle = sorted(p.name for p in fixture_bundle.iterdir())
     assert written == sorted(set(bundle) - {"report.json", "cleaning_report.json"})
-    assert written == sorted(name for _, _, files in cli.STAGES.values() for name in files)
+    assert written == sorted(name for _, files in cli.STAGES.values() for name in files)
 
 
 @pytest.mark.parametrize("command,names", SINGLE_STAGE_RUNS, ids=STAGE_NAMES)
@@ -704,12 +689,12 @@ def test_each_analysis_returns_the_payload_its_artifact_holds(fixture_bundle):
         "serve_stats.json": labels.estimate_serve_win_posterior(
             [tl for tl in timelines if tl is not match], unit=config["unit"]),
         "randomness.json": trend.randomness_test(
-            match.victors(), None, params=params, statistic=random["statistic"],
+            match.victors(), params=params, statistic=random["statistic"],
             n_permutations=random["permutations"], seed=11),
     }
     artifacts = {name: read_json(fixture_bundle / name) for name in
                  ("serve_stats.json", "randomness.json", "ahp.json", "scalogram.json")}
-    assert not random["stratify_by_server"]
+    assert set(random) == {"statistic", "permutations"}
     for name, payload in calls.items():
         assert artifacts[name] == json.loads(json.dumps(payload)), name
     assert artifacts["ahp.json"]["result"] == json.loads(json.dumps(
@@ -816,7 +801,7 @@ def test_one_match_report_records_failed_stages(tmp_path, points, failed):
     assert sorted(stages) == sorted(STAGE_NAMES)
     assert all(s == {"status": "ok"} for n, s in stages.items() if n not in failed)
     assert stages["train"]["reason"] == "holdout match leaves no data to train on"
-    assert report["serve_stats"] is None and report["metrics_summary"] is None
+    assert set(report) == REPORT_KEYS
     names = {p.name for p in out.iterdir()}
     assert not names & {"model.json", "serve_stats.json", "metrics.json", *ROC_FILES}
     assert {"momentum.csv", "momentum.svg", "ahp.json", "trend.json", "sweep.json",
@@ -826,20 +811,28 @@ def test_one_match_report_records_failed_stages(tmp_path, points, failed):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["one.csv", "out"]
 
 
-def overflowing_distance_csv(tmp_path):
-    """The fixture with match 1301's distances run at +-1.7e308: finite, but their difference
-    overflows."""
+def edited_fixture(tmp_path, edit):
+    """The fixture as a CSV file in tmp_path, once edit(rows) has changed its rows in place."""
     with open(FIXTURE, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    for row in rows:
-        if row["match_id"].endswith("1301"):
-            row["p1_distance_run"], row["p2_distance_run"] = "1.7e308", "-1.7e308"
-    path = tmp_path / "overflow.csv"
+    edit(rows)
+    path = tmp_path / "edited.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
     return path
+
+
+def overflowing_distance_csv(tmp_path):
+    """The fixture with match 1301's distances run at +-1.7e308: finite, but their difference
+    overflows."""
+    def edit(rows):
+        for row in rows:
+            if row["match_id"].endswith("1301"):
+                row["p1_distance_run"], row["p2_distance_run"] = "1.7e308", "-1.7e308"
+
+    return edited_fixture(tmp_path, edit)
 
 
 @pytest.mark.parametrize("match,failed", [
@@ -857,6 +850,86 @@ def test_an_overflowing_feature_fails_the_stages_that_read_it_naming_it(tmp_path
     assert stages == {name: {"status": "failed", "reason": reason} if name in failed
                       else {"status": "ok"} for name in STAGE_NAMES}
     assert not (out / "holdout_probabilities.csv").exists()
+
+
+def test_a_failing_feature_table_is_derived_once(tmp_path, monkeypatch):
+    """The four stages that read the selected match's features share one failed derivation."""
+    calls = []
+    derive = ingest.derive_features
+
+    def counted(timeline):
+        calls.append(timeline.match_id)
+        return derive(timeline)
+
+    monkeypatch.setattr(ingest, "derive_features", counted)
+    out = tmp_path / "out"
+    assert run(["report", overflowing_distance_csv(tmp_path), "--match", "1301",
+                "--out-dir", out]) == 1
+    stages = read_json(out / "report.json")["stages"]
+    assert {name for name, s in stages.items() if s["status"] == "failed"} == {
+        "train", "ahp", "trend", "sweep"}
+    assert calls.count("2023-fixture-1301") == 1
+
+
+SPREAD_CELLS = [  # (match, its row, the p2_distance_run set there, the stage whose scaling fails)
+    ("1301", 10, "1e160", "train"),  # a training match: the fit's std overflows
+    ("1701", 10, "1e160", "sweep"),  # the selected match: the response model's std overflows
+    ("1301", 1, "1.7e308", "train"),  # the mean overflows as well
+    ("1701", 1, "1.7e308", "sweep"),
+]
+
+
+@pytest.mark.parametrize("match,row,value,failed", SPREAD_CELLS,
+                         ids=[f"{m}-row{r}-{v}" for m, r, v, _ in SPREAD_CELLS])
+def test_a_feature_too_spread_to_scale_fails_its_stage_naming_it(tmp_path, capsys, match, row,
+                                                                 value, failed):
+    """A finite feature whose mean or std overflows fails the stage that scales it, with no
+    warning (warnings are errors here) and no NaN or Infinity in any JSON artifact."""
+    def edit(rows):
+        [r for r in rows if r["match_id"].endswith(match)][row - 1]["p2_distance_run"] = value
+
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"random": {"permutations": 99}}))
+    out = tmp_path / "out"
+    assert run(["report", edited_fixture(tmp_path, edit), "--seed", 1, "--config", config,
+                "--out-dir", out]) == 1
+    reason = "feature distance_run_diff has a spread too large to scale"
+    assert capsys.readouterr().err == f"analysis error: {reason}\n"
+    assert read_json(out / "report.json")["stages"] == {
+        name: {"status": "failed", "reason": reason} if name == failed else {"status": "ok"}
+        for name in STAGE_NAMES}
+    for path in out.glob("*.json"):
+        text = path.read_text()
+        assert "NaN" not in text and "Infinity" not in text, path.name
+
+
+def test_write_json_refuses_a_non_finite_value(tmp_path):
+    with pytest.raises(ValueError, match="Out of range float values"):
+        cli._write_json(tmp_path / "x.json", {"loss": float("inf")})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_report_json_indexes_the_bundle(fixture_bundle):
+    """report.json holds names and statuses only; the per-level AUC lives in metrics.json."""
+    jsonschema = pytest.importorskip("jsonschema")
+    from matchflow.schemas import load_schema
+
+    report = read_json(fixture_bundle / "report.json")
+    assert set(report) == REPORT_KEYS and report["version"] == 2
+    assert sorted(report["artifacts"].values()) == sorted(
+        p.name for p in fixture_bundle.iterdir() if p.name != "report.json")
+    schema = load_schema("report")
+    jsonschema.validate(report, schema)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate({**report, "metrics_summary": None}, schema)
+
+    auc = {}
+    for name in ROC_FILES:  # the trapezoid rule over each written curve
+        with open(fixture_bundle / name) as fh:
+            rows = list(csv.DictReader(fh))
+        fpr, tpr = (np.array([float(r[key]) for r in rows]) for key in ("fpr", "tpr"))
+        auc[Path(name).stem] = float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0))
+    assert read_json(fixture_bundle / "metrics.json")["auc"] == pytest.approx(auc, rel=1e-12)
 
 
 def test_report_svg_bytes_are_pinned(tmp_path):
@@ -905,7 +978,7 @@ def test_a_wavelet_max_period_past_the_match_fails_only_the_wavelet_stage(tmp_pa
     assert report["stages"]["wavelet"] == {
         "status": "failed", "reason": "max_period must be at most the signal length, 123, got 1e+06"}
     assert all(s == {"status": "ok"} for n, s in report["stages"].items() if n != "wavelet")
-    assert report["wavelet_summary"] is None
+    assert set(report) == REPORT_KEYS
     assert not {p.name for p in out.iterdir()} & {"scalogram.json", "scalogram.csv"}
 
 
@@ -929,7 +1002,7 @@ def test_an_exception_outside_the_stage_errors_propagates(tmp_path, monkeypatch,
     def broken(ctx, out_file):
         raise error("not a stage error")
 
-    monkeypatch.setitem(cli.STAGES, "wavelet", (broken, *cli.STAGES["wavelet"][1:]))
+    monkeypatch.setitem(cli.STAGES, "wavelet", (broken, cli.STAGES["wavelet"][1]))
     with pytest.raises(error) as raised:
         run(["report", FIXTURE, "--seed", 12, "--out-dir", out])
     assert raised.traceback[-1].name == "broken"  # re-raised with its own traceback
@@ -954,15 +1027,15 @@ def test_injected_faults_keep_report_json_to_this_runs_files(tmp_path, monkeypat
     """If report.json exists, this run wrote it, and every file it lists exists."""
     out = tmp_path / "out"
     out.mkdir()
-    earlier = [name for _, _, files in cli.STAGES.values() for name in files]
+    earlier = [name for _, files in cli.STAGES.values() for name in files]
     for name in [*earlier, "report.json", "cleaning_report.json"]:
         (out / name).write_text("an earlier run\n")
     for stage, error in faults.items():
         def broken(ctx, out_file, stage=stage, error=error):
-            out_file(cli.STAGES[stage][2][0]).write_text("half")
+            out_file(cli.STAGES[stage][1][0]).write_text("half")
             raise error(f"injected into {stage}")
 
-        monkeypatch.setitem(cli.STAGES, stage, (broken, *cli.STAGES[stage][1:]))
+        monkeypatch.setitem(cli.STAGES, stage, (broken, cli.STAGES[stage][1]))
     argv = ["report", FIXTURE, "--seed", 12, "--out-dir", out]
     bugs = [error for error in faults.values() if not issubclass(error, cli.STAGE_ERRORS)]
     if bugs:  # the first bug is raised, whatever stage errors came before it
@@ -995,8 +1068,7 @@ def test_failed_stage_lands_none_of_its_files_and_the_rest_of_the_bundle(
     report = read_json(out / "report.json")
     assert report["stages"][stage] == {"status": "failed", "reason": "stage broke"}
     assert all(s == {"status": "ok"} for n, s in report["stages"].items() if n != stage)
-    summary_key = {"random": "randomness_summary", "wavelet": "wavelet_summary"}[stage]
-    assert report[summary_key] is None and report["momentum_summary"] is not None
+    assert set(report) == REPORT_KEYS
     names = {p.name for p in out.iterdir()}
     assert names == {*report["artifacts"].values(), "report.json"}
     assert len(names) == 23 - len(files) and not names & files

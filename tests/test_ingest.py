@@ -270,6 +270,17 @@ def test_a_feature_that_overflows_from_finite_inputs_is_a_data_error():
         ingest.derive_features(tl)
 
 
+def test_standardization_is_the_columns_mean_and_std_with_a_zero_std_taken_as_1():
+    values = np.array([[1.0, 5.0, 1e160], [2.0, 5.0, 0.0], [4.0, 5.0, 0.0]])
+    table = ingest.FeatureTable("t", ["a", "b", "c"], values[:, :2].copy())
+    mean, std = table.standardization()
+    assert mean.tolist() == values[:, :2].mean(axis=0).tolist()
+    assert std.tolist() == [values[:, 0].std(), 1.0]
+    # the third column's std overflows, and warnings are errors here
+    with pytest.raises(DataError, match="^feature c has a spread too large to scale$"):
+        ingest.FeatureTable("t", ["a", "b", "c"], values).standardization()
+
+
 def test_sigmoid_basics():
     z = np.array([0.0, 40.0, -3.0, 0.7, 12.0])
     out = ingest._sigmoid(z)

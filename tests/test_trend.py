@@ -5,7 +5,7 @@ from matchflow import trend
 from matchflow.errors import DataError
 from matchflow.momentum import MomentumParams
 
-from util import permutation_oracle
+from util import make_timeline, permutation_oracle
 
 
 def test_cosine_similarity_basics():
@@ -132,8 +132,6 @@ def test_preconditions():
         trend.randomness_test([1, 2] * 5)
     with pytest.raises(DataError, match="statistic"):
         trend.randomness_test(victors, statistic="entropy")
-    with pytest.raises(ValueError, match="one server per point"):
-        trend.randomness_test(victors, [1, 2] * 11)
 
 
 @pytest.mark.parametrize("statistic", sorted(trend.STATISTICS))
@@ -168,21 +166,6 @@ def test_add_one_formula_lower_bound():
     assert report["p_value"] == pytest.approx(1.0 / 200.0)
 
 
-def test_stratified_shuffle_preserves_server_conditional_wins():
-    # every server wins its own points; within-server shuffles cannot change that
-    servers = [1] * 15 + [2] * 15
-    victors = servers[:]
-    report = trend.randomness_test(
-        victors, servers, statistic="max_streak", n_permutations=99, seed=1
-    )
-    assert report["stratified_by_server"]
-    assert report["null"]["sd"] == 0.0
-    assert report["p_value"] == 1.0
-    free = trend.randomness_test(victors, statistic="max_streak", n_permutations=99, seed=1)
-    assert not free["stratified_by_server"]
-    assert free["null"]["sd"] > 0.0
-
-
 def test_statistics_are_finite_and_sane():
     rng = np.random.default_rng(11)
     v = rng.integers(1, 3, size=50)
@@ -200,16 +183,13 @@ def test_report_serialization():
     assert set(payload["null"]["quantiles"]) == {"q05", "q25", "q50", "q75", "q95"}
 
 
-def assert_matches_oracle(victors, servers, statistic, n_permutations, seed):
+def assert_matches_oracle(victors, statistic, n_permutations, seed):
     params = MomentumParams()
-    observed, null, p_value = permutation_oracle(
-        victors, servers, statistic, n_permutations, seed, params
-    )
-    got = trend._permutation_null(
-        victors, servers, trend.STATISTICS[statistic], params, n_permutations, seed
-    )
+    observed, null, p_value = permutation_oracle(victors, statistic, n_permutations, seed, params)
+    got = trend._permutation_null(victors, trend.STATISTICS[statistic], params, n_permutations,
+                                  seed)
     assert np.array_equal(got, null)
-    report = trend.randomness_test(victors, servers, params, statistic, n_permutations, seed)
+    report = trend.randomness_test(victors, params, statistic, n_permutations, seed)
     assert report["observed"] == observed
     assert report["p_value"] == p_value
     assert report["null"]["mean"] == float(null.mean())
@@ -217,27 +197,27 @@ def assert_matches_oracle(victors, servers, statistic, n_permutations, seed):
     return report
 
 
-@pytest.mark.parametrize("stratify", [False, True])
 @pytest.mark.parametrize("statistic", sorted(trend.STATISTICS))
-def test_null_and_pvalue_equal_the_one_at_a_time_oracle(statistic, stratify):
-    rng = np.random.default_rng(13)
-    victors, servers = rng.integers(1, 3, size=57), rng.integers(1, 3, size=57)
-    assert_matches_oracle(victors, servers if stratify else None, statistic, 99, 21)
+def test_null_and_pvalue_equal_the_one_at_a_time_oracle(statistic):
+    victors = np.random.default_rng(13).integers(1, 3, size=57)
+    assert_matches_oracle(victors, statistic, 99, 21)
 
 
 def test_null_matches_oracle_on_a_one_player_sequence():
     victors = np.full(25, 2)
     for statistic in trend.STATISTICS:
-        assert assert_matches_oracle(victors, None, statistic, 99, 4)["degenerate"]
+        assert assert_matches_oracle(victors, statistic, 99, 4)["degenerate"]
 
 
 def test_null_matches_oracle_when_one_server_has_no_points():
+    # the null shuffles the match's whole victor sequence, whoever served each point
     victors = np.random.default_rng(14).integers(1, 3, size=30)
-    assert_matches_oracle(victors, np.ones(30, dtype=int), "max_streak", 99, 6)
-    assert_matches_oracle(victors, np.ones(30, dtype=int), "lag1_autocorr", 99, 6)
+    match = make_timeline(victors, servers=[1] * victors.size)
+    assert_matches_oracle(match.victors(), "max_streak", 99, 6)
+    assert_matches_oracle(match.victors(), "lag1_autocorr", 99, 6)
 
 
 def test_null_matches_oracle_across_a_partial_block():
     victors = np.random.default_rng(15).integers(1, 3, size=40)
     n_permutations = 2 * trend.PERMUTATION_BLOCK + 3
-    assert_matches_oracle(victors, None, "momentum_variance", n_permutations, 8)
+    assert_matches_oracle(victors, "momentum_variance", n_permutations, 8)

@@ -263,29 +263,15 @@ STATISTIC_ORACLES = {
 }
 
 
-def permutation_oracle(victors, servers, statistic, n_permutations, seed, params=None):
-    """One shuffle and one scalar statistic at a time: (observed, null, p-value).
-
-    servers None shuffles freely; otherwise within each server's points.
-    """
+def permutation_oracle(victors, statistic, n_permutations, seed, params=None):
+    """One shuffle and one scalar statistic at a time: (observed, null, p-value)."""
     params = params or MomentumParams()
     victors = np.asarray(victors)
     fn = STATISTIC_ORACLES[statistic]
     observed = fn(victors, params)
-    strata = None
-    if servers is not None:
-        strata = [np.flatnonzero(np.asarray(servers) == s) for s in (1, 2)]
     null = np.empty(n_permutations)
     for i in range(n_permutations):
-        rng = np.random.default_rng([seed, i])
-        if strata is None:
-            shuffled = rng.permutation(victors)
-        else:
-            shuffled = victors.copy()
-            for idx in strata:
-                if idx.size:
-                    shuffled[idx] = shuffled[idx][rng.permutation(idx.size)]
-        null[i] = fn(shuffled, params)
+        null[i] = fn(np.random.default_rng([seed, i]).permutation(victors), params)
     p_value = (1.0 + float(np.sum(null >= observed))) / (1.0 + n_permutations)
     return observed, null, p_value
 

@@ -30,9 +30,8 @@ COMMANDS = ["report", "train-eval --seed 3", "momentum --plot",
 CONFIGS = {
     "default": {},
     "permutations-999": {"random": {"permutations": 999}},
-    "stratified-2d-shifted": {"random": {"stratify_by_server": True},
-                              "sweep": {"indicators": ["psychological_factor", "set_diff"]},
-                              "ahp": {"method": "shifted_row_sum"}},
+    "2d-shifted": {"sweep": {"indicators": ["psychological_factor", "set_diff"]},
+                   "ahp": {"method": "shifted_row_sum"}},
     "matrix-csv": {"ahp": {"matrix_csv": "matrix.csv"}},
     "inline-matrix-2d-ranges": {
         "ahp": {"matrix": [[1, 3, 5, 1, 2], [1 / 3, 1, 2, 0.5, 1], [0.2, 0.5, 1, 0.25, 0.5],
