@@ -36,7 +36,9 @@ and writes them last, each through a temporary file, so the bundle keeps one
 invariant: if report.json exists, this run wrote it, and every file it lists
 exists.  clean writes its two outputs through temporary files too.  Reading
 the config or the inputs (no usable match, or a match id in two input files,
-is a schema error), or selecting the match, stops a command at once.
+is a schema error), or selecting the match, stops a command at once; a
+selected match whose every row was rejected at ingest is a schema error that
+counts them, and an id no row holds is a config error.
 
 Config: main resolves every key of every section with load_config before the
 command starts, so an unknown key, a wrongly typed value, an out-of-range
@@ -304,21 +306,31 @@ def _value(config, key):
     return functools.reduce(dict.__getitem__, key.split("."), config)
 
 
-def _select_match(timelines, wanted, fallback=False):
+def _fits(ids, wanted) -> list:
+    """[wanted] if it is one of ids, else each id that ends with it."""
+    return [wanted] if wanted in ids else [i for i in ids if i.endswith(wanted)]
+
+
+def _select_match(timelines, wanted, rejected, fallback=False):
     """The match with id `wanted`, else the one whose id ends with it; None takes the first.
 
     Two or more ids that end with `wanted`, and none equal to it, are a ConfigError.
+    rejected maps a match id to its count of rows rejected at ingest; a wanted
+    match with no usable row but some rejected is a SchemaError that counts them.
     """
     if wanted is None:
         return timelines[0]
-    ids = dict.fromkeys(tl.match_id for tl in timelines)  # distinct, in input order
-    fits = [wanted] if wanted in ids else [i for i in ids if i.endswith(wanted)]
+    fits = _fits(dict.fromkeys(tl.match_id for tl in timelines), wanted)  # distinct, in order
     if len(fits) > 1:
         raise ConfigError(f"match id suffix {wanted!r} fits more than one match: {fits}")
     if fits:
         return next(tl for tl in timelines if tl.match_id == fits[0])
     if fallback:
         return timelines[0]
+    lost = _fits(rejected, wanted)
+    if len(lost) == 1:
+        raise SchemaError(f"match {lost[0]!r} has no usable rows: all {rejected[lost[0]]} of its "
+                          "rows were rejected at ingest")
     raise ConfigError(f"no match with id (or id suffix) {wanted!r} in the inputs")
 
 
@@ -480,7 +492,7 @@ def _trend(ctx, out):
     win_rate = won[:, 0] / np.maximum(won[:, 0] + won[:, 1], 1.0)  # player 1's share so far
     axes = dict(zip(ctx.features.feature_names, ctx.features.values.T), momentum=series.p1)
     x, y = axes[section["x"]], axes[section["y"]]
-    fit = trend.fit_poly22(x, y, win_rate)
+    fit = trend.fit_poly22(x, y, win_rate, axes=(section["x"], section["y"]))
     grid_n = section["grid"]
     gx = np.repeat(np.linspace(float(x.min()), float(x.max()), grid_n), grid_n)
     gy = np.tile(np.linspace(float(y.min()), float(y.max()), grid_n), grid_n)
@@ -634,7 +646,8 @@ def cmd_stages(args, config):
     # train-eval and report default to the configured holdout; only report
     # falls back to the first match when the inputs lack it
     wanted = args.match or (config["holdout"] if bundle or args.stage == "train" else None)
-    match = _select_match(timelines, wanted, fallback=bundle and not args.match)
+    match = _select_match(timelines, wanted, cleaning.rejected_by_match,
+                          fallback=bundle and not args.match)
     timelines.remove(match)  # the rest are the training matches: ctx's list, which train empties
     # the match owns its columns, so no view of it keeps a parsed block alive
     match = dataclasses.replace(match, columns={name: values.copy()

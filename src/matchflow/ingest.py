@@ -7,16 +7,22 @@ remapped with a ``columns`` table.  Extra columns are ignored.
 
 Data stay in numpy columns from parse to artifact.  The input is a path (a
 FIFO included) or bytes, read as UTF-8 with an optional BOM skipped, and it is
-read as a stream: ``PARSE_BLOCK`` rows at a time, each column of a block
+read as a stream: ``PARSE_BATCH`` (256) rows at a time, each column of a batch
 converted through the scalar rules ``_to_float``, ``_to_int``, ``_score`` and
 ``_shot_code``, and the whole text is never held in memory.  ``FIELDS`` declares
 the point fields once.  Each rule takes a cell's text (a short row's missing
 cells are ""); ``_to_int`` reads a blank, unparseable, non-finite,
 non-integral ("2.5") or beyond-int64 cell as -1, below every field's valid
 range, so the cell is repaired and counted, or its row rejected, and never
-rounded.  A memo that spans the blocks converts each distinct cell of a column
+rounded.  A memo that spans the batches converts each distinct cell of a column
 once, for as long as the column's cells repeat; a column whose cells are
-mostly distinct drops its memo and converts cell by cell.
+mostly distinct, judged over its first ``MEMO_TRIAL`` cells and after, drops
+its memo and converts cell by cell.  A ``_to_float``
+column whose memo has dropped converts each batch in one call instead,
+``np.array(cells, dtype=np.float64)`` with non-finite values then set to NaN:
+numpy reads each cell through ``float()``, as ``_to_float`` does, so the values
+are the same.  A batch of that column holding a blank or unparseable cell
+(``float()`` raises ``ValueError``) converts cell by cell.
 
 Every numeric field is written straight into one ``(fields, capacity)`` block
 per dtype, int64 and float64, a field to a row (``BLOCK_FIELDS``); each text
@@ -35,10 +41,14 @@ blocks: a block is freed when the last timeline of its parse goes.
 
 ``write_clean_csv`` writes the result.  ``write_csv`` is the one CSV writer:
 it writes the cleaned file and every table the command line produces to a
-path, straight from their columns, ``PARSE_BLOCK`` rows at a time, formatting
-and quoting each distinct value of a column's block once.  A field is quoted
-where csv's minimal quoting would quote it and where it holds a lone CR, so
-every written file reads back as it was written.
+path, straight from their columns, ``PARSE_BLOCK`` (1024) rows at a time,
+formatting and quoting each distinct value of a column's block once.  A field
+is quoted where csv's minimal quoting would quote it and where it holds a lone
+CR, so every written file reads back as it was written.  The two sizes differ
+on purpose: a parse batch's cells are Python strings, most of what the parse
+adds to the peak, so the batch is small; the writer's cost is per block and
+per distinct value, so its block is larger (at 256 rows, writing the cleaned
+file of a damaged 50-match shard took about 1.5 times as long).
 
 Input faults are a ``SchemaError`` (the command line exits 2): an empty file,
 a missing required column, malformed CSV such as a field past csv's size
@@ -91,8 +101,19 @@ SHOT_CODES = {"F": 1, "B": 2}
 # Integers beyond int64 cannot be held by an integer column; they count as missing.
 INT_LIMIT = 2.0**63
 
-# Rows parsed and converted, or formatted and written, at a time.  The parse memos of
-# distinct cells span every block; the writer's last one block.
+# Rows the parse reads and converts at a time.  A batch's cells are Python strings, the bulk of
+# what the parse adds to the peak, so the batch is small.  The memos of distinct cells span
+# every batch; a _to_float column whose memo has dropped converts a batch in one call.
+PARSE_BATCH = 256
+
+# Cells a memo is asked for before it is judged.  Over fewer, a column whose values repeat
+# only across matches, such as point_no, looks mostly distinct and would drop its memo.
+MEMO_TRIAL = 1024
+
+# Rows the writer formats and writes at a time, and the rows a stream that cannot seek starts
+# its blocks with.  The writer formats each distinct value of a column's block once, so its
+# block is larger than the parse's batch: at 256 rows the cleaned file of a damaged 50-match
+# shard took about 1.5 times as long to write as at 1024.
 PARSE_BLOCK = 1024
 
 # A CSV field holding one of these is quoted: csv's QUOTE_MINIMAL set, with CR counted, so a
@@ -189,6 +210,8 @@ class CleaningReport:
     categorical_mapped: dict = field(default_factory=dict)
     defaulted_columns: list = field(default_factory=list)
     rejected_rows: list = field(default_factory=list)
+    # match_id -> its rows rejected for an unparseable point_no; not written by to_dict
+    rejected_by_match: dict = field(default_factory=dict)
 
     def bump(self, counter: dict, column: str, amount: int = 1):
         counter[column] = counter.get(column, 0) + amount
@@ -213,6 +236,8 @@ class CleaningReport:
         self.defaulted_columns.extend(column for column in other.defaulted_columns
                                       if column not in self.defaulted_columns)
         self.rejected_rows.extend(other.rejected_rows)
+        for match_id, count in other.rejected_by_match.items():
+            self.bump(self.rejected_by_match, match_id, count)
 
 
 def _to_float(text: str) -> float:
@@ -277,13 +302,15 @@ REQUIRED_COLUMNS = ("match_id", *(spec[0] for spec in FIELDS.values() if spec[3]
 class _Cells(dict):
     """Cell -> converted value, filled on a cell's first lookup, for as long as the memo pays.
 
-    A memo pays where a column's cells repeat.  Once it holds more distinct
-    cells than half the cells it was asked for, it is emptied and the column's
-    later cells are converted one by one.
+    A memo pays where a column's cells repeat.  Once it has been asked for
+    MEMO_TRIAL cells or more and holds more distinct cells than half of them,
+    it is emptied and the column's later cells are converted one by one, or
+    by _floats where its rule is _to_float.
     """
 
-    def __init__(self, convert):
+    def __init__(self, convert, dtype):
         self.convert = convert
+        self.dtype = dtype
         self.asked = 0
         self.pays = True
 
@@ -291,15 +318,34 @@ class _Cells(dict):
         value = self[cell] = self.convert(cell)
         return value
 
-    def convert_all(self, cells):
-        """An iterator of the converted cells."""
-        if self.pays and 2 * len(self) > self.asked:  # judged on the blocks before this one
+    def convert_all(self, cells) -> np.ndarray:
+        """The converted cells, as an array of the memo's dtype."""
+        # judged on the batches before this one
+        if self.pays and self.asked >= MEMO_TRIAL and 2 * len(self) > self.asked:
             self.clear()
             self.pays = False
-        if not self.pays:
-            return map(self.convert, cells)
-        self.asked += len(cells)
-        return map(self.__getitem__, cells)
+        if self.pays:
+            self.asked += len(cells)
+            return np.fromiter(map(self.__getitem__, cells), self.dtype, count=len(cells))
+        if self.convert is _to_float:
+            return _floats(cells)
+        return np.fromiter(map(self.convert, cells), self.dtype, count=len(cells))
+
+
+def _floats(cells) -> np.ndarray:
+    """_to_float of each cell, in one numpy call where float() parses every cell.
+
+    numpy reads each str through float(), as _to_float does, and float()
+    ignores the whitespace around a number, so a cell it parses reads alike;
+    a non-finite value is then NaN.  Where a cell is blank or unparseable
+    (float() raises ValueError), the cells convert one by one.
+    """
+    try:
+        values = np.array(cells, dtype=np.float64)
+    except ValueError:
+        return np.fromiter(map(_to_float, cells), np.float64, count=len(cells))
+    values[~np.isfinite(values)] = np.nan
+    return values
 
 
 def _decode_error(stream, exc) -> SchemaError:
@@ -322,7 +368,8 @@ def _parse(stream, columns):
     cols holds every point field of every match, joined and sorted by match
     and then stably by point_no, each a view of its row of its dtype's block;
     ids and players give each match's id and player names in sorted id order,
-    and matches (a _Matches) their spans in cols.  See load_and_clean.
+    matches (a _Matches) their spans in cols, and rejected the (line, reason,
+    match_id) of each row rejected.  See load_and_clean.
     """
     capacity = _capacity(stream.buffer)
     reader = csv.reader(stream)
@@ -368,20 +415,20 @@ def _parse_rows(reader, columns, capacity):
     width = len(header)
     position = {name: i for i, name in enumerate(header)}  # a repeated name takes its last column
     named = [p for p in PLAYER_COLUMNS if p in position] if "player1" in position else []
-    # (dtype, row, column, memo) of each numeric field read; a memo outlives the blocks, so each
-    # distinct cell of a column whose cells repeat is converted once
-    read = [(dtype, BLOCK_FIELDS[dtype].index(name), position[source], _Cells(convert))
+    # (dtype, row, column, memo) of each numeric field read; a memo outlives the batches, so
+    # each distinct cell of a column whose cells repeat is converted once
+    read = [(dtype, BLOCK_FIELDS[dtype].index(name), position[source], _Cells(convert, dtype))
             for name, (source, convert, dtype, _) in FIELDS.items() if source in position]
     # one (fields, capacity) block per dtype, so the columns leave no holes in the heap, and a
     # list per text column
     blocks = {dtype: np.empty((len(names), capacity), dtype)
               for dtype, names in BLOCK_FIELDS.items()}
     texts = {name: [] for name in ("match_id", *named)}
-    text_memos = {name: _Cells(str.strip) for name in texts}
+    text_memos = {name: _Cells(str.strip, object) for name in texts}
     n = 0
-    for block in iter(lambda: list(itertools.islice(reader, PARSE_BLOCK)), []):
+    for batch in iter(lambda: list(itertools.islice(reader, PARSE_BATCH)), []):
         cells = []  # row-major: column j is cells[j::width]
-        for row in block:
+        for row in batch:
             if len(row) != width:
                 if not row:
                     continue  # blank lines are skipped and not numbered
@@ -396,8 +443,7 @@ def _parse_rows(reader, columns, capacity):
                 blocks[dtype][:, :n] = old[:, :n]
             del old  # the last block outgrown
         for dtype, i, j, memo in read:
-            blocks[dtype][i, n:n + rows] = np.fromiter(memo.convert_all(cells[j::width]), dtype,
-                                                       count=rows)
+            blocks[dtype][i, n:n + rows] = memo.convert_all(cells[j::width])
         for name, values in texts.items():
             values.extend(text_memos[name].convert_all(cells[position[name]::width]))
         n += rows
@@ -407,9 +453,9 @@ def _parse_rows(reader, columns, capacity):
     match_ids = np.array(texts["match_id"], dtype=object)
     point_no = blocks[np.int64][BLOCK_FIELDS[np.int64].index("point_no"), :n]
     keep = (match_ids != "") & (point_no > 0)
-    rejected = [
-        (i + 2, "missing match_id" if match_ids[i] == "" else "unparseable point_no")
-        for i in np.flatnonzero(~keep).tolist()  # the header is line 1
+    rejected = [  # (line, reason, match_id); the header is line 1
+        (i + 2, "missing match_id" if match_ids[i] == "" else "unparseable point_no", match_ids[i])
+        for i in np.flatnonzero(~keep).tolist()
     ]
     kept = np.flatnonzero(keep)
     ids = sorted(set(match_ids[kept].tolist()))
@@ -608,7 +654,9 @@ def load_and_clean(source, columns=None):
     sorted order, and a CleaningReport of every repair, of the optional
     columns absent from the header (default-filled) and, in file order, of
     the (row, reason) of each row without a usable match_id or point_no
-    (numbered from 2, blank lines not counted).
+    (numbered from 2, blank lines not counted), and of each match_id's count
+    of rows rejected for their point_no (rejected_by_match, which to_dict
+    leaves out).
 
     Raises:
         TypeError: a source that is neither a path nor bytes, such as a file
@@ -627,7 +675,10 @@ def load_and_clean(source, columns=None):
         cols, ids, players, matches, rejected, header = _parse(stream, columns)
     report = CleaningReport()
     timelines = _timelines(_repair(cols, ids, matches, report), ids, players, matches)
-    report.rejected_rows.extend(rejected)
+    for line, reason, match_id in rejected:
+        report.rejected_rows.append((line, reason))
+        if match_id:
+            report.bump(report.rejected_by_match, match_id)
     report.defaulted_columns.extend(source for source, _, _, absent in FIELDS.values()
                                     if absent is not None and source not in header)
     return timelines, report

@@ -81,16 +81,18 @@ def _design_poly22(x, y):
     return np.column_stack([np.ones_like(x), x, y, x**2, x * y, y**2])
 
 
-def fit_poly22(x, y, z) -> SurfaceFit:
+def fit_poly22(x, y, z, axes=("x", "y")) -> SurfaceFit:
     """Fit the six-term quadratic surface by least squares.
 
     Columns are scaled to unit max-abs before solving, and the fit is
     rejected as singular when the design matrix has rank below 6.  R^2 is
     reported against the mean-of-z baseline; a zero-variance z with an exact
-    fit reports R^2 = 1 by convention.
+    fit reports R^2 = 1 by convention.  axes names x and y in errors.
 
     Raises:
-        DataError: fewer than 6 samples or a rank-deficient design.
+        DataError: fewer than 6 samples, a design that is not finite (naming
+            the axis, such as one whose square overflows) or a rank-deficient
+            design.
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
@@ -99,7 +101,12 @@ def fit_poly22(x, y, z) -> SurfaceFit:
         raise ValueError("x, y and z must have the same length")
     if x.size < 6:
         raise DataError("quadratic surface fit needs at least 6 samples")
-    design = _design_poly22(x, y)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite design is named below
+        design = _design_poly22(x, y)
+    finite = np.isfinite(design).all(axis=0)
+    if not finite.all():  # |xy| <= max(x^2, y^2), so x^2 or y^2 is not finite
+        axis = axes[0] if not (finite[1] and finite[3]) else axes[1]
+        raise DataError(f"trend axis {axis} is not finite or too large for a quadratic surface")
     scale = np.max(np.abs(design), axis=0)
     scale[scale == 0.0] = 1.0
     scaled = design / scale

@@ -424,6 +424,30 @@ def test_report_falls_back_to_the_first_match_but_train_eval_does_not(tmp_path, 
                                        "the inputs\n")
 
 
+def test_a_match_whose_every_row_was_rejected_is_an_input_error_counting_them(tmp_path,
+                                                                              capsys):
+    rejected = []
+
+    def edit(rows):
+        for row in rows:
+            if row["match_id"].endswith("1701"):
+                row["point_no"] = "0"
+                rejected.append(row)
+
+    path = edited_fixture(tmp_path, edit)
+    out = tmp_path / "out"
+    # train-eval's default holdout is the same match
+    for argv in (["report", path, "--match", "1701"], ["train-eval", path]):
+        assert run([*argv, "--out-dir", out]) == 2
+        assert capsys.readouterr().err == (
+            "input error: match '2023-fixture-1701' has no usable rows: "
+            f"all {len(rejected)} of its rows were rejected at ingest\n")
+        assert not out.exists()
+    assert run(["report", path, "--match", "9999", "--out-dir", out]) == 3
+    assert capsys.readouterr().err == ("config error: no match with id (or id suffix) '9999' in "
+                                       "the inputs\n")
+
+
 def test_an_exact_match_id_wins_over_a_suffix(tmp_path):
     out = tmp_path / "out"
     # ingest sorts the matches by id, so 11701 comes first
@@ -681,8 +705,8 @@ def test_each_analysis_returns_the_payload_its_artifact_holds(fixture_bundle):
     """The fixture report's four payload artifacts, against direct library calls on the
     report's inputs, its default config and its seed 11."""
     config = cli.load_config(None)
-    timelines, _ = ingest.load_and_clean(FIXTURE)
-    match = cli._select_match(timelines, config["holdout"])
+    timelines, cleaning = ingest.load_and_clean(FIXTURE)
+    match = cli._select_match(timelines, config["holdout"], cleaning.rejected_by_match)
     params = momentum.MomentumParams(**config["momentum"])
     random = config["random"]
     calls = {
@@ -871,33 +895,40 @@ def test_a_failing_feature_table_is_derived_once(tmp_path, monkeypatch):
     assert calls.count("2023-fixture-1301") == 1
 
 
-SPREAD_CELLS = [  # (match, its row, the p2_distance_run set there, the stage whose scaling fails)
-    ("1301", 10, "1e160", "train"),  # a training match: the fit's std overflows
-    ("1701", 10, "1e160", "sweep"),  # the selected match: the response model's std overflows
-    ("1301", 1, "1.7e308", "train"),  # the mean overflows as well
-    ("1701", 1, "1.7e308", "sweep"),
+SPREAD = "feature distance_run_diff has a spread too large to scale"
+TREND_X = {"trend": {"x": "distance_run_diff"}}
+SPREAD_CELLS = [  # (match, its row, the p2_distance_run set there, config, failed stage -> reason)
+    ("1301", 10, "1e160", {}, {"train": SPREAD}),  # a training match: the fit's std overflows
+    ("1701", 10, "1e160", {}, {"sweep": SPREAD}),  # the selected match: the response model's std
+    ("1301", 1, "1.7e308", {}, {"train": SPREAD}),  # the mean overflows as well
+    ("1701", 1, "1.7e308", {}, {"sweep": SPREAD}),
+    # the trend surface's x**2 overflows, on the trend axis
+    ("1701", 10, "1e160", TREND_X, {"trend": "trend axis distance_run_diff is not finite or too "
+                                             "large for a quadratic surface", "sweep": SPREAD}),
 ]
 
 
-@pytest.mark.parametrize("match,row,value,failed", SPREAD_CELLS,
-                         ids=[f"{m}-row{r}-{v}" for m, r, v, _ in SPREAD_CELLS])
+@pytest.mark.parametrize("match,row,value,config,failed", SPREAD_CELLS,
+                         ids=[f"{m}-row{r}-{v}" + ("-trend-x" if c else "")
+                              for m, r, v, c, _ in SPREAD_CELLS])
 def test_a_feature_too_spread_to_scale_fails_its_stage_naming_it(tmp_path, capsys, match, row,
-                                                                 value, failed):
-    """A finite feature whose mean or std overflows fails the stage that scales it, with no
-    warning (warnings are errors here) and no NaN or Infinity in any JSON artifact."""
+                                                                 value, config, failed):
+    """A finite feature whose mean, std or square overflows fails the stage that scales or
+    squares it, with no warning (warnings are errors here) and no NaN or Infinity in any JSON
+    artifact."""
     def edit(rows):
         [r for r in rows if r["match_id"].endswith(match)][row - 1]["p2_distance_run"] = value
 
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"random": {"permutations": 99}}))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"random": {"permutations": 99}, **config}))
     out = tmp_path / "out"
-    assert run(["report", edited_fixture(tmp_path, edit), "--seed", 1, "--config", config,
+    assert run(["report", edited_fixture(tmp_path, edit), "--seed", 1, "--config", path,
                 "--out-dir", out]) == 1
-    reason = "feature distance_run_diff has a spread too large to scale"
-    assert capsys.readouterr().err == f"analysis error: {reason}\n"
+    first = next(name for name in STAGE_NAMES if name in failed)
+    assert capsys.readouterr().err == f"analysis error: {failed[first]}\n"
     assert read_json(out / "report.json")["stages"] == {
-        name: {"status": "failed", "reason": reason} if name == failed else {"status": "ok"}
-        for name in STAGE_NAMES}
+        name: {"status": "failed", "reason": failed[name]} if name in failed
+        else {"status": "ok"} for name in STAGE_NAMES}
     for path in out.glob("*.json"):
         text = path.read_text()
         assert "NaN" not in text and "Infinity" not in text, path.name

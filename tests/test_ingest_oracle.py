@@ -282,6 +282,68 @@ def test_nonfinite_tokens_are_missing_values():
     assert all(np.isfinite(tl.columns["p1_distance_run"]).all() for tl in timelines)
 
 
+# Float cells that float() reads, around the number or in it, and cells it refuses
+READABLE_FLOATS = (" 1.5 ", "1_0", "\u0661\u0662", "infinity", "-nan", "1e309")
+UNREADABLE_FLOATS = ("", "n/a")
+
+
+def test_a_batch_of_float_cells_converts_in_one_call_as_the_oracle_reads_it(monkeypatch):
+    """Damaged distance and speed cells in one parse batch of clean matches, past the memo trial.
+
+    The distance cells are mostly distinct, so their memos stop paying once
+    judged, after MEMO_TRIAL cells, and each later batch goes to _floats.  The
+    damaged batch is the second of those, with a batch after it.
+    p1_distance_run gets only cells float() reads, so its batch converts in
+    one call; p2_distance_run gets the blank and unparseable cells too, so its
+    batch converts cell by cell.  speed_mph, whose memo still pays, reads the
+    same cells through its memo.
+    """
+    batch = ingest.PARSE_BATCH
+    damaged = ingest.MEMO_TRIAL // batch + 1  # batches 0 .. damaged - 2 fill the memo trial
+    rows = simulated_rows((damaged + 1) * batch + 1)
+    assert len(rows) > (damaged + 1) * batch
+    col = {name: i for i, name in enumerate(COLUMNS)}
+    chosen = rows[damaged * batch:(damaged + 1) * batch]
+    tokens = READABLE_FLOATS + UNREADABLE_FLOATS
+    for k, row in enumerate(chosen[::5]):
+        row[col["p1_distance_run"]] = READABLE_FLOATS[k % len(READABLE_FLOATS)]
+        row[col["speed_mph"]] = READABLE_FLOATS[(k + 3) % len(READABLE_FLOATS)]
+        row[col["p2_distance_run"]] = tokens[k % len(tokens)]
+    calls, floats = [], ingest._floats
+
+    def spy(cells):
+        calls.append(list(cells))
+        return floats(cells)
+
+    monkeypatch.setattr(ingest, "_floats", spy)
+    report = assert_matches_oracle(to_csv(COLUMNS, rows))
+    for name in ("p1_distance_run", "speed_mph", "p2_distance_run"):
+        cells = [row[col[name]] for row in chosen]
+        # the distance memos had stopped paying before the damaged batch
+        assert (cells in calls) == (name != "speed_mph"), name
+        if name == "p2_distance_run":  # float() refuses a cell: the batch goes cell by cell
+            with pytest.raises(ValueError):
+                np.array(cells, dtype=np.float64)
+        else:  # float() reads every cell: the batch converts in one call
+            np.array(cells, dtype=np.float64)
+        missing = sum(cell in ("infinity", "-nan", "1e309", *UNREADABLE_FLOATS) for cell in cells)
+        assert report["mean_imputations"][name] == missing > 0
+    for k in range(damaged - 1):  # the memo's trial
+        assert [row[col["p1_distance_run"]] for row in rows[k * batch:(k + 1) * batch]] not in calls
+
+
+def test_a_memo_is_judged_after_its_trial_and_keeps_paying_where_cells_repeat_across_matches():
+    """point_no-like cells (1..180 over and over) are mostly distinct within one batch but
+    repeat across many: the memo keeps them.  Distinct cells drop the memo once judged."""
+    batch = ingest.PARSE_BATCH
+    for cells, pays in (([str(1 + i % 180) for i in range(ingest.MEMO_TRIAL + 2 * batch)], True),
+                        ([str(i) for i in range(ingest.MEMO_TRIAL + 2 * batch)], False)):
+        memo = ingest._Cells(ingest._to_int, np.int64)
+        got = [memo.convert_all(cells[a:a + batch]) for a in range(0, len(cells), batch)]
+        assert np.concatenate(got).tolist() == list(map(int, cells))
+        assert memo.pays == pays and len(memo) == (180 if pays else 0)
+
+
 FUZZ_TOKENS = ("n/a", "?", "", "inf", "-inf", "1e309", "nan", "AD", "-1", "-12.5")
 
 
@@ -328,11 +390,13 @@ def repeated_fixture(n_rows):
     return header, out[:n_rows]
 
 
-@pytest.mark.parametrize("block", [7, ingest.PARSE_BLOCK])
+@pytest.mark.parametrize("block", [7, ingest.PARSE_BATCH, ingest.PARSE_BLOCK])
 def test_damage_on_both_sides_of_a_block_boundary(monkeypatch, block):
+    """A parse batch and a writer block of `block` rows."""
+    monkeypatch.setattr(ingest, "PARSE_BATCH", block)
     monkeypatch.setattr(ingest, "PARSE_BLOCK", block)
     header, rows = repeated_fixture(block + 12)
-    # data rows 0..block-1 are the first block; blank lines count towards a block
+    # data rows 0..block-1 are the first batch; blank lines count towards a batch
     rows[block - 2] = []  # a blank line
     rows[block - 1] = rows[block - 1][:5]  # short: point_no missing, rejected
     rows[block][0] = ""  # missing match_id, the first row of the second block
@@ -357,6 +421,7 @@ def csv_lines(header, rows, endings):
 @pytest.mark.parametrize("endings", [["\r\n"], ["\r"], ["\n", "\r\n", "\r"]],
                          ids=["crlf", "cr", "mixed"])
 def test_line_endings_and_a_quoted_newline_across_blocks(monkeypatch, tmp_path, endings):
+    monkeypatch.setattr(ingest, "PARSE_BATCH", 7)
     monkeypatch.setattr(ingest, "PARSE_BLOCK", 7)
     header, rows = fixture_rows()
     name = 'L. "Lu"\r\nFerro'  # quoted for its quotes; the line break inside is kept as it is
@@ -375,6 +440,7 @@ def test_line_endings_and_a_quoted_newline_across_blocks(monkeypatch, tmp_path, 
 
 
 def test_a_bom_is_skipped(monkeypatch):
+    monkeypatch.setattr(ingest, "PARSE_BATCH", 7)
     monkeypatch.setattr(ingest, "PARSE_BLOCK", 7)
     text = FIXTURE.read_text()
     assert_matches_oracle(text, data=b"\xef\xbb\xbf" + text.encode())
@@ -577,15 +643,20 @@ def test_write_csv_one_column_tables_and_unformattable_values(tmp_path):
         ingest._write_groups(path, ["f"], [infinite], ingest._format_float)
 
 
-@functools.cache
-def simulated_csv() -> bytes:
-    """About 20k simulated rows (1.96 MB of CSV)."""
+def simulated_rows(n_rows) -> list:
+    """The cells of whole simulated matches, from the first match on, until n_rows or more."""
     rows, k = [], 0
-    while len(rows) < 20_000:
+    while len(rows) < n_rows:
         match = simulate_match(f"mem-{k:03d}", (f"A{k}", f"B{k}"), 9000 + k)
         rows.extend([str(row[c]) for c in COLUMNS] for row in match)
         k += 1
-    return to_csv(COLUMNS, rows).encode()
+    return rows
+
+
+@functools.cache
+def simulated_csv(n_rows=20_000) -> bytes:
+    """About n_rows simulated rows (20k: 1.96 MB of CSV)."""
+    return to_csv(COLUMNS, simulated_rows(n_rows)).encode()
 
 
 def test_parsing_streams_in_blocks_within_a_memory_bound():
@@ -595,9 +666,10 @@ def test_parsing_streams_in_blocks_within_a_memory_bound():
     and the block stream with a memo on every column at 11.8 MB.  With the
     memos of the mostly distinct distance columns dropped it peaked at about
     8.3 MB.  Writing every numeric field into one block per dtype, sized by
-    the newline count before the parse, it peaks at about 8.2 MB, during the
-    parse: the 5.3 MB of blocks, the text columns and memos, and the rows and
-    cells of one PARSE_BLOCK of lines.  The repairs and the timelines peak at
+    the newline count before the parse, it peaked at about 8.2 MB with
+    1024-row batches, and peaks at about 7.4 MB with PARSE_BATCH rows, during
+    the parse: the 5.3 MB of blocks, the text columns and memos, and the rows
+    and cells of one batch of lines.  The repairs and the timelines peak at
     about 7.0 MB.
     """
     data = simulated_csv()
@@ -609,6 +681,30 @@ def test_parsing_streams_in_blocks_within_a_memory_bound():
         tracemalloc.stop()
     assert sum(map(len, timelines)) == data.count(b"\n") - 1
     assert peak < 10e6, peak
+
+
+def test_the_parse_holds_its_blocks_and_one_batch_of_text():
+    """Traced peak of load_and_clean on 7,611 simulated rows (50 matches), against its parts.
+
+    The numeric fields take the blocks, 8 bytes a field and a row of the
+    capacity.  Beside them the parse holds one batch of text: a row's list and
+    its 36 cell strings take about 1.95 KB, and 2.5 KB a row is allowed.  The
+    text columns, the memos that pay, the match codes and sort order and the
+    repairs' masks hold about 109 bytes a point at their peak (measured with
+    8-row batches), and 120 are allowed.  The peak is about 3.04 MB against a
+    bound of 3.56 MB; with 1024-row batches it is about 4.5 MB.
+    """
+    data = simulated_csv(7_500)
+    blocks = len(ingest.FIELDS) * (data.count(b"\n") + 1) * 8
+    bound = blocks + 120 * data.count(b"\n") + 2_500 * 256
+    tracemalloc.start()
+    try:
+        timelines, _ = ingest.load_and_clean(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, timelines)) == data.count(b"\n") - 1 == 7_611
+    assert peak <= bound, (peak, bound)
 
 
 def test_the_parsed_corpus_is_freed_before_the_fit(tmp_path, monkeypatch):

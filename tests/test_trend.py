@@ -83,6 +83,16 @@ def test_surface_fit_errors():
         trend.fit_poly22(x, y, y**2)
 
 
+@pytest.mark.parametrize("big", ["x", "y"])
+def test_an_axis_whose_square_overflows_is_named_with_no_warning(big):
+    """x**2 past the float range: a DataError naming the axis, not LAPACK's SVD failure
+    (warnings are errors here)."""
+    axes = {"x": np.arange(10.0), "y": np.arange(10.0) % 3}
+    axes[big] = axes[big] * 1e160
+    with pytest.raises(DataError, match=f"^trend axis {big}-axis is not finite or too large"):
+        trend.fit_poly22(axes["x"], axes["y"], np.linspace(0, 1, 10), axes=("x-axis", "y-axis"))
+
+
 def test_residuals_orthogonal_to_scaled_basis():
     rng = np.random.default_rng(3)
     x = rng.uniform(-2, 2, size=30)

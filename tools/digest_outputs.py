@@ -5,8 +5,12 @@ Runs each command of COMMANDS under each config of CONFIGS against the
 ``matchflow`` package in the given ``src`` directory, with ``config.json``
 and the judgment matrix ``matrix.csv`` in the working directory, and prints one
 ``sha256  config/command/file`` line per file written, plus one for the
-command's stdout and exit code.  Two trees write the same bytes for these
-commands when their listings are equal:
+command's stdout and exit code.  The bundled fixture has 239 data rows, within
+one parse batch, so MULTI_COMMANDS also run, under the default config, on
+``multi.csv`` (``multi_match_csv``): 1,644 simulated rows over several
+batches, with a few damaged cells, listed as ``multi-match/command/file``.
+Two trees write the same bytes for these commands when their listings are
+equal:
 
     python tools/digest_outputs.py old/src > old.txt
     python tools/digest_outputs.py src > new.txt
@@ -15,13 +19,17 @@ commands when their listings are equal:
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from make_fixture import COLUMNS, simulate_match
 
 FIXTURE = Path(__file__).resolve().parents[1] / "data" / "fixture_matches.csv"
 STAGES = ("ahp", "trend", "random", "sweep", "wavelet")
@@ -46,30 +54,63 @@ CONFIGS = {
 # a_ij = w_i / w_j: a consistent judgment matrix over the five default indicators
 WEIGHTS = (8.0, 4.0, 4.0, 2.0, 1.0)
 MATRIX_CSV = "".join(",".join(repr(wi / wj) for wj in WEIGHTS) + "\n" for wi in WEIGHTS)
+MULTI_COMMANDS = ["clean", "train-eval --seed 3"]
+# cells that float() reads (around the number or in it) or refuses
+DAMAGE = ("", "n/a", " 1.5 ", "1_0", "1e309", "-nan", "infinity", "AD")
+DAMAGED_COLUMNS = ("p1_distance_run", "p2_distance_run", "speed_mph", "rally_count", "p1_score")
 
 
 def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def multi_match_csv() -> str:
+    """Eleven simulated matches (ids 2024-sim-1700 to -1710, 1,644 rows) as CSV text.
+
+    Every 41st row holds a DAMAGE token in one of DAMAGED_COLUMNS, so each
+    token meets each column, spread over the whole file.
+    """
+    rows = []
+    for k in range(11):
+        match = simulate_match(f"2024-sim-{1700 + k}", (f"P{k}", f"Q{k}"), 31_000 + k)
+        rows.extend([str(row[c]) for c in COLUMNS] for row in match)
+    for k, row in enumerate(rows[::41]):
+        row[COLUMNS.index(DAMAGED_COLUMNS[k % len(DAMAGED_COLUMNS)])] = DAMAGE[k % len(DAMAGE)]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([COLUMNS, *rows])
+    return buf.getvalue()
+
+
+def run_listing(env, label, command, config, source, text=None):
+    """Run one command on source in a fresh directory; print the digests of its stdout and files.
+
+    Where text is given, it is first written to source inside the directory.
+    """
+    with tempfile.TemporaryDirectory() as work:  # relative paths keep stdout comparable
+        Path(work, "config.json").write_text(json.dumps(config))
+        Path(work, "matrix.csv").write_text(MATRIX_CSV)
+        if text is not None:
+            Path(work, source).write_text(text, encoding="utf-8")
+        args = command.split()
+        args += (["--output", "out/cleaned.csv", "--report", "out/cleaning_report.json"]
+                 if args[0] == "clean" else ["--out-dir", "out"])
+        os.mkdir(Path(work, "out"))
+        run = subprocess.run([sys.executable, "-m", "matchflow.cli", *args, str(source),
+                              "--config", "config.json"], cwd=work, env=env,
+                             capture_output=True)
+        print(f"{digest(run.stdout)}  {label}/{command}/stdout (exit {run.returncode})")
+        for path in sorted(Path(work, "out").iterdir()):
+            print(f"{digest(path.read_bytes())}  {label}/{command}/{path.name}")
+
+
 def main(src: str) -> None:
     env = {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
     for name, config in CONFIGS.items():
         for command in COMMANDS:
-            with tempfile.TemporaryDirectory() as work:  # relative paths keep stdout comparable
-                Path(work, "config.json").write_text(json.dumps(config))
-                Path(work, "matrix.csv").write_text(MATRIX_CSV)
-                args = command.split()
-                args += (["--output", "out/cleaned.csv", "--report", "out/cleaning_report.json"]
-                         if args[0] == "clean" else ["--out-dir", "out"])
-                os.mkdir(Path(work, "out"))
-                run = subprocess.run([sys.executable, "-m", "matchflow.cli", *args, str(FIXTURE),
-                                      "--config", "config.json"], cwd=work, env=env,
-                                     capture_output=True)
-                label = f"{name}/{command}"
-                print(f"{digest(run.stdout)}  {label}/stdout (exit {run.returncode})")
-                for path in sorted(Path(work, "out").iterdir()):
-                    print(f"{digest(path.read_bytes())}  {label}/{path.name}")
+            run_listing(env, name, command, config, FIXTURE)
+    multi = multi_match_csv()
+    for command in MULTI_COMMANDS:
+        run_listing(env, "multi-match", command, {}, "multi.csv", multi)
 
 
 if __name__ == "__main__":
