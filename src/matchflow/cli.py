@@ -311,12 +311,13 @@ def _fits(ids, wanted) -> list:
     return [wanted] if wanted in ids else [i for i in ids if i.endswith(wanted)]
 
 
-def _select_match(timelines, wanted, rejected, fallback=False):
+def _select_match(timelines, wanted, rejected_ids, fallback=False):
     """The match with id `wanted`, else the one whose id ends with it; None takes the first.
 
     Two or more ids that end with `wanted`, and none equal to it, are a ConfigError.
-    rejected maps a match id to its count of rows rejected at ingest; a wanted
-    match with no usable row but some rejected is a SchemaError that counts them.
+    rejected_ids holds the match id of each row rejected at ingest for its
+    point_no; a wanted match with no usable row but some rejected is a
+    SchemaError that counts them.
     """
     if wanted is None:
         return timelines[0]
@@ -327,10 +328,10 @@ def _select_match(timelines, wanted, rejected, fallback=False):
         return next(tl for tl in timelines if tl.match_id == fits[0])
     if fallback:
         return timelines[0]
-    lost = _fits(rejected, wanted)
+    lost = _fits(dict.fromkeys(rejected_ids), wanted)
     if len(lost) == 1:
-        raise SchemaError(f"match {lost[0]!r} has no usable rows: all {rejected[lost[0]]} of its "
-                          "rows were rejected at ingest")
+        raise SchemaError(f"match {lost[0]!r} has no usable rows: all "
+                          f"{rejected_ids.count(lost[0])} of its rows were rejected at ingest")
     raise ConfigError(f"no match with id (or id suffix) {wanted!r} in the inputs")
 
 
@@ -646,7 +647,7 @@ def cmd_stages(args, config):
     # train-eval and report default to the configured holdout; only report
     # falls back to the first match when the inputs lack it
     wanted = args.match or (config["holdout"] if bundle or args.stage == "train" else None)
-    match = _select_match(timelines, wanted, cleaning.rejected_by_match,
+    match = _select_match(timelines, wanted, cleaning.rejected_ids,
                           fallback=bundle and not args.match)
     timelines.remove(match)  # the rest are the training matches: ctx's list, which train empties
     # the match owns its columns, so no view of it keeps a parsed block alive

@@ -17,12 +17,7 @@ range, so the cell is repaired and counted, or its row rejected, and never
 rounded.  A memo that spans the batches converts each distinct cell of a column
 once, for as long as the column's cells repeat; a column whose cells are
 mostly distinct, judged over its first ``MEMO_TRIAL`` cells and after, drops
-its memo and converts cell by cell.  A ``_to_float``
-column whose memo has dropped converts each batch in one call instead,
-``np.array(cells, dtype=np.float64)`` with non-finite values then set to NaN:
-numpy reads each cell through ``float()``, as ``_to_float`` does, so the values
-are the same.  A batch of that column holding a blank or unparseable cell
-(``float()`` raises ``ValueError``) converts cell by cell.
+its memo and converts cell by cell.
 
 Every numeric field is written straight into one ``(fields, capacity)`` block
 per dtype, int64 and float64, a field to a row (``BLOCK_FIELDS``); each text
@@ -103,7 +98,7 @@ INT_LIMIT = 2.0**63
 
 # Rows the parse reads and converts at a time.  A batch's cells are Python strings, the bulk of
 # what the parse adds to the peak, so the batch is small.  The memos of distinct cells span
-# every batch; a _to_float column whose memo has dropped converts a batch in one call.
+# every batch.
 PARSE_BATCH = 256
 
 # Cells a memo is asked for before it is judged.  Over fewer, a column whose values repeat
@@ -210,8 +205,8 @@ class CleaningReport:
     categorical_mapped: dict = field(default_factory=dict)
     defaulted_columns: list = field(default_factory=list)
     rejected_rows: list = field(default_factory=list)
-    # match_id -> its rows rejected for an unparseable point_no; not written by to_dict
-    rejected_by_match: dict = field(default_factory=dict)
+    # the match_id of each row rejected for its point_no, once a row; not written by to_dict
+    rejected_ids: list = field(default_factory=list)
 
     def bump(self, counter: dict, column: str, amount: int = 1):
         counter[column] = counter.get(column, 0) + amount
@@ -236,8 +231,7 @@ class CleaningReport:
         self.defaulted_columns.extend(column for column in other.defaulted_columns
                                       if column not in self.defaulted_columns)
         self.rejected_rows.extend(other.rejected_rows)
-        for match_id, count in other.rejected_by_match.items():
-            self.bump(self.rejected_by_match, match_id, count)
+        self.rejected_ids.extend(other.rejected_ids)
 
 
 def _to_float(text: str) -> float:
@@ -304,13 +298,11 @@ class _Cells(dict):
 
     A memo pays where a column's cells repeat.  Once it has been asked for
     MEMO_TRIAL cells or more and holds more distinct cells than half of them,
-    it is emptied and the column's later cells are converted one by one, or
-    by _floats where its rule is _to_float.
+    it is emptied and the column's later cells are converted one by one.
     """
 
-    def __init__(self, convert, dtype):
+    def __init__(self, convert):
         self.convert = convert
-        self.dtype = dtype
         self.asked = 0
         self.pays = True
 
@@ -318,34 +310,16 @@ class _Cells(dict):
         value = self[cell] = self.convert(cell)
         return value
 
-    def convert_all(self, cells) -> np.ndarray:
-        """The converted cells, as an array of the memo's dtype."""
+    def convert_all(self, cells):
+        """An iterator of the converted cells."""
         # judged on the batches before this one
         if self.pays and self.asked >= MEMO_TRIAL and 2 * len(self) > self.asked:
             self.clear()
             self.pays = False
-        if self.pays:
-            self.asked += len(cells)
-            return np.fromiter(map(self.__getitem__, cells), self.dtype, count=len(cells))
-        if self.convert is _to_float:
-            return _floats(cells)
-        return np.fromiter(map(self.convert, cells), self.dtype, count=len(cells))
-
-
-def _floats(cells) -> np.ndarray:
-    """_to_float of each cell, in one numpy call where float() parses every cell.
-
-    numpy reads each str through float(), as _to_float does, and float()
-    ignores the whitespace around a number, so a cell it parses reads alike;
-    a non-finite value is then NaN.  Where a cell is blank or unparseable
-    (float() raises ValueError), the cells convert one by one.
-    """
-    try:
-        values = np.array(cells, dtype=np.float64)
-    except ValueError:
-        return np.fromiter(map(_to_float, cells), np.float64, count=len(cells))
-    values[~np.isfinite(values)] = np.nan
-    return values
+        if not self.pays:
+            return map(self.convert, cells)
+        self.asked += len(cells)
+        return map(self.__getitem__, cells)
 
 
 def _decode_error(stream, exc) -> SchemaError:
@@ -417,14 +391,14 @@ def _parse_rows(reader, columns, capacity):
     named = [p for p in PLAYER_COLUMNS if p in position] if "player1" in position else []
     # (dtype, row, column, memo) of each numeric field read; a memo outlives the batches, so
     # each distinct cell of a column whose cells repeat is converted once
-    read = [(dtype, BLOCK_FIELDS[dtype].index(name), position[source], _Cells(convert, dtype))
+    read = [(dtype, BLOCK_FIELDS[dtype].index(name), position[source], _Cells(convert))
             for name, (source, convert, dtype, _) in FIELDS.items() if source in position]
     # one (fields, capacity) block per dtype, so the columns leave no holes in the heap, and a
     # list per text column
     blocks = {dtype: np.empty((len(names), capacity), dtype)
               for dtype, names in BLOCK_FIELDS.items()}
     texts = {name: [] for name in ("match_id", *named)}
-    text_memos = {name: _Cells(str.strip, object) for name in texts}
+    text_memos = {name: _Cells(str.strip) for name in texts}
     n = 0
     for batch in iter(lambda: list(itertools.islice(reader, PARSE_BATCH)), []):
         cells = []  # row-major: column j is cells[j::width]
@@ -443,7 +417,8 @@ def _parse_rows(reader, columns, capacity):
                 blocks[dtype][:, :n] = old[:, :n]
             del old  # the last block outgrown
         for dtype, i, j, memo in read:
-            blocks[dtype][i, n:n + rows] = memo.convert_all(cells[j::width])
+            blocks[dtype][i, n:n + rows] = np.fromiter(memo.convert_all(cells[j::width]), dtype,
+                                                       count=rows)
         for name, values in texts.items():
             values.extend(text_memos[name].convert_all(cells[position[name]::width]))
         n += rows
@@ -654,9 +629,8 @@ def load_and_clean(source, columns=None):
     sorted order, and a CleaningReport of every repair, of the optional
     columns absent from the header (default-filled) and, in file order, of
     the (row, reason) of each row without a usable match_id or point_no
-    (numbered from 2, blank lines not counted), and of each match_id's count
-    of rows rejected for their point_no (rejected_by_match, which to_dict
-    leaves out).
+    (numbered from 2, blank lines not counted), with the match_id of each row
+    rejected for its point_no (rejected_ids, which to_dict leaves out).
 
     Raises:
         TypeError: a source that is neither a path nor bytes, such as a file
@@ -675,10 +649,8 @@ def load_and_clean(source, columns=None):
         cols, ids, players, matches, rejected, header = _parse(stream, columns)
     report = CleaningReport()
     timelines = _timelines(_repair(cols, ids, matches, report), ids, players, matches)
-    for line, reason, match_id in rejected:
-        report.rejected_rows.append((line, reason))
-        if match_id:
-            report.bump(report.rejected_by_match, match_id)
+    report.rejected_rows.extend((line, reason) for line, reason, _ in rejected)
+    report.rejected_ids.extend(match_id for _, _, match_id in rejected if match_id)
     report.defaulted_columns.extend(source for source, _, _, absent in FIELDS.values()
                                     if absent is not None and source not in header)
     return timelines, report

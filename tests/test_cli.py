@@ -706,7 +706,7 @@ def test_each_analysis_returns_the_payload_its_artifact_holds(fixture_bundle):
     report's inputs, its default config and its seed 11."""
     config = cli.load_config(None)
     timelines, cleaning = ingest.load_and_clean(FIXTURE)
-    match = cli._select_match(timelines, config["holdout"], cleaning.rejected_by_match)
+    match = cli._select_match(timelines, config["holdout"], cleaning.rejected_ids)
     params = momentum.MomentumParams(**config["momentum"])
     random = config["random"]
     calls = {

@@ -246,9 +246,7 @@ def test_cleaning_reports_merge_counts_and_lists():
     second.bump(second.mode_imputations, "server")
     second.defaulted_columns.extend(["speed_mph", "rally_count"])  # each column listed once
     second.rejected_rows.append((9, "unparseable point_no"))
-    first.bump(first.rejected_by_match, "m1")
-    second.bump(second.rejected_by_match, "m1")
-    second.bump(second.rejected_by_match, "m2")
+    second.rejected_ids.append("m1")  # only a row rejected for its point_no has an id
     first.merge(second)
     totals = first.to_dict()["totals"]
     assert first.ad_replacements == {"p1_score": 3}
@@ -256,8 +254,8 @@ def test_cleaning_reports_merge_counts_and_lists():
     assert first.defaulted_columns == ["speed_mph", "rally_count"]
     assert first.rejected_rows == [(3, "missing match_id"), (9, "unparseable point_no")]
     assert totals["ad_replacements"] == 3 and totals["rejected_rows"] == 2
-    assert first.rejected_by_match == {"m1": 2, "m2": 1}
-    assert "rejected_by_match" not in first.to_dict()  # the written report stays as it was
+    assert first.rejected_ids == ["m1"]
+    assert "rejected_ids" not in first.to_dict()  # the written report stays as it was
 
 
 def test_unforced_error_ratio():

@@ -282,65 +282,16 @@ def test_nonfinite_tokens_are_missing_values():
     assert all(np.isfinite(tl.columns["p1_distance_run"]).all() for tl in timelines)
 
 
-# Float cells that float() reads, around the number or in it, and cells it refuses
-READABLE_FLOATS = (" 1.5 ", "1_0", "\u0661\u0662", "infinity", "-nan", "1e309")
-UNREADABLE_FLOATS = ("", "n/a")
-
-
-def test_a_batch_of_float_cells_converts_in_one_call_as_the_oracle_reads_it(monkeypatch):
-    """Damaged distance and speed cells in one parse batch of clean matches, past the memo trial.
-
-    The distance cells are mostly distinct, so their memos stop paying once
-    judged, after MEMO_TRIAL cells, and each later batch goes to _floats.  The
-    damaged batch is the second of those, with a batch after it.
-    p1_distance_run gets only cells float() reads, so its batch converts in
-    one call; p2_distance_run gets the blank and unparseable cells too, so its
-    batch converts cell by cell.  speed_mph, whose memo still pays, reads the
-    same cells through its memo.
-    """
-    batch = ingest.PARSE_BATCH
-    damaged = ingest.MEMO_TRIAL // batch + 1  # batches 0 .. damaged - 2 fill the memo trial
-    rows = simulated_rows((damaged + 1) * batch + 1)
-    assert len(rows) > (damaged + 1) * batch
-    col = {name: i for i, name in enumerate(COLUMNS)}
-    chosen = rows[damaged * batch:(damaged + 1) * batch]
-    tokens = READABLE_FLOATS + UNREADABLE_FLOATS
-    for k, row in enumerate(chosen[::5]):
-        row[col["p1_distance_run"]] = READABLE_FLOATS[k % len(READABLE_FLOATS)]
-        row[col["speed_mph"]] = READABLE_FLOATS[(k + 3) % len(READABLE_FLOATS)]
-        row[col["p2_distance_run"]] = tokens[k % len(tokens)]
-    calls, floats = [], ingest._floats
-
-    def spy(cells):
-        calls.append(list(cells))
-        return floats(cells)
-
-    monkeypatch.setattr(ingest, "_floats", spy)
-    report = assert_matches_oracle(to_csv(COLUMNS, rows))
-    for name in ("p1_distance_run", "speed_mph", "p2_distance_run"):
-        cells = [row[col[name]] for row in chosen]
-        # the distance memos had stopped paying before the damaged batch
-        assert (cells in calls) == (name != "speed_mph"), name
-        if name == "p2_distance_run":  # float() refuses a cell: the batch goes cell by cell
-            with pytest.raises(ValueError):
-                np.array(cells, dtype=np.float64)
-        else:  # float() reads every cell: the batch converts in one call
-            np.array(cells, dtype=np.float64)
-        missing = sum(cell in ("infinity", "-nan", "1e309", *UNREADABLE_FLOATS) for cell in cells)
-        assert report["mean_imputations"][name] == missing > 0
-    for k in range(damaged - 1):  # the memo's trial
-        assert [row[col["p1_distance_run"]] for row in rows[k * batch:(k + 1) * batch]] not in calls
-
-
 def test_a_memo_is_judged_after_its_trial_and_keeps_paying_where_cells_repeat_across_matches():
     """point_no-like cells (1..180 over and over) are mostly distinct within one batch but
     repeat across many: the memo keeps them.  Distinct cells drop the memo once judged."""
     batch = ingest.PARSE_BATCH
     for cells, pays in (([str(1 + i % 180) for i in range(ingest.MEMO_TRIAL + 2 * batch)], True),
                         ([str(i) for i in range(ingest.MEMO_TRIAL + 2 * batch)], False)):
-        memo = ingest._Cells(ingest._to_int, np.int64)
-        got = [memo.convert_all(cells[a:a + batch]) for a in range(0, len(cells), batch)]
-        assert np.concatenate(got).tolist() == list(map(int, cells))
+        memo = ingest._Cells(ingest._to_int)
+        got = [value for a in range(0, len(cells), batch)
+               for value in memo.convert_all(cells[a:a + batch])]
+        assert got == list(map(int, cells))
         assert memo.pays == pays and len(memo) == (180 if pays else 0)
 
 
@@ -643,20 +594,15 @@ def test_write_csv_one_column_tables_and_unformattable_values(tmp_path):
         ingest._write_groups(path, ["f"], [infinite], ingest._format_float)
 
 
-def simulated_rows(n_rows) -> list:
-    """The cells of whole simulated matches, from the first match on, until n_rows or more."""
+@functools.cache
+def simulated_csv(n_rows=20_000) -> bytes:
+    """Whole simulated matches until n_rows rows or more (20k: 1.96 MB of CSV)."""
     rows, k = [], 0
     while len(rows) < n_rows:
         match = simulate_match(f"mem-{k:03d}", (f"A{k}", f"B{k}"), 9000 + k)
         rows.extend([str(row[c]) for c in COLUMNS] for row in match)
         k += 1
-    return rows
-
-
-@functools.cache
-def simulated_csv(n_rows=20_000) -> bytes:
-    """About n_rows simulated rows (20k: 1.96 MB of CSV)."""
-    return to_csv(COLUMNS, simulated_rows(n_rows)).encode()
+    return to_csv(COLUMNS, rows).encode()
 
 
 def test_parsing_streams_in_blocks_within_a_memory_bound():
@@ -691,7 +637,7 @@ def test_the_parse_holds_its_blocks_and_one_batch_of_text():
     its 36 cell strings take about 1.95 KB, and 2.5 KB a row is allowed.  The
     text columns, the memos that pay, the match codes and sort order and the
     repairs' masks hold about 109 bytes a point at their peak (measured with
-    8-row batches), and 120 are allowed.  The peak is about 3.04 MB against a
+    8-row batches), and 120 are allowed.  The peak is about 3.07 MB against a
     bound of 3.56 MB; with 1024-row batches it is about 4.5 MB.
     """
     data = simulated_csv(7_500)
