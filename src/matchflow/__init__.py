@@ -8,6 +8,8 @@ scalograms.  The ``matchflow`` CLI wires the pieces together.
 The names imported below are the public API.  Four analyses return the JSON
 payload their artifact holds, as a dict whose keys matchflow.schemas states:
 estimate_serve_win_posterior, consistency, randomness_test, scalogram_export.
+momentum_from_victors and momentum_series return momentum's arrays as a dict,
+and a ResponseModel scores a mapping of feature columns, one score per row.
 """
 
 from .ahp import (
@@ -35,13 +37,7 @@ from .ingest import (
 )
 from .labels import LabelSet, estimate_serve_win_posterior, label_points
 from .metrics import ConfusionCounts, RocCurve, confusion, metrics_table, roc_auc, summary_metrics
-from .momentum import (
-    MomentumParams,
-    MomentumSeries,
-    find_swings,
-    momentum_from_victors,
-    momentum_series,
-)
+from .momentum import MomentumParams, find_swings, momentum_from_victors, momentum_series
 from .sweep import ResponseModel, SweepResult, SweepSpec, fit_response_model, sweep_grid
 from .trend import (
     SurfaceFit,

@@ -317,7 +317,8 @@ def _select_match(timelines, wanted, rejected_ids, fallback=False):
     Two or more ids that end with `wanted`, and none equal to it, are a ConfigError.
     rejected_ids holds the match id of each row rejected at ingest for its
     point_no; a wanted match with no usable row but some rejected is a
-    SchemaError that counts them.
+    SchemaError that counts them.  Only a `wanted` that no row of the inputs
+    names takes the first match under `fallback`; otherwise it is a ConfigError.
     """
     if wanted is None:
         return timelines[0]
@@ -326,12 +327,12 @@ def _select_match(timelines, wanted, rejected_ids, fallback=False):
         raise ConfigError(f"match id suffix {wanted!r} fits more than one match: {fits}")
     if fits:
         return next(tl for tl in timelines if tl.match_id == fits[0])
-    if fallback:
-        return timelines[0]
     lost = _fits(dict.fromkeys(rejected_ids), wanted)
     if len(lost) == 1:
         raise SchemaError(f"match {lost[0]!r} has no usable rows: all "
                           f"{rejected_ids.count(lost[0])} of its rows were rejected at ingest")
+    if fallback:
+        return timelines[0]
     raise ConfigError(f"no match with id (or id suffix) {wanted!r} in the inputs")
 
 
@@ -364,7 +365,7 @@ class Context:
         return momentum.MomentumParams(**self.config["momentum"])
 
     @functools.cached_property
-    def series(self) -> momentum.MomentumSeries:
+    def series(self) -> dict:
         return momentum.momentum_series(self.match, self.params)
 
 
@@ -437,29 +438,29 @@ def _unit_end_points(match, unit):
 
 def _momentum(ctx, out):
     s, match = ctx.series, ctx.match
+    point_no = match.columns["point_no"]
     ingest.write_csv(
         out("momentum.csv", key="momentum_csv"),
         ["point_no", "p1_momentum", "p2_momentum", "p1_short_window", "p1_long_window",
          "p2_short_window", "p2_long_window", "streak_len", "streak_holder"],
-        [s.point_no, s.p1, s.p2, s.short_p1, s.long_p1, s.short_p2, s.long_p2, s.streak_len,
-         s.streak_holder],
+        [point_no, *s.values()],  # p1, p2, the four windows, streak_len, streak_holder
     )
     _write_json(out("momentum_swings.json"), {
         "version": 1,
         "match_id": match.match_id,
-        "swings": momentum.find_swings(s),
+        "swings": momentum.find_swings(s["p1"], point_no),
         "game_end_points": _unit_end_points(match, "game"),
         "set_end_points": _unit_end_points(match, "set"),
     })
     if ctx.plot:
         plots.line_plot_svg(
-            s.point_no,
-            {"player 1": s.p1, "player 2": s.p2},
+            point_no,
+            {"player 1": s["p1"], "player 2": s["p2"]},
             out("momentum.svg", key="momentum_plot"),
             title=f"momentum: {match.match_id}",
         )
-    print(f"momentum series for {match.match_id}: {len(s)} points")
-    print(f"p1 mean momentum {float(s.p1.mean()):.3f}")
+    print(f"momentum series for {match.match_id}: {point_no.size} points")
+    print(f"p1 mean momentum {float(s['p1'].mean()):.3f}")
 
 
 def _ahp(ctx, out):
@@ -487,11 +488,11 @@ def _ahp(ctx, out):
 
 def _trend(ctx, out):
     section = ctx.config["trend"]
-    series = ctx.series
+    p1 = ctx.series["p1"]
     won = np.column_stack([ctx.match.columns["p1_points_won"],
                            ctx.match.columns["p2_points_won"]]).astype(float)
     win_rate = won[:, 0] / np.maximum(won[:, 0] + won[:, 1], 1.0)  # player 1's share so far
-    axes = dict(zip(ctx.features.feature_names, ctx.features.values.T), momentum=series.p1)
+    axes = dict(zip(ctx.features.feature_names, ctx.features.values.T), momentum=p1)
     x, y = axes[section["x"]], axes[section["y"]]
     fit = trend.fit_poly22(x, y, win_rate, axes=(section["x"], section["y"]))
     grid_n = section["grid"]
@@ -508,8 +509,8 @@ def _trend(ctx, out):
             "surface_y": section["y"],
             "surface_z": "cumulative_win_rate",
         },
-        "cosine_similarity": trend.cosine_similarity(series.p1, win_rate),
-        "euclidean_distance": trend.euclidean_distance(series.p1, win_rate),
+        "cosine_similarity": trend.cosine_similarity(p1, win_rate),
+        "euclidean_distance": trend.euclidean_distance(p1, win_rate),
         "surface": fit.to_dict(),
     }
     _write_json(out("trend.json"), payload)
@@ -520,7 +521,7 @@ def _trend(ctx, out):
 def _random(ctx, out):
     section = ctx.config["random"]
     payload = trend.randomness_test(
-        ctx.match.victors(),
+        ctx.match.columns["point_victor"],
         params=ctx.params,
         statistic=section["statistic"],
         n_permutations=section["permutations"],
@@ -545,7 +546,7 @@ def _sweep(ctx, out):
         baseline={name: _median(table.column(name)) for name in table.feature_names},
         tolerance=section["tolerance"],
     )
-    model = sweep_mod.fit_response_model(table, ctx.series.p1, degree=section["degree"])
+    model = sweep_mod.fit_response_model(table, ctx.series["p1"], degree=section["degree"])
     result = sweep_mod.sweep_grid(model, spec)
     # one row per grid point (first indicator outermost) and context
     contexts = ("serve_first", "serve_second", "mean")
@@ -575,7 +576,7 @@ def _sweep_steps(ranges, steps) -> list:
 
 def _wavelet(ctx, out):
     section = ctx.config["wavelet"]
-    scalogram = wavelet.cwt(ctx.series.p1, wavelet.WaveletConfig(**section))
+    scalogram = wavelet.cwt(ctx.series["p1"], wavelet.WaveletConfig(**section))
     scales, times = scalogram.scales, scalogram.times
     ingest.write_csv(out("scalogram.csv", key="scalogram_csv"), ["scale", "time", "amplitude"],
                      [np.repeat(scales, times.size), np.tile(times, scales.size),

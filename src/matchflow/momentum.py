@@ -63,24 +63,6 @@ class MomentumParams:
         return short, long
 
 
-@dataclass
-class MomentumSeries:
-    """Momentum trajectories for both players plus component diagnostics."""
-
-    point_no: np.ndarray
-    p1: np.ndarray
-    p2: np.ndarray
-    short_p1: np.ndarray
-    long_p1: np.ndarray
-    short_p2: np.ndarray
-    long_p2: np.ndarray
-    streak_len: np.ndarray  # current run length ending at each point (capped)
-    streak_holder: np.ndarray  # player id of the run holder
-
-    def __len__(self):
-        return self.p1.size
-
-
 def _run_lengths(v: np.ndarray) -> np.ndarray:
     """Length of the run of equal values ending at each position (last axis)."""
     idx = np.arange(v.shape[-1])
@@ -165,17 +147,14 @@ def momentum_from_victors(victors, params: MomentumParams | None = None) -> dict
     }
 
 
-def momentum_series(timeline, params: MomentumParams | None = None) -> MomentumSeries:
-    """Momentum trajectories for both players over a cleaned MatchTimeline."""
-    arrays = momentum_from_victors(timeline.victors(), params)
-    point_no = np.array(timeline.columns["point_no"], dtype=int)
-    return MomentumSeries(point_no=point_no, **arrays)
+def momentum_series(timeline, params: MomentumParams | None = None) -> dict:
+    """momentum_from_victors of a cleaned MatchTimeline's point_victor column."""
+    return momentum_from_victors(timeline.columns["point_victor"], params)
 
 
-def find_swings(series: MomentumSeries) -> dict:
-    """Point numbers of the local maxima and minima of player 1's momentum trajectory."""
-    x = series.p1
-    mid, point_no = x[1:-1], series.point_no[1:-1]
-    maxima = (mid > x[:-2]) & (mid > x[2:])
-    minima = (mid < x[:-2]) & (mid < x[2:])
+def find_swings(p1, point_no) -> dict:
+    """Point numbers of the local maxima and minima of player 1's momentum trajectory p1."""
+    mid, point_no = p1[1:-1], point_no[1:-1]
+    maxima = (mid > p1[:-2]) & (mid > p1[2:])
+    minima = (mid < p1[:-2]) & (mid < p1[2:])
     return {"player": 1, "maxima": point_no[maxima].tolist(), "minima": point_no[minima].tolist()}

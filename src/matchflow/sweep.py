@@ -1,12 +1,14 @@
 """Grid sweeps of a momentum-response model over one or two indicators,
 contrasting serve-first and serve-second contexts.
 
-A response model is any callable taking a feature mapping and returning a
-momentum score.  sweep_grid sweeps the grid a SweepSpec names, whether it has
-one axis or two.  Sweeps never recompute momentum from raw points; they probe
-the trained response, overriding the swept indicator(s) on top of a fixed
-baseline feature vector, once with serve_indicator 1.0 (serve first) and once
-with 0.0 (serve second), so serve_indicator itself cannot be swept.
+A response model is any callable taking a mapping of feature columns and
+returning one momentum score per row, or one scalar for every row.  Sweeps
+never recompute momentum from raw points; they probe the trained response.
+sweep_grid sweeps the one- or two-axis grid a SweepSpec names in blocks of at
+most SWEEP_BLOCK cells, with one call per block and context: the baseline
+features as scalars, each swept indicator as an array of the block's
+coordinates, and serve_indicator 1.0 (serve first) or 0.0 (serve second), so
+serve_indicator itself cannot be swept.
 Crossovers are the indicator values where the two responses change order;
 each reported crossing brackets a sign change of their difference.
 ResponseModel has no serve x indicator term, so for it that difference is the
@@ -16,7 +18,7 @@ either coincide or never meet.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -25,6 +27,7 @@ import numpy as np
 from .errors import DataError
 
 MAX_GRID_CELLS = 1_000_000
+SWEEP_BLOCK = 16_384  # grid cells per model call, which bounds the columns a call holds
 SERVE_INDICATOR = "serve_indicator"  # set to 1.0 (serve first), then to 0.0 (serve second)
 DEGREES = (1, 2)  # of a response model: linear, or with squared terms
 
@@ -110,13 +113,6 @@ class SweepResult:
         }
 
 
-def _evaluate(model: Callable, spec: SweepSpec, overrides: dict, serve: float) -> float:
-    features = dict(spec.baseline)
-    features.update(overrides)
-    features[SERVE_INDICATOR] = serve
-    return float(model(features))
-
-
 def find_crossings_1d(grid, diff):
     """Sign-change crossings of a difference curve, linearly interpolated.
 
@@ -141,18 +137,23 @@ def find_crossings_1d(grid, diff):
 def sweep_grid(model: Callable, spec: SweepSpec) -> SweepResult:
     """Both contexts at every grid cell (first indicator outermost), their mean and crossings.
 
-    Contexts that agree within spec.tolerance everywhere are flagged coincident,
-    with no crossings.  Otherwise one indicator gives find_crossings_1d's
-    interpolated crossings, and two give the locus of cells whose difference
-    changes sign towards the next cell along either axis.
+    Blocks of SWEEP_BLOCK cells run in row-major order, so no column spans a
+    large grid.  Contexts that agree within spec.tolerance everywhere are
+    flagged coincident, with no crossings.  Otherwise one indicator gives
+    find_crossings_1d's interpolated crossings, and two give the locus of cells
+    whose difference changes sign towards the next cell along either axis.
     """
     grids = [spec.grid(i) for i in range(len(spec.indicators))]
     shape = tuple(grid.size for grid in grids)
-    first, second = (
-        np.array([_evaluate(model, spec, dict(zip(spec.indicators, cell)), serve)
-                  for cell in itertools.product(*grids)]).reshape(shape)
-        for serve in (1.0, 0.0)
-    )
+    cells = math.prod(shape)
+    first, second = np.empty(cells), np.empty(cells)
+    for start in range(0, cells, SWEEP_BLOCK):
+        index = np.unravel_index(np.arange(start, min(start + SWEEP_BLOCK, cells)), shape)
+        features = {**spec.baseline,
+                    **{name: grid[i] for name, grid, i in zip(spec.indicators, grids, index)}}
+        for values, serve in ((first, 1.0), (second, 0.0)):
+            values[start:start + SWEEP_BLOCK] = model({**features, SERVE_INDICATOR: serve})
+    first, second = first.reshape(shape), second.reshape(shape)
     mean = (first + second) / 2.0
     diff = first - second
     coincident = bool(np.all(np.abs(diff) < spec.tolerance))
@@ -200,15 +201,15 @@ class ResponseModel:
     mean: np.ndarray
     scale: np.ndarray
 
-    def _vector(self, features: Mapping[str, float]) -> np.ndarray:
+    def __call__(self, features: Mapping) -> np.ndarray:
+        """Scores of a mapping of scalars or equal-length arrays; one BLAS dot per row,
+        so a row's score has the same bits whatever else is scored with it."""
         try:
-            raw = np.array([float(features[name]) for name in self.feature_names])
+            columns = [np.asarray(features[name], dtype=float) for name in self.feature_names]
         except KeyError as missing:
             raise DataError(f"response model needs feature {missing.args[0]!r}") from None
-        return (raw - self.mean) / self.scale
-
-    def __call__(self, features: Mapping[str, float]) -> float:
-        return float(_terms(self._vector(features), self.degree) @ self.coef)
+        z = (np.stack(np.broadcast_arrays(*columns), axis=-1) - self.mean) / self.scale
+        return np.matmul(_terms(z, self.degree)[..., None, :], self.coef[:, None])[..., 0, 0]
 
 
 def _terms(z: np.ndarray, degree: int) -> np.ndarray:

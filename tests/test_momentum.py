@@ -184,9 +184,10 @@ def test_determinism_bitwise():
 
 def test_momentum_series_wraps_timeline():
     series = momentum_series(make_timeline(SCRIPTED_20))
-    assert len(series) == 20
-    assert series.point_no[0] == 1
-    assert np.array_equal(series.p1, momentum_from_victors(SCRIPTED_20)["p1"])
+    want = momentum_from_victors(SCRIPTED_20)
+    assert list(series) == list(want)
+    for key in want:
+        assert series[key].tobytes() == want[key].tobytes(), key
 
 
 def test_causal_flag_uses_past_points_only():
@@ -224,10 +225,9 @@ def test_victors_other_than_exactly_1_or_2_are_rejected(victors):
 
 def test_find_swings_marks_local_extrema():
     tl = make_timeline([1, 1, 1, 2, 2, 2, 1, 1, 1, 2, 2, 2, 1, 1])
-    series = momentum_series(tl)
-    swings = find_swings(series)
+    x = momentum_series(tl)["p1"]
+    swings = find_swings(x, tl.columns["point_no"])
     assert swings["player"] == 1
-    x = series.p1
     for point in swings["maxima"]:
         i = point - 1
         assert x[i] > x[i - 1] and x[i] > x[i + 1]
@@ -237,7 +237,8 @@ def test_find_swings_marks_local_extrema():
     rng = np.random.default_rng(5)
     for victors in ([1], [1, 2], [2, 1, 2], SCRIPTED_20, rng.integers(1, 3, 60).tolist()):
         for causal in (False, True):
-            series = momentum_series(make_timeline(victors), MomentumParams(causal=causal))
-            swings = find_swings(series)
-            assert (swings["maxima"], swings["minima"]) == swings_oracle(series.point_no,
-                                                                         series.p1)
+            tl = make_timeline(victors)
+            p1 = momentum_series(tl, MomentumParams(causal=causal))["p1"]
+            swings = find_swings(p1, tl.columns["point_no"])
+            assert (swings["maxima"], swings["minima"]) == swings_oracle(tl.columns["point_no"],
+                                                                         p1)

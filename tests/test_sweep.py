@@ -1,13 +1,18 @@
+import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from matchflow import ingest, momentum, sweep
 from matchflow.errors import DataError
 from matchflow.ingest import FeatureTable
 from matchflow.sweep import MAX_GRID_CELLS, SweepSpec, fit_response_model, sweep_grid
 
 from util import sweep_oracle
+
+FIXTURE = Path(__file__).resolve().parents[1] / "data" / "fixture_matches.csv"
 
 
 def crossover_model(features):
@@ -158,9 +163,7 @@ def test_2d_identical_surfaces_flagged_coincident():
     assert result.crossovers == []
 
 
-def test_minimal_2x2_grid_matches_direct_calls():
-    calls = []
-
+def test_minimal_2x2_grid_matches_direct_calls(monkeypatch):
     def model(features):
         calls.append(dict(features))
         return features["a"] * 10.0 + features["b"] + features["serve_indicator"] * 0.5
@@ -171,14 +174,24 @@ def test_minimal_2x2_grid_matches_direct_calls():
         steps=(1.0, 1.0),
         baseline={"a": 0.0, "b": 0.0, "extra": 3.0},
     )
-    result = sweep_grid(model, spec)
-    assert result.serve_first.shape == (2, 2)
-    assert len(calls) == 8  # 4 cells x 2 contexts
-    for i, va in enumerate((0.0, 1.0)):
-        for j, vb in enumerate((0.0, 1.0)):
-            assert result.serve_first[i, j] == va * 10.0 + vb + 0.5
-            assert result.serve_second[i, j] == va * 10.0 + vb
-    assert all(call["extra"] == 3.0 for call in calls)
+    # row-major cells, "a" outermost
+    cells = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+    for block in (sweep.SWEEP_BLOCK, 3):
+        monkeypatch.setattr(sweep, "SWEEP_BLOCK", block)
+        calls = []
+        result = sweep_grid(model, spec)
+        assert result.serve_first.shape == (2, 2)
+        assert len(calls) == 2 * math.ceil(len(cells) / block)  # both contexts per block
+        blocks = [cells[start:start + block] for start in range(0, len(cells), block)]
+        for k, call in enumerate(calls):  # serve first, then serve second, for each block
+            a, b = zip(*blocks[k // 2])
+            assert call["a"].tolist() == list(a) and call["b"].tolist() == list(b)
+            assert call["serve_indicator"] == (1.0 if k % 2 == 0 else 0.0)
+            assert call["extra"] == 3.0
+        for i, va in enumerate((0.0, 1.0)):
+            for j, vb in enumerate((0.0, 1.0)):
+                assert result.serve_first[i, j] == va * 10.0 + vb + 0.5
+                assert result.serve_second[i, j] == va * 10.0 + vb
 
 
 def test_response_model_fits_linear_map():
@@ -224,11 +237,19 @@ def serve_gap(gap):
 STEPS = (-1.0, -1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0)  # zero runs, one crossing
 
 
-@pytest.mark.parametrize("model,spec", [
+def fitted_model():
+    """A degree-2 ResponseModel over a, b and serve_indicator."""
+    x = np.random.default_rng(2).normal(size=(50, 3))
+    target = 0.5 + 0.1 * x[:, 0] - 0.2 * x[:, 1] ** 2 + 0.05 * x[:, 2]
+    return fit_response_model(FeatureTable("t", ["a", "b", "serve_indicator"], x), target)
+
+
+ORACLE_CASES = [
     # interpolated crossings of a sine
     (serve_gap(lambda f: 0.05 * np.sin(60.0 * f["psych"])), spec_1d(steps=(0.005,))),
     # runs of exact zeros on an integer grid, one between opposite signs
-    (serve_gap(lambda f: STEPS[int(f["psych"])]), spec_1d(ranges=((0.0, 10.0),), steps=(1.0,))),
+    (serve_gap(lambda f: np.asarray(STEPS)[np.asarray(f["psych"]).astype(int)]),
+     spec_1d(ranges=((0.0, 10.0),), steps=(1.0,))),
     # a tangent touch at 5
     (serve_gap(lambda f: (f["psych"] - 5.0) ** 2),
      spec_1d(ranges=((0.0, 10.0),), steps=(1.0,), tolerance=1e-9)),
@@ -241,8 +262,21 @@ STEPS = (-1.0, -1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0)  # zero runs,
      SweepSpec(indicators=("a", "b"), ranges=((0.0, 6.0), (0.0, 2.0)), steps=(1.0, 0.5),
                baseline={"a": 0.0, "b": 0.0})),
     (lambda f: f["a"] * f["b"], sep_2d_spec()),  # coincident surfaces
-], ids=["sine", "zero-runs", "tangent", "coincident", "2d-7x5", "2d-7x5-zeros", "2d-coincident"])
-def test_sweep_equals_the_oracle_exactly(model, spec):
+    # a fitted model scores a block's columns with the bits it gives each cell alone
+    (fitted_model(), SweepSpec(indicators=("a", "b"), ranges=((-1.5, 1.5), (-1.0, 1.0)),
+                               steps=(0.5, 0.5), baseline={"a": 0.0, "b": 0.0})),
+]
+ORACLE_IDS = ["sine", "zero-runs", "tangent", "coincident", "2d-7x5", "2d-7x5-zeros",
+              "2d-coincident", "response-model"]
+
+
+# each case whole in one block, then cut into blocks of 4 cells, mid-row on the 7 x 5 grids
+@pytest.mark.parametrize("model,spec,block",
+                         [(*case, sweep.SWEEP_BLOCK) for case in ORACLE_CASES]
+                         + [(*case, 4) for case in ORACLE_CASES],
+                         ids=ORACLE_IDS + [f"{name}-block-4" for name in ORACLE_IDS])
+def test_sweep_equals_the_oracle_exactly(monkeypatch, model, spec, block):
+    monkeypatch.setattr(sweep, "SWEEP_BLOCK", block)
     result = sweep_grid(model, spec)
     grids, first, second, mean, crossovers, coincident, argmax_mean = sweep_oracle(model, spec)
     assert result.indicators == spec.indicators
@@ -272,3 +306,26 @@ def test_grid_sizes_are_checked_before_any_grid_is_built():
 def test_grid_cell_budget_applies_to_one_indicator():
     with pytest.raises(DataError, match="exceeds"):
         spec_1d(ranges=((0.0, 1.0),), steps=(1.0 / (MAX_GRID_CELLS + 10),))
+
+
+def test_the_largest_grid_is_swept_in_blocks():
+    """The fixture's response model over a 1,000 x 1,000 grid, the most cells a spec allows."""
+    timelines, _ = ingest.load_and_clean(FIXTURE)
+    match = next(tl for tl in timelines if tl.match_id.endswith("1701"))
+    table = ingest.derive_features(match)
+    p1 = momentum.momentum_from_victors(match.columns["point_victor"])["p1"]
+    model = fit_response_model(table, p1, degree=2)
+    spec = SweepSpec(indicators=("psychological_factor", "score_diff"),
+                     ranges=((0.0, 0.999), (-5.0, 4.99)), steps=(0.001, 0.01),
+                     baseline={name: float(np.median(table.column(name)))
+                               for name in table.feature_names})
+    tracemalloc.start()
+    try:
+        result = sweep_grid(model, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.mean.shape == (1000, 1000)
+    # blocks peak near 42 MB here (2-core x86 VM, numpy 2.4), and one call on the whole
+    # grid's columns near 384 MB
+    assert peak <= 46.2e6

@@ -9,8 +9,10 @@ command's stdout and exit code.  The bundled fixture has 239 data rows, within
 one parse batch, so MULTI_COMMANDS also run, under the default config, on
 ``multi.csv`` (``multi_match_csv``): 1,644 simulated rows over several
 batches, with a few damaged cells, listed as ``multi-match/command/file``.
-Two trees write the same bytes for these commands when their listings are
-equal:
+Last, BLOCKS_COMMAND runs under BLOCKS_CONFIG, whose 201 x 201 sweep grid
+spans several of the sweep's model-call blocks (``sweep.SWEEP_BLOCK``), listed
+as ``sweep-blocks/command/file``.  Two trees write the same bytes for these
+commands when their listings are equal:
 
     python tools/digest_outputs.py old/src > old.txt
     python tools/digest_outputs.py src > new.txt
@@ -55,6 +57,9 @@ CONFIGS = {
 WEIGHTS = (8.0, 4.0, 4.0, 2.0, 1.0)
 MATRIX_CSV = "".join(",".join(repr(wi / wj) for wj in WEIGHTS) + "\n" for wi in WEIGHTS)
 MULTI_COMMANDS = ["clean", "train-eval --seed 3"]
+BLOCKS_COMMAND = "analyze sweep"
+BLOCKS_CONFIG = {"sweep": {"indicators": ["psychological_factor", "score_diff"],
+                           "ranges": [[0.0, 1.0], [-5.0, 5.0]], "steps": [0.005, 0.05]}}
 # cells that float() reads (around the number or in it) or refuses
 DAMAGE = ("", "n/a", " 1.5 ", "1_0", "1e309", "-nan", "infinity", "AD")
 DAMAGED_COLUMNS = ("p1_distance_run", "p2_distance_run", "speed_mph", "rally_count", "p1_score")
@@ -111,6 +116,7 @@ def main(src: str) -> None:
     multi = multi_match_csv()
     for command in MULTI_COMMANDS:
         run_listing(env, "multi-match", command, {}, "multi.csv", multi)
+    run_listing(env, "sweep-blocks", BLOCKS_COMMAND, BLOCKS_CONFIG, FIXTURE)
 
 
 if __name__ == "__main__":
