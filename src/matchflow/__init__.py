@@ -23,7 +23,6 @@ from .classifier import (
     SoftmaxModel,
     TrainConfig,
     nll_and_grad,
-    softmax,
     train,
     train_test_split,
 )

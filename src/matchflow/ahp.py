@@ -163,39 +163,47 @@ class RoundScores:
     ranking: np.ndarray
 
 
-def minmax_normalize(columns: np.ndarray) -> np.ndarray:
+def _reject_columns(ok, names, problem):
+    """Raise DataError for the first column that is not ok, named by names or by its index."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise DataError(f"indicator {names[bad[0]] if names else f'column {bad[0]}'} {problem}")
+
+
+def minmax_normalize(columns: np.ndarray, names=None) -> np.ndarray:
     """Column-wise min-max scaling to [0,1]; constant columns map to 0.5."""
     x = np.asarray(columns, dtype=float)
     lo = x.min(axis=0)
-    span = x.max(axis=0) - lo
+    with np.errstate(over="ignore"):  # an overflowing span is named before any scaling
+        span = x.max(axis=0) - lo
+    _reject_columns(np.isfinite(span), names, "has a span too large to scale")
     constant = span == 0
     return np.where(constant, 0.5, (x - lo) / np.where(constant, 1.0, span))
 
 
-def score_rounds(indicators, w) -> RoundScores:
+def score_rounds(indicators, w, names=None) -> RoundScores:
     """Score rounds by the weighted sum of min-max scaled indicator columns and rank them.
 
     Args:
         indicators: (rounds x indicators) matrix of finite values; each
             column is scaled to [0,1] before weighting.
         w: indicator weights summing to 1.
+        names: the indicators' names for errors; by default their column index.
 
     Raises:
-        DataError: a non-finite indicator (naming its column), a shape
-            mismatch, or weights that do not sum to 1.
+        DataError: an indicator that is not finite or whose span overflows
+            (naming it), a shape mismatch, or weights that do not sum to 1.
     """
     x = np.asarray(indicators, dtype=float)
     if x.ndim != 2:
         raise DataError("indicator matrix must be 2-dimensional")
-    bad_columns = np.flatnonzero(~np.all(np.isfinite(x), axis=0))
-    if bad_columns.size:
-        raise DataError(f"indicator column {int(bad_columns[0])} holds a non-finite value")
+    _reject_columns(np.all(np.isfinite(x), axis=0), names, "holds a non-finite value")
     w = np.asarray(w, dtype=float)
     if w.size != x.shape[1]:
         raise DataError("one weight per indicator column is required")
     if abs(w.sum() - 1.0) > 1e-9:
         raise DataError("weights must sum to 1")
-    scores = minmax_normalize(x) @ w
+    scores = minmax_normalize(x, names) @ w
     total = scores.sum()
     standardized = scores / total if total != 0 else np.zeros_like(scores)
     distinct, position = np.unique(scores, return_inverse=True)  # ascending

@@ -20,8 +20,8 @@ tolerance, and the model reports the separation instead of convergence.
 The loss kernel works on the (n, K-1) scores design @ coef.T column by column,
 in place: a running row maximum that counts the reference class's zero, one
 exp, a left-to-right row sum and a divide.  It never stacks the (n, K) score
-matrix, and softmax and the separation check share its column steps, so the
-probabilities of the loss and of predict_proba agree bit for bit.
+matrix, and predict_proba and the separation check share its column steps,
+so the probabilities of the loss and of predict_proba agree bit for bit.
 
 The fit holds one copy of the feature matrix: train drops its references to
 the features once it has built the standardized design.  A caller that hands
@@ -42,32 +42,23 @@ from .errors import DataError
 MAX_BACKTRACKS = 60
 
 
-def softmax(scores):
-    """Row-wise softmax of a score matrix (n, K), by the column kernel _exp_columns."""
-    proba = np.array(scores, dtype=float)  # a copy: the kernel works in place
-    _, total = _exp_columns(proba)
-    for column in proba.T:
-        np.divide(column, total, out=column)
-    return proba
-
-
-def _row_max(scores, ref=None):
+def _row_max(scores, ref):
     """Row maxima (n,) of the columns of scores (n, m) and of ref, a score or (n,) scores."""
     top = scores[:, 0].copy()
     for column in scores.T[1:]:
         np.maximum(top, column, out=top)
-    return top if ref is None else np.maximum(top, ref, out=top)
+    return np.maximum(top, ref, out=top)
 
 
-def _exp_columns(scores, ref=None):
+def _exp_columns(scores, ref):
     """Exponentiate the columns of scores (n, m) in place, shifted by each row's maximum.
 
-    ref, when given, is the score (a scalar or (n,) array) of one more class,
-    the reference class, which scores does not hold.  Returns (top, total):
-    the row maxima and the row sums of the exponentials, ref's last.  The sums
-    add the columns left to right, as numpy's sum(axis=1) adds fewer than
-    eight columns, so the kernel gives the bits of the (n, K) reductions on a
-    stacked score matrix without stacking it.
+    ref is the score (a scalar or (n,) array) of one more class, the
+    reference class, which scores does not hold.  Returns (top, total, e):
+    the row maxima, the row sums of the exponentials, ref's last, and ref's
+    (n,) exponentials.  The sums add the columns left to right, as numpy's
+    sum(axis=1) adds fewer than eight columns, so the kernel gives the bits
+    of the (n, K) reductions on a stacked score matrix without stacking it.
     """
     top = _row_max(scores, ref)
     for column in scores.T:
@@ -76,10 +67,9 @@ def _exp_columns(scores, ref=None):
     total = scores[:, 0].copy()
     for column in scores.T[1:]:
         total += column
-    if ref is not None:
-        e = np.subtract(ref, top)
-        total += np.exp(e, out=e)
-    return top, total
+    e = np.subtract(ref, top)
+    total += np.exp(e, out=e)
+    return top, total, e
 
 
 def _own_scores(scores, y):
@@ -153,8 +143,13 @@ class SoftmaxModel:
         return design
 
     def predict_proba(self, rows):
-        """(n, K) class probabilities of an (n, p) feature matrix; each row sums to one."""
-        return softmax(_scores(self.coef, self._design(rows)))
+        """(n, K) class probabilities of an (n, p) feature matrix, by nll_and_grad's kernel."""
+        scores = self._design(rows) @ self.coef.T
+        _, total, ref = _exp_columns(scores, 0.0)
+        proba = np.empty((scores.shape[0], scores.shape[1] + 1))
+        np.divide(scores, total[:, None], out=proba[:, :-1])
+        np.divide(ref, total, out=proba[:, -1])
+        return proba
 
     def predict(self, rows):
         """(n,) most probable class levels of an (n, p) feature matrix.
@@ -180,11 +175,6 @@ class SoftmaxModel:
         }
 
 
-def _scores(coef, design):
-    """Class scores (n, K): one column per coefficient row, then the reference class's zero."""
-    return np.hstack([design @ coef.T, np.zeros((design.shape[0], 1))])
-
-
 def nll_and_grad(coef, design, y, n_classes, l2_penalty=0.0):
     """(loss, grad, proba): the mean negative log-likelihood, its gradient w.r.t.
     the coefficients, and the probabilities they came from.
@@ -193,17 +183,16 @@ def nll_and_grad(coef, design, y, n_classes, l2_penalty=0.0):
     first, y holds class levels in [0, K), n_classes is K.  The L2 penalty
     skips intercepts.
     proba is the (n, K-1) probabilities of the non-reference classes at coef,
-    bit for bit softmax(_scores(coef, design))[:, :-1].  The scores design @
-    coef.T turn into proba in place, one column at a time, and the reference
+    bit for bit the first K-1 columns predict_proba gives.  The scores design
+    @ coef.T turn into proba in place, one column at a time, and the reference
     class's zero score is never stored.
     """
     n = design.shape[0]
     proba = design @ coef.T
     own = _own_scores(proba, y)  # read before the kernel overwrites the scores
-    top, total = _exp_columns(proba, 0.0)
+    top, total, _ = _exp_columns(proba, 0.0)
     loss = float(np.mean(np.log(total) + top - own))
-    for column in proba.T:
-        np.divide(column, total, out=column)
+    np.divide(proba, total[:, None], out=proba)
     delta = proba.copy()
     for level, column in enumerate(delta.T):
         column[y == level] -= 1.0

@@ -471,7 +471,7 @@ def _ahp(ctx, out):
 
     scoring_weights = ahp_mod.weights(matrix, method=section["method"])
     result = ahp_mod.consistency(matrix)
-    rounds = ahp_mod.score_rounds(columns, scoring_weights)
+    rounds = ahp_mod.score_rounds(columns, scoring_weights, indicator_names)
     payload = {
         "version": 1,
         "indicators": list(indicator_names),
@@ -496,8 +496,8 @@ def _trend(ctx, out):
     x, y = axes[section["x"]], axes[section["y"]]
     fit = trend.fit_poly22(x, y, win_rate, axes=(section["x"], section["y"]))
     grid_n = section["grid"]
-    gx = np.repeat(np.linspace(float(x.min()), float(x.max()), grid_n), grid_n)
-    gy = np.tile(np.linspace(float(y.min()), float(y.max()), grid_n), grid_n)
+    gx, gy = _product(np.linspace(float(x.min()), float(x.max()), grid_n),
+                      np.linspace(float(y.min()), float(y.max()), grid_n))
     ingest.write_csv(out("trend_surface.csv"), [section["x"], section["y"], "fitted_win_rate"],
                      [gx, gy, fit.predict(gx, gy)])
 
@@ -534,6 +534,8 @@ def _random(ctx, out):
 
 def _sweep(ctx, out):
     section, table = ctx.config["sweep"], ctx.features
+    # first, so a column too spread to scale fails here before its median can overflow
+    model = sweep_mod.fit_response_model(table, ctx.series["p1"], degree=section["degree"])
     ranges = []
     for i, name in enumerate(section["indicators"]):
         column = table.column(name)
@@ -546,18 +548,20 @@ def _sweep(ctx, out):
         baseline={name: _median(table.column(name)) for name in table.feature_names},
         tolerance=section["tolerance"],
     )
-    model = sweep_mod.fit_response_model(table, ctx.series["p1"], degree=section["degree"])
     result = sweep_mod.sweep_grid(model, spec)
     # one row per grid point (first indicator outermost) and context
-    contexts = ("serve_first", "serve_second", "mean")
+    contexts = np.array(["serve_first", "serve_second", "mean"], dtype=object)
     ingest.write_csv(out("sweep.csv", key="sweep_csv"), [*spec.indicators, "context", "momentum"],
-                     [*(np.repeat(grid.ravel(), len(contexts))
-                        for grid in np.meshgrid(*result.grids, indexing="ij")),
-                      np.tile(contexts, result.mean.size),
+                     [*_product(*result.grids, contexts),
                       np.stack([getattr(result, c) for c in contexts], axis=-1).ravel()])
     payload = result.to_dict()
     _write_json(out("sweep.json"), payload)
     print(f"crossovers: {payload['crossovers']}")
+
+
+def _product(*axes) -> list:
+    """One column per axis over every combination of the axes' values, first axis outermost."""
+    return [grid.ravel() for grid in np.meshgrid(*axes, indexing="ij")]
 
 
 def _median(values) -> float:
@@ -577,10 +581,8 @@ def _sweep_steps(ranges, steps) -> list:
 def _wavelet(ctx, out):
     section = ctx.config["wavelet"]
     scalogram = wavelet.cwt(ctx.series["p1"], wavelet.WaveletConfig(**section))
-    scales, times = scalogram.scales, scalogram.times
     ingest.write_csv(out("scalogram.csv", key="scalogram_csv"), ["scale", "time", "amplitude"],
-                     [np.repeat(scales, times.size), np.tile(times, scales.size),
-                      scalogram.amplitude.ravel()])
+                     [*_product(scalogram.scales, scalogram.times), scalogram.amplitude.ravel()])
     payload = {**wavelet.scalogram_export(scalogram), "config": section}
     _write_json(out("scalogram.json"), payload)
     if ctx.plot:

@@ -174,3 +174,15 @@ def test_non_finite_indicator_is_rejected_by_column():
     indicators[2, 2] = np.inf
     with pytest.raises(DataError, match="indicator column 2"):
         ahp.score_rounds(indicators, w)
+
+
+def test_an_indicator_whose_span_overflows_is_rejected_by_name():
+    # every cell is finite, but max - min is not: no column is scaled
+    indicators = np.array([[0.1, -1.7e308], [0.4, 1.7e308], [0.7, 0.0]])
+    w = np.array([0.5, 0.5])
+    with pytest.raises(DataError, match="indicator column 1 has a span too large to scale"):
+        ahp.score_rounds(indicators, w)
+    with pytest.raises(DataError, match="indicator b has a span too large to scale"):
+        ahp.score_rounds(indicators, w, ["a", "b"])
+    indicators[:2, 1] = -7e307, 1e308  # a span of 1.7e308 still scales
+    assert np.array_equal(ahp.minmax_normalize(indicators), minmax_oracle(indicators))

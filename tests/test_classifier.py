@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from matchflow import classifier, cli
-from matchflow.classifier import SoftmaxModel, TrainConfig, nll_and_grad, softmax, train
+from matchflow.classifier import SoftmaxModel, TrainConfig, nll_and_grad, train
 from matchflow.errors import DataError
 from matchflow.ingest import FeatureTable
 
@@ -16,6 +16,8 @@ from util import (
     nll_and_grad_oracle,
     separates_oracle,
     split_oracle,
+    stacked_proba_oracle,
+    stacked_scores_oracle,
     standardized_design,
 )
 
@@ -160,14 +162,6 @@ def test_probability_simplex_property():
         assert np.allclose(proba.sum(axis=1), 1.0, atol=1e-9)
 
 
-def test_softmax_shift_invariance():
-    # adding one constant to every class score of a sample cannot move it
-    rng = np.random.default_rng(4)
-    scores = rng.normal(size=(6, 4))
-    shift = rng.normal(size=(6, 1))
-    assert np.allclose(softmax(scores), softmax(scores + shift), atol=1e-12)
-
-
 def test_dimension_mismatch_raises():
     table, y = separable_fixture()
     model = train(table, y, TrainConfig(max_iters=10))
@@ -252,7 +246,7 @@ def test_hessian_matches_central_differences_of_the_gradient(l2_penalty):
         design = np.hstack([np.ones((30, 1)), rng.normal(size=(30, 3))])
         y = rng.integers(0, 4, size=30)
         coef = rng.normal(scale=0.7, size=(3, 4))
-        proba = softmax(classifier._scores(coef, design))[:, :-1]
+        proba = stacked_proba_oracle(coef, design)[:, :-1]
         hess = classifier._hessian(proba, design, l2_penalty)
         fd = np.zeros_like(hess)
         h = 1e-5
@@ -274,7 +268,7 @@ def test_the_loss_returns_the_probabilities_softmax_gives_bit_for_bit():
         y = rng.integers(0, k, size=n)
         coef = rng.normal(scale=2.0, size=(k - 1, 5))
         _, _, proba = nll_and_grad(coef, design, y, k, l2_penalty)
-        assert np.array_equal(proba, softmax(classifier._scores(coef, design))[:, :-1])
+        assert np.array_equal(proba, stacked_proba_oracle(coef, design)[:, :-1])
         assert proba.shape == (n, k - 1)
 
 
@@ -294,9 +288,26 @@ def test_the_column_kernel_matches_the_stacked_score_oracle_bit_for_bit(n, k):
             assert np.array_equal(grad.view(np.uint64), want_grad.view(np.uint64))
             assert np.array_equal(proba.view(np.uint64), want_proba.view(np.uint64))
         # each row labelled with its top class, then one row relabelled
-        own_first = np.argmax(classifier._scores(coef, design), axis=1)
+        own_first = np.argmax(stacked_scores_oracle(coef, design), axis=1)
         for labels in (y, own_first, np.where(np.arange(n) == n // 2, (own_first + 1) % k, own_first)):
             assert classifier._separates(coef, design, labels) == separates_oracle(coef, design, labels)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 7, 97, 200, 1000, 9000])
+def test_predict_proba_matches_the_stacked_softmax_oracle_bit_for_bit(n, k):
+    # every column, the reference class's included, on the grid of the kernel test above
+    rng = np.random.default_rng(1000 * n + k)
+    rows = rng.normal(size=(n, 10))
+    design = np.hstack([np.ones((n, 1)), rows])  # zero mean, unit std: the model's own design
+    for coef in (np.zeros((k - 1, 11)), rng.normal(scale=0.3, size=(k - 1, 11)),
+                 rng.normal(scale=4.0, size=(k - 1, 11))):
+        model = SoftmaxModel(tuple(range(k)), coef, [f"f{j}" for j in range(10)],
+                             np.zeros(10), np.ones(10))
+        proba = model.predict_proba(rows)
+        assert proba.shape == (n, k)
+        assert np.array_equal(proba.view(np.uint64),
+                              stacked_proba_oracle(coef, design).view(np.uint64))
 
 
 def test_newton_converges_below_the_gradient_descent_loss():

@@ -20,6 +20,9 @@ from matchflow.wavelet import WaveletConfig
 
 from util import make_timeline, timeline_to_csv
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import fuzz  # noqa: E402
+
 FIXTURE = Path(__file__).resolve().parents[1] / "data" / "fixture_matches.csv"
 
 # a_ij = w_i / w_j over five indicators: a perfectly consistent judgment matrix
@@ -897,42 +900,64 @@ def test_a_failing_feature_table_is_derived_once(tmp_path, monkeypatch):
 
 
 SPREAD = "feature distance_run_diff has a spread too large to scale"
+SPAN = "indicator distance_run_diff has a span too large to scale"
 TREND_X = {"trend": {"x": "distance_run_diff"}}
-SPREAD_CELLS = [  # (match, its row, the p2_distance_run set there, config, failed stage -> reason)
-    ("1301", 10, "1e160", {}, {"train": SPREAD}),  # a training match: the fit's std overflows
-    ("1701", 10, "1e160", {}, {"sweep": SPREAD}),  # the selected match: the response model's std
-    ("1301", 1, "1.7e308", {}, {"train": SPREAD}),  # the mean overflows as well
-    ("1701", 1, "1.7e308", {}, {"sweep": SPREAD}),
+P1, P2 = "p1_distance_run", "p2_distance_run"
+AHP_SPAN_CELLS = [(10, P1, "-1.7e308"), (20, P1, "1.7e308"), (30, P1, "1.7e308")]
+SPREAD_CELLS = [  # (match, its (row, column, value) cells, config, failed stage -> reason)
+    # a training match: the fit's std overflows
+    pytest.param("1301", [(10, P2, "1e160")], {}, {"train": SPREAD}, id="1301-row10-1e160"),
+    # the selected match: the response model's std
+    pytest.param("1701", [(10, P2, "1e160")], {}, {"sweep": SPREAD}, id="1701-row10-1e160"),
+    # the mean overflows as well
+    pytest.param("1301", [(1, P2, "1.7e308")], {}, {"train": SPREAD}, id="1301-row1-1.7e308"),
+    pytest.param("1701", [(1, P2, "1.7e308")], {}, {"sweep": SPREAD}, id="1701-row1-1.7e308"),
     # the trend surface's x**2 overflows, on the trend axis
-    ("1701", 10, "1e160", TREND_X, {"trend": "trend axis distance_run_diff is not finite or too "
-                                             "large for a quadratic surface", "sweep": SPREAD}),
+    pytest.param("1701", [(10, P2, "1e160")], TREND_X,
+                 {"trend": "trend axis distance_run_diff is not finite or too large for a "
+                           "quadratic surface", "sweep": SPREAD}, id="1701-row10-1e160-trend-x"),
+    # the AHP min-max span overflows, before any scaling
+    pytest.param("1701", AHP_SPAN_CELLS, {}, {"ahp": SPAN, "sweep": SPREAD}, id="1701-ahp-span"),
+    # 122 rows, so a median would sum the middle pair: the sweep fails before it takes one
+    pytest.param("1701", [(24, P1, "-1.7e308"), (7, "point_no", "")], {}, {"sweep": SPREAD},
+                 id="1701-sweep-median"),
 ]
 
 
-@pytest.mark.parametrize("match,row,value,config,failed", SPREAD_CELLS,
-                         ids=[f"{m}-row{r}-{v}" + ("-trend-x" if c else "")
-                              for m, r, v, c, _ in SPREAD_CELLS])
-def test_a_feature_too_spread_to_scale_fails_its_stage_naming_it(tmp_path, capsys, match, row,
-                                                                 value, config, failed):
-    """A finite feature whose mean, std or square overflows fails the stage that scales or
-    squares it, with no warning (warnings are errors here) and no NaN or Infinity in any JSON
-    artifact."""
+def edit_cells(match, cells):
+    """An edit for edited_fixture that sets each (row, column, value) cell of the match."""
     def edit(rows):
-        [r for r in rows if r["match_id"].endswith(match)][row - 1]["p2_distance_run"] = value
+        of_match = [r for r in rows if r["match_id"].endswith(match)]
+        for row, column, value in cells:
+            of_match[row - 1][column] = value
+    return edit
 
+
+@pytest.mark.parametrize("match,cells,config,failed", SPREAD_CELLS)
+def test_a_feature_too_spread_to_scale_fails_its_stage_naming_it(tmp_path, capsys, match, cells,
+                                                                 config, failed):
+    """A finite feature whose mean, std, square or span overflows fails the stage that scales
+    or squares it, with no warning (warnings are errors here), no NaN or Infinity in any JSON
+    artifact and no non-finite number in any CSV artifact but the first ROC threshold."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"random": {"permutations": 99}, **config}))
     out = tmp_path / "out"
-    assert run(["report", edited_fixture(tmp_path, edit), "--seed", 1, "--config", path,
-                "--out-dir", out]) == 1
+    assert run(["report", edited_fixture(tmp_path, edit_cells(match, cells)), "--seed", 1,
+                "--config", path, "--out-dir", out]) == 1
     first = next(name for name in STAGE_NAMES if name in failed)
     assert capsys.readouterr().err == f"analysis error: {failed[first]}\n"
     assert read_json(out / "report.json")["stages"] == {
         name: {"status": "failed", "reason": failed[name]} if name in failed
         else {"status": "ok"} for name in STAGE_NAMES}
-    for path in out.glob("*.json"):
-        text = path.read_text()
-        assert "NaN" not in text and "Infinity" not in text, path.name
+    assert fuzz.check_outputs(out) == []
+
+
+def test_an_ahp_indicator_whose_span_overflows_fails_the_stage_naming_it(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["analyze", "ahp", edited_fixture(tmp_path, edit_cells("1701", AHP_SPAN_CELLS)),
+                "--match", "1701", "--out-dir", out]) == 1
+    assert capsys.readouterr().err == f"analysis error: {SPAN}\n"
+    assert list(out.iterdir()) == []
 
 
 def test_write_json_refuses_a_non_finite_value(tmp_path):

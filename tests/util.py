@@ -590,9 +590,17 @@ def standardized_design(x):
     return np.hstack([np.ones((x.shape[0], 1)), (x - x.mean(axis=0)) / std])
 
 
-def _stacked_scores_oracle(coef, design):
+def stacked_scores_oracle(coef, design):
     """(n, K) scores: the coefficient rows' scores, then the reference class's zero."""
     return np.hstack([design @ coef.T, np.zeros((design.shape[0], 1))])
+
+
+def stacked_proba_oracle(coef, design):
+    """(n, K) class probabilities: the row-wise softmax of the stacked score matrix, with
+    numpy's row reductions.  The reference for `SoftmaxModel.predict_proba`."""
+    scores = stacked_scores_oracle(coef, design)
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def nll_and_grad_oracle(coef, design, y, n_classes, l2_penalty=0.0):
@@ -603,7 +611,7 @@ def nll_and_grad_oracle(coef, design, y, n_classes, l2_penalty=0.0):
     """
     n = design.shape[0]
     rows = np.arange(n)
-    scores = _stacked_scores_oracle(coef, design)
+    scores = stacked_scores_oracle(coef, design)
     top = scores.max(axis=1, keepdims=True)
     own = scores[rows, y]
     e = np.exp(scores - top)
@@ -625,7 +633,7 @@ def nll_and_grad_oracle(coef, design, y, n_classes, l2_penalty=0.0):
 def separates_oracle(coef, design, y) -> bool:
     """Whether every row's own class scores strictly above the maximum of the others."""
     rows = np.arange(design.shape[0])
-    scores = _stacked_scores_oracle(coef, design)
+    scores = stacked_scores_oracle(coef, design)
     own = scores[rows, y].copy()
     scores[rows, y] = -np.inf
     return bool(np.all(own > scores.max(axis=1)))
