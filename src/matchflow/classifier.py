@@ -37,6 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import rng
 from .errors import DataError
 
 MAX_BACKTRACKS = 60
@@ -331,15 +332,17 @@ def train_test_split(labels, fraction=0.8, seed=0):
     """Stratified index split: (train_idx, test_idx), deterministic per seed.
 
     Every class keeps at least one sample on each side whenever it has two.
+    Each class, in sorted order, is shuffled by the next
+    ``np.random.default_rng(seed).permutation`` call on one stream, and its
+    first n_train shuffled samples train.  ``rng.Stream`` draws that stream
+    bit for bit without importing numpy.random.
     """
     y = np.asarray(labels, dtype=int)
-    rng = np.random.default_rng(seed)
-    in_train = np.zeros(y.size, dtype=bool)
+    stream = rng.Stream(seed)
+    in_train = np.ones(y.size, dtype=bool)
     for level in sorted(set(y.tolist())):
         idx = np.flatnonzero(y == level)
-        idx = idx[rng.permutation(idx.size)]
         n_train = int(round(fraction * idx.size))
         n_train = min(max(n_train, 1), idx.size - 1) if idx.size > 1 else idx.size
-        in_train[idx[:n_train]] = True
+        in_train[idx[stream.tail(idx.size, idx.size - n_train)]] = False
     return np.flatnonzero(in_train), np.flatnonzero(~in_train)
-

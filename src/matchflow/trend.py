@@ -6,9 +6,10 @@ each player's win count), recomputes a summary statistic per shuffle, and
 reports the add-one p-value (1 + #{null >= observed}) / (1 + permutations)
 (Phipson & Smyth 2010, "Permutation p-values should never be zero").
 
-Permutation i is drawn from its own generator default_rng([seed, i]), so the
-shuffles never depend on scheduling.  The shuffles are written as rows of a
-(PERMUTATION_BLOCK, n) matrix, and each block is scored at once by row-wise
+Permutation i is numpy's ``default_rng([seed, i]).permutation(victors)``, so
+the shuffles never depend on scheduling.  ``rng.lane_permutations`` draws
+LANE_BLOCK of them at once, bit for bit, without importing numpy.random.
+The shuffles are scored PERMUTATION_BLOCK rows at a time by row-wise
 statistics built on the momentum code's last-axis kernels.  The observed
 statistic is row 0 of a one-row call to the same function, so it is computed
 by exactly the arithmetic that computes every null value.  The null and the
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng
 from .errors import DataError
 from .momentum import MomentumParams, _players, _run_lengths, momentum_from_victors
 
@@ -30,6 +32,7 @@ POLY22_TERMS = ("p00", "p10", "p01", "p20", "p11", "p02")
 MIN_PERMUTATIONS = 99
 MIN_TIMELINE_POINTS = 20
 PERMUTATION_BLOCK = 128  # shuffles scored per matrix; bounds memory for any count
+LANE_BLOCK = 1024  # shuffles drawn together: each numpy call of the draw serves every lane
 NULL_QUANTILES = {"q05": 0.05, "q25": 0.25, "q50": 0.5, "q75": 0.75, "q95": 0.95}
 
 
@@ -169,12 +172,12 @@ def _quantiles(values, qs) -> np.ndarray:
 def _permutation_null(victors, fn, params, n_permutations, seed) -> np.ndarray:
     """Statistic fn of each shuffle of victors; permutation i uses generator (seed, i)."""
     null = np.empty(n_permutations)
-    for first in range(0, n_permutations, PERMUTATION_BLOCK):
-        count = min(PERMUTATION_BLOCK, n_permutations - first)
-        rows = np.empty((count, victors.size), dtype=victors.dtype)
-        for r in range(count):
-            rows[r] = np.random.default_rng([seed, first + r]).permutation(victors)
-        null[first : first + count] = fn(rows, params)
+    for first in range(0, n_permutations, LANE_BLOCK):
+        perms = rng.lane_permutations(seed, range(first, min(first + LANE_BLOCK, n_permutations)),
+                                      victors.size)
+        for r in range(0, len(perms), PERMUTATION_BLOCK):
+            rows = victors[perms[r : r + PERMUTATION_BLOCK]]
+            null[first + r : first + r + len(rows)] = fn(rows, params)
     return null
 
 
@@ -202,7 +205,9 @@ def randomness_test(
         params: momentum constants for momentum-based statistics.
         statistic: one of momentum_variance, max_streak, lag1_autocorr.
         n_permutations: >= 99 shuffles of the victor sequence.
-        seed: base seed; permutation i draws from generator (seed, i).
+        seed: base seed, a non-negative int; permutation i is
+            ``np.random.default_rng([seed, i]).permutation(victors)``, drawn
+            by ``rng.lane_permutations`` without importing numpy.random.
     """
     if statistic not in STATISTICS:
         raise DataError(f"unknown statistic {statistic!r}; expected one of {sorted(STATISTICS)}")

@@ -625,6 +625,23 @@ def test_report_runs_without_importing_scipy(tmp_path):
     assert proc.stdout.split()[-2:] == ["0", "[]"]
 
 
+def modules_loaded_by_main(tmp_path, argv, modules):
+    """Exit code of cli.main(argv) in a fresh interpreter, and which of modules it loaded."""
+    script = (
+        "import sys\n"
+        "from matchflow import cli\n"
+        f"code = cli.main({[str(a) for a in argv]!r})\n"
+        f"print(code, [m for m in {list(modules)!r} if m in sys.modules])\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                          cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
+    return int(code), loaded
+
+
 @pytest.mark.parametrize("argv", [
     ["train-eval", FIXTURE, "--seed", 3, "--out-dir", "out"],
     ["clean", FIXTURE, "--output", "cleaned.csv", "--report", "cleaning_report.json"],
@@ -632,18 +649,17 @@ def test_report_runs_without_importing_scipy(tmp_path):
 ], ids=["train-eval", "clean", "report"])
 def test_train_eval_and_clean_never_import_numpy_ma(tmp_path, argv):
     # a plain np.unique, np.quantile or np.median imports numpy.ma (about 1.3 MB and 10-15 ms)
-    script = (
-        "import sys\n"
-        "from matchflow import cli\n"
-        f"code = cli.main({[str(a) for a in argv]!r})\n"
-        "print(code, 'numpy.ma' in sys.modules)\n"
-    )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
-                          cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[-2:] == ["0", "False"]
+    assert modules_loaded_by_main(tmp_path, argv, ["numpy.ma"]) == (0, "[]")
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-eval", FIXTURE, "--seed", 3, "--out-dir", "out"],
+    ["report", FIXTURE, "--out-dir", "out"],
+], ids=["train-eval", "report"])
+def test_split_and_permutation_null_never_import_numpy_random(tmp_path, argv):
+    # numpy.random imports secrets, hence hashlib and OpenSSL: about 5.6 MB and 10-20 ms of
+    # every process that draws; matchflow.rng draws the same streams without it
+    assert modules_loaded_by_main(tmp_path, argv, ["numpy.random", "secrets"]) == (0, "[]")
 
 
 def test_median_and_null_quantiles_match_numpy_bit_for_bit():

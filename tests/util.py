@@ -264,7 +264,11 @@ STATISTIC_ORACLES = {
 
 
 def permutation_oracle(victors, statistic, n_permutations, seed, params=None):
-    """One shuffle and one scalar statistic at a time: (observed, null, p-value)."""
+    """One shuffle and one scalar statistic at a time: (observed, null, p-value).
+
+    The shuffles come from numpy's own ``np.random.default_rng([seed, i])``, not from
+    ``matchflow.rng``, so this oracle checks that module's streams as well.
+    """
     params = params or MomentumParams()
     victors = np.asarray(victors)
     fn = STATISTIC_ORACLES[statistic]
@@ -433,7 +437,11 @@ def auc_oracle(truth, scores, positive):
 
 
 def split_oracle(levels, fraction=0.8, seed=0):
-    """`classifier.train_test_split` as index lists: per class, shuffle, cut, then sort."""
+    """`classifier.train_test_split` as index lists: per class, shuffle, cut, then sort.
+
+    The shuffles are numpy's own ``np.random.default_rng(seed).permutation`` calls, not
+    ``matchflow.rng.Stream``, so this oracle checks that stream as well.
+    """
     y = np.asarray(levels, dtype=int)
     rng = np.random.default_rng(seed)
     train_idx, test_idx = [], []

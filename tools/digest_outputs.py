@@ -52,6 +52,8 @@ CONFIGS = {
                              "wavelet": {"boundary": "zero"},
                              "trend": {"x": "score_diff", "y": "momentum", "grid": 7},
                              "sweep": {"degree": 1}, "train": {"l2_penalty": 0.01}},
+    # a seed of three uint32 words and a null of several lane blocks (trend.LANE_BLOCK)
+    "big-seed": {"seed": 2**64 + 5, "random": {"permutations": 2500}},
 }
 # a_ij = w_i / w_j: a consistent judgment matrix over the five default indicators
 WEIGHTS = (8.0, 4.0, 4.0, 2.0, 1.0)
