@@ -7,9 +7,18 @@ L2 penalty on the non-intercept coefficients) by damped Newton steps, the
 textbook IRLS method for multinomial logistic regression, from an all-zeros
 start, so a run is fully deterministic and max_iters=0 yields exactly uniform
 predictions.  Each step's Hessian is built from the class probabilities that
-nll_and_grad returned beside the loss of the accepted step, and weighs the
-design into one buffer reused for every class block, so a step holds one
-weighted copy of the design at most.
+nll_and_grad returned beside the loss of the accepted step.
+
+Every product over the training rows but the gradient runs one row block of
+ROW_BLOCK rows at a time (a one-row remainder joins the last block): the
+scores design @ coef.T fill one (n, K-1) array block by block, and each class
+block of the Hessian is summed over the row blocks, each weighed into one
+reused buffer, so a step holds no weighted copy of the whole design.  A
+block's products are small enough that BLAS runs them on one thread, without
+the buffers of a second.  Scores are row by row, so they are the single
+product's bits at any n.  So is the Hessian of one row block; over several,
+its sums are grouped by block and differ from the single product's in the
+last bits.
 
 When the training rows are separable (some coefficients score every row's
 own class strictly first), the likelihood has no finite maximizer: scaling
@@ -37,10 +46,28 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import rng
 from .errors import DataError
 
 MAX_BACKTRACKS = 60
+ROW_BLOCK = 4096  # training rows per block of the products over the rows
+
+
+def _row_blocks(n) -> list:
+    """Slices over n rows, ROW_BLOCK at a time; a one-row remainder joins the last block.
+
+    numpy multiplies a one-row block as a vector, in another order than a
+    matrix product, so that row alone would get other bits.
+    """
+    starts = range(0, max(n - 1, 1), ROW_BLOCK)
+    return [slice(start, stop) for start, stop in zip(starts, [*starts[1:], n])]
+
+
+def _scores(design, coef):
+    """(n, K-1) scores design @ coef.T, filled one row block at a time."""
+    scores = np.empty((design.shape[0], coef.shape[0]))
+    for rows in _row_blocks(design.shape[0]):
+        np.matmul(design[rows], coef.T, out=scores[rows])
+    return scores
 
 
 def _row_max(scores, ref):
@@ -145,7 +172,7 @@ class SoftmaxModel:
 
     def predict_proba(self, rows):
         """(n, K) class probabilities of an (n, p) feature matrix, by nll_and_grad's kernel."""
-        scores = self._design(rows) @ self.coef.T
+        scores = _scores(self._design(rows), self.coef)
         _, total, ref = _exp_columns(scores, 0.0)
         proba = np.empty((scores.shape[0], scores.shape[1] + 1))
         np.divide(scores, total[:, None], out=proba[:, :-1])
@@ -189,7 +216,7 @@ def nll_and_grad(coef, design, y, n_classes, l2_penalty=0.0):
     class's zero score is never stored.
     """
     n = design.shape[0]
-    proba = design @ coef.T
+    proba = _scores(design, coef)
     own = _own_scores(proba, y)  # read before the kernel overwrites the scores
     top, total, _ = _exp_columns(proba, 0.0)
     loss = float(np.mean(np.log(total) + top - own))
@@ -212,17 +239,27 @@ def _hessian(proba, design, l2_penalty):
     proba holds the (n, K-1) probabilities of the non-reference classes at
     coef, as nll_and_grad returns them.  Built one (a, b) class block at a
     time, X^T diag(p_a (delta_ab - p_b)) X / n, so no (n, K-1, K-1) array is
-    formed; every block weighs the design into one reused buffer.  The L2
-    term skips intercepts.
+    formed.  Each block is summed over the row blocks, each weighed into one
+    buffer of the longest block's rows; the first row block's product is
+    assigned, not added to zeros (0.0 + -0.0 is 0.0), so one row block gets
+    the single product's bits.  The L2 term skips intercepts.
     """
     n, m = design.shape
     k1 = proba.shape[1]
-    weighted = np.empty_like(design)
+    blocks = _row_blocks(n)
+    weighted = np.empty((min(n, ROW_BLOCK + 1), m))  # rows of the longest block
     hess = np.empty((k1 * m, k1 * m))
     for a in range(k1):
         for b in range(a, k1):
-            w = proba[:, a] * (float(a == b) - proba[:, b])
-            block = design.T @ np.multiply(w[:, None], design, out=weighted) / n
+            for rows in blocks:
+                x = design[rows]
+                w = proba[rows, a] * (float(a == b) - proba[rows, b])
+                part = x.T @ np.multiply(w[:, None], x, out=weighted[:len(x)])
+                if rows.start:
+                    block += part
+                else:
+                    block = part
+            block /= n
             hess[a * m:(a + 1) * m, b * m:(b + 1) * m] = block
             hess[b * m:(b + 1) * m, a * m:(a + 1) * m] = block.T
     penalty = np.full(m, float(l2_penalty))
@@ -233,7 +270,7 @@ def _hessian(proba, design, l2_penalty):
 
 def _separates(coef, design, y) -> bool:
     """Whether coef scores every row's own class strictly above every other class."""
-    scores = design @ coef.T
+    scores = _scores(design, coef)
     own = _own_scores(scores, y)
     for level, column in enumerate(scores.T):
         column[y == level] = -np.inf  # a row's own class is not its rival
@@ -337,6 +374,8 @@ def train_test_split(labels, fraction=0.8, seed=0):
     first n_train shuffled samples train.  ``rng.Stream`` draws that stream
     bit for bit without importing numpy.random.
     """
+    from . import rng  # only a draw compiles the generator
+
     y = np.asarray(labels, dtype=int)
     stream = rng.Stream(seed)
     in_train = np.ones(y.size, dtype=bool)

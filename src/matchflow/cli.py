@@ -12,13 +12,14 @@ runs train, momentum runs momentum, analyze X runs X, and report runs all
 seven, then writes report.json.  A stage writes files and returns nothing.
 The selected match owns a copy of its columns.  The training matches view the
 blocks their parse filled (see ingest), and Context.train_timelines is the
-one list that holds them.  Only the train stage reads it, and train empties
-it as soon as it has built the feature matrix and the labels, so the parsed
-corpus is freed before the split and the fit allocate; every later stage sees
-an empty list.  The feature matrix goes the same way: train keeps the test
-rows, hands the training rows to classifier.train as its one reference to
-them, and drops the whole matrix first, so the fit holds its standardized
-design and no other copy.
+one list that holds them.  Only the train stage reads it.  Train fills the
+feature matrix and the labels in place, one match at a time, so no list of
+per-match tables is held beside them, and empties the list as soon as they
+are built, so the parsed corpus is freed before the split and the fit
+allocate; every later stage sees an empty list.  The feature matrix goes the
+same way: train keeps the test rows, hands the training rows to
+classifier.train as its one reference to them, and drops the whole matrix
+first, so the fit holds its standardized design and no other copy.
 
 A stage writes into a scratch directory inside the output directory and its
 files land only if it succeeds; the files it may write (named in STAGES) are
@@ -377,14 +378,31 @@ def _stage_file(scratch, files, name, key=None) -> Path:
 
 # ---------------------------------------------------------------- stages
 
+def _training_rows(timelines):
+    """The feature matrix and the labels of timelines, filled in place one match at a time.
+
+    No name here outlives the call, so once the caller drops the timelines
+    their parsed blocks are freed.
+    """
+    n = sum(map(len, timelines))
+    x = np.empty((n, len(ingest.FEATURE_NAMES)))
+    y = np.empty(n, dtype=int)
+    start = 0
+    for timeline in timelines:
+        rows = slice(start, start + len(timeline))
+        x[rows] = ingest.derive_features(timeline).values
+        y[rows] = labels.label_points(timeline)
+        start = rows.stop
+    return x, y
+
+
 def _train(ctx, out):
     """Fit the classifier on the other matches; score a split and the match."""
     if not ctx.train_timelines:
         raise ConfigError("holdout match leaves no data to train on")
     stats = labels.estimate_serve_win_posterior(ctx.train_timelines, unit=ctx.config["unit"])
     label_set = labels.LabelSet.from_stats(stats)
-    x = np.vstack([ingest.derive_features(tl).values for tl in ctx.train_timelines])
-    y = np.concatenate([labels.label_points(tl) for tl in ctx.train_timelines])
+    x, y = _training_rows(ctx.train_timelines)
     n_matches = len(ctx.train_timelines)
     ctx.train_timelines.clear()  # frees each parsed block in one piece before the fit allocates
     cfg = classifier.TrainConfig(**ctx.config["train"], seed=ctx.seed)

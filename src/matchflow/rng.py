@@ -155,10 +155,11 @@ def lane_permutations(seed, lanes, n: int) -> np.ndarray:
 
     The draws are read one row at a time across all lanes.  Lane state u is
     the Fisher-Yates step i + 1 that the lane is on, so a draw v, masked for
-    step i, is accepted when v < u.  Each draw is written to slot u of the
-    lane's row of js, where the accepted one is the last; a lane that has
-    taken step 1 falls to u = 0 and accepts nothing more.  The swaps are
-    then made step by step.
+    step i, is accepted when v < u, and the lane then swaps its entries i and
+    v at once and moves on to step i - 1.  Lanes are independent, so each
+    lane's swaps are made in its own step order.  A lane that has taken step
+    1 accepts its next draw at u = 1, a swap of entry 0 with itself, and at
+    u = 0 accepts nothing more.
     """
     lanes = np.asarray(lanes, dtype=np.int64)
     if lanes.size and (lanes.min() < 0 or lanes.max() > 0xFFFFFFFF):
@@ -172,20 +173,16 @@ def lane_permutations(seed, lanes, n: int) -> np.ndarray:
     words = [np.full(count, w, np.uint32) for w in _words(seed)]
     stream = _seed([*words, lanes.astype(np.uint32)])
     masks = np.array([0, 0] + [(1 << i.bit_length()) - 1 for i in range(1, n)], dtype=np.uint32)
-    js = np.empty((count, n + 1), dtype=dtype)
-    flat_js, u = js.reshape(-1), np.full(count, n)
-    start = np.arange(0, count * (n + 1), n + 1)
+    flat, u = perm.reshape(-1), np.full(count, n)
+    start = np.arange(0, count * n, n)
     while u.any():
         for row in _draws(stream, LANE_OUTPUTS):
             v = row & masks.take(u)
-            flat_js[start + u] = v
-            u -= v < u
-    flat, start = perm.reshape(-1), np.arange(0, count * n, n)
-    for i in range(n - 1, 0, -1):
-        jf = start + js[:, i + 1]
-        vj = flat.take(jf)
-        flat[jf] = perm[:, i]
-        perm[:, i] = vj
+            accepted = v < u
+            u -= accepted
+            i = start + u * accepted  # a lane that draws again swaps its entry 0 with itself
+            j = start + v * accepted
+            flat[i], flat[j] = flat[j], flat[i]
     return perm
 
 

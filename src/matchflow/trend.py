@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
 from .errors import DataError
 from .momentum import MomentumParams, _players, _run_lengths, momentum_from_victors
 
@@ -171,6 +170,8 @@ def _quantiles(values, qs) -> np.ndarray:
 
 def _permutation_null(victors, fn, params, n_permutations, seed) -> np.ndarray:
     """Statistic fn of each shuffle of victors; permutation i uses generator (seed, i)."""
+    from . import rng  # only a draw compiles the generator
+
     null = np.empty(n_permutations)
     for first in range(0, n_permutations, LANE_BLOCK):
         perms = rng.lane_permutations(seed, range(first, min(first + LANE_BLOCK, n_permutations)),

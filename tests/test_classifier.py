@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from matchflow import classifier, cli
-from matchflow.classifier import SoftmaxModel, TrainConfig, nll_and_grad, train
+from matchflow.classifier import ROW_BLOCK, SoftmaxModel, TrainConfig, nll_and_grad, train
 from matchflow.errors import DataError
 from matchflow.ingest import FeatureTable
 
 from util import (
     gradient_descent_oracle,
+    hessian_oracle,
     nll_and_grad_oracle,
     separates_oracle,
     split_oracle,
@@ -260,6 +261,39 @@ def test_hessian_matches_central_differences_of_the_gradient(l2_penalty):
         assert np.linalg.norm(hess - fd) / np.linalg.norm(hess) <= 1e-5
 
 
+@pytest.mark.parametrize("l2_penalty", [0.0, 0.3])
+@pytest.mark.parametrize("n", [1, 97, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1,
+                               ROW_BLOCK * 5 // 2])
+def test_the_row_blocked_hessian_matches_the_one_product_oracle(n, l2_penalty):
+    # one block (a one-row remainder joins the block before) is the one product;
+    # over several, only the grouping of the row-block sums differs
+    rng = np.random.default_rng(n)
+    design = np.hstack([np.ones((n, 1)), rng.normal(size=(n, 10))])
+    coef = rng.normal(scale=0.7, size=(3, 11))
+    proba = stacked_proba_oracle(coef, design)[:, :-1]
+    got, want = classifier._hessian(proba, design, l2_penalty), hessian_oracle(proba, design, l2_penalty)
+    if n <= ROW_BLOCK + 1:
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    else:
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_a_fit_over_several_row_blocks_follows_the_one_product_hessian(monkeypatch):
+    # overlapping classes with some signal: a finite optimum, reached by several Newton steps
+    rng = np.random.default_rng(2024)
+    n = ROW_BLOCK * 5 // 2
+    x = rng.normal(size=(n, 6))
+    y = np.argmax(x[:, :4] + rng.normal(scale=1.5, size=(n, 4)), axis=1)
+    table = FeatureTable("t", list("abcdef"), x)
+    model = train(table, y, TrainConfig())
+    with monkeypatch.context() as patch:
+        patch.setattr(classifier, "_hessian", hessian_oracle)
+        want = train(table, y, TrainConfig())
+    assert (model.n_iters, model.stop_reason) == (want.n_iters, want.stop_reason)
+    assert model.stop_reason == "converged" and model.n_iters >= 3
+    assert np.linalg.norm(model.coef - want.coef) <= 1e-9 * np.linalg.norm(want.coef)
+
+
 def test_the_loss_returns_the_probabilities_softmax_gives_bit_for_bit():
     # the Newton step builds its Hessian from these instead of recomputing softmax
     rng = np.random.default_rng(41)
@@ -273,7 +307,7 @@ def test_the_loss_returns_the_probabilities_softmax_gives_bit_for_bit():
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
-@pytest.mark.parametrize("n", [1, 7, 97, 200, 1000, 9000])
+@pytest.mark.parametrize("n", [1, 7, 97, 200, 1000, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1, 9000])
 def test_the_column_kernel_matches_the_stacked_score_oracle_bit_for_bit(n, k):
     # the mid-sized n are where a change of BLAS operand layout moves bits
     rng = np.random.default_rng(1000 * n + k)
@@ -294,7 +328,7 @@ def test_the_column_kernel_matches_the_stacked_score_oracle_bit_for_bit(n, k):
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
-@pytest.mark.parametrize("n", [1, 7, 97, 200, 1000, 9000])
+@pytest.mark.parametrize("n", [1, 7, 97, 200, 1000, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1, 9000])
 def test_predict_proba_matches_the_stacked_softmax_oracle_bit_for_bit(n, k):
     # every column, the reference class's included, on the grid of the kernel test above
     rng = np.random.default_rng(1000 * n + k)
@@ -377,21 +411,25 @@ def test_max_iters_no_descent_and_legacy_model_json_stop_reasons(monkeypatch):
 def test_the_fit_holds_one_copy_of_a_feature_matrix_handed_over():
     # The matrix exists only inside the call.  Building the design holds it
     # beside its standardized copy; the Newton loop then holds the design, the
-    # weighted design and the kernel's columns, about 2.8 matrices, where
-    # keeping the matrix too reads about 3.8.
+    # kernel's columns and a weighted buffer of at most ROW_BLOCK + 1 rows.
+    # At 5000 rows that buffer is most of a design, and the fit peaks at about
+    # 2.6 matrices; at 3 * ROW_BLOCK rows it peaks at about 2.3, where a
+    # weighted copy of the whole design read 2.8.  Keeping the matrix too adds
+    # one matrix to either.
     rng = np.random.default_rng(17)
-    n, p = 5000, 10
-    y = rng.integers(0, 4, size=n)
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        model = train(FeatureTable("t", list("abcdefghij"), rng.normal(size=(n, p))), y)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
+    p = 10
+    for n, bound in ((5000, 3.2), (3 * ROW_BLOCK, 2.4)):
+        y = rng.integers(0, 4, size=n)
+        tracing = tracemalloc.is_tracing()
         if not tracing:
-            tracemalloc.stop()
-    assert model.stop_reason == "converged"
-    assert peak <= 3.2 * n * p * 8
+            tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            model = train(FeatureTable("t", list("abcdefghij"), rng.normal(size=(n, p))), y)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert model.stop_reason == "converged"
+        assert peak <= bound * n * p * 8, (n, peak / (n * p * 8))

@@ -662,6 +662,14 @@ def test_split_and_permutation_null_never_import_numpy_random(tmp_path, argv):
     assert modules_loaded_by_main(tmp_path, argv, ["numpy.random", "secrets"]) == (0, "[]")
 
 
+def test_clean_never_compiles_the_generator(tmp_path):
+    # matchflow.rng is imported where it draws, so a command that never draws does not load it
+    argv = ["clean", FIXTURE, "--output", "cleaned.csv", "--report", "cleaning_report.json"]
+    assert modules_loaded_by_main(tmp_path, argv, ["matchflow.rng"]) == (0, "[]")
+    argv = ["train-eval", FIXTURE, "--seed", 3, "--out-dir", "out"]
+    assert modules_loaded_by_main(tmp_path, argv, ["matchflow.rng"]) == (0, "['matchflow.rng']")
+
+
 def test_median_and_null_quantiles_match_numpy_bit_for_bit():
     # they stand in for np.median and np.quantile, which import numpy.ma; a plain
     # np.sort would differ, returning +0.0 where numpy returns -0.0

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matchflow import classifier, cli, ingest
+from matchflow import classifier, cli, ingest, labels
 from matchflow.errors import DataError, SchemaError
 
 from util import ingest_oracle, oracle_csv, write_csv_oracle
@@ -674,6 +674,31 @@ def test_the_parsed_corpus_is_freed_before_the_fit(tmp_path, monkeypatch):
                      "--out-dir", str(tmp_path / "out")])
     assert code == 0
     assert fits == [[True, True]]  # neither block outlived the features and labels
+
+
+def test_the_training_rows_are_filled_in_place_within_a_memory_bound():
+    """Traced peak of building train's feature matrix and labels, above the parsed corpus.
+
+    Stacking a list of per-match tables held one more matrix beside the
+    result: 1.47 MB above the matrix and labels on these 20,118 rows.  Filled
+    in place, the peak is the matrix, the labels and one match's table, plus
+    derive_features' column temporaries for that match (about 39 KB for the
+    248-point longest match); 64 KB of slack is allowed.
+    """
+    timelines, _ = ingest.load_and_clean(simulated_csv())
+    n, longest = sum(map(len, timelines)), max(map(len, timelines))
+    width = len(ingest.FEATURE_NAMES)
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        x, y = cli._training_rows(timelines)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(x, np.vstack([ingest.derive_features(tl).values for tl in timelines]))
+    assert np.array_equal(y, np.concatenate([labels.label_points(tl) for tl in timelines]))
+    bound = n * (width + 1) * 8 + longest * width * 8 + 64_000
+    assert peak <= bound, (peak, bound)
 
 
 def test_writing_the_cleaned_file_streams_in_blocks_within_a_memory_bound(tmp_path):

@@ -638,6 +638,29 @@ def nll_and_grad_oracle(coef, design, y, n_classes, l2_penalty=0.0):
     return loss, grad, proba
 
 
+def hessian_oracle(proba, design, l2_penalty):
+    """The Hessian of the mean NLL as one product over all rows per class block.
+
+    The `classifier._hessian` that weighed the whole design into one (n, p+1)
+    buffer; the row-blocked one gives its bits on one row block, up to
+    `classifier.ROW_BLOCK` + 1 rows.
+    """
+    n, m = design.shape
+    k1 = proba.shape[1]
+    weighted = np.empty_like(design)
+    hess = np.empty((k1 * m, k1 * m))
+    for a in range(k1):
+        for b in range(a, k1):
+            w = proba[:, a] * (float(a == b) - proba[:, b])
+            block = design.T @ np.multiply(w[:, None], design, out=weighted) / n
+            hess[a * m:(a + 1) * m, b * m:(b + 1) * m] = block
+            hess[b * m:(b + 1) * m, a * m:(a + 1) * m] = block.T
+    penalty = np.full(m, float(l2_penalty))
+    penalty[0] = 0.0
+    hess[np.diag_indices_from(hess)] += np.tile(penalty, k1)
+    return hess
+
+
 def separates_oracle(coef, design, y) -> bool:
     """Whether every row's own class scores strictly above the maximum of the others."""
     rows = np.arange(design.shape[0])

@@ -11,8 +11,11 @@ one parse batch, so MULTI_COMMANDS also run, under the default config, on
 batches, with a few damaged cells, listed as ``multi-match/command/file``.
 Last, BLOCKS_COMMAND runs under BLOCKS_CONFIG, whose 201 x 201 sweep grid
 spans several of the sweep's model-call blocks (``sweep.SWEEP_BLOCK``), listed
-as ``sweep-blocks/command/file``.  Two trees write the same bytes for these
-commands when their listings are equal:
+as ``sweep-blocks/command/file``.  FIT_COMMAND runs on ``fit.csv``
+(``fit_corpus_csv``), whose training split spans three of the classifier's
+row blocks (``classifier.ROW_BLOCK``), listed as ``fit-blocks/command/file``.
+Two trees write the same bytes for these commands when their listings are
+equal:
 
     python tools/digest_outputs.py old/src > old.txt
     python tools/digest_outputs.py src > new.txt
@@ -62,6 +65,8 @@ MULTI_COMMANDS = ["clean", "train-eval --seed 3"]
 BLOCKS_COMMAND = "analyze sweep"
 BLOCKS_CONFIG = {"sweep": {"indicators": ["psychological_factor", "score_diff"],
                            "ranges": [[0.0, 1.0], [-5.0, 5.0]], "steps": [0.005, 0.05]}}
+FIT_COMMAND = "train-eval --seed 3"
+FIT_MATCHES = 80
 # cells that float() reads (around the number or in it) or refuses
 DAMAGE = ("", "n/a", " 1.5 ", "1_0", "1e309", "-nan", "infinity", "AD")
 DAMAGED_COLUMNS = ("p1_distance_run", "p2_distance_run", "speed_mph", "rally_count", "p1_score")
@@ -71,21 +76,41 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def simulated_rows(label: str, count: int, seed: int) -> list:
+    """The rows of count simulated matches, ids 2024-<label>-1700 on, match k drawn from seed + k."""
+    rows = []
+    for k in range(count):
+        match = simulate_match(f"2024-{label}-{1700 + k}", (f"P{k}", f"Q{k}"), seed + k)
+        rows.extend([str(row[c]) for c in COLUMNS] for row in match)
+    return rows
+
+
+def csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([COLUMNS, *rows])
+    return buf.getvalue()
+
+
 def multi_match_csv() -> str:
     """Eleven simulated matches (ids 2024-sim-1700 to -1710, 1,644 rows) as CSV text.
 
     Every 41st row holds a DAMAGE token in one of DAMAGED_COLUMNS, so each
     token meets each column, spread over the whole file.
     """
-    rows = []
-    for k in range(11):
-        match = simulate_match(f"2024-sim-{1700 + k}", (f"P{k}", f"Q{k}"), 31_000 + k)
-        rows.extend([str(row[c]) for c in COLUMNS] for row in match)
+    rows = simulated_rows("sim", 11, 31_000)
     for k, row in enumerate(rows[::41]):
         row[COLUMNS.index(DAMAGED_COLUMNS[k % len(DAMAGED_COLUMNS)])] = DAMAGE[k % len(DAMAGE)]
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([COLUMNS, *rows])
-    return buf.getvalue()
+    return csv_text(rows)
+
+
+def fit_corpus_csv() -> str:
+    """FIT_MATCHES simulated matches (ids 2024-fit-1700 to -1779) as CSV text.
+
+    11,783 rows.  train-eval holds out 2024-fit-1701 (145 rows) and trains on
+    9,310 of the other 11,638, so its fit runs row blocks of 4,096, 4,096 and
+    1,118 rows.
+    """
+    return csv_text(simulated_rows("fit", FIT_MATCHES, 41_000))
 
 
 def run_listing(env, label, command, config, source, text=None):
@@ -119,6 +144,7 @@ def main(src: str) -> None:
     for command in MULTI_COMMANDS:
         run_listing(env, "multi-match", command, {}, "multi.csv", multi)
     run_listing(env, "sweep-blocks", BLOCKS_COMMAND, BLOCKS_CONFIG, FIXTURE)
+    run_listing(env, "fit-blocks", FIT_COMMAND, {}, "fit.csv", fit_corpus_csv())
 
 
 if __name__ == "__main__":
