@@ -11,15 +11,16 @@ features (or the error that fails them) and momentum series once: train-eval
 runs train, momentum runs momentum, analyze X runs X, and report runs all
 seven, then writes report.json.  A stage writes files and returns nothing.
 The selected match owns a copy of its columns.  The training matches view the
-blocks their parse filled (see ingest), and Context.train_timelines is the
-one list that holds them.  Only the train stage reads it.  Train fills the
-feature matrix and the labels in place, one match at a time, so no list of
-per-match tables is held beside them, and empties the list as soon as they
-are built, so the parsed corpus is freed before the split and the fit
-allocate; every later stage sees an empty list.  The feature matrix goes the
-same way: train keeps the test rows, hands the training rows to
-classifier.train as its one reference to them, and drops the whole matrix
-first, so the fit holds its standardized design and no other copy.
+three blocks their parse filled, of int64 counters, int8 codes and float64
+values (see ingest), and Context.train_timelines is the one list that holds
+them.  Only the train stage reads it.  Train fills the feature matrix and the
+labels in place, one match at a time, so no list of per-match tables is held
+beside them, and empties the list as soon as they are built, so the parsed
+corpus is freed before the split and the fit allocate; every later stage sees
+an empty list.  The feature matrix goes the same way: train keeps the test
+rows, hands the training rows to classifier.train as its one reference to
+them, and drops the whole matrix first, so the fit holds its standardized
+design and no other copy.
 
 A stage writes into a scratch directory inside the output directory and its
 files land only if it succeeds; the files it may write (named in STAGES) are

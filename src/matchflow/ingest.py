@@ -10,29 +10,33 @@ FIFO included) or bytes, read as UTF-8 with an optional BOM skipped, and it is
 read as a stream: ``PARSE_BATCH`` (256) rows at a time, each column of a batch
 converted through the scalar rules ``_to_float``, ``_to_int``, ``_score`` and
 ``_shot_code``, and the whole text is never held in memory.  ``FIELDS`` declares
-the point fields once.  Each rule takes a cell's text (a short row's missing
-cells are ""); ``_to_int`` reads a blank, unparseable, non-finite,
-non-integral ("2.5") or beyond-int64 cell as -1, below every field's valid
-range, so the cell is repaired and counted, or its row rejected, and never
-rounded.  A memo that spans the batches converts each distinct cell of a column
-once, for as long as the column's cells repeat; a column whose cells are
-mostly distinct, judged over its first ``MEMO_TRIAL`` cells and after, drops
-its memo and converts cell by cell.
+the point fields once, each with its dtype.  Each rule takes a cell's text (a
+short row's missing cells are ""); ``_to_int`` reads a blank, unparseable,
+non-finite or non-integral ("2.5") cell as -1, and so a cell its field's dtype
+cannot hold: beyond int64 for a counter, beyond int8 for a code such as
+``server`` (``300``).  -1 lies below every field's valid range, so the cell is
+repaired and counted, or its row rejected, and never rounded.  A memo that
+spans the batches converts each distinct cell of a column once, for as long as
+the column's cells repeat; a column whose cells are mostly distinct, judged
+over its first ``MEMO_TRIAL`` cells and after, drops its memo and converts cell
+by cell.
 
 Every numeric field is written straight into one ``(fields, capacity)`` block
-per dtype, int64 and float64, a field to a row (``BLOCK_FIELDS``); each text
-column goes to one list.  The capacity is a hint taken before the parse: a
-source that can seek (a file, bytes) is read once for its count of newline
-bytes, and the capacity is that count + 1, which holds every data row; the
-stream then goes back to its start.  Where the hint runs short (a FIFO, which
-cannot seek, or CR-only line ends) the blocks double, with a copy.  So the
-columns of a parse take two allocations and leave no holes in the heap.  Each
-row is then sorted by match and point in place, through one row of scratch,
-and the column is a view of its row; the repairs run on the joined columns
-with array operations and write into those rows too.  Only then are the
-columns split into one ``MatchTimeline`` per match, whose arrays view the
-blocks: a block is freed when the last timeline of its parse goes.
-``load_and_clean`` is the one way in, so every timeline is a cleaned one.
+per dtype, a field to a row (``BLOCK_FIELDS``): int64 for the 9 counters, int8
+for the 18 categorical codes, whose valid values lie in 0-2, and float64 for
+the scores and continuous columns, 138 bytes a row in all.  Each text column
+goes to one list.  The capacity is a hint taken before the parse: a source that
+can seek (a file, bytes) is read once for its count of newline bytes, and the
+capacity is that count + 1, which holds every data row; the stream then goes
+back to its start.  Where the hint runs short (a FIFO, which cannot seek, or
+CR-only line ends) the blocks double, with a copy.  So the columns of a parse
+take one allocation per dtype and leave no holes in the heap.  Each row is then
+sorted by match and point in place, through one row of scratch, and the column
+is a view of its row; the repairs run on the joined columns with array
+operations and write into those rows too.  Only then are the columns split
+into one ``MatchTimeline`` per match, whose arrays view the blocks: a block is
+freed when the last timeline of its parse goes.  ``load_and_clean`` is the one
+way in, so every timeline is a cleaned one.
 
 ``write_clean_csv`` writes the result.  ``write_csv`` is the one CSV writer:
 it writes the cleaned file and every table the command line produces to a
@@ -93,8 +97,10 @@ ADVANTAGE_SCORE = 50.0
 
 SHOT_CODES = {"F": 1, "B": 2}
 
-# Integers beyond int64 cannot be held by an integer column; they count as missing.
+# Integers an integer column cannot hold count as missing: beyond int64 for a counter, and
+# beyond int8 for a categorical code.
 INT_LIMIT = 2.0**63
+INT8_LIMIT = 2.0**7
 
 # Rows the parse reads and converts at a time.  A batch's cells are Python strings, the bulk of
 # what the parse adds to the peak, so the batch is small.  The memos of distinct cells span
@@ -133,14 +139,14 @@ FEATURE_NAMES = [
 class MatchTimeline:
     """One cleaned match as numpy columns: one equal-length array per point field.
 
-    ``columns`` maps each field name to its array, stably sorted by
-    ``point_no``: the integer fields ``set_no``, ``game_no``, ``point_no``,
-    ``server``, ``point_victor``, ``serve_no``, the ``*_games``, ``*_sets``
-    and ``*_points_won`` counters, ``shot_type_code`` and the flag columns
-    are int64, and the scores and continuous columns are float64.  No value
-    is missing: ``server`` and ``point_victor`` are in {1, 2}, advantage
-    scores hold ``ADVANTAGE_SCORE`` and the cumulative counters are
-    non-decreasing.
+    ``columns`` maps each field name to its array of its ``FIELDS`` dtype,
+    stably sorted by ``point_no``: the counters ``set_no``, ``game_no``,
+    ``point_no`` and the ``*_games``, ``*_sets`` and ``*_points_won`` are
+    int64; the codes ``server``, ``point_victor``, ``serve_no``,
+    ``shot_type_code`` and the flag columns are int8; and the scores and
+    continuous columns are float64.  No value is missing: ``server`` and
+    ``point_victor`` are in {1, 2}, advantage scores hold ``ADVANTAGE_SCORE``
+    and the cumulative counters are non-decreasing.
     """
 
     match_id: str
@@ -246,11 +252,11 @@ def _to_float(text: str) -> float:
     return value if math.isfinite(value) else math.nan
 
 
-def _to_int(text: str) -> int:
-    """The cell as an int; blank, unparseable, non-finite, non-integral and beyond-int64
-    cells are -1."""
+def _to_int(text: str, limit: float = INT_LIMIT) -> int:
+    """The cell as an int; blank, unparseable, non-finite and non-integral cells are -1, and
+    so is a cell whose magnitude reaches limit: beyond int64 by default."""
     value = _to_float(text)
-    if not value.is_integer() or abs(value) >= INT_LIMIT:  # nan is not an integer
+    if not value.is_integer() or abs(value) >= limit:  # nan is not an integer
         return -1
     return int(value)
 
@@ -275,18 +281,21 @@ def _score(token: str) -> float:
 
 # The one declaration of the point fields: field -> (file column, converter of a cell's
 # text, dtype, value when the header lacks the column, None for a required column).  A
-# missing or non-integral integer reads as -1, below every field's valid range, so it is
-# repaired as invalid.
+# missing or non-integral integer, or one its dtype cannot hold, reads as -1, below every
+# field's valid range, so it is repaired as invalid.  The counters are int64; the
+# categorical codes, whose valid values lie in 0-2, are int8.
+_to_int8 = functools.partial(_to_int, limit=INT8_LIMIT)
 FIELDS = {
-    **{name: (name, _to_int, np.int64, None)
-       for name in ("set_no", "game_no", "point_no", "server", "point_victor")},
+    **{name: (name, _to_int, np.int64, None) for name in ("set_no", "game_no", "point_no")},
+    **{name: (name, _to_int8, np.int8, None) for name in ("server", "point_victor")},
     **{name: (name, _score, np.float64, None) for name in ("p1_score", "p2_score")},
     **{name: (name, _to_int, np.int64, None)
        for name in ("p1_games", "p2_games", "p1_sets", "p2_sets", "p1_points_won",
-                    "p2_points_won", "serve_no")},
-    "shot_type_code": (SHOT_COLUMN, _shot_code, np.int64, 0),
+                    "p2_points_won")},
+    "serve_no": ("serve_no", _to_int8, np.int8, None),
+    "shot_type_code": (SHOT_COLUMN, _shot_code, np.int8, 0),
     **{name: (name, _to_float, np.float64, 0.0) for name in CONTINUOUS_COLUMNS},
-    **{name: (name, _to_int, np.int64, 0) for name in FLAG_COLUMNS},
+    **{name: (name, _to_int8, np.int8, 0) for name in FLAG_COLUMNS},
 }
 
 # Columns that must be present (after remapping) for a file to parse at all.
@@ -373,7 +382,7 @@ def _capacity(binary) -> int:
 
 # The point fields of each dtype, in FIELDS order: the i-th is row i of its dtype's block.
 BLOCK_FIELDS = {dtype: [name for name, spec in FIELDS.items() if spec[2] is dtype]
-                for dtype in (np.int64, np.float64)}
+                for dtype in (np.int64, np.int8, np.float64)}
 
 
 def _parse_rows(reader, columns, capacity):
@@ -443,15 +452,16 @@ def _parse_rows(reader, columns, capacity):
     names = [list(map(texts[p].__getitem__, first_rows.tolist())) if p in named
              else [""] * len(ids) for p in PLAYER_COLUMNS]
     players = [tuple(name or p for name, p in zip(pair, PLAYER_COLUMNS)) for pair in zip(*names)]
-    # each row is sorted in place through one row of scratch, whose bytes serve both dtypes;
-    # a column the header lacks holds its default
+    # each row is sorted in place through one row of scratch, whose first bytes serve every
+    # dtype; a column the header lacks holds its default
     scratch = np.empty(order.size, np.int64)
     cols = {}
     for name, (source, _, dtype, absent) in FIELDS.items():
         row = blocks[dtype][BLOCK_FIELDS[dtype].index(name)]
         if source in position:
-            np.take(row[:n], order, out=scratch.view(dtype), mode="clip")  # "raise" would buffer
-            row[:order.size] = scratch.view(dtype)
+            sorted_row = scratch.view(dtype)[:order.size]
+            np.take(row[:n], order, out=sorted_row, mode="clip")  # "raise" would buffer
+            row[:order.size] = sorted_row
         else:
             row[:order.size] = absent
         cols[name] = row[:order.size]

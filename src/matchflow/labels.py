@@ -18,22 +18,35 @@ from .errors import DataError
 
 UNITS = ("point", "game", "set")
 
+# The columns whose change between two points of a match ends a game or a set.
+UNIT_KEYS = {"game": ("set_no", "game_no"), "set": ("set_no",)}
+
+
+def _unit_last(columns, unit, match_last) -> np.ndarray:
+    """Whether each point is the last of its point, game or set, over joined matches.
+
+    columns maps the unit's UNIT_KEYS to equal-length arrays, and match_last
+    marks the last point of each match, which always ends a unit.  A game is a
+    run of points of one match sharing (set_no, game_no), a set a run sharing
+    set_no.
+    """
+    if unit == "point":
+        return np.ones(match_last.size, dtype=bool)
+    last = match_last.copy()
+    for key in UNIT_KEYS[unit]:
+        values = columns[key]
+        last[:-1] |= values[1:] != values[:-1]
+    return last
+
 
 def unit_ends(timeline, unit) -> list[int]:
-    """Index of the last point of each point, game or set, in order.
+    """Index of the last point of each point, game or set of one timeline, in order.
 
-    A game is a run of points sharing (set_no, game_no), a set a run sharing
-    set_no; the unit's victor is whoever won the point at its last index.
+    The unit's victor is whoever won the point at its last index.
     """
-    n = len(timeline)
-    if unit == "point":
-        return list(range(n))
-    keys = ("set_no", "game_no") if unit == "game" else ("set_no",)
-    change = np.zeros(max(n - 1, 0), dtype=bool)
-    for key in keys:
-        values = timeline.columns[key]
-        change |= values[1:] != values[:-1]
-    return np.flatnonzero(change).tolist() + ([n - 1] if n else [])
+    match_last = np.zeros(len(timeline), dtype=bool)
+    match_last[-1:] = True
+    return np.flatnonzero(_unit_last(timeline.columns, unit, match_last)).tolist()
 
 
 def estimate_serve_win_posterior(timelines, unit="point") -> dict:
@@ -42,6 +55,7 @@ def estimate_serve_win_posterior(timelines, unit="point") -> dict:
     Returns the payload serve_stats.json holds (schema ``serve_stats``): per
     player, the units served first, served first and won, and won; and
     p_win_given_serve, the exact pooled ratio of the second count to the first.
+    The units of every timeline are counted at once, over their joined columns.
 
     Args:
         timelines: iterable of MatchTimeline (cleaned).
@@ -52,20 +66,28 @@ def estimate_serve_win_posterior(timelines, unit="point") -> dict:
     """
     if unit not in UNITS:
         raise DataError(f"unknown unit {unit!r}; expected one of {UNITS}")
-    counts = {name: {"1": 0, "2": 0} for name in ("serves", "serve_wins", "wins")}
-    n_units = 0
-    for tl in timelines:
-        ends = np.array(unit_ends(tl, unit), dtype=int)
-        starts = np.concatenate(([0], ends[:-1] + 1))[: ends.size]
-        server, victor = tl.servers()[starts], tl.victors()[ends]  # a unit's first server
-        known = np.isin(server, (1, 2)) & np.isin(victor, (1, 2))
-        server, victor = server[known], victor[known]
-        n_units += int(known.sum())
-        for player, key in ((1, "1"), (2, "2")):
-            served, won = server == player, victor == player
-            counts["serves"][key] += int(np.count_nonzero(served))
-            counts["wins"][key] += int(np.count_nonzero(won))
-            counts["serve_wins"][key] += int(np.count_nonzero(served & won))
+    timelines = list(timelines)
+
+    def joined(name):  # one column of every timeline, end to end
+        return np.concatenate([tl.columns[name] for tl in timelines] or [np.empty(0, int)])
+
+    sizes = np.array([len(tl) for tl in timelines], dtype=np.int64)
+    match_last = np.zeros(int(sizes.sum()), dtype=bool)
+    match_last[np.cumsum(sizes)[sizes > 0] - 1] = True
+    columns = {key: joined(key) for key in UNIT_KEYS.get(unit, ())}
+    ends = np.flatnonzero(_unit_last(columns, unit, match_last))
+    starts = np.concatenate(([0], ends[:-1] + 1))[: ends.size]
+    server = joined("server")[starts].astype(int)
+    victor = joined("point_victor")[ends].astype(int)
+    known = ((server == 1) | (server == 2)) & ((victor == 1) | (victor == 2))
+    server, victor = server[known], victor[known]  # a unit's first server and its victor
+    n_units = int(known.sum())
+    counts = {name: {} for name in ("serves", "serve_wins", "wins")}
+    for player, key in ((1, "1"), (2, "2")):
+        served, won = server == player, victor == player
+        counts["serves"][key] = int(np.count_nonzero(served))
+        counts["wins"][key] = int(np.count_nonzero(won))
+        counts["serve_wins"][key] = int(np.count_nonzero(served & won))
     if n_units == 0:  # each unit counted has a server, so the serves total n_units
         raise DataError(f"insufficient data: no {unit} units with an identified server")
     p_win = (counts["serve_wins"]["1"] + counts["serve_wins"]["2"]) / n_units

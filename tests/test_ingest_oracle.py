@@ -4,6 +4,7 @@ import contextlib
 import csv
 import functools
 import io
+import itertools
 import math
 import os
 import sys
@@ -282,6 +283,41 @@ def test_nonfinite_tokens_are_missing_values():
     assert all(np.isfinite(tl.columns["p1_distance_run"]).all() for tl in timelines)
 
 
+CODES = ("server", "point_victor", "serve_no", "shot_type_code", *ingest.FLAG_COLUMNS)
+COUNTER_FIELDS = ("set_no", "game_no", "point_no", "p1_games", "p2_games", "p1_sets", "p2_sets",
+                  "p1_points_won", "p2_points_won")
+# integral cells around and beyond int8's range, each either valid or invalid for every code
+CODE_TOKENS = ("127", "128", "255", "256", "-1", "-128", "-129", "1e3", "300", "2.0", "-0",
+               "9223372036854775807", "9223372036854775808")
+
+
+def test_every_column_has_its_fields_dtype():
+    """The 18 categorical codes are int8, the 9 counters int64 and the rest float64."""
+    dtypes = {name: np.dtype(dtype) for name, (_, _, dtype, _) in ingest.FIELDS.items()}
+    assert [name for name, dtype in dtypes.items() if dtype == np.int8] == list(CODES)
+    assert [name for name, dtype in dtypes.items() if dtype == np.int64] == list(COUNTER_FIELDS)
+    for source in (FIXTURE.read_bytes(), damaged_csv(3).encode()):
+        for tl in ingest.load_and_clean(source)[0]:
+            assert {name: values.dtype for name, values in tl.columns.items()} == dtypes
+
+
+def test_a_code_its_int8_field_cannot_hold_is_invalid_like_any_other():
+    """Each token in each int8 column cleans as the oracle, whose integer rule is int64's."""
+    assert [ingest.FIELDS["server"][1](token) for token in CODE_TOKENS] == (
+        [127] + [-1] * 8 + [2, 0, -1, -1])
+    header, rows = fixture_rows()
+    sources = [ingest.FIELDS[name][0] for name in CODES]
+    for k, source in enumerate(sources):
+        j = header.index(source)
+        hits = [row for i, row in enumerate(rows) if (i + 2 * k) % 18 == 0]
+        for token, row in zip(itertools.cycle(CODE_TOKENS), hits):
+            row[j] = token
+        assert len(hits) >= len(CODE_TOKENS)
+    report = assert_matches_oracle(to_csv(header, rows))
+    assert set(report["mode_imputations"]) == set(CODES) - {"shot_type_code"}
+    assert report["categorical_mapped"][ingest.SHOT_COLUMN] > 0
+
+
 def test_a_memo_is_judged_after_its_trial_and_keeps_paying_where_cells_repeat_across_matches():
     """point_no-like cells (1..180 over and over) are mostly distinct within one batch but
     repeat across many: the memo keeps them.  Distinct cells drop the memo once judged."""
@@ -448,14 +484,14 @@ def test_every_source_kind_parses_alike(tmp_path, monkeypatch):
         return capacities[-1]
 
     monkeypatch.setattr(ingest, "_capacity", capacity)
-    want = None
+    want, one_each = None, [1] * len(ingest.BLOCK_FIELDS)
     with fifo(tmp_path / "sim.fifo", data) as pipe:
         for source in [path, str(path), data, data.replace(b"\n", b"\r"), pipe]:
             timelines, report = ingest.load_and_clean(source)
             got = timeline_cells(timelines), report.to_dict()
             want = want or got
             assert got == want, source
-            assert sorted(map(len, block_bases(timelines).values())) == [1, 1], source
+            assert sorted(map(len, block_bases(timelines).values())) == one_each, source
     lines = data.count(b"\n") + 1
     assert capacities == [lines, lines, lines, 1, ingest.PARSE_BLOCK]
     assert want[1]["rejected_rows"] and want[1]["totals"]["mean_imputations"]
@@ -613,10 +649,10 @@ def test_parsing_streams_in_blocks_within_a_memory_bound():
     memos of the mostly distinct distance columns dropped it peaked at about
     8.3 MB.  Writing every numeric field into one block per dtype, sized by
     the newline count before the parse, it peaked at about 8.2 MB with
-    1024-row batches, and peaks at about 7.4 MB with PARSE_BATCH rows, during
-    the parse: the 5.3 MB of blocks, the text columns and memos, and the rows
-    and cells of one batch of lines.  The repairs and the timelines peak at
-    about 7.0 MB.
+    1024-row batches, and at about 7.4 MB with PARSE_BATCH rows, during the
+    parse: the 5.3 MB of blocks, the text columns and memos, and the rows and
+    cells of one batch of lines.  With the categorical codes in an int8 block
+    the blocks take 2.8 MB and the peak is about 4.9 MB.
     """
     data = simulated_csv()
     tracemalloc.start()
@@ -632,16 +668,19 @@ def test_parsing_streams_in_blocks_within_a_memory_bound():
 def test_the_parse_holds_its_blocks_and_one_batch_of_text():
     """Traced peak of load_and_clean on 7,611 simulated rows (50 matches), against its parts.
 
-    The numeric fields take the blocks, 8 bytes a field and a row of the
-    capacity.  Beside them the parse holds one batch of text: a row's list and
-    its 36 cell strings take about 1.95 KB, and 2.5 KB a row is allowed.  The
-    text columns, the memos that pay, the match codes and sort order and the
-    repairs' masks hold about 109 bytes a point at their peak (measured with
-    8-row batches), and 120 are allowed.  The peak is about 3.07 MB against a
-    bound of 3.56 MB; with 1024-row batches it is about 4.5 MB.
+    The numeric fields take the blocks, each field its dtype's itemsize for a
+    row of the capacity: 138 bytes a row, where 8 bytes a field took 264.
+    Beside them the parse holds one batch of text: a row's list and its 36
+    cell strings take about 1.95 KB, and 2.5 KB a row is allowed.  The text
+    columns, the memos that pay, the match codes and sort order and the
+    repairs' masks hold about 105 bytes a point at their peak (measured with
+    8-row batches), and 120 are allowed.  The peak is about 2.11 MB against a
+    bound of 2.60 MB; with every field in 8 bytes it was about 3.07 MB against
+    3.56 MB, and with 1024-row batches it is about 3.5 MB.
     """
     data = simulated_csv(7_500)
-    blocks = len(ingest.FIELDS) * (data.count(b"\n") + 1) * 8
+    row_bytes = sum(np.dtype(dtype).itemsize for _, _, dtype, _ in ingest.FIELDS.values())
+    blocks = row_bytes * (data.count(b"\n") + 1)
     bound = blocks + 120 * data.count(b"\n") + 2_500 * 256
     tracemalloc.start()
     try:
@@ -660,7 +699,8 @@ def test_the_parsed_corpus_is_freed_before_the_fit(tmp_path, monkeypatch):
     def loading(*args, **kwargs):
         timelines, report = load(*args, **kwargs)
         bases = block_bases(timelines)
-        assert sorted(map(len, bases.values())) == [1, 1]  # one block per dtype
+        # one block per dtype
+        assert sorted(map(len, bases.values())) == [1] * len(ingest.BLOCK_FIELDS)
         blocks.extend(weakref.ref(owners[0]) for owners in bases.values())
         return timelines, report
 
@@ -673,7 +713,8 @@ def test_the_parsed_corpus_is_freed_before_the_fit(tmp_path, monkeypatch):
     code = cli.main(["train-eval", str(path), "--holdout", "mem-003",
                      "--out-dir", str(tmp_path / "out")])
     assert code == 0
-    assert fits == [[True, True]]  # neither block outlived the features and labels
+    # no block outlived the features and labels
+    assert fits == [[True] * len(ingest.BLOCK_FIELDS)]
 
 
 def test_the_training_rows_are_filled_in_place_within_a_memory_bound():

@@ -99,6 +99,53 @@ def test_unit_ends_mark_the_last_point_of_each_game_and_set():
     assert labels.unit_ends(make_points(0, "empty"), "game") == []
 
 
+def test_a_match_boundary_ends_a_unit_even_where_set_and_game_run_on():
+    # both matches are one game of one set, so the keys do not change at the boundary
+    first = make_points(3, "a", server=1, point_victor=[2, 1, 1], game_no=1)
+    second = make_points(2, "b", server=2, point_victor=[2, 1], game_no=1)
+    for unit in ("game", "set"):
+        stats = labels.estimate_serve_win_posterior([first, make_points(0, "e"), second], unit)
+        assert stats["counts"]["units"] == 2, unit
+        assert stats["counts"]["serves"] == {"1": 1, "2": 1}
+        assert stats["counts"]["wins"] == {"1": 2, "2": 0}
+        assert stats["counts"]["serve_wins"] == {"1": 1, "2": 0}
+
+
+def unit_counts_oracle(timelines, unit):
+    """serves, serve_wins and wins of each player, one match and one unit at a time."""
+    counts = {name: {"1": 0, "2": 0} for name in ("serves", "serve_wins", "wins")}
+    for tl in timelines:
+        keys = {"point": ("point_no",), "game": ("set_no", "game_no"), "set": ("set_no",)}[unit]
+        rows = list(zip(*(tl.columns[key].tolist() for key in keys),
+                        tl.columns["server"].tolist(), tl.columns["point_victor"].tolist()))
+        start = 0
+        for i, row in enumerate(rows):
+            if i + 1 < len(rows) and rows[i + 1][:len(keys)] == row[:len(keys)]:
+                continue  # the unit goes on
+            server, victor = rows[start][-2], row[-1]
+            if server in (1, 2):
+                counts["serves"][str(server)] += 1
+                counts["wins"][str(victor)] += 1
+                counts["serve_wins"][str(server)] += server == victor
+            start = i + 1
+    return counts
+
+
+def test_joined_counts_equal_the_counts_of_one_match_at_a_time():
+    rng = np.random.default_rng(5)
+    timelines = []
+    for k in range(6):
+        n = int(rng.integers(0, 30))
+        keys = np.sort(rng.integers(1, 4, size=(n, 2)), axis=0)
+        timelines.append(make_points(n, f"m{k}", set_no=keys[:, 0], game_no=keys[:, 1],
+                                     server=rng.integers(0, 3, n),
+                                     point_victor=rng.integers(1, 3, n)))
+    for unit in labels.UNITS:
+        counts = labels.estimate_serve_win_posterior(timelines, unit)["counts"]
+        want = unit_counts_oracle(timelines, unit)
+        assert {name: counts[name] for name in want} == want, unit
+
+
 def test_no_identified_server_is_insufficient_data():
     tl = make_points(5, "bad", server=0)
     with pytest.raises(DataError, match="insufficient data"):
