@@ -422,7 +422,7 @@ def _train(ctx, out):
     for level in range(label_set.n_classes):
         curve = metrics.roc_auc(test_y, proba[:, level], level)
         ingest.write_csv(out(f"roc_level{level}.csv"), ["threshold", "fpr", "tpr"],
-                         [curve.thresholds, curve.fpr, curve.tpr])
+                         [[curve.thresholds, curve.fpr, curve.tpr]])
         auc[f"roc_level{level}"] = curve.auc
     _write_json(out("metrics.json"), {**metrics.metrics_table(summary, label_set.values),
                                       "auc": auc})
@@ -433,9 +433,9 @@ def _train(ctx, out):
         out("holdout_probabilities.csv"),
         ["point_no", *(f"proba_{v:g}" for v in label_set.values), "predicted_value",
          "predicted_outcome"],
-        [ctx.match.columns["point_no"], *proba.T,
-         [f"{label_set.values[level]:g}" for level in pred],
-         [f"Player {label_set.winner(level)} wins" for level in pred]],
+        [[ctx.match.columns["point_no"], *proba.T,
+          [f"{label_set.values[level]:g}" for level in pred],
+          [f"Player {label_set.winner(level)} wins" for level in pred]]],
     )
 
     micro = summary["micro"]
@@ -462,7 +462,7 @@ def _momentum(ctx, out):
         out("momentum.csv", key="momentum_csv"),
         ["point_no", "p1_momentum", "p2_momentum", "p1_short_window", "p1_long_window",
          "p2_short_window", "p2_long_window", "streak_len", "streak_holder"],
-        [point_no, *s.values()],  # p1, p2, the four windows, streak_len, streak_holder
+        [[point_no, *s.values()]],  # p1, p2, the four windows, streak_len, streak_holder
     )
     _write_json(out("momentum_swings.json"), {
         "version": 1,
@@ -500,8 +500,8 @@ def _ahp(ctx, out):
     }
     _write_json(out("ahp.json"), payload)
     ingest.write_csv(out("ahp_ranking.csv"), ["round", "score", "standardization", "ranking"],
-                     [np.arange(1, rounds.scores.size + 1), rounds.scores, rounds.standardized,
-                      rounds.ranking])
+                     [[np.arange(1, rounds.scores.size + 1), rounds.scores, rounds.standardized,
+                       rounds.ranking]])
     print(f"CR {result['consistency_ratio']:.4f} (consistent: {result['consistent']})")
 
 
@@ -515,10 +515,10 @@ def _trend(ctx, out):
     x, y = axes[section["x"]], axes[section["y"]]
     fit = trend.fit_poly22(x, y, win_rate, axes=(section["x"], section["y"]))
     grid_n = section["grid"]
-    gx, gy = _product(np.linspace(float(x.min()), float(x.max()), grid_n),
-                      np.linspace(float(y.min()), float(y.max()), grid_n))
+    gx = np.linspace(float(x.min()), float(x.max()), grid_n)
+    gy = np.linspace(float(y.min()), float(y.max()), grid_n)
     ingest.write_csv(out("trend_surface.csv"), [section["x"], section["y"], "fitted_win_rate"],
-                     [gx, gy, fit.predict(gx, gy)])
+                     _grid_groups((gx, gy), fit.predict(gx[:, None], gy[None, :])))
 
     payload = {
         "version": 1,
@@ -571,16 +571,25 @@ def _sweep(ctx, out):
     # one row per grid point (first indicator outermost) and context
     contexts = np.array(["serve_first", "serve_second", "mean"], dtype=object)
     ingest.write_csv(out("sweep.csv", key="sweep_csv"), [*spec.indicators, "context", "momentum"],
-                     [*_product(*result.grids, contexts),
-                      np.stack([getattr(result, c) for c in contexts], axis=-1).ravel()])
+                     _grid_groups((*result.grids, contexts),
+                                  np.stack([getattr(result, c) for c in contexts], axis=-1)))
     payload = result.to_dict()
     _write_json(out("sweep.json"), payload)
     print(f"crossovers: {payload['crossovers']}")
 
 
-def _product(*axes) -> list:
-    """One column per axis over every combination of the axes' values, first axis outermost."""
-    return [grid.ravel() for grid in np.meshgrid(*axes, indexing="ij")]
+def _grid_groups(axes, values):
+    """write_csv's groups for a table over the axes' grid, PARSE_BLOCK cells at a time.
+
+    values has the grid's shape.  A cell's row holds its coordinate on each
+    axis, then its value; cells run in row-major order, first axis outermost,
+    so no column spans the grid and a large table is never held whole.
+    """
+    flat = values.ravel()
+    for start in range(0, flat.size, ingest.PARSE_BLOCK):
+        index = np.unravel_index(np.arange(start, min(start + ingest.PARSE_BLOCK, flat.size)),
+                                 values.shape)
+        yield [axis[i] for axis, i in zip(axes, index)] + [flat[start:start + ingest.PARSE_BLOCK]]
 
 
 def _median(values) -> float:
@@ -601,7 +610,7 @@ def _wavelet(ctx, out):
     section = ctx.config["wavelet"]
     scalogram = wavelet.cwt(ctx.series["p1"], wavelet.WaveletConfig(**section))
     ingest.write_csv(out("scalogram.csv", key="scalogram_csv"), ["scale", "time", "amplitude"],
-                     [*_product(scalogram.scales, scalogram.times), scalogram.amplitude.ravel()])
+                     _grid_groups((scalogram.scales, scalogram.times), scalogram.amplitude))
     payload = {**wavelet.scalogram_export(scalogram), "config": section}
     _write_json(out("scalogram.json"), payload)
     if ctx.plot:

@@ -41,13 +41,15 @@ way in, so every timeline is a cleaned one.
 ``write_clean_csv`` writes the result.  ``write_csv`` is the one CSV writer:
 it writes the cleaned file and every table the command line produces to a
 path, straight from their columns, ``PARSE_BLOCK`` (1024) rows at a time,
-formatting and quoting each distinct value of a column's block once.  A field
-is quoted where csv's minimal quoting would quote it and where it holds a lone
-CR, so every written file reads back as it was written.  The two sizes differ
-on purpose: a parse batch's cells are Python strings, most of what the parse
-adds to the peak, so the batch is small; the writer's cost is per block and
-per distinct value, so its block is larger (at 256 rows, writing the cleaned
-file of a damaged 50-match shard took about 1.5 times as long).
+formatting and quoting each distinct value of a column's block once.  It takes
+an iterable of column groups, so a table that a generator yields a group at a
+time (the cleaned file's timelines, the grid tables) is never held whole.  A
+field is quoted where csv's minimal quoting would quote it and where it holds
+a lone CR, so every written file reads back as it was written.  The two sizes
+differ on purpose: a parse batch's cells are Python strings, most of what the
+parse adds to the peak, so the batch is small; the writer's cost is per block
+and per distinct value, so its block is larger (at 256 rows, writing the
+cleaned file of a damaged 50-match shard took about 1.5 times as long).
 
 Input faults are a ``SchemaError`` (the command line exits 2): an empty file,
 a missing required column, malformed CSV such as a field past csv's size
@@ -775,8 +777,14 @@ def _block_fields(values, fmt, alone) -> list:
     return list(map(dict(zip(distinct, _fields(distinct, alone))).__getitem__, texts))
 
 
-def _write_groups(path, header, groups, fmt):
-    """Write header, then each group of equal-length columns, PARSE_BLOCK rows at a time."""
+def write_csv(path, header, groups, fmt=repr):
+    """Write header, then each group of equal-length columns as CSV rows, to a path.
+
+    Float cells are formatted through fmt and every other cell through str.
+    Rows are formatted and written PARSE_BLOCK at a time, and each distinct
+    value of a column's block is formatted once.  A field is quoted where
+    csv's minimal quoting would quote it, and also where it holds a lone CR.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_fields(list(map(str, header)), len(header) == 1)) + "\n")
         for columns in groups:
@@ -785,17 +793,6 @@ def _write_groups(path, header, groups, fmt):
                 fields = [_block_fields(values[a:a + PARSE_BLOCK], fmt, len(columns) == 1)
                           for values in columns]
                 fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
-
-
-def write_csv(path, header, columns):
-    """Write equal-length columns as CSV rows under header, to a path.
-
-    Float cells are formatted through repr and every other cell through str.
-    Rows are formatted and written PARSE_BLOCK at a time, and each distinct
-    value of a column's block is formatted once.  A field is quoted where
-    csv's minimal quoting would quote it, and also where it holds a lone CR.
-    """
-    _write_groups(path, header, [columns], repr)
 
 
 def _clean_groups(timelines):
@@ -817,9 +814,9 @@ def _clean_groups(timelines):
 
 
 def write_clean_csv(timelines, path):
-    """Write cleaned timelines back out with normalized values, as write_csv writes columns.
+    """Write cleaned timelines back out with normalized values, through write_csv.
 
     The columns of about PARSE_BLOCK rows of consecutive timelines are joined
     at a time, so the whole table is never held as one.
     """
-    _write_groups(path, CSV_COLUMNS, _clean_groups(timelines), _format_float)
+    write_csv(path, CSV_COLUMNS, _clean_groups(timelines), _format_float)

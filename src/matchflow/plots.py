@@ -29,7 +29,8 @@ def _scale(values, lo, hi, out_lo, out_hi):
 
 
 def _header(width, height, title) -> list:
-    """The lines that open every plot: the <svg> tag, a white background and the title."""
+    """The lines that open every plot: the <svg> tag, a white background and the escaped title."""
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',

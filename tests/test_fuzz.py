@@ -24,12 +24,14 @@ def test_the_invariant_checks_flag_non_finite_outputs(tmp_path):
         "ahp": {"status": "ok"}}}))
     (tmp_path / "roc_level0.csv").write_text("threshold,fpr,tpr\ninf,0.0,0.0\n0.5,nan,1.0\n")
     (tmp_path / "sweep.csv").write_text("x,context,momentum\n1.0,mean,-inf\n2.0,mean,-inf\n")
+    (tmp_path / "momentum.svg").write_text("<svg><text>momentum: R&D<1701></text></svg>")
     assert fuzz.check_outputs(tmp_path) == [
         "model.json: non-finite constant Infinity",
         "stage train fails on numerics: divergence: training loss is not finite",
         "stage sweep fails on numerics: SVD did not converge in Linear Least Squares",
         "roc_level0.csv fpr: 1 non-finite cells from row 2",
         "sweep.csv momentum: 2 non-finite cells from row 1",
+        "momentum.svg: not well-formed (invalid token): line 1, column 24",
     ]
 
 

@@ -321,11 +321,11 @@ def test_write_csv_formats_floats_through_fmt_and_other_cells_through_str(tmp_pa
     columns = [np.array([0.0, -0.0, 0.1, -0.0, 0.0, np.nan]), np.arange(6),
                ["a", "b,c", "a", "", "d", "a"]]
     path = tmp_path / "table.csv"
-    ingest.write_csv(path, ["f", "i", "s"], columns)
+    ingest.write_csv(path, ["f", "i", "s"], [columns])
     # -0.0 equals 0.0, so the per-distinct-cell memo must not hand one the other's text
     assert path.read_bytes() == (b'f,i,s\n0.0,0,a\n-0.0,1,"b,c"\n0.1,2,a\n'
                                  b'-0.0,3,\n0.0,4,d\nnan,5,a\n')
-    ingest._write_groups(path, ["f", "i", "s"], [columns], lambda v: f"<{v}>")
+    ingest.write_csv(path, ["f", "i", "s"], [columns], lambda v: f"<{v}>")
     assert path.read_bytes().splitlines()[1:3] == [b"<0.0>,0,a", b'<-0.0>,1,"b,c"']
 
 

@@ -609,7 +609,7 @@ def writer_table(rows, fmt):
 def test_write_csv_matches_the_cell_at_a_time_oracle(tmp_path, fmt, rows):
     header, columns = writer_table(rows, fmt)
     path = tmp_path / "table.csv"
-    ingest._write_groups(path, header, [columns], fmt)
+    ingest.write_csv(path, header, [columns], fmt)
     assert written(path) == write_csv_oracle(header, columns, fmt)
 
 
@@ -620,14 +620,14 @@ def test_write_csv_one_column_tables_and_unformattable_values(tmp_path):
         (["f"], np.array([np.nan, 1.0, 0.5]), ingest._format_float),
         ([""], [""], repr),
     ):
-        ingest._write_groups(path, header, [[column]], fmt)
+        ingest.write_csv(path, header, [[column]], fmt)
         assert written(path) == write_csv_oracle(header, [column], fmt)
         assert '""' in written(path)
     infinite = [np.array([1.0, np.inf])]  # _format_float has no text for inf
     with pytest.raises(OverflowError):
         write_csv_oracle(["f"], infinite, ingest._format_float)
     with pytest.raises(OverflowError):
-        ingest._write_groups(path, ["f"], [infinite], ingest._format_float)
+        ingest.write_csv(path, ["f"], [infinite], ingest._format_float)
 
 
 @functools.cache

@@ -890,6 +890,11 @@ def oracle_row(cells) -> str:
     return buf.getvalue()[:-2] + "\n"
 
 
+def grid_rows_oracle(*axes) -> list:
+    """One column per axis over every combination of the axes' values, first axis outermost."""
+    return [grid.ravel() for grid in np.meshgrid(*axes, indexing="ij")]
+
+
 def write_csv_oracle(header, columns, fmt) -> str:
     """The CSV text of equal-length columns, one cell at a time: fmt for floats, str for the rest."""
     cells = []

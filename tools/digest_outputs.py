@@ -9,11 +9,13 @@ command's stdout and exit code.  The bundled fixture has 239 data rows, within
 one parse batch, so MULTI_COMMANDS also run, under the default config, on
 ``multi.csv`` (``multi_match_csv``): 1,644 simulated rows over several
 batches, with a few damaged cells, listed as ``multi-match/command/file``.
-Last, BLOCKS_COMMAND runs under BLOCKS_CONFIG, whose 201 x 201 sweep grid
-spans several of the sweep's model-call blocks (``sweep.SWEEP_BLOCK``), listed
-as ``sweep-blocks/command/file``.  FIT_COMMAND runs on ``fit.csv``
-(``fit_corpus_csv``), whose training split spans three of the classifier's
-row blocks (``classifier.ROW_BLOCK``), listed as ``fit-blocks/command/file``.
+Last, BLOCKS_COMMANDS run under BLOCKS_CONFIG, whose 201 x 201 sweep grid
+spans several of the sweep's model-call blocks (``sweep.SWEEP_BLOCK``) and
+whose 80 x 80 trend surface (6,400 rows) spans several of the writer's blocks
+(``ingest.PARSE_BLOCK``), listed as ``sweep-blocks/command/file``.
+FIT_COMMAND runs on ``fit.csv`` (``fit_corpus_csv``), whose training split
+spans three of the classifier's row blocks (``classifier.ROW_BLOCK``), listed
+as ``fit-blocks/command/file``.
 Two trees write the same bytes for these commands when their listings are
 equal:
 
@@ -62,9 +64,10 @@ CONFIGS = {
 WEIGHTS = (8.0, 4.0, 4.0, 2.0, 1.0)
 MATRIX_CSV = "".join(",".join(repr(wi / wj) for wj in WEIGHTS) + "\n" for wi in WEIGHTS)
 MULTI_COMMANDS = ["clean", "train-eval --seed 3"]
-BLOCKS_COMMAND = "analyze sweep"
+BLOCKS_COMMANDS = ["analyze sweep", "analyze trend"]
 BLOCKS_CONFIG = {"sweep": {"indicators": ["psychological_factor", "score_diff"],
-                           "ranges": [[0.0, 1.0], [-5.0, 5.0]], "steps": [0.005, 0.05]}}
+                           "ranges": [[0.0, 1.0], [-5.0, 5.0]], "steps": [0.005, 0.05]},
+                 "trend": {"grid": 80}}
 FIT_COMMAND = "train-eval --seed 3"
 FIT_MATCHES = 80
 # cells that float() reads (around the number or in it) or refuses
@@ -143,7 +146,8 @@ def main(src: str) -> None:
     multi = multi_match_csv()
     for command in MULTI_COMMANDS:
         run_listing(env, "multi-match", command, {}, "multi.csv", multi)
-    run_listing(env, "sweep-blocks", BLOCKS_COMMAND, BLOCKS_CONFIG, FIXTURE)
+    for command in BLOCKS_COMMANDS:
+        run_listing(env, "sweep-blocks", command, BLOCKS_CONFIG, FIXTURE)
     run_listing(env, "fit-blocks", FIT_COMMAND, {}, "fit.csv", fit_corpus_csv())
 
 

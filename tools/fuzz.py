@@ -21,7 +21,8 @@ directory, and holds when:
   LAPACK routine;
 - every CSV cell that parses as a float is finite, except the first
   ``threshold`` of each ``roc_level*.csv``, which is infinite by design (it
-  lies above every score).
+  lies above every score);
+- every SVG parses as XML.
 
 REPRODUCERS holds the cases that once broke an invariant; ``random_case(seed)``
 draws a case from the grammar.  Run the reproducers and a campaign of seeded
@@ -48,6 +49,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from xml.etree import ElementTree
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE = ROOT / "data" / "fixture_matches.csv"
@@ -73,6 +75,8 @@ REPRODUCERS = {
     # 122 rows: the sweep's baseline median sums the middle pair
     "sweep-median": [("set", SELECTED, 24, "p1_distance_run", "-1.7e308"),
                      ("set", SELECTED, 7, "point_no", "")],
+    # markup in a plot title; the default holdout still selects the match by its suffix
+    "svg-title": [("column", SELECTED, "match_id", "R&D<fixture>-1701")],
 }
 
 
@@ -187,6 +191,11 @@ def check_outputs(out) -> list:
                         bad[column] = (first, count + 1)
         broken += [f"{path.name} {column}: {count} non-finite cells from row {first}"
                    for column, (first, count) in bad.items()]
+    for path in sorted(out.glob("*.svg")):
+        try:
+            ElementTree.parse(path)
+        except ElementTree.ParseError as exc:
+            broken.append(f"{path.name}: {exc}")
     return broken
 
 
