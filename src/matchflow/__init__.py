@@ -14,7 +14,6 @@ and a ResponseModel scores a mapping of feature columns, one score per row.
 
 from .ahp import (
     JudgmentMatrix,
-    build_judgment_matrix,
     consistency,
     score_rounds,
     weights,

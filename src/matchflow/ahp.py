@@ -1,9 +1,11 @@
 """Pairwise judgment matrices, indicator weights, consistency checking and
 weighted round scoring.
 
-Weights can come from row geometric means (the default, which recovers the
-generating ratio vector exactly on a consistent matrix) or from a shifted
-row-sum formula kept for compatibility with additive scoring conventions.
+A judgment matrix is given whole, as a positive reciprocal matrix with a unit
+diagonal, and JudgmentMatrix is its one check.  Weights can come from row
+geometric means (the default, which recovers the generating ratio vector
+exactly on a consistent matrix) or from a shifted row-sum formula kept for
+compatibility with additive scoring conventions.
 Consistency uses the classic index (lambda_max - n)/(n - 1) against Saaty's
 random-index table; a ratio under 0.1 counts as consistent.
 
@@ -51,36 +53,6 @@ class JudgmentMatrix:
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-
-def build_judgment_matrix(n: int, entries=()) -> JudgmentMatrix:
-    """Assemble a reciprocal matrix from upper-triangle scale entries.
-
-    Args:
-        n: matrix order.
-        entries: iterable of (i, j, value) with 0-based i < j and value in
-            [1/9, 9]; pairs not listed default to 1 (equal importance).
-
-    Raises:
-        DataError: non-positive or out-of-scale value, duplicate pair, or a
-            pair index outside the matrix.
-    """
-    a = np.ones((n, n))
-    seen = set()
-    for i, j, value in entries:
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise DataError(f"invalid pair ({i}, {j}) for a {n}x{n} matrix")
-        if value <= 0:
-            raise DataError(f"scale value for pair ({i}, {j}) must be positive")
-        if not (1.0 / 9.0 - 1e-12 <= value <= 9.0 + 1e-12):
-            raise DataError(f"scale value {value} outside the nine-level range [1/9, 9]")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise DataError(f"pair ({key[0]}, {key[1]}) specified more than once")
-        seen.add(key)
-        a[i, j] = value
-        a[j, i] = 1.0 / value
-    return JudgmentMatrix(a)
 
 
 def weights(matrix: JudgmentMatrix, method: str = "geometric_mean") -> np.ndarray:

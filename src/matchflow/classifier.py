@@ -78,24 +78,24 @@ def _row_max(scores, ref):
     return np.maximum(top, ref, out=top)
 
 
-def _exp_columns(scores, ref):
+def _exp_columns(scores):
     """Exponentiate the columns of scores (n, m) in place, shifted by each row's maximum.
 
-    ref is the score (a scalar or (n,) array) of one more class, the
-    reference class, which scores does not hold.  Returns (top, total, e):
-    the row maxima, the row sums of the exponentials, ref's last, and ref's
-    (n,) exponentials.  The sums add the columns left to right, as numpy's
-    sum(axis=1) adds fewer than eight columns, so the kernel gives the bits
-    of the (n, K) reductions on a stacked score matrix without stacking it.
+    The reference class scores 0 and is not held in scores.  Returns (top,
+    total, e): the row maxima, the row sums of the exponentials, the
+    reference class's last, and its (n,) exponentials.  The sums add the
+    columns left to right, as numpy's sum(axis=1) adds fewer than eight
+    columns, so the kernel gives the bits of the (n, K) reductions on a
+    stacked score matrix without stacking it.
     """
-    top = _row_max(scores, ref)
+    top = _row_max(scores, 0.0)
     for column in scores.T:
         np.subtract(column, top, out=column)
     np.exp(scores, out=scores)
     total = scores[:, 0].copy()
     for column in scores.T[1:]:
         total += column
-    e = np.subtract(ref, top)
+    e = np.subtract(0.0, top)
     total += np.exp(e, out=e)
     return top, total, e
 
@@ -173,7 +173,7 @@ class SoftmaxModel:
     def predict_proba(self, rows):
         """(n, K) class probabilities of an (n, p) feature matrix, by nll_and_grad's kernel."""
         scores = _scores(self._design(rows), self.coef)
-        _, total, ref = _exp_columns(scores, 0.0)
+        _, total, ref = _exp_columns(scores)
         proba = np.empty((scores.shape[0], scores.shape[1] + 1))
         np.divide(scores, total[:, None], out=proba[:, :-1])
         np.divide(ref, total, out=proba[:, -1])
@@ -218,7 +218,7 @@ def nll_and_grad(coef, design, y, n_classes, l2_penalty=0.0):
     n = design.shape[0]
     proba = _scores(design, coef)
     own = _own_scores(proba, y)  # read before the kernel overwrites the scores
-    top, total, _ = _exp_columns(proba, 0.0)
+    top, total, _ = _exp_columns(proba)
     loss = float(np.mean(np.log(total) + top - own))
     np.divide(proba, total[:, None], out=proba)
     delta = proba.copy()

@@ -29,9 +29,11 @@ report.json indexes the bundle and copies no value of it: the match id, the
 seed, each stage's status ("ok", or "failed" with the reason) and the name of
 every file that landed; a failed stage does not stop the others.  No JSON
 artifact holds NaN or Infinity; a payload that would fails its stage.  Any
-Exception fails only its stage: one outside STAGE_ERRORS (a bug, or an
-OSError) is recorded as "<TypeName>: <message>" and, once the command has
-written what it writes, re-raised with its traceback ahead of any stage error.
+Exception fails only its stage.  The stage errors are MatchFlowError,
+ValueError and ArithmeticError (STAGE_ERRORS).  Any other one (a bug, such
+as a KeyError or an IndexError, or an OSError) is recorded as
+"<TypeName>: <message>" and, once the command has written what it writes,
+re-raised with its traceback ahead of any stage error.
 A BaseException such as KeyboardInterrupt stops the command where it is.
 report removes report.json and cleaning_report.json before its first stage
 and writes them last, each through a temporary file, so the bundle keeps one
@@ -83,13 +85,13 @@ from .errors import ConfigError, DataError, MatchFlowError, SchemaError
 OUT_DIR_ENV = "MATCHFLOW_OUT_DIR"
 
 # Errors that fail one stage and let the others run; main maps each to an exit code.
-STAGE_ERRORS = (MatchFlowError, ValueError, ArithmeticError, KeyError, IndexError)
+STAGE_ERRORS = (MatchFlowError, ValueError, ArithmeticError)
 
 DEFAULT_AHP_INDICATORS = ["score_diff", "psychological_factor", "unforced_error_ratio_p2",
                           "distance_run_diff", "set_diff"]
 
-# Built-in pairwise judgments over the default indicators: the score margin
-# dominates, pressure handling comes next, then the opponent's error rate.
+# Built-in pairwise judgments (i, j, a_ij) over the default indicators: the score
+# margin dominates, pressure handling comes next, then the opponent's error rate.
 DEFAULT_AHP_ENTRIES = [
     (0, 1, 2.0), (0, 2, 3.0), (0, 3, 5.0), (0, 4, 3.0),
     (1, 2, 2.0), (1, 3, 3.0), (1, 4, 2.0),
@@ -293,8 +295,11 @@ def _judgment_matrix(ahp) -> list:
             with open(ahp["matrix_csv"], encoding="utf-8") as fh:
                 rows = [[float(cell) for cell in row] for row in csv.reader(fh) if row]
         elif rows is None:  # other indicator lists fall back to equal importance
-            entries = DEFAULT_AHP_ENTRIES if ahp["indicators"] == DEFAULT_AHP_INDICATORS else ()
-            rows = ahp_mod.build_judgment_matrix(n, entries).values.tolist()
+            rows = np.ones((n, n))
+            if ahp["indicators"] == DEFAULT_AHP_INDICATORS:
+                for i, j, value in DEFAULT_AHP_ENTRIES:
+                    rows[i, j], rows[j, i] = value, 1.0 / value
+            rows = rows.tolist()
         if list(map(len, rows)) != [n] * n:
             raise DataError(f"need a {n} x {n} matrix, one row and column per indicator")
         ahp_mod.JudgmentMatrix(np.asarray(rows))

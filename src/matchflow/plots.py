@@ -16,6 +16,9 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 MARGIN = 46
 LEGEND_STEP = 16
 
+# Code points that XML 1.0 cannot hold, even escaped; a title shows each as U+FFFD.
+NOT_XML = dict.fromkeys([*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF], "\ufffd")
+
 
 def _fmt(value: float) -> str:
     return f"{value:.2f}"
@@ -30,7 +33,7 @@ def _scale(values, lo, hi, out_lo, out_hi):
 
 def _header(width, height, title) -> list:
     """The lines that open every plot: the <svg> tag, a white background and the escaped title."""
-    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    title = title.translate(NOT_XML).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',

@@ -7,37 +7,17 @@ from matchflow.errors import DataError
 from util import eigenvalue_oracle, matrix_from_weights, minmax_oracle
 
 
-def test_empty_entries_give_all_ones():
-    matrix = ahp.build_judgment_matrix(3)
-    assert np.array_equal(matrix.values, np.ones((3, 3)))
-
-
-def test_reciprocal_rule():
-    matrix = ahp.build_judgment_matrix(3, [(0, 1, 3.0)])
-    assert matrix.values[0, 1] == 3.0
-    assert matrix.values[1, 0] == pytest.approx(1.0 / 3.0)
-
-
 def test_matrix_from_ratio_vector_is_reciprocal():
     matrix = matrix_from_weights([0.5, 0.3, 0.2])
     assert np.allclose(matrix.values * matrix.values.T, 1.0, atol=1e-15)
     assert np.allclose(np.diag(matrix.values), 1.0)
 
 
-def test_build_rejects_bad_entries():
-    with pytest.raises(DataError, match="positive"):
-        ahp.build_judgment_matrix(3, [(0, 1, -2.0)])
-    with pytest.raises(DataError, match="nine-level"):
-        ahp.build_judgment_matrix(3, [(0, 1, 12.0)])
-    with pytest.raises(DataError, match="more than once"):
-        ahp.build_judgment_matrix(3, [(0, 1, 2.0), (1, 0, 3.0)])
-    with pytest.raises(DataError, match="invalid pair"):
-        ahp.build_judgment_matrix(3, [(0, 3, 2.0)])
-
-
 def test_judgment_matrix_validation():
     with pytest.raises(DataError, match="square"):
         ahp.JudgmentMatrix(np.ones((2, 3)))
+    with pytest.raises(DataError, match="positive"):
+        ahp.JudgmentMatrix(np.array([[1.0, -2.0], [-0.5, 1.0]]))
     with pytest.raises(DataError, match="reciprocal"):
         ahp.JudgmentMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(DataError, match="diagonal"):
@@ -45,7 +25,7 @@ def test_judgment_matrix_validation():
 
 
 def test_uniform_matrix_gives_uniform_weights_both_methods():
-    matrix = ahp.build_judgment_matrix(3)
+    matrix = ahp.JudgmentMatrix(np.ones((3, 3)))
     for method in ("geometric_mean", "shifted_row_sum"):
         w = ahp.weights(matrix, method=method)
         assert np.allclose(w, 1.0 / 3.0)
@@ -61,7 +41,7 @@ def test_geometric_mean_recovers_generating_vector():
 
 def test_unknown_method_rejected():
     with pytest.raises(DataError, match="method"):
-        ahp.weights(ahp.build_judgment_matrix(3), method="rowmax")
+        ahp.weights(ahp.JudgmentMatrix(np.ones((3, 3))), method="rowmax")
 
 
 def test_consistent_matrices_have_zero_inconsistency():
@@ -76,7 +56,7 @@ def test_consistent_matrices_have_zero_inconsistency():
 
 
 def test_order_two_has_zero_cr_by_convention():
-    matrix = ahp.build_judgment_matrix(2, [(0, 1, 5.0)])
+    matrix = ahp.JudgmentMatrix(np.array([[1.0, 5.0], [1 / 5, 1.0]]))
     result = ahp.consistency(matrix)
     assert result["consistency_ratio"] == 0.0
     assert result["consistent"]

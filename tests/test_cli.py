@@ -319,7 +319,11 @@ def test_load_config_resolves_the_judgment_matrix_it_uses(tmp_path):
     matrix = tmp_path / "judgments.csv"
     matrix.write_text("1,4\n0.25,1\n")
     sources = [
-        ({}, cli.ahp_mod.build_judgment_matrix(5, cli.DEFAULT_AHP_ENTRIES).values.tolist()),
+        ({}, [[1.0, 2.0, 3.0, 5.0, 3.0],
+              [1 / 2, 1.0, 2.0, 3.0, 2.0],
+              [1 / 3, 1 / 2, 1.0, 2.0, 1.0],
+              [1 / 5, 1 / 3, 1 / 2, 1.0, 1 / 2],
+              [1 / 3, 1 / 2, 1.0, 2.0, 1.0]]),
         ({"indicators": ["set_diff", "score_diff", "game_diff"]}, np.ones((3, 3)).tolist()),
         ({"matrix": CONSISTENT_5X5}, CONSISTENT_5X5),
         ({"indicators": ["set_diff", "score_diff"], "matrix_csv": str(matrix)},
@@ -1042,16 +1046,23 @@ def test_report_svg_bytes_are_pinned(tmp_path):
     }
 
 
+# match ids and their plot titles' text: XML 1.0 holds no C0 control but tab, LF and
+# CR, nor U+FFFE or U+FFFF, even escaped, so the titles show each as U+FFFD
+TITLED_IDS = [("R&D<1701>", "R&D<1701>"), ("R\x0bD\ufffe-1701", "R\ufffdD\ufffd-1701")]
+
+
 def test_a_match_id_with_markup_characters_leaves_the_svgs_well_formed(tmp_path):
     """The match id is outside input: the plot titles escape it, and it reads back as it was."""
-    path = tmp_path / "markup.csv"
-    path.write_text(FIXTURE.read_text().replace("2023-fixture-1701", "R&D<1701>"))
-    out = tmp_path / "out"
-    assert run(["report", path, "--match", "R&D<1701>", "--out-dir", out]) == 0
-    for name, title in (("momentum.svg", "momentum: R&D<1701>"),
-                        ("scalogram.svg", "momentum scalogram: R&D<1701>")):
-        root = ElementTree.parse(out / name).getroot()
-        assert root.find("{http://www.w3.org/2000/svg}text").text == title
+    for k, (match_id, shown) in enumerate(TITLED_IDS):
+        path = tmp_path / f"renamed{k}.csv"
+        path.write_text(FIXTURE.read_text().replace("2023-fixture-1701", match_id),
+                        encoding="utf-8")
+        out = tmp_path / f"out{k}"
+        assert run(["report", path, "--match", match_id, "--out-dir", out]) == 0
+        for name, title in (("momentum.svg", f"momentum: {shown}"),
+                            ("scalogram.svg", f"momentum scalogram: {shown}")):
+            root = ElementTree.parse(out / name).getroot()
+            assert root.find("{http://www.w3.org/2000/svg}text").text == title
 
 
 # 1, 2 and 3 axes over 1, PARSE_BLOCK - 1, PARSE_BLOCK, PARSE_BLOCK + 1 and
@@ -1139,7 +1150,7 @@ def test_failed_stage_removes_an_earlier_runs_files(tmp_path):
     assert not names & {"model.json", "serve_stats.json", "metrics.json", *ROC_FILES}
 
 
-@pytest.mark.parametrize("error", [MemoryError, TypeError, KeyboardInterrupt])
+@pytest.mark.parametrize("error", [MemoryError, TypeError, KeyError, IndexError, KeyboardInterrupt])
 def test_an_exception_outside_the_stage_errors_propagates(tmp_path, monkeypatch, error):
     out = tmp_path / "out"
     assert run(["report", FIXTURE, "--seed", 11, "--out-dir", out]) == 0
@@ -1159,7 +1170,7 @@ def test_an_exception_outside_the_stage_errors_propagates(tmp_path, monkeypatch,
         report = read_json(out / "report.json")
         assert report["seed"] == 12
         assert report["stages"].pop("wavelet") == {
-            "status": "failed", "reason": f"{error.__name__}: not a stage error"}
+            "status": "failed", "reason": f"{error.__name__}: {error('not a stage error')}"}
         assert all(s == {"status": "ok"} for s in report["stages"].values())
         assert names == {*report["artifacts"].values(), "report.json"}
 

@@ -9,6 +9,8 @@ command's stdout and exit code.  The bundled fixture has 239 data rows, within
 one parse batch, so MULTI_COMMANDS also run, under the default config, on
 ``multi.csv`` (``multi_match_csv``): 1,644 simulated rows over several
 batches, with a few damaged cells, listed as ``multi-match/command/file``.
+Each config of CHOICE_CONFIGS runs on ``multi.csv`` too, under the commands
+it names, listed as ``name/command/file``.
 Last, BLOCKS_COMMANDS run under BLOCKS_CONFIG, whose 201 x 201 sweep grid
 spans several of the sweep's model-call blocks (``sweep.SWEEP_BLOCK``) and
 whose 80 x 80 trend surface (6,400 rows) spans several of the writer's blocks
@@ -59,6 +61,16 @@ CONFIGS = {
                              "sweep": {"degree": 1}, "train": {"l2_penalty": 0.01}},
     # a seed of three uint32 words and a null of several lane blocks (trend.LANE_BLOCK)
     "big-seed": {"seed": 2**64 + 5, "random": {"permutations": 2500}},
+}
+# choices that few commands read, run on multi.csv through those commands alone:
+# name -> (config, commands).  The fixture's one training match gives no
+# strictly ordered set-level labels, so unit "set" fails train on it.
+CHOICE_CONFIGS = {
+    "unit-set": ({"unit": "set"}, ["report", "train-eval --seed 3"]),
+    "momentum-variance": ({"random": {"statistic": "momentum_variance"}},
+                          ["report", "analyze random --plot"]),
+    "lag1-autocorr": ({"random": {"statistic": "lag1_autocorr"}},
+                      ["report", "analyze random --plot"]),
 }
 # a_ij = w_i / w_j: a consistent judgment matrix over the five default indicators
 WEIGHTS = (8.0, 4.0, 4.0, 2.0, 1.0)
@@ -146,6 +158,9 @@ def main(src: str) -> None:
     multi = multi_match_csv()
     for command in MULTI_COMMANDS:
         run_listing(env, "multi-match", command, {}, "multi.csv", multi)
+    for name, (config, commands) in CHOICE_CONFIGS.items():
+        for command in commands:
+            run_listing(env, name, command, config, "multi.csv", multi)
     for command in BLOCKS_COMMANDS:
         run_listing(env, "sweep-blocks", command, BLOCKS_CONFIG, FIXTURE)
     run_listing(env, "fit-blocks", FIT_COMMAND, {}, "fit.csv", fit_corpus_csv())

@@ -77,6 +77,8 @@ REPRODUCERS = {
                      ("set", SELECTED, 7, "point_no", "")],
     # markup in a plot title; the default holdout still selects the match by its suffix
     "svg-title": [("column", SELECTED, "match_id", "R&D<fixture>-1701")],
+    # code points that XML cannot hold, even escaped, in a plot title
+    "svg-control": [("column", SELECTED, "match_id", "R\x0bD\ufffe-1701")],
 }
 
 
@@ -205,7 +207,7 @@ def run_case(case) -> list:
 
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
-        with open(work / "input.csv", "w", newline="") as fh:
+        with open(work / "input.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(fixture_rows()[0]))
             writer.writeheader()
             writer.writerows(mutated(case))
